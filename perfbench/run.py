@@ -1,33 +1,37 @@
-"""End-to-end synthesis benchmark: cold, warm and scale workloads.
+"""End-to-end synthesis benchmark: cold paper-tier and scale workloads.
 
 Run from the repository root::
 
-    python3 perfbench/run.py --workload paper-cold --seed 1 --seconds 16 --trace 0
+    python3 perfbench/run.py --workload paper-cold --seed 1 --seconds 60 --trace 0
 
-Workloads (see ``rationale.json`` for why each was chosen):
+Workloads (``BENCHMARK.json`` says why each was chosen, ``rationale.json``
+what is out of scope and what each layer should move):
 
 * ``paper-cold`` -- the 19 paper-tier benchmarks, each run with a freshly
   built problem and a fresh ``SynthesisSession``;
-* ``paper-warm`` -- the same 19, each in one session primed by an untimed
-  run, timed on repeat runs in that session;
 * ``scale-cold`` -- SC1 and SC2 (1e5 seeded users), built cold.
 
 Each run starts a fresh interpreter process (``child.py``) that sets up
-(imports, problem builds, and for ``paper-warm`` the priming runs) and then
-runs whole passes over the workload -- at least two, then as many as fit in
-``--seconds``.  For the cold workloads, further processes only set up, so
-that ``setup_s`` is a median.  ``--seed`` shuffles the benchmark order
-within each pass and is the measured processes' ``PYTHONHASHSEED``.
+(imports and one build of every problem) and then runs whole passes over
+the workload -- at least two, then as many as end within ``--seconds``.
+Six further processes only set up, so that ``setup_s`` is a median of
+seven.  ``--seed`` shuffles the benchmark order within each pass and is the
+measured processes' ``PYTHONHASHSEED``.
 
-With ``--trace 0`` the last stdout line carries the end-to-end metrics:
-``suite_s`` (sum over benchmarks of the median synthesis wall time),
-``slowest_s`` (the largest of those medians), ``setup_s`` (process start to
-first timed synthesis, median over the set-ups) and ``peak_rss_mb`` (of
-the measuring process).  ``failed_frac`` and ``programs_changed`` are
-printed as rows above it and fold into ``correct``: a run that fails, or
-whose program differs from ``golden.json``, makes ``correct`` false.  With
+Every time is scaled to a reference host speed by the canaries timed around
+it (``canary.py``): ``wall_s * REF_S / canary_s``.  Raw wall times are
+printed as diagnostics.  With ``--trace 0`` the last stdout line carries
+the end-to-end metrics: ``suite_s`` (sum over benchmarks of the median
+synthesis time), ``slowest_s`` (the largest of those medians), ``setup_s``
+(process start to first timed synthesis, median over the set-ups) and
+``peak_rss_mb`` (of the measuring process).  ``failed_frac`` and
+``programs_changed`` are printed as rows above it and fold into
+``correct``: a run that fails, or whose program differs from
+``golden.json``, makes ``correct`` false.  With
 ``--trace 1`` traced and untraced passes alternate, and the last line
-carries the per-layer metrics plus the tracing overhead and span coverage.
+carries the per-layer metrics plus the tracing overhead and span coverage;
+a layer wrap site that cannot be resolved, or that no traced run reaches,
+also makes ``correct`` false.
 
 Exits non-zero, printing no result, when the engine sources are missing or
 a measuring process fails.
@@ -46,18 +50,33 @@ from collections import defaultdict
 from pathlib import Path
 from typing import Any, Dict, List, Tuple
 
+from canary import REF_S
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
-#: Set-ups per run: the measuring process plus set-up-only processes;
-#: ``setup_s`` is their median.  ``paper-warm`` sets up once, because its
-#: set-up includes a priming run of every benchmark (about a cold pass).
-SETUPS = {"paper-cold": 3, "paper-warm": 1, "scale-cold": 3}
+#: Set-ups per untraced run (the measuring process plus set-up-only
+#: processes); ``setup_s`` is their median.  A set-up takes well under a
+#: second, and single samples spread by up to half of their median.
+SETUPS = 7
 
 #: Wall-clock budget for the whole run, inside the 180 s limit.
 DEADLINE_S = 170.0
 
-WORKLOADS = ("paper-cold", "paper-warm", "scale-cold")
+WORKLOADS = ("paper-cold", "scale-cold")
+
+#: Per-layer metrics read from the engine's own counters of the same name,
+#: summed over the benchmarks of a traced pass (median over traced passes).
+COUNTER_METRICS = (
+    "search.expansions", "search.pushed", "search.evaluated",
+    "state.restores", "state.rebuilds",
+)
+
+#: Per-layer metrics read from span counts: metric -> (summary field, key).
+SPAN_METRICS = {
+    "enumerate.candidates": ("counts", "enumerate.candidates"),
+    "activerecord.queries": ("site_calls", "repro.activerecord.database:Database.query"),
+}
 
 
 def spawn(workload: str, seed: int, seconds: float, trace: int,
@@ -79,29 +98,19 @@ def spawn(workload: str, seed: int, seconds: float, trace: int,
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-def host_probe() -> float:
-    """Best of three runs of a fixed pure-Python loop, in seconds.
+def scaled(wall_s: float, canary_s: float) -> float:
+    """``wall_s`` on the reference host, given the canary time around it."""
 
-    Printed before and after the measuring process so a reader can tell a
-    slow host (other tenants on shared cores) from a slow engine.
-    """
-
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        total = 0
-        for i in range(300_000):
-            total += i * i % 7
-        best = min(best, time.perf_counter() - start)
-    return best
+    return wall_s * REF_S / canary_s
 
 
-def medians(records: List[Dict[str, Any]]) -> Dict[str, Tuple[float, int]]:
-    """benchmark id -> (median wall time, sample count)."""
+def medians(records: List[Dict[str, Any]], raw: bool = False) -> Dict[str, Tuple[float, int]]:
+    """benchmark id -> (median scaled, or ``raw`` wall, time; sample count)."""
 
     times: Dict[str, List[float]] = defaultdict(list)
     for record in records:
-        times[record["id"]].append(record["wall_s"])
+        wall = record["wall_s"]
+        times[record["id"]].append(wall if raw else scaled(wall, record["host_canary_s"]))
     return {bid: (statistics.median(ts), len(ts)) for bid, ts in sorted(times.items())}
 
 
@@ -139,16 +148,17 @@ def counter_ratios(records: List[Dict[str, Any]]) -> Dict[str, float]:
             "cache.intern_hit_ratio", c["cache.intern_hits"], c["cache.intern_misses"]),
         "activerecord.index_hit_ratio": ratio(
             "activerecord.index_hit_ratio", c["query.index_hits"], c["query.scans"]),
-        "state.restore_ratio": ratio(
-            "state.restore_ratio", c["state.restores"], c["state.rebuilds"]),
     }
 
 
 def end_to_end(measured: Dict[str, Any], setups: List[float],
                records: List[Dict[str, Any]]) -> Dict[str, float]:
-    per_bench = medians([r for r in records if not r["traced"]])
+    untraced = [r for r in records if not r["traced"]]
+    per_bench = medians(untraced)
     slowest = max(per_bench, key=lambda bid: per_bench[bid][0])
     print(f"slowest benchmark: {slowest}")
+    print(f"raw suite_s (unscaled wall time) = "
+          f"{sum(m for m, _ in medians(untraced, raw=True).values()):.4f} s")
     return {
         "suite_s": sum(m for m, _ in per_bench.values()),
         "slowest_s": per_bench[slowest][0],
@@ -157,7 +167,12 @@ def end_to_end(measured: Dict[str, Any], setups: List[float],
     }
 
 
-def per_layer(measured: Dict[str, Any], records: List[Dict[str, Any]]) -> Dict[str, float]:
+def per_layer(measured: Dict[str, Any], records: List[Dict[str, Any]],
+              names: List[str], unreached: List[str]) -> Tuple[Dict[str, float], List[str]]:
+    """The declared per-layer metrics, and the wrap sites that could not be
+    resolved or that no traced pass reached (other than those ``unreached``
+    lists for the workload)."""
+
     traced = [r for r in records if r["traced"]]
     passes = measured["traced_passes"]
     by_pass: Dict[int, List[Dict[str, Any]]] = defaultdict(list)
@@ -168,50 +183,54 @@ def per_layer(measured: Dict[str, Any], records: List[Dict[str, Any]]) -> Dict[s
     def span_median(field: str, key: str) -> float:
         return statistics.median(p[field].get(key, 0) for p in passes)
 
-    def counter_median(key: str) -> float:
-        return statistics.median(c[key] for c in pass_counters)
-
-    metrics: Dict[str, float] = {}
-    for layer in ("search", "enumerate", "typesys", "goal", "interp", "state",
-                  "activerecord", "merge", "analysis"):
-        metrics[f"{layer}.self_s"] = span_median("self_s", layer)
-    for layer in ("enumerate", "typesys", "goal", "interp"):
-        metrics[f"{layer}.calls"] = span_median("calls", layer)
-    for name in ("expansions", "pushed", "evaluated"):
-        metrics[f"search.{name}"] = counter_median(f"search.{name}")
-    metrics["enumerate.candidates"] = span_median("counts", "enumerate.candidates")
-    metrics["state.restores"] = counter_median("state.restores")
-    metrics["state.rebuilds"] = counter_median("state.rebuilds")
-    metrics["activerecord.queries"] = span_median("counts", "activerecord:query")
-    metrics["session.hint_reuses"] = counter_median("search.hint_reuses")
-
     print("-- traced passes: engine counters and span counts")
     ratios = counter_ratios(traced)
-    metrics["cache.hit_ratio"] = ratios["cache.hit_ratio"]
-    metrics["cache.intern_hit_ratio"] = ratios["cache.intern_hit_ratio"]
-    metrics["activerecord.index_hit_ratio"] = ratios["activerecord.index_hit_ratio"]
     hits = sum(p["counts"].get("analysis.prune_hits", 0) for p in passes)
-    lookups = sum(p["counts"].get("analysis:outcome_for", 0) for p in passes)
-    metrics["analysis.prune_ratio"] = ratio("analysis.prune_ratio", hits, lookups - hits)
+    lookups = sum(p["site_calls"].get("repro.analysis.prune:StaticPruner.outcome_for", 0)
+                  for p in passes)
+    ratios["analysis.prune_ratio"] = ratio("analysis.prune_ratio", hits, lookups - hits)
 
     untraced_suite = sum(m for m, _ in medians([r for r in records if not r["traced"]]).values())
     traced_suite = sum(m for m, _ in medians(traced).values())
-    metrics["tracing.overhead_s"] = traced_suite - untraced_suite
     covered = sum(p["top_s"] for p in passes)
     wall = sum(r["wall_s"] for r in traced)
-    metrics["tracing.coverage"] = covered / wall
     print(f"tracing: traced suite_s {traced_suite:.4f} - untraced suite_s "
           f"{untraced_suite:.4f} = overhead {traced_suite - untraced_suite:.4f} s; "
           f"spans cover {covered:.4f} of {wall:.4f} s run wall time "
           f"({covered / wall:.2%}), {wall - covered:.4f} s unaccounted")
-    return metrics
+    tracing = {"tracing.overhead_s": traced_suite - untraced_suite,
+               "tracing.coverage": covered / wall}
+
+    lost = list(measured["missing_sites"])
+    for site in measured["sites"]:
+        reached = sum(p["site_calls"].get(site, 0) for p in passes)
+        print(f"site {site}: {reached} calls")
+        if not reached and site not in unreached:
+            lost.append(site)
+
+    metrics: Dict[str, float] = {}
+    for name in names:
+        layer, _, kind = name.partition(".")
+        if name in ratios:
+            metrics[name] = ratios[name]
+        elif name in tracing:
+            metrics[name] = tracing[name]
+        elif name in COUNTER_METRICS:
+            metrics[name] = statistics.median(c[name] for c in pass_counters)
+        elif name in SPAN_METRICS:
+            metrics[name] = span_median(*SPAN_METRICS[name])
+        elif kind in ("self_s", "calls"):
+            metrics[name] = span_median(kind, layer)
+        else:
+            raise KeyError(f"no source for per-layer metric {name}")
+    return metrics, lost
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description="End-to-end synthesis benchmark.")
     parser.add_argument("--workload", required=True, choices=WORKLOADS)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=16.0)
+    parser.add_argument("--seconds", type=float, default=60.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
 
@@ -222,26 +241,31 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     golden = json.loads((HERE / "golden.json").read_text())
 
-    probe_before = host_probe()
     measured = spawn(args.workload, args.seed, args.seconds, args.trace, DEADLINE_S)
-    print(f"host probe: reference loop {probe_before:.4f} s before and "
-          f"{host_probe():.4f} s after the measuring process")
-    setups = [measured["setup_s"]]
-    for _ in range(0 if args.trace else SETUPS[args.workload] - 1):
+    setup_runs = [measured]
+    for _ in range(0 if args.trace else SETUPS - 1):
         remaining = DEADLINE_S - (time.monotonic() - started)
-        setups.append(spawn(args.workload, args.seed, 0, 0, remaining)["setup_s"])
-    print("setup_s samples: " + " ".join(f"{s:.4f}" for s in setups))
+        setup_runs.append(spawn(args.workload, args.seed, 0, 0, remaining))
+    setups = [scaled(r["setup_s"], r["setup_canary_s"]) for r in setup_runs]
+    print("setup_s samples (raw s / canary s): " + " ".join(
+        f"{r['setup_s']:.4f}/{r['setup_canary_s']:.4f}" for r in setup_runs))
     records = measured["records"]
+    # The host speed during a run: the mean of the canary timed just before
+    # it and the one timed just before the next run (the last run has only
+    # its own).  Bracketing the run halved the spread of slowest_s over
+    # scaling by the canary before it alone.
+    for record, after in zip(records, records[1:] + records[-1:]):
+        record["host_canary_s"] = (record["canary_s"] + after["canary_s"]) / 2
 
     failed = [r for r in records if not (r["ok"] and r["recheck"])]
     changed = sorted({r["id"] for r in records if r["text"] != golden.get(r["id"])})
     for traced in (False, True):
         label = "traced" if traced else "untraced"
-        for bid, (median, count) in medians(
-                [r for r in records if r["traced"] is traced]).items():
-            fastest = min(r["wall_s"] for r in records
-                          if r["id"] == bid and r["traced"] is traced)
-            print(f"bench {bid} {label} median_s={median:.4f} min_s={fastest:.4f} n={count}")
+        selected = [r for r in records if r["traced"] is traced]
+        raw = medians(selected, raw=True)
+        for bid, (median, count) in medians(selected).items():
+            print(f"bench {bid} {label} median_s={median:.4f} "
+                  f"raw_median_s={raw[bid][0]:.4f} n={count}")
     for record in failed:
         print(f"FAILED {record['id']} pass {record['pass']}: ok={record['ok']} "
               f"recheck={record['recheck']} {record.get('error', '')}")
@@ -253,17 +277,24 @@ def main() -> int:
     print("-- all passes: engine counters")
     counter_ratios(records)
 
+    lost: List[str] = []
     if args.trace:
-        values, declared = per_layer(measured, records), spec["per_layer"]
+        declared = spec["per_layer"]
+        rationale = json.loads((HERE / "rationale.json").read_text())
+        values, lost = per_layer(measured, records, [m["name"] for m in declared],
+                                 rationale["unreached_on"].get(args.workload, []))
+        for site in lost:
+            print(f"LOST-SPAN {site}: cannot be wrapped or never reached")
     else:
-        values, declared = end_to_end(measured, setups, records), spec["end_to_end"]
+        declared = spec["end_to_end"]
+        values = end_to_end(measured, setups, records)
     metrics = {}
     for metric in declared:
         value = values[metric["name"]]
         metrics[metric["name"]] = {"value": value, "unit": metric["unit"]}
         print(f"{metric['name']} = {value:.6g} {metric['unit']}")
     print(json.dumps({
-        "correct": not failed and not changed,
+        "correct": not failed and not changed and not lost,
         "attempted": len(records),
         "failed": len(failed),
         "metrics": metrics,
