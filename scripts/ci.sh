@@ -47,6 +47,11 @@
 # (paired A/B bursts against the uninstrumented core), and a traced run of
 # each benchmark must produce a well-formed JSONL trace whose phase spans
 # cover >= 95% of the root span, with identical synthesized programs.
+#
+# The program-identity gate synthesizes every end-to-end benchmark workload
+# cold (perfbench/child.py --golden) under two string-hash seeds and compares
+# the program texts byte for byte with perfbench/golden.json, so neither a
+# change to the engine nor a change of hash seed may alter a program.
 
 set -euo pipefail
 
@@ -61,6 +66,14 @@ if [[ "${CI_SKIP_TESTS:-0}" != "1" ]]; then
     echo "== backend differential suite (resolver-identity mode) =="
     REPRO_SLOT_FRAMES=0 python -m pytest -x -q tests/test_interp_backends.py tests/test_resolve.py
 fi
+
+echo "== program identity gate (perfbench goldens, two hash seeds) =="
+GOLDEN_OUT="$(mktemp)"
+for seed in 0 12345; do
+    PYTHONHASHSEED="$seed" python perfbench/child.py --golden > "$GOLDEN_OUT"
+    cmp "$GOLDEN_OUT" perfbench/golden.json
+done
+rm -f "$GOLDEN_OUT"
 
 echo "== interp bench gate =="
 INTERP_REPORT="${CI_INTERP_REPORT:-BENCH_interp.json}"

@@ -1,4 +1,4 @@
-"""Static effect analysis over the hash-consed AST and the class table.
+"""Static effect analysis over the AST and the class table.
 
 Three passes, all purely static (no interpreter, no database):
 

@@ -18,8 +18,8 @@ Anything the analysis cannot type (unknown method, unbound variable, nil
 receiver) widens to TOP through the :func:`footprint` wrapper -- callers
 that prune or fast-path on the footprint then simply do neither.
 
-Like ``check_expr`` (PR 6), results are memoized on the interned node in an
-underscore-prefixed slot (``_fp_memo``, dropped by the AST pickle hook),
+Like ``check_expr``, results are memoized on the (immutable) node in an
+underscore-prefixed entry (``_fp_memo``, which a pickled node never carries),
 keyed by ``ClassTable.generation`` and the types of the node's free
 variables, so filling a hole recomputes only the root-to-hole spine.  Memo
 hits are surfaced as ``SearchStats.footprint_hits``.

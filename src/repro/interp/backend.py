@@ -9,7 +9,7 @@ is delegated to an :class:`EvalBackend`:
   dispatch chain on every visit, exactly the definitional semantics the
   interpreter always had;
 * :class:`~repro.interp.compile.CompiledBackend` (``"compiled"``) closes
-  each unique hash-consed subtree into a chain of Python closures once per
+  each subtree into a chain of Python closures once per
   binder layout and caches the closures on the node, so the per-node
   dispatch cost is paid once per *shape* instead of once per evaluation.
 

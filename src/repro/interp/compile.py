@@ -1,15 +1,15 @@
-"""The compiled evaluation backend: hash-consed ASTs closed into closures.
+"""The compiled evaluation backend: AST nodes closed into closures.
 
-Candidate evaluation is the serial hot path of the synthesis loop, and after
-hash-consing (:mod:`repro.synth.cache`) the engine sees few *unique* subtree
-shapes.  This backend compiles each unique subtree once per lexical *scope*
-into a chain of Python closures (``node -> fn(frame, rt) -> value``) and
-caches the closures on the node instance itself (a ``_compiled`` memo dict
-keyed by scope, set with ``object.__setattr__`` like the
-``_hash``/``_node_count`` memos of :mod:`repro.lang.ast`), so compilation
-cost amortizes across every candidate sharing the shape.  Because interned
-nodes are shared, a subtree compiled while evaluating one candidate is
-already compiled when a later candidate contains it under the same binders.
+Candidate evaluation is the serial hot path of the synthesis loop, and
+candidates share most of their subtrees: filling a hole rebuilds only the
+root-to-hole spine (:func:`repro.lang.ast.replace_at`).  This backend
+compiles each node once per lexical *scope* into a chain of Python closures
+(``node -> fn(frame, rt) -> value``) and caches the closures on the node
+instance itself (a ``_compiled`` memo dict keyed by scope, set with
+``object.__setattr__``), so compilation cost amortizes across every
+candidate sharing the subtree: a subtree compiled while evaluating one
+candidate is already compiled when a later candidate contains it under the
+same binders.
 
 Environments are flat positional frames resolved by :mod:`repro.lang.resolve`:
 the scope is the tuple of binder names from the frame base upward (parameters
@@ -36,9 +36,10 @@ so the cache can never serve a stale resolution.
 
 Effect logging, call-budget charging and hole rejection flow through the same
 context methods as the tree walker, keeping the two backends observably
-identical.  The ``_compiled`` slot is underscore-prefixed, so the AST pickle
-hook (``repro.lang.ast._memoless_state``) automatically drops it: closures
-never cross the process boundary in the parallel subsystem.
+identical.  The ``_compiled`` memo never travels with a pickled node
+(``repro.lang.ast.Node.__reduce__`` rebuilds a node from its dataclass
+fields alone): closures never cross the process boundary in the parallel
+subsystem.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ while the AST traversal itself is delegated to a pluggable
 
 * ``backend="tree"`` walks the AST node by node (the definitional
   semantics);
-* ``backend="compiled"`` (the default) closes each unique hash-consed
-  subtree into a chain of cached Python closures
+* ``backend="compiled"`` (the default) closes each subtree into a chain of
+  cached Python closures
   (:mod:`repro.interp.compile`).
 
 The call budget is shared across *nested* ``eval``/``call_program`` entries:

@@ -13,41 +13,96 @@ class-constant references):
        | <> : eps          (effect hole)
    b ::= e | !b | b or b
 
-All nodes are frozen dataclasses, so structural equality and hashing come for
-free; the synthesizer relies on this to deduplicate candidates.
+All nodes are frozen dataclasses with structural equality; the synthesizer
+relies on this to deduplicate candidates.  Every node computes three fields
+once, at construction, from its children's fields:
+
+* ``_hash`` -- the structural hash that ``hash(node)`` returns;
+* ``_node_count`` -- the number of nodes (:func:`node_count`);
+* ``_has_holes`` -- whether a hole occurs in it (:func:`has_holes`).
+
+So none of them ever walks a tree, and subtrees shared between candidates
+are never measured twice.  ``__reduce__`` rebuilds a node through its
+constructor: pickles and deep copies carry only the dataclass fields, and the
+construction-time fields are recomputed on the far side (the hash is only
+valid under one interpreter's string-hash seed).  Neither do the memos that
+other modules attach lazily to a node's ``__dict__`` (``_type_memo``,
+``_compiled``, ``_fv_tuple``, ``_alpha_memo``, ``_fp_memo``) travel.
 
 Two utilities matter for synthesis:
 
-* :func:`first_hole` finds the left-most hole and reports the *path* to it
-  plus the ``let`` bindings in scope at that position, so the enumerator can
-  extend the type environment correctly (rule T-Let).
-* :func:`replace_at` rebuilds the expression with a replacement spliced in at
-  a path, leaving every other node shared.
+* :func:`first_hole` finds the left-most hole and reports its *path* -- the
+  child indices leading to it from the root -- plus the ``let`` bindings in
+  scope at that position, so the enumerator can extend the type environment
+  correctly (rule T-Let).
+* :func:`replace_at` splices a replacement in at such a path, rebuilding only
+  the nodes on the path (one :meth:`Node.with_child` per level) and sharing
+  every other subtree; :func:`splicer` walks the path once for many
+  replacements.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.lang.effects import Effect
 from repro.lang.types import Type
+
+#: A path to a subtree: the child index (see :meth:`Node.children`) taken at
+#: each level from the root.
+Path = Tuple[int, ...]
 
 
 class Node:
     """Base class for all AST nodes.
 
-    Leaf nodes have no children; compound nodes override :meth:`children`.
-    Structural metrics (:func:`node_count`, :func:`has_holes`) are memoized
-    on the node -- nodes are immutable, so the cached values stay valid even
-    though subtrees are shared across many candidates.
+    A leaf counts one node and contains no hole unless it is one (the hole
+    classes override ``_has_holes``); its hash is set by the ``__post_init__``
+    below.  Compound nodes set all three construction-time fields in their
+    own ``__init__`` and override :meth:`children` and :meth:`with_child`.
     """
 
-    def children(self) -> Tuple[Tuple["Step", "Node"], ...]:
-        """``(step, child)`` pairs in evaluation order (empty for leaves)."""
+    _node_count = 1
+    _has_holes = False
+    _hash: int
+    #: The dataclass field names, in order (set by :func:`_node`).
+    _field_names: Tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        # Leaves only: right after the dataclass __init__ the instance dict
+        # holds exactly the node's fields, in declaration order.
+        self.__dict__["_hash"] = hash((type(self).__name__, *self.__dict__.values()))
+
+    def children(self) -> Tuple["Node", ...]:
+        """The child nodes in evaluation order (empty for leaves)."""
 
         return ()
+
+    def with_child(self, index: int, child: "Node") -> "Node":
+        """This node with ``children()[index]`` replaced by ``child``."""
+
+        raise IndexError(f"{type(self).__name__} has no children")
+
+    def _args(self) -> tuple:
+        """The constructor arguments: the dataclass fields, in order."""
+
+        fields = self.__dict__
+        return tuple([fields[name] for name in self._field_names])
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._hash == other._hash and self._args() == other._args()
+
+    def __reduce__(self) -> Tuple[type, tuple]:
+        return type(self), self._args()
 
     def __str__(self) -> str:
         from repro.lang.pretty import pretty
@@ -55,15 +110,17 @@ class Node:
         return pretty(self)
 
 
-@dataclass(frozen=True)
-class Step:
-    """One step of a path: an attribute name plus an optional tuple index."""
+def _node(cls):
+    """The dataclass decorator of every node class.
 
-    attr: str
-    index: Optional[int] = None
+    ``eq=False`` keeps the ``__eq__`` and the stored ``__hash__`` of
+    :class:`Node` instead of generating field-by-field ones; a class that
+    defines its own ``__init__`` keeps it.
+    """
 
-
-Path = Tuple[Step, ...]
+    cls = dataclass(frozen=True, eq=False)(cls)
+    cls._field_names = tuple(f.name for f in dataclasses.fields(cls))
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -71,41 +128,41 @@ Path = Tuple[Step, ...]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class NilLit(Node):
     """The literal ``nil``."""
 
 
-@dataclass(frozen=True)
+@_node
 class BoolLit(Node):
     value: bool
 
 
-@dataclass(frozen=True)
+@_node
 class IntLit(Node):
     value: int
 
 
-@dataclass(frozen=True)
+@_node
 class StrLit(Node):
     value: str
 
 
-@dataclass(frozen=True)
+@_node
 class SymLit(Node):
     """A symbol literal ``:name``."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class ConstRef(Node):
     """A reference to a class constant such as ``Post``."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Var(Node):
     name: str
 
@@ -115,37 +172,57 @@ class Var(Node):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class TypedHole(Node):
     """A typed hole ``[]:tau`` to be filled by an expression of type ``tau``."""
 
     type: Type
 
+    _has_holes = True
 
-@dataclass(frozen=True)
+
+@_node
 class EffectHole(Node):
     """An effect hole ``<>:eps`` to be filled by code with write effect ``eps``."""
 
     effect: Effect
 
+    _has_holes = True
+
 
 # ---------------------------------------------------------------------------
 # Compound expressions
+#
+# Each constructor stores its fields and the three construction-time fields
+# straight into the instance dict: the generated frozen-dataclass __init__
+# (one object.__setattr__ per field plus a __post_init__ call) would double
+# the cost of building a candidate's root-to-hole spine.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@_node
 class Seq(Node):
     """Sequencing ``first; second``; evaluates to ``second``."""
 
     first: Node
     second: Node
 
-    def children(self) -> Tuple[Tuple[Step, Node], ...]:
-        return ((Step("first"), self.first), (Step("second"), self.second))
+    def __init__(self, first: Node, second: Node) -> None:
+        fields = self.__dict__
+        fields["first"] = first
+        fields["second"] = second
+        fields["_hash"] = hash(("Seq", first._hash, second._hash))
+        fields["_node_count"] = 1 + first._node_count + second._node_count
+        fields["_has_holes"] = first._has_holes or second._has_holes
+
+    def children(self) -> Tuple[Node, ...]:
+        return (self.first, self.second)
+
+    def with_child(self, index: int, child: Node) -> Node:
+        return Seq(child, self.second) if index == 0 else Seq(self.first, child)
 
 
-@dataclass(frozen=True)
+@_node
 class Let(Node):
     """``let var = value in body``."""
 
@@ -153,11 +230,25 @@ class Let(Node):
     value: Node
     body: Node
 
-    def children(self) -> Tuple[Tuple[Step, Node], ...]:
-        return ((Step("value"), self.value), (Step("body"), self.body))
+    def __init__(self, var: str, value: Node, body: Node) -> None:
+        fields = self.__dict__
+        fields["var"] = var
+        fields["value"] = value
+        fields["body"] = body
+        fields["_hash"] = hash(("Let", var, value._hash, body._hash))
+        fields["_node_count"] = 1 + value._node_count + body._node_count
+        fields["_has_holes"] = value._has_holes or body._has_holes
+
+    def children(self) -> Tuple[Node, ...]:
+        return (self.value, self.body)
+
+    def with_child(self, index: int, child: Node) -> Node:
+        if index == 0:
+            return Let(self.var, child, self.body)
+        return Let(self.var, self.value, child)
 
 
-@dataclass(frozen=True)
+@_node
 class MethodCall(Node):
     """A method call ``receiver.name(args...)``."""
 
@@ -165,25 +256,60 @@ class MethodCall(Node):
     name: str
     args: Tuple[Node, ...] = ()
 
-    def children(self) -> Tuple[Tuple[Step, Node], ...]:
-        pairs = [(Step("receiver"), self.receiver)]
-        pairs.extend((Step("args", i), arg) for i, arg in enumerate(self.args))
-        return tuple(pairs)
+    def __init__(self, receiver: Node, name: str, args: Tuple[Node, ...] = ()) -> None:
+        fields = self.__dict__
+        fields["receiver"] = receiver
+        fields["name"] = name
+        fields["args"] = args
+        count = 1 + receiver._node_count
+        holes = receiver._has_holes
+        for arg in args:
+            count += arg._node_count
+            holes = holes or arg._has_holes
+        fields["_hash"] = hash(("MethodCall", receiver._hash, name, args))
+        fields["_node_count"] = count
+        fields["_has_holes"] = holes
+
+    def children(self) -> Tuple[Node, ...]:
+        return (self.receiver,) + self.args
+
+    def with_child(self, index: int, child: Node) -> Node:
+        if index == 0:
+            return MethodCall(child, self.name, self.args)
+        args = self.args
+        return MethodCall(
+            self.receiver, self.name, args[: index - 1] + (child,) + args[index:]
+        )
 
 
-@dataclass(frozen=True)
+@_node
 class HashLit(Node):
     """A hash literal ``{key: value, ...}`` with symbol keys."""
 
     entries: Tuple[Tuple[str, Node], ...] = ()
 
-    def children(self) -> Tuple[Tuple[Step, Node], ...]:
-        return tuple(
-            (Step("entries", i), value) for i, (_, value) in enumerate(self.entries)
-        )
+    def __init__(self, entries: Tuple[Tuple[str, Node], ...] = ()) -> None:
+        fields = self.__dict__
+        fields["entries"] = entries
+        count = 1
+        holes = False
+        for _, value in entries:
+            count += value._node_count
+            holes = holes or value._has_holes
+        fields["_hash"] = hash(("HashLit", entries))
+        fields["_node_count"] = count
+        fields["_has_holes"] = holes
+
+    def children(self) -> Tuple[Node, ...]:
+        return tuple([value for _, value in self.entries])
+
+    def with_child(self, index: int, child: Node) -> Node:
+        entries = self.entries
+        entry = (entries[index][0], child)
+        return HashLit(entries[:index] + (entry,) + entries[index + 1 :])
 
 
-@dataclass(frozen=True)
+@_node
 class If(Node):
     """``if cond then then_branch else else_branch``."""
 
@@ -191,36 +317,75 @@ class If(Node):
     then_branch: Node
     else_branch: Node
 
-    def children(self) -> Tuple[Tuple[Step, Node], ...]:
-        return (
-            (Step("cond"), self.cond),
-            (Step("then_branch"), self.then_branch),
-            (Step("else_branch"), self.else_branch),
+    def __init__(self, cond: Node, then_branch: Node, else_branch: Node) -> None:
+        fields = self.__dict__
+        fields["cond"] = cond
+        fields["then_branch"] = then_branch
+        fields["else_branch"] = else_branch
+        fields["_hash"] = hash(
+            ("If", cond._hash, then_branch._hash, else_branch._hash)
+        )
+        fields["_node_count"] = (
+            1 + cond._node_count + then_branch._node_count + else_branch._node_count
+        )
+        fields["_has_holes"] = (
+            cond._has_holes or then_branch._has_holes or else_branch._has_holes
         )
 
+    def children(self) -> Tuple[Node, ...]:
+        return (self.cond, self.then_branch, self.else_branch)
 
-@dataclass(frozen=True)
+    def with_child(self, index: int, child: Node) -> Node:
+        if index == 0:
+            return If(child, self.then_branch, self.else_branch)
+        if index == 1:
+            return If(self.cond, child, self.else_branch)
+        return If(self.cond, self.then_branch, child)
+
+
+@_node
 class Not(Node):
     """Guard negation ``!b``."""
 
     expr: Node
 
-    def children(self) -> Tuple[Tuple[Step, Node], ...]:
-        return ((Step("expr"), self.expr),)
+    def __init__(self, expr: Node) -> None:
+        fields = self.__dict__
+        fields["expr"] = expr
+        fields["_hash"] = hash(("Not", expr._hash))
+        fields["_node_count"] = 1 + expr._node_count
+        fields["_has_holes"] = expr._has_holes
+
+    def children(self) -> Tuple[Node, ...]:
+        return (self.expr,)
+
+    def with_child(self, index: int, child: Node) -> Node:
+        return Not(child)
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Node):
     """Guard disjunction ``b1 or b2``."""
 
     left: Node
     right: Node
 
-    def children(self) -> Tuple[Tuple[Step, Node], ...]:
-        return ((Step("left"), self.left), (Step("right"), self.right))
+    def __init__(self, left: Node, right: Node) -> None:
+        fields = self.__dict__
+        fields["left"] = left
+        fields["right"] = right
+        fields["_hash"] = hash(("Or", left._hash, right._hash))
+        fields["_node_count"] = 1 + left._node_count + right._node_count
+        fields["_has_holes"] = left._has_holes or right._has_holes
+
+    def children(self) -> Tuple[Node, ...]:
+        return (self.left, self.right)
+
+    def with_child(self, index: int, child: Node) -> Node:
+        return Or(child, self.right) if index == 0 else Or(self.left, child)
 
 
-@dataclass(frozen=True)
+@_node
 class MethodDef(Node):
     """A synthesized program ``def name(params...) = body``."""
 
@@ -228,8 +393,20 @@ class MethodDef(Node):
     params: Tuple[str, ...]
     body: Node
 
-    def children(self) -> Tuple[Tuple[Step, Node], ...]:
-        return ((Step("body"), self.body),)
+    def __init__(self, name: str, params: Tuple[str, ...], body: Node) -> None:
+        fields = self.__dict__
+        fields["name"] = name
+        fields["params"] = params
+        fields["body"] = body
+        fields["_hash"] = hash(("MethodDef", name, params, body._hash))
+        fields["_node_count"] = 1 + body._node_count
+        fields["_has_holes"] = body._has_holes
+
+    def children(self) -> Tuple[Node, ...]:
+        return (self.body,)
+
+    def with_child(self, index: int, child: Node) -> Node:
+        return MethodDef(self.name, self.params, child)
 
 
 # ---------------------------------------------------------------------------
@@ -241,52 +418,17 @@ def walk(node: Node) -> Iterator[Node]:
     """Yield ``node`` and all of its descendants in pre-order."""
 
     yield node
-    for _, child in node.children():
+    for child in node.children():
         yield from walk(child)
-
-
-def size(node: Node) -> int:
-    """The program-size metric used to order the work list.
-
-    Mirrors the paper's ``size`` function (Figure 12): leaves and binders
-    count zero; each method call contributes one; sequences, lets, ifs and
-    guard connectives contribute the sum of their parts.  We additionally
-    count hash literal entries so that larger keyword hashes are explored
-    after smaller ones.
-    """
-
-    if isinstance(node, MethodCall):
-        return 1 + size(node.receiver) + sum(size(a) for a in node.args)
-    if isinstance(node, Seq):
-        return size(node.first) + size(node.second)
-    if isinstance(node, Let):
-        return size(node.value) + size(node.body)
-    if isinstance(node, If):
-        return size(node.cond) + size(node.then_branch) + size(node.else_branch)
-    if isinstance(node, Not):
-        return size(node.expr)
-    if isinstance(node, Or):
-        return size(node.left) + size(node.right)
-    if isinstance(node, HashLit):
-        return len(node.entries) + sum(size(v) for _, v in node.entries)
-    if isinstance(node, MethodDef):
-        return size(node.body)
-    return 0
 
 
 def node_count(node: Node) -> int:
     """Number of AST nodes, the "Meth Size" metric reported in Table 1.
 
-    Memoized on the (immutable) node because the work list consults it for
-    every push.
+    It also orders the work list and bounds candidate size.
     """
 
-    cached = node.__dict__.get("_node_count") if hasattr(node, "__dict__") else None
-    if cached is not None:
-        return cached
-    count = 1 + sum(node_count(child) for _, child in node.children())
-    object.__setattr__(node, "_node_count", count)
-    return count
+    return node._node_count
 
 
 def count_holes(node: Node) -> int:
@@ -294,16 +436,9 @@ def count_holes(node: Node) -> int:
 
 
 def has_holes(node: Node) -> bool:
-    """Negation of the paper's ``evaluable`` predicate (Figure 12); memoized."""
+    """Negation of the paper's ``evaluable`` predicate (Figure 12)."""
 
-    cached = node.__dict__.get("_has_holes") if hasattr(node, "__dict__") else None
-    if cached is not None:
-        return cached
-    result = isinstance(node, (TypedHole, EffectHole)) or any(
-        has_holes(child) for _, child in node.children()
-    )
-    object.__setattr__(node, "_has_holes", result)
-    return result
+    return node._has_holes
 
 
 def count_paths(node: Node) -> int:
@@ -330,7 +465,7 @@ def free_variables(node: Node, bound: frozenset[str] = frozenset()) -> frozenset
             node.body, bound | {node.var}
         )
     result: frozenset[str] = frozenset()
-    for _, child in node.children():
+    for child in node.children():
         result |= free_variables(child, bound)
     return result
 
@@ -339,12 +474,11 @@ def free_vars(node: Node) -> frozenset[str]:
     """``free_variables(node)`` memoized per (immutable) node.
 
     The incremental typechecker keys its per-node memo by the types of the
-    node's free variables, so this is consulted on every cached check; like
-    ``node_count`` the memo is shared by every candidate containing the
-    (interned) subtree.
+    node's free variables, so this is consulted on every cached check; the
+    memo is shared by every candidate containing the subtree.
     """
 
-    cached = node.__dict__.get("_free_vars") if hasattr(node, "__dict__") else None
+    cached = node.__dict__.get("_free_vars")
     if cached is not None:
         return cached
     if isinstance(node, Var):
@@ -353,9 +487,9 @@ def free_vars(node: Node) -> frozenset[str]:
         result = free_vars(node.value) | (free_vars(node.body) - {node.var})
     else:
         result = frozenset()
-        for _, child in node.children():
+        for child in node.children():
             result |= free_vars(child)
-    object.__setattr__(node, "_free_vars", result)
+    node.__dict__["_free_vars"] = result
     return result
 
 
@@ -388,64 +522,57 @@ def iter_holes(node: Node) -> Iterator[HoleSite]:
 def _iter_holes(
     node: Node, path: Path, bindings: Tuple[Tuple[str, Node], ...]
 ) -> Iterator[HoleSite]:
+    if not node._has_holes:
+        return
     if isinstance(node, (TypedHole, EffectHole)):
         yield HoleSite(node, path, bindings)
         return
-    if isinstance(node, Let):
-        yield from _iter_holes(node.value, path + (Step("value"),), bindings)
-        yield from _iter_holes(
-            node.body, path + (Step("body"),), bindings + ((node.var, node.value),)
-        )
-        return
-    for step, child in node.children():
-        yield from _iter_holes(child, path + (step,), bindings)
+    for index, child in enumerate(node.children()):
+        inner = bindings
+        if index == 1 and isinstance(node, Let):
+            # The binder is in scope in the body, not in the value.
+            inner = bindings + ((node.var, node.value),)
+        yield from _iter_holes(child, path + (index,), inner)
 
 
-_FIRST_HOLE_MISSING = object()
+_NOT_LOCATED = object()
 
 
 def first_hole(node: Node) -> Optional[HoleSite]:
     """The left-most hole of ``node``, or ``None`` if the node is evaluable.
 
-    Memoized per (immutable) node like :func:`node_count`: the search
-    consults it on every expansion, and interned candidates share the memo.
+    Memoized on the (immutable) node in ``_first_hole``.
     """
 
-    cached = (
-        node.__dict__.get("_first_hole", _FIRST_HOLE_MISSING)
-        if hasattr(node, "__dict__")
-        else _FIRST_HOLE_MISSING
-    )
-    if cached is not _FIRST_HOLE_MISSING:
-        return cached
-    site: Optional[HoleSite] = None
-    for found in iter_holes(node):
-        site = found
-        break
-    object.__setattr__(node, "_first_hole", site)
+    site = node.__dict__.get("_first_hole", _NOT_LOCATED)
+    if site is _NOT_LOCATED:
+        site = next(iter_holes(node), None)
+        node.__dict__["_first_hole"] = site
     return site
+
+
+def splicer(node: Node, path: Path) -> Callable[[Node], Node]:
+    """``lambda replacement: replace_at(node, path, replacement)``, walking
+    ``path`` once however many replacements are spliced in."""
+
+    spine: List[Tuple[Node, int]] = []
+    for index in path:
+        spine.append((node, index))
+        node = node.children()[index]
+    spine.reverse()
+
+    def splice(replacement: Node) -> Node:
+        for parent, index in spine:
+            replacement = parent.with_child(index, replacement)
+        return replacement
+
+    return splice
 
 
 def replace_at(node: Node, path: Path, replacement: Node) -> Node:
     """Rebuild ``node`` with ``replacement`` spliced in at ``path``."""
 
-    if not path:
-        return replacement
-    step, rest = path[0], path[1:]
-    value = getattr(node, step.attr)
-    if step.index is None:
-        new_value: object = replace_at(value, rest, replacement)
-    else:
-        items = list(value)
-        item = items[step.index]
-        if isinstance(item, Node):
-            items[step.index] = replace_at(item, rest, replacement)
-        else:
-            # Hash entry: (key, value-node).
-            key, sub = item
-            items[step.index] = (key, replace_at(sub, rest, replacement))
-        new_value = tuple(items)
-    return dataclasses.replace(node, **{step.attr: new_value})
+    return splicer(node, path)(replacement)
 
 
 def fill_first_hole(node: Node, replacement: Node) -> Node:
@@ -460,49 +587,6 @@ def fill_first_hole(node: Node, replacement: Node) -> Node:
 # ---------------------------------------------------------------------------
 # Construction helpers
 # ---------------------------------------------------------------------------
-
-def _install_hash_caching() -> None:
-    """Replace each node class's generated ``__hash__`` with a caching one.
-
-    Candidate expressions are hashed constantly (work-list dedup sets, the
-    enumerator's seen sets); recomputing the structural hash of a deep tree
-    every time dominates the profile, so the hash is computed once per node
-    and stashed on the instance.
-    """
-
-    node_classes = (
-        NilLit, BoolLit, IntLit, StrLit, SymLit, ConstRef, Var,
-        TypedHole, EffectHole, Seq, Let, MethodCall, HashLit, If, Not, Or,
-        MethodDef, Step,
-    )
-    for cls in node_classes:
-        original = cls.__hash__
-
-        def cached_hash(self, _original=original):
-            value = self.__dict__.get("_hash")
-            if value is None:
-                value = _original(self)
-                object.__setattr__(self, "_hash", value)
-            return value
-
-        cls.__hash__ = cached_hash  # type: ignore[assignment]
-        cls.__getstate__ = _memoless_state  # type: ignore[assignment]
-
-
-def _memoless_state(self) -> dict:
-    """Pickle state without the per-instance memos (``_hash`` etc.).
-
-    Nodes cross process boundaries in the parallel subsystem
-    (:mod:`repro.synth.parallel`); the cached structural hash is only valid
-    under the originating interpreter's string-hash seed, and the other
-    memos (``_node_count``, ``_first_hole``, ``_has_holes``) are cheap to
-    recompute, so only the real dataclass fields travel.
-    """
-
-    return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
-
-
-_install_hash_caching()
 
 NIL = NilLit()
 TRUE = BoolLit(True)

@@ -1,10 +1,9 @@
 """Name resolution for lambda-syn: resolved bindings, computed once per node.
 
-Hash-consing (:mod:`repro.synth.cache`) means the engine sees few *unique*
-subtree shapes, so anything derivable from binding structure alone is worth
-computing once per interned node and memoizing on the instance (the
-``_hash``/``_node_count`` idiom of :mod:`repro.lang.ast`).  This module is
-that resolution pass.  Its products:
+Candidates share every subtree off their root-to-hole spine
+(:func:`repro.lang.ast.replace_at`), so anything derivable from binding
+structure alone is worth computing once per node and memoizing on the
+instance.  This module is that resolution pass.  Its products:
 
 * :func:`free_var_tuple` -- the node's free variables as a sorted tuple,
   the canonical ordering every env-keyed memo in the engine keys by
@@ -26,11 +25,11 @@ that resolution pass.  Its products:
   :class:`~repro.synth.cache.SynthCache` uses it for in-memory spec-outcome
   keys.
 
-All memos live in underscore-prefixed instance slots (``_fv_tuple``,
-``_alpha_memo``), so the AST pickle hook (``repro.lang.ast._memoless_state``)
-drops them automatically: resolver products never cross the process boundary
-in the parallel subsystem and are recomputed (deterministically) on the far
-side.
+All memos live in underscore-prefixed instance entries (``_fv_tuple``,
+``_alpha_memo``), which a pickled node never carries
+(``repro.lang.ast.Node.__reduce__`` rebuilds it from its dataclass fields):
+resolver products never cross the process boundary in the parallel subsystem
+and are recomputed (deterministically) on the far side.
 
 ``alpha_key`` is memoized *per context*: the key of a subtree depends on its
 position only through the De Bruijn distances of its free variables, so the

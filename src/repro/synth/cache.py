@@ -1,26 +1,15 @@
-"""The synthesis performance subsystem: hash-consing and spec-outcome memoization.
+"""The synthesis performance subsystem: spec-outcome memoization.
 
 Section 4 of the paper observes that once solution reuse kicks in, "the
 bottleneck becomes the number of unique paths, not the number of tests".
-This module realises that observation as two caches shared by one synthesis
-run:
-
-* a :class:`NodeInterner` that hash-conses AST nodes.  All structural
-  metadata (``node_count``, ``has_holes``, ``first_hole`` and the structural
-  hash) is memoized *per instance* in :mod:`repro.lang.ast`; interning makes
-  structurally-equal candidates share one instance, so each metric is
-  computed once per unique shape instead of once per duplicate the
-  enumerator produces.  Each work list interns every pushed candidate into
-  a search-local table (freed when the search returns, like the seed's
-  ``_seen`` sets); only the hit/miss counters are shared run-wide.
-
-* a :class:`SynthCache` memo for spec and guard evaluation, keyed on
-  ``(program, spec, effect_precision)``.  Identical ``(program, spec)``
-  pairs are executed repeatedly across solution reuse
-  (``synthesizer._reuse_solution``), guard search (``generate_guard``'s
-  ``initial_candidates`` loop) and the merge phase's ordering/validation
-  loops; the memo returns the recorded :class:`~repro.synth.goal.SpecOutcome`
-  instead of re-running ``reset() + Interpreter() + setup()``.
+This module realises that observation as a :class:`SynthCache` memo for spec
+and guard evaluation shared by one synthesis run, keyed on ``(program, spec,
+effect_precision)``.  Identical ``(program, spec)`` pairs are executed
+repeatedly across solution reuse (``synthesizer._reuse_solution``), guard
+search (``generate_guard``'s ``initial_candidates`` loop) and the merge
+phase's ordering/validation loops; the memo returns the recorded
+:class:`~repro.synth.goal.SpecOutcome` instead of re-running ``reset() +
+Interpreter() + setup()``.
 
 Soundness rests on spec evaluation being deterministic: ``evaluate_spec``
 always calls ``problem.reset()`` first, so an outcome depends only on the
@@ -87,8 +76,6 @@ class CacheStats:
     guard_redundant: int = 0
     evictions: int = 0
     invalidations: int = 0
-    intern_hits: int = 0
-    intern_misses: int = 0
     #: Persistent-store lookups (spec and guard combined; see
     #: :mod:`repro.synth.store`).  A store hit skips the execution entirely
     #: and is *not* double-counted as an in-memory hit or miss.
@@ -117,8 +104,6 @@ class CacheStats:
             "guard_redundant": self.guard_redundant,
             "evictions": self.evictions,
             "invalidations": self.invalidations,
-            "intern_hits": self.intern_hits,
-            "intern_misses": self.intern_misses,
             "store_hits": self.store_hits,
             "store_misses": self.store_misses,
         }
@@ -147,43 +132,12 @@ class CacheStats:
         self.guard_redundant += other.guard_redundant
         self.evictions += other.evictions
         self.invalidations += other.invalidations
-        self.intern_hits += other.intern_hits
-        self.intern_misses += other.intern_misses
         self.store_hits += other.store_hits
         self.store_misses += other.store_misses
 
 
-class NodeInterner:
-    """Hash-consing table for AST nodes.
-
-    ``intern`` maps every node to a canonical representative; structurally
-    equal nodes share one instance, and therefore share the per-instance
-    ``node_count`` / ``has_holes`` / ``first_hole`` / hash memos of
-    :mod:`repro.lang.ast`.
-    """
-
-    def __init__(self, stats: Optional[CacheStats] = None) -> None:
-        self._table: Dict[A.Node, A.Node] = {}
-        self.stats = stats if stats is not None else CacheStats()
-
-    def intern(self, node: A.Node) -> A.Node:
-        canonical = self._table.get(node)
-        if canonical is not None:
-            self.stats.intern_hits += 1
-            return canonical
-        self.stats.intern_misses += 1
-        self._table[node] = node
-        return node
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def clear(self) -> None:
-        self._table.clear()
-
-
 class SynthCache:
-    """Spec/guard evaluation memo plus the node interner of one run.
+    """Spec/guard evaluation memo of one run.
 
     One instance is created per :func:`~repro.synth.synthesizer.synthesize`
     call and threaded through the search, reuse and merge phases, so the
@@ -210,7 +164,6 @@ class SynthCache:
         #: written through whenever an executed outcome is recorded.
         self.store = store
         self.stats = CacheStats()
-        self.interner = NodeInterner(self.stats)
         self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
         #: Representative program node per key.  Keys identify programs by
         #: alpha-key, which cannot be turned back into a program; the store
@@ -226,11 +179,6 @@ class SynthCache:
             max_entries=getattr(config, "spec_cache_max_entries", DEFAULT_MAX_ENTRIES),
             track_redundancy=getattr(config, "cache_track_redundancy", True),
         )
-
-    # ------------------------------------------------------------------ interning
-
-    def intern(self, node: A.Node) -> A.Node:
-        return self.interner.intern(node)
 
     # ------------------------------------------------------------------ keys
 
@@ -422,7 +370,7 @@ class SynthCache:
     # ------------------------------------------------------------------ lifecycle
 
     def clear_memory(self) -> None:
-        """Drop the in-memory memo and interner but keep the store intact.
+        """Drop the in-memory memo but keep the store intact.
 
         Used by ``SynthesisSession.clear_memory_caches`` to simulate a fresh
         process: the next lookups miss in memory and fall through to the
@@ -432,7 +380,6 @@ class SynthCache:
 
         self._entries.clear()
         self._programs.clear()
-        self.interner.clear()
 
     def invalidate(self) -> None:
         """Drop every memoized outcome (the baseline state changed).
@@ -444,7 +391,6 @@ class SynthCache:
 
         self._entries.clear()
         self._programs.clear()
-        self.interner.clear()
         if self.store is not None:
             self.store.invalidate()
         self.stats.invalidations += 1

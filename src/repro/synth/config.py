@@ -135,7 +135,7 @@ class SynthConfig:
     verify_recordings: int = 0
 
     # Evaluation backend (repro.interp).  ``"compiled"`` (the default) closes
-    # each unique hash-consed subtree into a cached chain of Python closures;
+    # each subtree into a cached chain of Python closures;
     # ``"tree"`` is the definitional AST walker.  Both are observably
     # identical (values, effect logs, call budgets, error types).  The
     # process-wide default honors the ``REPRO_EVAL_BACKEND`` environment

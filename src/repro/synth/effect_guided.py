@@ -23,7 +23,7 @@ from repro.lang import types as T
 from repro.lang.effects import Effect, subsumed
 from repro.analysis.footprint import infer, writers_for_effect
 from repro.synth.config import SynthConfig
-from repro.synth.enumerate import call_template, env_at_hole
+from repro.synth.enumerate import call_template
 from repro.synth.goal import SynthesisProblem
 from repro.typesys.typecheck import SynTypeError, check_expr
 
@@ -97,10 +97,11 @@ def expand_effect_hole(
     # S-EffNil removes an unneeded effect hole.
     replacements.append(A.NIL)
 
+    splice = A.splicer(expr, site.path)
     results: List[A.Node] = []
     seen: set[A.Node] = set()
     for replacement in replacements:
-        candidate = A.replace_at(expr, site.path, replacement)
+        candidate = splice(replacement)
         if candidate in seen:
             continue
         seen.add(candidate)

@@ -17,13 +17,21 @@ enumerator produces every one-step refinement:
 With ``use_types=False`` (the "E only"/"TE disabled" modes of Figure 7) the
 same productions fire but the subtype filters are dropped, which degenerates
 into naive term enumeration.
+
+S-Const, S-App and the presence of ``Hash#[]`` depend on the hole's type
+alone, not on where the hole is, so they are computed once per
+``(class-table generation, hole type, use_types)`` (:func:`productions`)
+into a table the :class:`~repro.synth.goal.SynthesisProblem` owns; every
+later hole of that type gets the same candidate list and the same template
+nodes.  Any class-table mutation moves the generation, so a new method is
+offered from the next expansion on, and the table is freed with its problem.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.lang import ast as A
 from repro.lang import types as T
@@ -35,16 +43,6 @@ from repro.typesys.typecheck import SynTypeError, check_expr
 #: A candidate replacement for a hole together with its (statically known)
 #: type, or ``None`` when the type cannot narrow the hole's annotation.
 Candidate = Tuple[A.Node, Optional[T.Type]]
-
-
-@dataclass
-class HoleEnv:
-    """The typing environment at a hole: parameters plus ``let`` binders."""
-
-    env: Dict[str, T.Type]
-
-    def items(self) -> Iterable[Tuple[str, T.Type]]:
-        return self.env.items()
 
 
 def env_at_hole(
@@ -70,29 +68,85 @@ def fits(actual: T.Type, expected: T.Type, ct: ClassTable, use_types: bool) -> b
 
 
 # ---------------------------------------------------------------------------
-# Individual productions
+# Productions determined by the hole type
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Productions:
+    """What a hole's type admits under one class table."""
+
+    #: S-Const, in Sigma order, then the constants the type implies.
+    constants: Tuple[Candidate, ...]
+    #: S-App: one call template per library method whose return type fits.
+    calls: Tuple[Candidate, ...]
+    #: Whether ``Hash#[]`` exists, i.e. whether key lookups are offered.
+    hash_lookup: bool
+
+
+def productions(
+    hole_type: T.Type, problem: SynthesisProblem, use_types: bool
+) -> Productions:
+    """The productions of a ``hole_type`` hole, memoized on ``problem``."""
+
+    ct = problem.class_table
+    key = (ct.generation, hole_type, use_types)
+    found = problem._productions.get(key)
+    if found is None:
+        found = Productions(
+            tuple(constant_candidates(hole_type, problem, use_types)),
+            tuple(call_candidates(hole_type, problem, use_types)),
+            ct.lookup("Hash", "[]") is not None,
+        )
+        problem._productions[key] = found
+    return found
+
+
 def constant_candidates(
-    hole: A.TypedHole, problem: SynthesisProblem, config: SynthConfig
+    hole_type: T.Type, problem: SynthesisProblem, use_types: bool
 ) -> List[Candidate]:
     """S-Const plus constants implied by the hole's type."""
 
     ct = problem.class_table
-    results: List[Candidate] = []
-    for expr, const_type in problem.constant_exprs():
-        if fits(const_type, hole.type, ct, config.use_types):
-            results.append((expr, const_type))
-
+    results: List[Candidate] = [
+        (expr, const_type)
+        for expr, const_type in problem.constant_exprs()
+        if fits(const_type, hole_type, ct, use_types)
+    ]
     # Constants implied by the hole's type: symbol literals for singleton
     # symbol types and the class constant for singleton class types.
-    for member in T.union_members(hole.type):
+    for member in T.union_members(hole_type):
         if isinstance(member, T.SymbolType):
             results.append((A.SymLit(member.name), member))
         elif isinstance(member, T.SingletonClassType):
             results.append((A.ConstRef(member.name), member))
     return results
+
+
+def call_candidates(
+    hole_type: T.Type, problem: SynthesisProblem, use_types: bool
+) -> List[Candidate]:
+    """S-App: method-call templates with holes for receiver and args."""
+
+    ct = problem.class_table
+    return [
+        (call_template(resolved), resolved.ret_type)
+        for resolved in ct.resolved_synthesis_methods()
+        if fits(resolved.ret_type, hole_type, ct, use_types)
+    ]
+
+
+def call_template(resolved: ResolvedSig) -> A.MethodCall:
+    """Build ``([]:A).m([]:tau1, ...)`` for a resolved signature."""
+
+    receiver_hole = A.TypedHole(resolved.sig.receiver_type)
+    arg_holes = tuple(A.TypedHole(t) for t in resolved.arg_types)
+    return A.MethodCall(receiver_hole, resolved.sig.name, arg_holes)
+
+
+# ---------------------------------------------------------------------------
+# Productions that depend on the hole's environment or the config
+# ---------------------------------------------------------------------------
 
 
 def variable_candidates(
@@ -123,12 +177,12 @@ def hash_access_candidates(
     highlights (Section 4, "Type Level Computations"): when the receiver is
     still unknown, the type-level computation enumerates all possible
     receivers -- here, the finite-hash-typed variables in scope -- and
-    produces one candidate per key whose value type fits the hole.
+    produces one candidate per key whose value type fits the hole.  Only
+    offered when the class table has ``Hash#[]``
+    (:attr:`Productions.hash_lookup`).
     """
 
     ct = problem.class_table
-    if ct.lookup("Hash", "[]") is None:
-        return []
     results: List[Candidate] = []
     for name, var_type in env.items():
         for member in T.union_members(var_type):
@@ -138,28 +192,6 @@ def hash_access_candidates(
                 if fits(value_type, hole.type, ct, config.use_types):
                     results.append((A.call(A.Var(name), "[]", A.SymLit(key)), value_type))
     return results
-
-
-def call_candidates(
-    hole: A.TypedHole, problem: SynthesisProblem, config: SynthConfig
-) -> List[Candidate]:
-    """S-App: method-call templates with fresh holes for receiver and args."""
-
-    ct = problem.class_table
-    results: List[Candidate] = []
-    for resolved in ct.resolved_synthesis_methods():
-        if not fits(resolved.ret_type, hole.type, ct, config.use_types):
-            continue
-        results.append((call_template(resolved), resolved.ret_type))
-    return results
-
-
-def call_template(resolved: ResolvedSig) -> A.MethodCall:
-    """Build ``([]:A).m([]:tau1, ...)`` for a resolved signature."""
-
-    receiver_hole = A.TypedHole(resolved.sig.receiver_type)
-    arg_holes = tuple(A.TypedHole(t) for t in resolved.arg_types)
-    return A.MethodCall(receiver_hole, resolved.sig.name, arg_holes)
 
 
 def hash_candidates(
@@ -213,19 +245,21 @@ def expand_typed_hole(
     assert isinstance(site.hole, A.TypedHole)
     hole = site.hole
     env = env_at_hole(expr, site, problem)
+    table = productions(hole.type, problem, config.use_types)
 
-    replacements: List[Candidate] = []
-    replacements += constant_candidates(hole, problem, config)
+    replacements: List[Candidate] = list(table.constants)
     replacements += variable_candidates(hole, env, problem, config)
-    replacements += hash_access_candidates(hole, env, problem, config)
+    if table.hash_lookup:
+        replacements += hash_access_candidates(hole, env, problem, config)
     replacements += hash_candidates(hole, problem, config)
-    replacements += call_candidates(hole, problem, config)
+    replacements += table.calls
 
     param_env = dict(problem.param_env)
+    splice = A.splicer(expr, site.path)
     results: List[A.Node] = []
     seen: set[A.Node] = set()
     for replacement, replacement_type in replacements:
-        candidate = A.replace_at(expr, site.path, replacement)
+        candidate = splice(replacement)
         if candidate in seen:
             continue
         seen.add(candidate)

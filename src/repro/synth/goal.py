@@ -174,6 +174,14 @@ class SynthesisProblem:
     #: Number of reset-closure invocations (the state-rebuild work the
     #: snapshot subsystem removes; surfaced as ``SearchStats.reset_replays``).
     _reset_count: int = field(default=0, init=False, repr=False, compare=False)
+    #: The enumerator's S-Const/S-App table, keyed by ``(class-table
+    #: generation, hole type, use_types)`` (see
+    #: :func:`repro.synth.enumerate.productions`).  Held here, not at module
+    #: level, so it is freed with the problem and never keeps a finished
+    #: problem's model classes (and their database) alive.
+    _productions: Dict[Tuple[Any, ...], Any] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def from_signature(

@@ -25,7 +25,7 @@ from repro.lang import types as T
 from repro.analysis.footprint import footprint
 from repro.analysis.prune import StaticPruner
 from repro.obs import trace
-from repro.synth.cache import NodeInterner, SynthCache
+from repro.synth.cache import SynthCache
 from repro.synth.config import ORDER_FIFO, ORDER_PAPER, ORDER_SIZE, SynthConfig
 from repro.synth.effect_guided import expand_effect_hole, insert_effect_hole
 from repro.synth.enumerate import expand_typed_hole
@@ -149,16 +149,15 @@ class SearchStats:
 class _WorkList:
     """A priority queue of ``(passed_asserts, expression)`` entries."""
 
-    def __init__(self, order: str, interner: Optional[NodeInterner] = None) -> None:
+    def __init__(self, order: str) -> None:
         self.order = order
         self._heap: List[Tuple[Tuple, int, int, A.Node]] = []
         self._counter = itertools.count()
         self._seen: set[A.Node] = set()
-        self._interner = interner
 
     def push(self, expr: A.Node, passed: int) -> bool:
-        if self._interner is not None:
-            expr = self._interner.intern(expr)
+        """Queue ``expr`` unless a structurally equal candidate was queued."""
+
         if expr in self._seen:
             return False
         self._seen.add(expr)
@@ -193,8 +192,8 @@ def _expand(
 ) -> List[A.Node]:
     """One-step expansion of the left-most hole of ``expr``.
 
-    ``first_hole`` is memoized on the (interned) node, so repeated pops of
-    structurally equal expressions do not re-walk the tree.
+    ``first_hole`` descends only into subtrees that contain a hole (each
+    node knows whether it does) and is memoized on the node.
     """
 
     site = A.first_hole(expr)
@@ -248,11 +247,7 @@ def _generate_for_spec_impl(
     budget = budget or Budget(config.timeout_s)
     stats = stats if stats is not None else SearchStats()
     cache = cache if cache is not None else SynthCache.from_config(config)
-    # The interner is per-search so its table (like the seed's _seen set) is
-    # freed when the search returns; only the counters are run-wide.
-    worklist = _WorkList(
-        config.exploration_order, interner=NodeInterner(cache.stats)
-    )
+    worklist = _WorkList(config.exploration_order)
     worklist.push(root if root is not None else A.TypedHole(problem.ret_type), 0)
     # The static pruner is per-search (one spec, one baseline), so its
     # normal-form outcome memo can never leak an outcome across specs.
@@ -449,9 +444,7 @@ def _generate_guard_impl(
         if accepted(guard):
             return guard
 
-    worklist = _WorkList(
-        config.exploration_order, interner=NodeInterner(cache.stats)
-    )
+    worklist = _WorkList(config.exploration_order)
     worklist.push(A.TypedHole(T.BOOL), 0)
 
     while worklist:

@@ -13,7 +13,7 @@ and an effect hole has type ``Object`` (T-EffObj), the top of the lattice, so
 it can later be replaced by a term of any type.
 
 Since PR 6 ``check_expr`` is *incremental*: the synthesized type of every
-compound subtree is memoized on the (immutable, interned) node, keyed by the
+compound subtree is memoized on the (immutable) node, keyed by the
 class table's mutation-aware ``generation`` token and the types its free
 variables have in the current environment.  Filling a hole rebuilds only the
 root-to-hole spine (``replace_at`` shares every off-path subtree), so
@@ -21,8 +21,9 @@ re-checking the narrowed candidate recomputes just that spine while every
 shared subtree answers from its memo -- the whole-tree walk the enumerator
 used to pay per expansion collapses to the hole path.  Ill-typed subtrees
 memoize their rejection too, so repeated narrowing failures are equally
-cheap.  The memo slot (``_type_memo``) is underscore-prefixed and therefore
-dropped by the AST pickle hook, like the other per-node memos.
+cheap.  The memo (``_type_memo``) is never pickled with its node, like the
+other per-node memos: ``repro.lang.ast.Node.__reduce__`` carries only the
+dataclass fields.
 """
 
 from __future__ import annotations

@@ -19,6 +19,12 @@ from repro.corelib import register_corelib  # noqa: E402
 from repro.typesys.class_table import ClassTable  # noqa: E402
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: long-running test (large sweeps, example scripts)"
+    )
+
+
 @pytest.fixture()
 def blog_app():
     """A fresh blog app context (User/Post models, corelib, class table)."""

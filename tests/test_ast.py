@@ -44,14 +44,8 @@ def test_nodes_usable_in_sets():
 
 
 # ---------------------------------------------------------------------------
-# size / node_count / paths
+# node_count / paths
 # ---------------------------------------------------------------------------
-
-
-def test_size_counts_method_calls():
-    assert A.size(A.Var("x")) == 0
-    assert A.size(A.call(A.Var("x"), "m")) == 1
-    assert A.size(_sample_expr()) >= 4
 
 
 def test_node_count_counts_every_node():
@@ -193,7 +187,7 @@ def test_walk_visits_all_nodes():
 
 _leaves = st.sampled_from(
     [A.NIL, A.TRUE, A.FALSE, A.IntLit(1), A.StrLit("s"), A.Var("x"),
-     A.TypedHole(T.STRING), A.ConstRef("Post")]
+     A.TypedHole(T.STRING), A.EffectHole(Effect.of("Post")), A.ConstRef("Post")]
 )
 
 
@@ -204,10 +198,35 @@ def _exprs(depth=3):
     return st.one_of(
         _leaves,
         st.tuples(sub, sub).map(lambda p: A.Seq(*p)),
-        st.tuples(sub, sub).map(lambda p: A.MethodCall(p[0], "m", (p[1],))),
+        st.tuples(sub, st.lists(sub, max_size=2)).map(
+            lambda p: A.MethodCall(p[0], "m", tuple(p[1]))
+        ),
         st.tuples(sub, sub, sub).map(lambda p: A.If(*p)),
         st.tuples(sub, sub).map(lambda p: A.Let("v", p[0], p[1])),
+        st.lists(sub, min_size=1, max_size=2).map(
+            lambda vs: A.HashLit(tuple((f"k{i}", v) for i, v in enumerate(vs)))
+        ),
+        sub.map(A.Not),
+        st.tuples(sub, sub).map(lambda p: A.Or(*p)),
     )
+
+
+def _reference_replace(node, path, replacement):
+    """``replace_at`` rebuilt through each class's constructor by hand,
+    independently of ``Node.with_child``."""
+
+    if not path:
+        return replacement
+    index, rest = path[0], path[1:]
+    kids = list(node.children())
+    kids[index] = _reference_replace(kids[index], rest, replacement)
+    if isinstance(node, A.MethodCall):
+        return A.MethodCall(kids[0], node.name, tuple(kids[1:]))
+    if isinstance(node, A.HashLit):
+        return A.HashLit(tuple((key, kid) for (key, _), kid in zip(node.entries, kids)))
+    if isinstance(node, A.Let):
+        return A.Let(node.var, *kids)
+    return type(node)(*kids)  # Seq, If, Not, Or
 
 
 @given(_exprs())
@@ -218,12 +237,34 @@ def test_node_count_positive_and_walk_consistent(expr):
 
 @given(_exprs())
 @settings(max_examples=80, deadline=None)
+def test_construction_time_fields_agree_with_traversals(expr):
+    assert A.has_holes(expr) == (A.count_holes(expr) > 0)
+    assert A.first_hole(expr) == next(A.iter_holes(expr), None)
+
+
+@given(_exprs())
+@settings(max_examples=80, deadline=None)
+def test_replace_at_every_hole_matches_a_reference_rebuild(expr):
+    filler = A.call(A.Var("filler"), "m")
+    for site in A.iter_holes(expr):
+        spliced = A.replace_at(expr, site.path, filler)
+        expected = _reference_replace(expr, site.path, filler)
+        assert spliced == expected
+        assert hash(spliced) == hash(expected)
+        assert A.node_count(spliced) == len(list(A.walk(spliced)))
+        assert A.has_holes(spliced) == (A.count_holes(spliced) > 0)
+
+
+@given(_exprs())
+@settings(max_examples=80, deadline=None)
 def test_structural_equality_is_hash_consistent(expr):
     import copy
+    import pickle
 
-    other = copy.deepcopy(expr)
-    assert expr == other
-    assert hash(expr) == hash(other)
+    for other in (copy.deepcopy(expr), pickle.loads(pickle.dumps(expr))):
+        assert expr == other
+        assert hash(expr) == hash(other)
+        assert A.node_count(other) == A.node_count(expr)
 
 
 @given(_exprs())

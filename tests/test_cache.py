@@ -1,7 +1,7 @@
 """Tests for the synthesis performance subsystem (repro.synth.cache):
-hash-consing, spec-outcome memoization, invalidation, the cache-on/off
-equivalence guarantee, and regression tests for the budget- and size-bound
-bugfixes in the search loop."""
+spec-outcome memoization, invalidation, the cache-on/off equivalence
+guarantee, work-list dedup, and regression tests for the budget- and
+size-bound bugfixes in the search loop."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from repro.lang import types as T
 from repro.apps.blog import build_blog_app, seed_blog
 from repro.benchmarks import get_benchmark, run_benchmark
 from repro.synth import SynthConfig, define, evaluate_spec, synthesize
-from repro.synth.cache import MISSING, NodeInterner, SynthCache
+from repro.synth.cache import MISSING, SynthCache
 from repro.synth.goal import (
     Budget,
     SynthesisTimeout,
@@ -90,20 +90,8 @@ FIRST_USER = A.call(A.ConstRef("User"), "first")
 
 
 # ---------------------------------------------------------------------------
-# Hash-consing and AST metadata memoization
+# Work-list dedup and AST metadata memoization
 # ---------------------------------------------------------------------------
-
-
-def test_interner_canonicalizes_equal_nodes():
-    interner = NodeInterner()
-    a = A.call(A.ConstRef("User"), "first")
-    b = A.call(A.ConstRef("User"), "first")
-    assert a is not b and a == b
-    assert interner.intern(a) is a
-    assert interner.intern(b) is a  # structurally equal -> canonical instance
-    assert interner.stats.intern_misses == 1
-    assert interner.stats.intern_hits == 1
-    assert len(interner) == 1
 
 
 def test_first_hole_is_memoized_per_node():
@@ -116,13 +104,15 @@ def test_first_hole_is_memoized_per_node():
     assert A.first_hole(hole_free) is None  # memoized None, still None
 
 
-def test_worklist_interns_pushed_candidates():
-    cache = SynthCache()
-    worklist = _WorkList("paper", interner=cache.interner)
+def test_worklist_deduplicates_pushed_candidates():
+    worklist = _WorkList("paper")
     a = A.Seq(A.TypedHole(T.BOOL), A.NIL)
     b = A.Seq(A.TypedHole(T.BOOL), A.NIL)
+    assert a is not b and a == b
     assert worklist.push(a, 0)
-    assert not worklist.push(b, 0)  # deduplicated via the interner
+    assert not worklist.push(b, 0)  # structurally equal: already seen
+    assert worklist.push(A.Seq(A.TypedHole(T.BOOL), A.TRUE), 0)
+    assert len(worklist) == 2
     _, popped = worklist.pop()
     assert popped is a
 

@@ -250,40 +250,56 @@ def test_hints_do_not_cross_configs():
 
 
 def test_ast_memo_slots_are_dropped_on_pickle(orm_class_table):
-    """Compiled closures and type memos must never cross process boundaries.
+    """Compiled closures and per-node memos must never cross process boundaries.
 
     Workers receive ASTs by pickle; a compiled closure (which may capture a
     dispatch cache over the parent's class table) or a type/free-var memo
-    smuggled through would at best be stale and at worst unpicklable.  The
-    ``_memoless_state`` hook drops every underscore-prefixed slot -- this
-    pins that contract for the slots PR 6 added.
+    smuggled through would at best be stale and at worst unpicklable, and a
+    transported hash is wrong under another string-hash seed.
+    ``Node.__reduce__`` rebuilds every node through its constructor, so only
+    the dataclass fields travel: the memos are dropped and the
+    construction-time fields are recomputed on the receiving side.
     """
 
     import pickle
 
+    from repro.analysis.footprint import footprint
     from repro.interp.compile import compile_node, is_compiled
     from repro.lang import ast as A
     from repro.lang import types as T
     from repro.lang.resolve import alpha_key, free_var_tuple
     from repro.typesys.typecheck import check_expr
 
-    expr = A.Let("v", A.IntLit(5), A.call(A.Var("v"), "+", A.IntLit(1)))
-    # Populate every per-node memo the evaluation pipeline writes.
+    def build():
+        return A.Let("v", A.IntLit(5), A.call(A.Var("v"), "+", A.IntLit(1)))
+
+    expr = build()
+    # Populate every per-node memo the engine writes.
     compile_node(expr)
     check_expr(expr, {}, orm_class_table)
+    footprint(expr, {}, orm_class_table)
     A.free_vars(expr)
     free_var_tuple(expr)
     alpha_key(expr)
+    A.first_hole(expr)
     assert is_compiled(expr)
-    assert "_type_memo" in expr.__dict__
-    assert "_free_vars" in expr.__dict__
-    assert "_fv_tuple" in expr.__dict__
-    assert "_alpha_memo" in expr.__dict__
+    memos = ("_compiled", "_type_memo", "_fp_memo", "_free_vars", "_fv_tuple",
+             "_alpha_memo", "_first_hole")
+    assert all(memo in expr.__dict__ for memo in memos)
 
-    revived = pickle.loads(pickle.dumps(expr))
-    for node in [revived] + [child for _, child in revived.children()]:
-        memo_slots = [k for k in node.__dict__ if k.startswith("_")]
-        assert memo_slots == [], f"pickled node carries memos: {memo_slots}"
+    payload = pickle.dumps(expr)
+    revived = pickle.loads(payload)
+    for node in A.walk(revived):
+        carried = [memo for memo in memos if memo in node.__dict__]
+        assert carried == [], f"pickled node carries memos: {carried}"
+    # Construction-time fields are recomputed, not transported: their names
+    # never appear in the payload, and they match a fresh build's.
+    for name in ("_hash", "_node_count", "_has_holes") + memos:
+        assert name.encode() not in payload
+    fresh = build()
+    assert (revived._hash, revived._node_count, revived._has_holes) == (
+        fresh._hash, fresh._node_count, fresh._has_holes
+    )
 
     # The revived tree is fully usable: it evaluates (recompiling fresh
     # closures on this side of the boundary) and typechecks.

@@ -156,7 +156,7 @@ def test_alpha_key_respects_outer_scope_argument():
 
 
 def test_alpha_key_memo_is_context_keyed():
-    # The same interned node queried under different outer scopes must not
+    # The same node queried under different outer scopes must not
     # leak one context's key into the other.
     node = A.Var("x")
     free_key = alpha_key(node, ())

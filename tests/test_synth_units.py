@@ -188,6 +188,40 @@ def test_let_bindings_are_visible_at_holes(blog_problem):
     )
 
 
+def test_class_table_mutation_refreshes_the_s_app_productions(blog_problem):
+    from repro.typesys.class_table import MethodSig
+
+    config = SynthConfig()
+    root = A.TypedHole(T.ClassType("User"))
+    newest = A.MethodCall(A.TypedHole(T.SingletonClassType("User")), "newest", ())
+    assert newest not in expand_typed_hole(root, A.first_hole(root), blog_problem, config)
+    blog_problem.class_table.add_method(
+        MethodSig("User", "newest", (), T.ClassType("User"), singleton=True)
+    )
+    assert newest in expand_typed_hole(root, A.first_hole(root), blog_problem, config)
+
+
+def test_production_table_dies_with_its_problem():
+    # The S-Const/S-App table hangs off the problem: nothing may keep a
+    # finished problem's constants (its model classes) -- and through them
+    # its database -- alive after the run.
+    import gc
+    import weakref
+
+    from repro.benchmarks import get_benchmark
+    from repro.synth import SynthesisSession
+
+    problem = get_benchmark("S3").build()  # Sigma holds the User model class
+    database = weakref.ref(problem.database)
+    with SynthesisSession(SynthConfig(timeout_s=60)) as session:
+        result = session.run(problem)
+    assert result.success
+    assert problem._productions  # the run filled the table
+    del problem, result, session
+    gc.collect()
+    assert database() is None
+
+
 # ---------------------------------------------------------------------------
 # Effect-guided synthesis
 # ---------------------------------------------------------------------------
