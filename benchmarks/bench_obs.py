@@ -187,10 +187,9 @@ def _run(
     # fixture-to-fixture variation (fresh problem builds differ by a few
     # percent in memory layout alone, dwarfing a ~100ns wrapper).
     manager = problem.state_manager()
-    backend = config.eval_backend
-    for spec in problem.specs:  # warm recordings + dispatch caches
-        evaluate_spec(problem, program, spec, state=manager, backend=backend)
-    section["_fixture"] = (problem, program, manager, backend)
+    for spec in problem.specs:  # warm recordings
+        evaluate_spec(problem, program, spec, state=manager)
+    section["_fixture"] = (problem, program, manager)
     if enabled:
         section.update(_validate_trace(benchmark_id, config))
     return section
@@ -213,7 +212,7 @@ def _measure_pair(off: Dict[str, object], on: Dict[str, object]) -> None:
     fixture = on.pop("_fixture", None)
     if fixture is None:
         return
-    problem, program, manager, backend = fixture
+    problem, program, manager = fixture
     evaluators = (_evaluate_spec_impl, evaluate_spec)
 
     trial_medians: List[float] = []
@@ -228,17 +227,13 @@ def _measure_pair(off: Dict[str, object], on: Dict[str, object]) -> None:
                 gc.collect()
                 for evaluator in evaluators:  # untimed warmup per spec
                     for _ in range(10):
-                        evaluator(
-                            problem, program, spec, state=manager, backend=backend
-                        )
+                        evaluator(problem, program, spec, state=manager)
                 for _ in range(_PAIRS_PER_SPEC):
                     pair = [0.0, 0.0]
                     for i, evaluator in enumerate(evaluators):
                         t0 = time.perf_counter()
                         for _ in range(_BURST):
-                            evaluator(
-                                problem, program, spec, state=manager, backend=backend
-                            )
+                            evaluator(problem, program, spec, state=manager)
                         pair[i] = time.perf_counter() - t0
                         arm_time[i] += pair[i]
                         arm_count[i] += _BURST

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Lightweight CI gate: tier-1 tests (with both evaluation backends) plus the
-# cache-, state-, store-, parallel- and interp-bench smokes.
+# Lightweight CI gate: tier-1 tests, the program-identity gate, the cache-,
+# state-, store- and parallel-bench smokes, and the static-analysis, ORM and
+# observability gates.
 #
 #   scripts/ci.sh            # tier-1 pytest + bench --check gates
 #   CI_SKIP_TESTS=1 scripts/ci.sh   # bench smokes only
@@ -26,15 +27,6 @@
 # gates on the >= 1.5x wall-clock speedup target over the synthetic
 # registry.
 #
-# The interp gate runs bench_interp --check: the compiled evaluation
-# backend (repro.interp.compile) must re-evaluate synthesized programs at
-# >= 3x the tree-walker's throughput on >= 3 benchmarks while synthesizing
-# identical programs.  The tier-1 suite additionally runs once with
-# REPRO_EVAL_BACKEND=tree to keep the fallback backend green, and the
-# backend differential suite runs once with REPRO_SLOT_FRAMES=0 so the
-# resolver-identity mode (dynamic name resolution over the same frames)
-# stays observably identical to slot-baked execution.
-#
 # The static analysis gates exercise repro.analysis: the annotation linter
 # must stay finding-free over every registered benchmark, the soundness
 # sweep must observe zero dynamic effects the static footprint fails to
@@ -59,12 +51,8 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 if [[ "${CI_SKIP_TESTS:-0}" != "1" ]]; then
-    echo "== tier-1 tests (compiled backend default) =="
+    echo "== tier-1 tests =="
     python -m pytest -x -q
-    echo "== tier-1 tests (tree backend fallback) =="
-    REPRO_EVAL_BACKEND=tree python -m pytest -x -q
-    echo "== backend differential suite (resolver-identity mode) =="
-    REPRO_SLOT_FRAMES=0 python -m pytest -x -q tests/test_interp_backends.py tests/test_resolve.py
 fi
 
 echo "== program identity gate (perfbench goldens, two hash seeds) =="
@@ -74,14 +62,6 @@ for seed in 0 12345; do
     cmp "$GOLDEN_OUT" perfbench/golden.json
 done
 rm -f "$GOLDEN_OUT"
-
-echo "== interp bench gate =="
-INTERP_REPORT="${CI_INTERP_REPORT:-BENCH_interp.json}"
-python benchmarks/bench_interp.py \
-    --timeout "${REPRO_BENCH_TIMEOUT:-60}" \
-    --out "$INTERP_REPORT" \
-    --min-benchmarks 3 \
-    --check
 
 echo "== cache bench smoke =="
 REPORT="${CI_BENCH_REPORT:-BENCH_cache.json}"
@@ -168,4 +148,4 @@ python benchmarks/bench_obs.py \
     --min-benchmarks 3 \
     --check
 
-echo "== ok: reports at $INTERP_REPORT, $REPORT, $STATE_REPORT, $STORE_REPORT, $PARALLEL_REPORT, $ANALYSIS_REPORT, $ORM_REPORT and $OBS_REPORT =="
+echo "== ok: reports at $REPORT, $STATE_REPORT, $STORE_REPORT, $PARALLEL_REPORT, $ANALYSIS_REPORT, $ORM_REPORT and $OBS_REPORT =="

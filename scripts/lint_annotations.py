@@ -42,18 +42,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="store_true",
         help="exit non-zero when any finding is reported (CI gate)",
     )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help="evaluation backend for the unsatisfiable-spec probe",
-    )
     args = parser.parse_args(argv)
 
     ids = args.benchmarks or [spec.id for spec in all_benchmarks(tier="paper")]
     total = 0
     for benchmark_id in ids:
         problem = get_benchmark(benchmark_id).build()
-        findings = lint_problem(problem, backend=args.backend)
+        findings = lint_problem(problem)
         total += len(findings)
         status = "ok" if not findings else f"{len(findings)} finding(s)"
         print(f"{benchmark_id:6s} {status}")

@@ -13,7 +13,6 @@ Usage::
     PYTHONPATH=src python scripts/soundness_sweep.py                 # all paper benchmarks
     PYTHONPATH=src python scripts/soundness_sweep.py S6 A3           # a subset
     PYTHONPATH=src python scripts/soundness_sweep.py --check         # exit 1 on violations (CI)
-    PYTHONPATH=src python scripts/soundness_sweep.py --backend tree  # force a backend
 """
 
 from __future__ import annotations
@@ -58,11 +57,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="enumerator candidates per benchmark (default 120)",
     )
     parser.add_argument("--seed", type=int, default=0, help="generator seed")
-    parser.add_argument(
-        "--backend",
-        default=None,
-        help="evaluation backend (default: process default; e.g. 'tree')",
-    )
     args = parser.parse_args(argv)
 
     ids = args.benchmarks or [spec.id for spec in all_benchmarks(tier="paper")]
@@ -73,7 +67,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             benchmark_id,
             samples=args.samples,
             seed=args.seed,
-            backend=args.backend,
             search_limit=args.search_limit,
         )
         total += len(violations)

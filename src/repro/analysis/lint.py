@@ -273,7 +273,7 @@ def _check_unwritten_regions(ct: ClassTable) -> List[LintFinding]:
 # ---------------------------------------------------------------------------
 
 
-def lint_problem(problem, backend: Optional[str] = None) -> List[LintFinding]:
+def lint_problem(problem) -> List[LintFinding]:
     """Class-table rules plus ``unsatisfiable-spec`` for one problem.
 
     Each spec is executed once against the trivial ``nil``-body program to
@@ -292,7 +292,7 @@ def lint_problem(problem, backend: Optional[str] = None) -> List[LintFinding]:
 
     program = problem.make_program(A.NIL)
     for spec in problem.specs:
-        interpreter = Interpreter(ct, backend=backend)
+        interpreter = Interpreter(ct)
         ctx = SpecContext(problem, program, interpreter)
         problem.run_reset()
         try:

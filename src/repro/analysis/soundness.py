@@ -73,7 +73,6 @@ def check_expr_against_specs(
     problem,
     expr: A.Node,
     state=None,
-    backend: Optional[str] = None,
     context: str = "",
 ) -> List[SoundnessViolation]:
     """Differentially check one expression against every spec of ``problem``.
@@ -97,7 +96,6 @@ def check_expr_against_specs(
             problem.make_program(expr),
             spec,
             state=state,
-            backend=backend,
             capture_invoke=True,
         )
         observed = outcome.invoke_pair
@@ -219,7 +217,6 @@ def check_benchmark(
     benchmark_id: str,
     samples: int = 40,
     seed: int = 0,
-    backend: Optional[str] = None,
     search_limit: int = 120,
 ) -> List[SoundnessViolation]:
     """Run the soundness gate over one registered benchmark.
@@ -246,7 +243,6 @@ def check_benchmark(
                 problem,
                 expr,
                 state=state,
-                backend=backend,
                 context=benchmark_id,
             )
         )
@@ -257,7 +253,6 @@ def sweep(
     benchmark_ids: Optional[Iterable[str]] = None,
     samples: int = 40,
     seed: int = 0,
-    backend: Optional[str] = None,
     search_limit: int = 120,
 ) -> List[SoundnessViolation]:
     """The full gate: every paper benchmark (or ``benchmark_ids``)."""
@@ -276,7 +271,6 @@ def sweep(
                 benchmark_id,
                 samples=samples,
                 seed=seed,
-                backend=backend,
                 search_limit=search_limit,
             )
         )

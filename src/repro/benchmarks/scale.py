@@ -34,7 +34,7 @@ from repro.synth.dsl import define
 from repro.synth.goal import SynthesisProblem
 
 #: Seed for the deterministic row generator; every run of a scale benchmark
-#: (serial, parallel, either eval backend) sees byte-identical tables.
+#: (serial or parallel, any hash seed) sees byte-identical tables.
 SCALE_SEED = 0x5CA1E
 
 #: Default row count for the 10^5 tier.

@@ -24,8 +24,8 @@ class CallBudgetExceeded(SynRuntimeError):
 
     The budget is shared across nested ``eval``/``call_program`` entries of
     one outermost evaluation (a method implementation that re-enters the
-    interpreter draws from the same allowance) and is charged identically by
-    every evaluation backend.
+    interpreter draws from the same allowance); every method call charges
+    one unit.
     """
 
     def __init__(self, max_calls: int) -> None:

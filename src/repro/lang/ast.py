@@ -26,8 +26,8 @@ are never measured twice.  ``__reduce__`` rebuilds a node through its
 constructor: pickles and deep copies carry only the dataclass fields, and the
 construction-time fields are recomputed on the far side (the hash is only
 valid under one interpreter's string-hash seed).  Neither do the memos that
-other modules attach lazily to a node's ``__dict__`` (``_type_memo``,
-``_compiled``, ``_fv_tuple``, ``_alpha_memo``, ``_fp_memo``) travel.
+are attached lazily to a node's ``__dict__`` (``_type_memo``, ``_fp_memo``,
+``_free_vars``, ``_fv_tuple``, ``_alpha_memo``, ``_first_hole``) travel.
 
 Two utilities matter for synthesis:
 

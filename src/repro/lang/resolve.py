@@ -9,14 +9,6 @@ instance.  This module is that resolution pass.  Its products:
   the canonical ordering every env-keyed memo in the engine keys by
   (``typecheck.check_expr``'s incremental memo and, through its shared
   ``_memo_key``, the footprint memo of :mod:`repro.analysis.footprint`).
-* :func:`slot_of` -- compile-time slot assignment: the frame index a name
-  resolves to under a lexical *scope* (the tuple of binder names from the
-  frame base upward, parameters first, then enclosing ``let`` binders).
-  Both evaluation backends run on flat positional frames whose layout is
-  exactly this scope, so ``slot_of`` is the whole story of variable access:
-  the compiled backend bakes the returned index into a closure
-  (``frame[i]``), the tree walker performs the same innermost-first scan
-  dynamically.
 * :func:`alpha_key` -- a canonical De Bruijn-style key: two expressions get
   equal keys iff they are alpha-equivalent (identical up to consistent
   renaming of ``let``-bound and parameter names, with free variables still
@@ -33,18 +25,12 @@ and are recomputed (deterministically) on the far side.
 
 ``alpha_key`` is memoized *per context*: the key of a subtree depends on its
 position only through the De Bruijn distances of its free variables, so the
-memo is a small per-node dict keyed by that distance tuple.  The
-``REPRO_SLOT_FRAMES=0`` environment override (read at import, overridable for
-tests via :func:`set_slot_frames`) disables compile-time slot assignment: the
-compiled backend then resolves every variable by scanning the scope at run
-time, which CI uses as a resolver-identity smoke -- a wrong precomputed slot
-would diverge from the dynamic scan and fail the differential suite.
+memo is a small per-node dict keyed by that distance tuple.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Any, Hashable, Optional, Tuple
+from typing import Hashable, Optional, Tuple
 
 from repro.lang import ast as A
 
@@ -52,23 +38,6 @@ from repro.lang import ast as A
 #: searches see a handful of binder layouts per subtree (same params, few
 #: fresh ``t0``-style names), so the bound only triggers on pathological use.
 _ALPHA_MEMO_LIMIT = 64
-
-_SLOT_FRAMES = os.environ.get("REPRO_SLOT_FRAMES", "1") != "0"
-
-
-def slot_frames_enabled() -> bool:
-    """Whether compile-time slot assignment is active (default: yes)."""
-
-    return _SLOT_FRAMES
-
-
-def set_slot_frames(enabled: bool) -> bool:
-    """Override the slot-frame mode (tests); returns the previous mode."""
-
-    global _SLOT_FRAMES
-    previous = _SLOT_FRAMES
-    _SLOT_FRAMES = enabled
-    return previous
 
 
 # ---------------------------------------------------------------------------
@@ -92,29 +61,6 @@ def free_var_tuple(node: A.Node) -> Tuple[str, ...]:
     result = tuple(sorted(A.free_vars(node)))
     object.__setattr__(node, "_fv_tuple", result)
     return result
-
-
-# ---------------------------------------------------------------------------
-# Slot assignment
-# ---------------------------------------------------------------------------
-
-
-def slot_of(scope: Tuple[str, ...], name: str) -> Optional[int]:
-    """The frame slot ``name`` resolves to under ``scope``, or ``None``.
-
-    ``scope`` lists binder names from the frame base upward (parameters
-    first, then enclosing ``let`` binders, innermost last); shadowing
-    therefore resolves to the *highest* index, exactly the binding the
-    innermost-first dynamic scan of the tree walker finds.  Both backends
-    maintain the invariant that at every node entry ``len(frame) ==
-    len(scope)``, so the returned index is valid for the lifetime of the
-    enclosing evaluation.
-    """
-
-    for i in range(len(scope) - 1, -1, -1):
-        if scope[i] == name:
-            return i
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +166,4 @@ def _alpha_structural(node: A.Node, bound: Tuple[str, ...]) -> Hashable:
 __all__ = [
     "alpha_key",
     "free_var_tuple",
-    "set_slot_frames",
-    "slot_frames_enabled",
-    "slot_of",
 ]

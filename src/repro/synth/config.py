@@ -37,7 +37,6 @@ import os
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.interp.backend import BACKEND_NAMES, default_backend_name
 from repro.lang.effects import PRECISION_PRECISE
 
 
@@ -45,8 +44,8 @@ def default_static_pruning() -> bool:
     """The process-default for ``SynthConfig.static_pruning``.
 
     Honors the ``REPRO_STATIC_PRUNING`` environment variable (CI's ablation
-    hook, mirroring ``REPRO_EVAL_BACKEND``): unset or truthy enables the
-    static analyses, ``0``/``false``/``no``/``off`` disables them.
+    hook): unset or truthy enables the static analyses,
+    ``0``/``false``/``no``/``off`` disables them.
     """
 
     value = os.environ.get("REPRO_STATIC_PRUNING")
@@ -58,9 +57,9 @@ def default_static_pruning() -> bool:
 def default_trace_path() -> Optional[str]:
     """The process-default for ``SynthConfig.trace_path``.
 
-    Honors the ``REPRO_TRACE`` environment variable (mirroring
-    ``REPRO_EVAL_BACKEND``): unset or empty leaves tracing off, any other
-    value is the JSONL trace file sessions write (see repro.obs.trace).
+    Honors the ``REPRO_TRACE`` environment variable: unset or empty leaves
+    tracing off, any other value is the JSONL trace file sessions write (see
+    repro.obs.trace).
     """
 
     return os.environ.get("REPRO_TRACE") or None
@@ -134,14 +133,6 @@ class SynthConfig:
     # periodic full rebuild.
     verify_recordings: int = 0
 
-    # Evaluation backend (repro.interp).  ``"compiled"`` (the default) closes
-    # each subtree into a cached chain of Python closures;
-    # ``"tree"`` is the definitional AST walker.  Both are observably
-    # identical (values, effect logs, call budgets, error types).  The
-    # process-wide default honors the ``REPRO_EVAL_BACKEND`` environment
-    # variable, which CI uses to run the test suite on the tree fallback.
-    eval_backend: str = field(default_factory=default_backend_name)
-
     # Structured tracing (repro.obs.trace).  When set, a SynthesisSession
     # built from this config installs a JSONL tracer writing to this path
     # for its lifetime (closed by session.close()); parallel workers ship
@@ -199,8 +190,3 @@ class SynthConfig:
             raise ValueError("spec_cache_max_entries must be positive")
         if self.verify_recordings < 0:
             raise ValueError("verify_recordings must be >= 0 (0 disables)")
-        if self.eval_backend not in BACKEND_NAMES:
-            raise ValueError(
-                f"unknown eval backend {self.eval_backend!r} "
-                f"(expected one of {', '.join(BACKEND_NAMES)})"
-            )

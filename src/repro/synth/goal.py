@@ -368,10 +368,10 @@ def evaluate_spec(
     With a ``state`` manager, the reset closure and the setup's seed work
     are replaced by copy-on-write snapshot restores once the spec has been
     recorded (:mod:`repro.synth.state`).  ``interpreter`` lets callers batch
-    several evaluations in one interpreter session (``evaluate_all_specs``);
-    ``backend`` selects the evaluation backend for interpreters constructed
-    here (``None`` means the process default; see
-    :attr:`repro.synth.config.SynthConfig.eval_backend`).
+    several evaluations in one interpreter session (``evaluate_all_specs``).
+    ``backend`` accepts only ``None`` or ``"tree"`` (the tree walker is the
+    one evaluator) and is kept for callers that still name it; anything else
+    raises ``ValueError``.
 
     ``static_write_pure`` tells the evaluation that the candidate's *static*
     write footprint is pure (:mod:`repro.analysis.footprint`).  The invoke
@@ -388,6 +388,8 @@ def evaluate_spec(
     must observe a real execution.
     """
 
+    if backend is not None and backend != "tree":
+        raise ValueError(f"unknown eval backend {backend!r}; only 'tree' exists")
     tracer = trace.TRACER
     if not tracer.enabled:
         return _evaluate_spec_impl(
@@ -397,7 +399,6 @@ def evaluate_spec(
             cache,
             state,
             interpreter,
-            backend,
             static_write_pure,
             capture_invoke,
         )
@@ -409,7 +410,6 @@ def evaluate_spec(
             cache,
             state,
             interpreter,
-            backend,
             static_write_pure,
             capture_invoke,
         )
@@ -424,7 +424,6 @@ def _evaluate_spec_impl(
     cache: Optional["SynthCache"] = None,
     state: Optional["StateManager"] = None,
     interpreter: Optional[Interpreter] = None,
-    backend: Optional[str] = None,
     static_write_pure: bool = False,
     capture_invoke: bool = False,
 ) -> SpecOutcome:
@@ -439,12 +438,9 @@ def _evaluate_spec_impl(
         memoized = cache.lookup_spec(problem, program, spec)
         if memoized is not None:
             return memoized
-    interp = (
-        interpreter
-        if interpreter is not None
-        else Interpreter(problem.class_table, backend=backend)
-    )
-    ctx = SpecContext(problem, program, interp)
+    if interpreter is None:
+        interpreter = Interpreter(problem.class_table)
+    ctx = SpecContext(problem, program, interpreter)
     capture = capture_invoke or (static_write_pure and state is not None)
     ctx._capture_invoke = capture
     # The state-restore phase is infrastructure: a crashing reset closure or
@@ -502,7 +498,6 @@ def evaluate_all_specs(
     budget: Optional["Budget"] = None,
     stats: Optional["SearchStats"] = None,
     state: Optional["StateManager"] = None,
-    backend: Optional[str] = None,
     static_write_pure: bool = False,
 ) -> bool:
     """Whether ``program`` passes every spec (used by merge validation).
@@ -515,11 +510,7 @@ def evaluate_all_specs(
     instead of paying a fresh interpreter plus reset+setup replay per spec.
     """
 
-    interpreter = (
-        Interpreter(problem.class_table, backend=backend)
-        if state is not None
-        else None
-    )
+    interpreter = Interpreter(problem.class_table) if state is not None else None
     for spec in specs if specs is not None else problem.specs:
         if budget is not None and budget.expired():
             if stats is not None:
@@ -534,7 +525,6 @@ def evaluate_all_specs(
             cache=cache,
             state=state,
             interpreter=interpreter,
-            backend=backend,
             static_write_pure=static_write_pure,
         )
         if not outcome.ok:
@@ -549,7 +539,6 @@ def evaluate_guard(
     expect: bool,
     cache: Optional["SynthCache"] = None,
     state: Optional["StateManager"] = None,
-    backend: Optional[str] = None,
     static_write_pure: bool = False,
 ) -> bool:
     """Whether ``guard`` (as the whole method body) evaluates to ``expect``.
@@ -566,11 +555,11 @@ def evaluate_guard(
     tracer = trace.TRACER
     if not tracer.enabled:
         return _evaluate_guard_impl(
-            problem, guard, spec, expect, cache, state, backend, static_write_pure
+            problem, guard, spec, expect, cache, state, static_write_pure
         )
     with tracer.span("eval.guard", spec=spec.name, expect=expect):
         accepted = _evaluate_guard_impl(
-            problem, guard, spec, expect, cache, state, backend, static_write_pure
+            problem, guard, spec, expect, cache, state, static_write_pure
         )
         tracer.annotate(accepted=accepted)
         return accepted
@@ -583,7 +572,6 @@ def _evaluate_guard_impl(
     expect: bool,
     cache: Optional["SynthCache"] = None,
     state: Optional["StateManager"] = None,
-    backend: Optional[str] = None,
     static_write_pure: bool = False,
 ) -> bool:
     """The untraced body of :func:`evaluate_guard` (see
@@ -596,7 +584,7 @@ def _evaluate_guard_impl(
         memoized = cache.lookup_guard(problem, program, spec)
         if memoized is not MISSING:
             return memoized is not None and memoized == expect
-    interpreter = Interpreter(problem.class_table, backend=backend)
+    interpreter = Interpreter(problem.class_table)
     ctx = SpecContext(problem, program, interpreter)
     # Guards are overwhelmingly read-only, so the static purity fast-path
     # (see evaluate_spec) pays off most in guard search: consecutive guard

@@ -292,7 +292,6 @@ class Merger:
             _guard_holds(
                 self.problem, negated, spec, expect=True,
                 cache=self.cache, state=self.state,
-                backend=self.config.eval_backend,
                 static_write_pure=negated_pure,
             )
             for spec in second.specs
@@ -300,7 +299,6 @@ class Merger:
             _guard_holds(
                 self.problem, negated, spec, expect=False,
                 cache=self.cache, state=self.state,
-                backend=self.config.eval_backend,
                 static_write_pure=negated_pure,
             )
             for spec in first.specs
@@ -416,7 +414,6 @@ class Merger:
             budget=self.budget,
             stats=self.stats,
             state=self.state,
-            backend=self.config.eval_backend,
             static_write_pure=pure,
         )
 
@@ -458,13 +455,12 @@ def _guard_holds(
     expect: bool,
     cache: Optional[SynthCache] = None,
     state: Optional[StateManager] = None,
-    backend: Optional[str] = None,
     static_write_pure: bool = False,
 ) -> bool:
     from repro.synth.goal import evaluate_guard
 
     return evaluate_guard(
-        problem, guard, spec, expect, cache=cache, state=state, backend=backend,
+        problem, guard, spec, expect, cache=cache, state=state,
         static_write_pure=static_write_pure,
     )
 

@@ -724,8 +724,8 @@ def run_synthesis_parallel(
         if solution_hints:
             for index, spec in enumerate(problem.specs):
                 hint = _adopt_hint(
-                    problem, spec, solution_hints, config, budget,
-                    SearchStats(), cache, state,
+                    problem, spec, solution_hints, budget, SearchStats(), cache,
+                    state,
                 )
                 if hint is not None:
                     validated_hints[index] = hint
@@ -774,7 +774,7 @@ def run_synthesis_parallel(
                 simplified = simplify(task.expr)
                 if not evaluate_spec(
                     problem, problem.make_program(simplified), spec, cache=cache,
-                    state=state, backend=config.eval_backend,
+                    state=state,
                 ).ok:
                     simplified = task.expr
                 solutions.append(SpecSolution(expr=simplified, specs=(spec,)))

@@ -307,7 +307,6 @@ def _generate_for_spec_impl(
                         spec,
                         cache=cache,
                         state=state,
-                        backend=config.eval_backend,
                         static_write_pure=pruner.write_pure(candidate),
                     )
                     pruner.record(key, outcome)
@@ -319,7 +318,6 @@ def _generate_for_spec_impl(
                     spec,
                     cache=cache,
                     state=state,
-                    backend=config.eval_backend,
                 )
             if outcome.ok:
                 return candidate
@@ -419,7 +417,6 @@ def _generate_guard_impl(
                 expect=True,
                 cache=cache,
                 state=state,
-                backend=config.eval_backend,
                 static_write_pure=pure,
             ):
                 return False
@@ -431,7 +428,6 @@ def _generate_guard_impl(
                 expect=False,
                 cache=cache,
                 state=state,
-                backend=config.eval_backend,
                 static_write_pure=pure,
             ):
                 return False

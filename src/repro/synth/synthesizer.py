@@ -171,8 +171,7 @@ def run_synthesis(
                 ):
                     continue
                 hint = _adopt_hint(
-                    problem, spec, solution_hints, config, budget, stats, cache,
-                    state,
+                    problem, spec, solution_hints, budget, stats, cache, state,
                 )
                 if hint is not None:
                     solutions.append(SpecSolution(expr=hint, specs=(spec,)))
@@ -196,7 +195,7 @@ def run_synthesis(
                 simplified = simplify(expr)
                 if not evaluate_spec(
                     problem, problem.make_program(simplified), spec, cache=cache,
-                    state=state, backend=config.eval_backend,
+                    state=state,
                 ).ok:
                     simplified = expr
                 solutions.append(SpecSolution(expr=simplified, specs=(spec,)))
@@ -342,7 +341,6 @@ def _adopt_hint(
     problem: SynthesisProblem,
     spec,
     solution_hints: Optional[Mapping],
-    config: SynthConfig,
     budget: Budget,
     stats: SearchStats,
     cache: Optional[SynthCache] = None,
@@ -364,12 +362,7 @@ def _adopt_hint(
         stats.timed_out = True
         raise SynthesisTimeout(f"timeout while re-validating {spec.name!r}")
     outcome = evaluate_spec(
-        problem,
-        problem.make_program(hint),
-        spec,
-        cache=cache,
-        state=state,
-        backend=config.eval_backend,
+        problem, problem.make_program(hint), spec, cache=cache, state=state
     )
     if not outcome.ok:
         return None
@@ -403,8 +396,7 @@ def _reuse_solution(
                 f"timeout while reusing solutions for {spec.name!r}"
             )
         outcome = evaluate_spec(
-            problem, problem.make_program(solution.expr), spec, cache=cache,
-            state=state, backend=config.eval_backend,
+            problem, problem.make_program(solution.expr), spec, cache=cache, state=state
         )
         if outcome.ok:
             solutions[i] = solution.covering(spec)

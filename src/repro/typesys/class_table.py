@@ -89,9 +89,9 @@ class ResolvedSig:
 
 #: Process-wide source of :attr:`ClassTable.generation` tokens.  Tokens are
 #: unique across table *instances* and bumped on every mutation, so external
-#: memos keyed by generation (the compiled backend's per-callsite dispatch
-#: caches, the incremental typechecker's node memos) can never be served
-#: stale -- not even through ``id()`` reuse after a table is collected.
+#: memos keyed by generation (the incremental typechecker's and the footprint
+#: analysis's node memos, the per-problem production tables) can never be
+#: served stale -- not even through ``id()`` reuse after a table is collected.
 _GENERATIONS = iter(range(1, 2**63))
 
 

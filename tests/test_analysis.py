@@ -237,14 +237,11 @@ def test_pruner_write_pure_uses_footprint(blog_problem):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["compiled", "tree"])
-def test_static_pruning_is_transparent_and_cheaper(backend):
+def test_static_pruning_is_transparent_and_cheaper():
     results = {}
     for enabled in (False, True):
         problem = _make_blog_problem(build_blog_app())
-        config = SynthConfig(
-            timeout_s=30, eval_backend=backend, static_pruning=enabled
-        )
+        config = SynthConfig(timeout_s=30, static_pruning=enabled)
         results[enabled] = synthesize(problem, config)
     off, on = results[False], results[True]
     assert off.success and on.success

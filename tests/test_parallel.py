@@ -250,21 +250,20 @@ def test_hints_do_not_cross_configs():
 
 
 def test_ast_memo_slots_are_dropped_on_pickle(orm_class_table):
-    """Compiled closures and per-node memos must never cross process boundaries.
+    """Per-node memos must never cross process boundaries.
 
-    Workers receive ASTs by pickle; a compiled closure (which may capture a
-    dispatch cache over the parent's class table) or a type/free-var memo
-    smuggled through would at best be stale and at worst unpicklable, and a
-    transported hash is wrong under another string-hash seed.
-    ``Node.__reduce__`` rebuilds every node through its constructor, so only
-    the dataclass fields travel: the memos are dropped and the
-    construction-time fields are recomputed on the receiving side.
+    Workers receive ASTs by pickle; a type, footprint or free-variable memo
+    smuggled through would at best be stale (keyed by the parent's class
+    table generation) and at worst unpicklable, and a transported hash is
+    wrong under another string-hash seed.  ``Node.__reduce__`` rebuilds every
+    node through its constructor, so only the dataclass fields travel: the
+    memos are dropped and the construction-time fields are recomputed on the
+    receiving side.
     """
 
     import pickle
 
     from repro.analysis.footprint import footprint
-    from repro.interp.compile import compile_node, is_compiled
     from repro.lang import ast as A
     from repro.lang import types as T
     from repro.lang.resolve import alpha_key, free_var_tuple
@@ -275,16 +274,14 @@ def test_ast_memo_slots_are_dropped_on_pickle(orm_class_table):
 
     expr = build()
     # Populate every per-node memo the engine writes.
-    compile_node(expr)
     check_expr(expr, {}, orm_class_table)
     footprint(expr, {}, orm_class_table)
     A.free_vars(expr)
     free_var_tuple(expr)
     alpha_key(expr)
     A.first_hole(expr)
-    assert is_compiled(expr)
-    memos = ("_compiled", "_type_memo", "_fp_memo", "_free_vars", "_fv_tuple",
-             "_alpha_memo", "_first_hole")
+    memos = ("_type_memo", "_fp_memo", "_free_vars", "_fv_tuple", "_alpha_memo",
+             "_first_hole")
     assert all(memo in expr.__dict__ for memo in memos)
 
     payload = pickle.dumps(expr)
@@ -301,28 +298,9 @@ def test_ast_memo_slots_are_dropped_on_pickle(orm_class_table):
         fresh._hash, fresh._node_count, fresh._has_holes
     )
 
-    # The revived tree is fully usable: it evaluates (recompiling fresh
-    # closures on this side of the boundary) and typechecks.
-    interp = Interpreter(orm_class_table, backend="compiled")
-    assert interp.eval(revived) == 6
+    # The revived tree is fully usable: it evaluates and typechecks.
+    assert Interpreter(orm_class_table).eval(revived) == 6
     assert check_expr(revived, {}, orm_class_table) == T.INT
-
-
-def test_pickled_program_evaluates_identically_after_compilation(orm_class_table):
-    import pickle
-
-    from repro.interp.compile import compile_node
-    from repro.lang import ast as A
-
-    program = A.MethodDef(
-        "m", ("arg0",), A.call(A.Var("arg0"), "+", A.IntLit(2))
-    )
-    compile_node(program.body)
-    before = Interpreter(orm_class_table, backend="compiled").call_program(program, 3)
-    revived = pickle.loads(pickle.dumps(program))
-    assert "_compiled" not in revived.body.__dict__
-    after = Interpreter(orm_class_table, backend="compiled").call_program(revived, 3)
-    assert before == after == 5
 
 
 # ---------------------------------------------------------------------------

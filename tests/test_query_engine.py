@@ -384,23 +384,22 @@ def test_relation_count_is_no_copy(monkeypatch):
 
 
 @pytest.mark.slow
-def test_synthesis_identical_with_indexing_off_and_on_both_backends():
+def test_synthesis_identical_with_indexing_off_and_on():
     programs = {}
     previous = default_indexing()
     try:
         for indexing in (False, True):
             set_default_indexing(indexing)
-            for backend in ("tree", "compiled"):
-                benchmark = get_benchmark("S4")
-                problem = benchmark.build()
-                config = benchmark.make_config(SynthConfig(eval_backend=backend))
-                with SynthesisSession(config) as session:
-                    result = session.run(problem)
-                assert result.success
-                programs[(indexing, backend)] = result.program
+            benchmark = get_benchmark("S4")
+            problem = benchmark.build()
+            config = benchmark.make_config(SynthConfig())
+            with SynthesisSession(config) as session:
+                result = session.run(problem)
+            assert result.success
+            programs[indexing] = result.program
     finally:
         set_default_indexing(previous)
-    assert len(set(programs.values())) == 1
+    assert programs[False] == programs[True]
 
 
 @pytest.mark.slow

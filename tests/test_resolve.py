@@ -1,11 +1,10 @@
 """Unit tests for the name-resolution layer (repro.lang.resolve).
 
-The resolver's three products -- sorted free-variable tuples, compile-time
-slot assignment and De Bruijn alpha keys -- are the keys every env-sensitive
-memo in the engine shares, so their contracts are pinned here directly:
-ordering and memoization of ``free_var_tuple``, innermost-wins shadowing in
-``slot_of``, alpha-equivalence (and its limits) for ``alpha_key``, and the
-pickle behavior of the underscore memo slots.
+The resolver's two products -- sorted free-variable tuples and De Bruijn
+alpha keys -- are the keys every env-sensitive memo in the engine shares, so
+their contracts are pinned here directly: ordering and memoization of
+``free_var_tuple``, alpha-equivalence (and its limits) for ``alpha_key``, and
+the pickle behavior of the underscore memo slots.
 """
 
 from __future__ import annotations
@@ -13,13 +12,7 @@ from __future__ import annotations
 import pickle
 
 from repro.lang import ast as A
-from repro.lang.resolve import (
-    alpha_key,
-    free_var_tuple,
-    set_slot_frames,
-    slot_frames_enabled,
-    slot_of,
-)
+from repro.lang.resolve import alpha_key, free_var_tuple
 
 
 def _let(name, value, body):
@@ -62,45 +55,11 @@ def test_free_var_tuple_is_memoized_per_node():
 def test_method_def_body_free_vars_name_the_params():
     # ``free_vars`` is an *expression* primitive: a MethodDef's params are
     # frame bindings supplied by ``call_program``, so they appear free in
-    # the body's tuple -- which is exactly the scope the backends run under.
+    # the body's tuple -- which is exactly the scope the interpreter runs under.
     program = A.MethodDef(
         "m", ("arg0", "arg1"), A.call(A.Var("arg0"), "+", A.Var("stray"))
     )
     assert free_var_tuple(program.body) == ("arg0", "stray")
-
-
-# ---------------------------------------------------------------------------
-# slot_of
-# ---------------------------------------------------------------------------
-
-
-def test_slot_of_simple_scope():
-    scope = ("arg0", "arg1")
-    assert slot_of(scope, "arg0") == 0
-    assert slot_of(scope, "arg1") == 1
-    assert slot_of(scope, "zz") is None
-    assert slot_of((), "anything") is None
-
-
-def test_slot_of_shadowing_resolves_innermost():
-    # Parameters first, then enclosing lets; the *highest* index wins --
-    # exactly the binding the tree walker's innermost-first scan finds.
-    scope = ("v", "n", "v")
-    assert slot_of(scope, "v") == 2
-    assert slot_of(scope, "n") == 1
-    assert slot_of(("v", "v", "v"), "v") == 2
-
-
-def test_slot_frames_toggle_roundtrip():
-    ambient = slot_frames_enabled()
-    try:
-        previous = set_slot_frames(False)
-        assert previous == ambient
-        assert not slot_frames_enabled()
-        assert set_slot_frames(True) is False
-        assert slot_frames_enabled()
-    finally:
-        set_slot_frames(ambient)
 
 
 # ---------------------------------------------------------------------------

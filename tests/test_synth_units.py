@@ -204,22 +204,27 @@ def test_class_table_mutation_refreshes_the_s_app_productions(blog_problem):
 def test_production_table_dies_with_its_problem():
     # The S-Const/S-App table hangs off the problem: nothing may keep a
     # finished problem's constants (its model classes) -- and through them
-    # its database -- alive after the run.
+    # its database -- alive after the run.  That includes the synthesized
+    # program, which callers keep: its nodes must not reference the model
+    # classes the run evaluated them against.
     import gc
     import weakref
 
     from repro.benchmarks import get_benchmark
     from repro.synth import SynthesisSession
 
-    problem = get_benchmark("S3").build()  # Sigma holds the User model class
-    database = weakref.ref(problem.database)
-    with SynthesisSession(SynthConfig(timeout_s=60)) as session:
-        result = session.run(problem)
-    assert result.success
-    assert problem._productions  # the run filled the table
-    del problem, result, session
-    gc.collect()
-    assert database() is None
+    for benchmark_id in ("S3", "S4"):  # Sigma holds the User model class
+        problem = get_benchmark(benchmark_id).build()
+        database = weakref.ref(problem.database)
+        with SynthesisSession(SynthConfig(timeout_s=60)) as session:
+            result = session.run(problem)
+        assert result.success
+        assert problem._productions  # the run filled the table
+        program = result.program
+        del problem, result, session
+        gc.collect()
+        assert database() is None, benchmark_id
+        assert program.body is not None  # held across the collection
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +375,14 @@ def test_evaluate_spec_counts_passed_asserts(blog_problem):
     assert not outcome.ok
     assert outcome.passed_asserts == 0
     assert outcome.has_effect_error  # the username read is captured
+
+
+def test_evaluate_spec_backend_keyword_accepts_only_tree(blog_problem):
+    spec = blog_problem.specs[0]
+    program = blog_problem.make_program(A.call(A.ConstRef("User"), "first"))
+    assert evaluate_spec(blog_problem, program, spec, backend="tree").has_effect_error
+    with pytest.raises(ValueError, match="compiled"):
+        evaluate_spec(blog_problem, program, spec, backend="compiled")
 
 
 def test_evaluate_spec_runtime_error_is_not_effect_error(blog_problem):
