@@ -53,9 +53,11 @@ def test_ablation(benchmark, benchmark_id, variant):
     benchmark.extra_info["benchmark"] = benchmark_id
     benchmark.extra_info["variant"] = variant
     benchmark.extra_info["success"] = result.success
-    benchmark.extra_info["cache_hits"] = result.cache_hits
-    benchmark.extra_info["cache_misses"] = result.cache_misses
-    benchmark.extra_info["cache_redundant"] = result.cache_redundant
-    benchmark.extra_info["state_restores"] = result.state_restores
-    benchmark.extra_info["state_rebuilds"] = result.state_rebuilds
-    benchmark.extra_info["reset_replays"] = result.reset_replays
+    c = result.counters
+    for name in ("hits", "misses", "redundant"):
+        benchmark.extra_info[f"cache_{name}"] = (
+            c[f"cache.spec_{name}"] + c[f"cache.guard_{name}"]
+        )
+    benchmark.extra_info["state_restores"] = c["state.restores"]
+    benchmark.extra_info["state_rebuilds"] = c["state.rebuilds"]
+    benchmark.extra_info["reset_replays"] = c["search.reset_replays"]

@@ -84,16 +84,17 @@ def _run(
     # Restores are counted whether or not the purity fast-path elided them
     # (pure_skips is a subset marker), so the restores actually executed are
     # the difference; with the analysis off no skip ever happens.
-    dynamic_ops = result.evaluated + result.state_restores - result.state_pure_skips
+    c = result.counters
+    dynamic_ops = c["search.evaluated"] + c["state.restores"] - c["state.pure_skips"]
     return {
         "success": result.success,
         "elapsed_s": round(result.last_result.elapsed_s, 4),
         "dynamic_ops": dynamic_ops,
-        "evaluated": result.evaluated,
-        "static_prunes": result.static_prunes,
-        "footprint_hits": result.footprint_hits,
-        "state_pure_skips": result.state_pure_skips,
-        "effect_type_fallbacks": result.effect_type_fallbacks,
+        "evaluated": c["search.evaluated"],
+        "static_prunes": c["search.static_prunes"],
+        "footprint_hits": c["search.footprint_hits"],
+        "state_pure_skips": c["state.pure_skips"],
+        "effect_type_fallbacks": c["search.effect_type_fallbacks"],
         "_program": result.last_result.program,
         "_text": result.program_text,
     }

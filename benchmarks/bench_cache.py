@@ -88,14 +88,16 @@ def _run(
     # A disabled cache executes every lookup (misses AND redundant ones);
     # an enabled cache executes only the misses (store hits never execute
     # and are excluded from the miss counter).
-    executions = result.cache_misses + (0 if cached else result.cache_redundant)
+    c = result.counters
+    misses = c["cache.spec_misses"] + c["cache.guard_misses"]
+    redundant = c["cache.spec_redundant"] + c["cache.guard_redundant"]
     return {
         "success": result.success,
         "elapsed_s": round(result.last_result.elapsed_s, 4),
-        "executions": executions,
-        "redundant_executions": result.cache_redundant if not cached else 0,
-        "cache_hits": result.cache_hits,
-        "store_hits": result.store_hits,
+        "executions": misses + (0 if cached else redundant),
+        "redundant_executions": redundant if not cached else 0,
+        "cache_hits": c["cache.spec_hits"] + c["cache.guard_hits"],
+        "store_hits": c["cache.store_hits"],
         "_program": result.last_result.program,
         "_text": result.program_text,
     }

@@ -212,8 +212,8 @@ def _run(
             "success": bool(result.success),
             "elapsed_s": round(elapsed_s, 4),
             "indexing": enabled,
-            "index_hits": result.stats.index_hits,
-            "index_scans": result.stats.index_scans,
+            "index_hits": result.counters["query.index_hits"],
+            "index_scans": result.counters["query.scans"],
             "lookups": 0,
             "lookups_per_s": 0.0,
             "results_sha256": "",
@@ -326,8 +326,8 @@ def run_scale_smoke(rows: int, timeout_s: float) -> Dict[str, object]:
                     "rows": rows,
                     "success": bool(result.success),
                     "elapsed_s": round(elapsed_s, 3),
-                    "index_hits": result.stats.index_hits,
-                    "index_scans": result.stats.index_scans,
+                    "index_hits": result.counters["query.index_hits"],
+                    "index_scans": result.counters["query.scans"],
                     "program": " ".join(pretty(result.program).split())
                     if result.program
                     else None,

@@ -79,14 +79,14 @@ def _run(
     config = SynthConfig.full(timeout_s=timeout_s, snapshot_state=snapshots)
     result = run_benchmark(benchmark, config, runs=1)
     outcome = result.last_result
-    state = outcome.state_stats if outcome is not None else None
+    c = result.counters
     return {
         "success": result.success,
         "elapsed_s": round(outcome.elapsed_s, 4) if outcome is not None else None,
-        "reset_replays": result.reset_replays,
-        "state_rebuilds": result.state_rebuilds,
-        "state_restores": result.state_restores,
-        "unreplayable_specs": state.unreplayable if state is not None else 0,
+        "reset_replays": c["search.reset_replays"],
+        "state_rebuilds": c["state.rebuilds"],
+        "state_restores": c["state.restores"],
+        "unreplayable_specs": c["state.unreplayable"],
         "_program": outcome.program if outcome is not None else None,
         "_text": result.program_text,
     }

@@ -23,8 +23,9 @@ def main() -> None:
         for benchmark_id in ("A7", "A8"):
             benchmark = get_benchmark(benchmark_id)
             result = session.run(benchmark)
+            evaluated = result.counters["search.evaluated"]
             print(f"== {benchmark.id} {benchmark.name} "
-                  f"({result.elapsed_s:.2f}s, {result.stats.evaluated} candidates)")
+                  f"({result.elapsed_s:.2f}s, {evaluated} candidates)")
             print(result.pretty())
             print()
             assert result.success

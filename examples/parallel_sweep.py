@@ -32,7 +32,8 @@ def main() -> None:
     # are identical to a serial run's.
     with SynthesisSession(config, store=store_path, parallel=2) as session:
         result = session.run("S4")
-        print(f"S4 across 2 workers ({result.stats.parallel_tasks} tasks):")
+        tasks = result.counters["search.parallel_tasks"]
+        print(f"S4 across 2 workers ({tasks} tasks):")
         print(result.pretty())
         print()
 
@@ -46,8 +47,8 @@ def main() -> None:
     with SynthesisSession(config, store=store_path) as fresh:
         again = fresh.run("S4")
     print(
-        f"\nfresh process re-ran S4 with {again.stats.store_hits} store hits "
-        f"and {again.stats.reset_replays} resets"
+        f"\nfresh process re-ran S4 with {again.counters['cache.store_hits']} "
+        f"store hits and {again.counters['search.reset_replays']} resets"
     )
 
 

@@ -60,7 +60,7 @@ def main() -> None:
     with SynthesisSession(SynthConfig(timeout_s=30)) as session:
         result = session.run(problem)
     print(f"synthesized in {result.elapsed_s:.2f}s "
-          f"({result.stats.evaluated} candidates evaluated)\n")
+          f"({result.counters['search.evaluated']} candidates evaluated)\n")
     print(result.pretty())
     assert result.success
 

@@ -4,9 +4,9 @@ Setting ``SynthConfig.trace_path`` (or the ``REPRO_TRACE`` environment
 variable) makes the session write a JSONL trace of the whole pipeline --
 phases, per-spec searches, guard synthesis, spec evaluations, snapshot
 restores and store traffic -- through :mod:`repro.obs.trace`.  Every run
-also carries a unified metrics snapshot (:mod:`repro.obs.metrics`) on
-``result.metrics``, and :mod:`repro.obs.tool` turns the trace into a
-per-phase profile or a Chrome trace-event file.
+also carries its counters (``result.counters``) and a metrics snapshot
+(:mod:`repro.obs.metrics`) on ``result.metrics``, and :mod:`repro.obs.tool`
+turns the trace into a per-phase profile or a Chrome trace-event file.
 
 Run with::
 
@@ -41,9 +41,9 @@ def main() -> None:
     print(result.pretty())
     print()
 
-    # Every run exports a unified metrics snapshot -- the stats of every
-    # engine subsystem plus per-phase wall-time histograms -- whether or
-    # not tracing is on.
+    # Every run exports a metrics snapshot -- its counters, nested per
+    # layer, plus per-phase wall-time histograms -- whether or not tracing
+    # is on.
     phases = result.metrics["phases"]
     print("phase wall time (from result.metrics):")
     for name in sorted(phases, key=lambda n: -phases[n]["total_s"]):

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Lightweight CI gate: tier-1 tests, the program-identity gate, the cache-,
-# state-, store- and parallel-bench smokes, and the static-analysis, ORM and
-# observability gates.
+# Lightweight CI gate: tier-1 tests, the program- and counter-identity
+# gates, the cache-, state-, store- and parallel-bench smokes, and the
+# static-analysis, ORM and observability gates.
 #
 #   scripts/ci.sh            # tier-1 pytest + bench --check gates
 #   CI_SKIP_TESTS=1 scripts/ci.sh   # bench smokes only
@@ -43,7 +43,11 @@
 # The program-identity gate synthesizes every end-to-end benchmark workload
 # cold (perfbench/child.py --golden) under two string-hash seeds and compares
 # the program texts byte for byte with perfbench/golden.json, so neither a
-# change to the engine nor a change of hash seed may alter a program.
+# change to the engine nor a change of hash seed may alter a program.  The
+# counter-identity gate does the same for the engine counters of those runs
+# (scripts/counter_golden.py against scripts/counter_golden.json): the same
+# programs must also cost the same search, memo, snapshot and query work.
+# Regenerate that golden only for a change meant to alter engine work.
 
 set -euo pipefail
 
@@ -62,6 +66,14 @@ for seed in 0 12345; do
     cmp "$GOLDEN_OUT" perfbench/golden.json
 done
 rm -f "$GOLDEN_OUT"
+
+echo "== counter identity gate (engine counters, two hash seeds) =="
+COUNTERS_OUT="$(mktemp)"
+for seed in 0 12345; do
+    PYTHONHASHSEED="$seed" python scripts/counter_golden.py > "$COUNTERS_OUT"
+    cmp "$COUNTERS_OUT" scripts/counter_golden.json
+done
+rm -f "$COUNTERS_OUT"
 
 echo "== cache bench smoke =="
 REPORT="${CI_BENCH_REPORT:-BENCH_cache.json}"

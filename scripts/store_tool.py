@@ -58,9 +58,9 @@ def cmd_info(args: argparse.Namespace) -> int:
         "entries": len(store),
         "by_kind": kinds,
         "file_bytes": os.path.getsize(store.path) if os.path.exists(store.path) else 0,
-        "loaded": store.stats.loaded,
-        "stale_dropped": store.stats.stale_dropped,
-        "corrupt_file": store.stats.corrupt_file,
+        "loaded": store.loaded,
+        "stale_dropped": store.counters["store.stale_dropped"],
+        "corrupt_file": store.corrupt_file,
     }
     store.close()
     print(json.dumps(report, indent=2))

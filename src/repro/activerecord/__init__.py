@@ -22,7 +22,6 @@ We reproduce the slice of ActiveRecord those benchmarks exercise:
 from repro.activerecord.database import (
     Database,
     QueryPlan,
-    QueryStats,
     TableSnapshot,
     default_indexing,
     set_default_indexing,
@@ -34,7 +33,6 @@ from repro.activerecord.annotations import register_activerecord, register_model
 __all__ = [
     "Database",
     "QueryPlan",
-    "QueryStats",
     "TableSnapshot",
     "default_indexing",
     "set_default_indexing",

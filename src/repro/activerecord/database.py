@@ -40,7 +40,7 @@ Indexed queries:
   applies.  ``Database.count``/``exists`` short-circuit without copying any
   rows.  Every executed plan is an explainable :class:`QueryPlan` (``kind``,
   ``index_column``, ``rows_examined``) surfaced via ``Database.last_plan``
-  and aggregated into :class:`QueryStats`.
+  and counted on the database's ``query.*`` counters (``Database.counters``).
 * Indexes participate in the snapshot machinery: ``dump`` hands the live
   index cache to the :class:`TableSnapshot` entry, ``adopt`` installs a
   snapshot's cached indexes copy-on-write (two levels: the outer
@@ -63,9 +63,10 @@ from __future__ import annotations
 
 import copy
 import os
-from dataclasses import dataclass, fields as _dataclass_fields
+from dataclasses import dataclass
 
 from repro.obs import trace
+from repro.obs.metrics import Counters
 from typing import (
     Any,
     Callable,
@@ -150,7 +151,7 @@ def _indexable(value: Any) -> bool:
     return True
 
 
-# -- plans and stats -----------------------------------------------------------
+# -- plans and counters --------------------------------------------------------
 
 
 @dataclass(slots=True)
@@ -180,72 +181,46 @@ class QueryPlan:
         }
 
 
-@dataclass
-class QueryStats:
-    """Aggregate query-planner counters for one database.
+#: The query planner's counters, owned by each :class:`Database` (meanings:
+#: ``docs/API.md``, "Metrics").
+QUERY_COUNTERS = (
+    "query.index_hits",
+    "query.scans",
+    "query.shortcuts",
+    "query.index_builds",
+    "query.rows_examined",
+)
 
-    ``index_hits`` counts queries answered through a hash lookup (plan kinds
-    ``get``/``index``), ``scans`` counts full-table fallbacks, ``shortcuts``
-    counts the O(1) condition-less count/exists path, ``index_builds`` counts
-    lazy index constructions, and ``rows_examined`` sums the rows inspected
-    across all plans.
-    """
 
-    index_hits: int = 0
-    scans: int = 0
-    shortcuts: int = 0
-    index_builds: int = 0
-    rows_examined: int = 0
+def _count_plan(counters: Counters, plan: QueryPlan) -> None:
+    """Count one executed plan: its kind and the rows it examined."""
 
-    def record(self, plan: QueryPlan) -> None:
-        if plan.kind == "scan":
-            self.scans += 1
-        elif plan.kind == "all":
-            self.shortcuts += 1
-        else:
-            self.index_hits += 1
-        self.rows_examined += plan.rows_examined
-        if trace.TRACER.enabled:
-            # Every 64th plan (queries are the hottest events in the whole
-            # engine): a sampled plan-kind timeline with the cumulative
-            # counters, enough to reconstruct hit ratios over time without
-            # an event per query.
-            total = self.index_hits + self.scans + self.shortcuts
-            if total % 64 == 0:
-                trace.TRACER.event(
-                    "orm.query",
-                    kind=plan.kind,
-                    table=plan.table,
-                    index_column=plan.index_column,
-                    index_hits=self.index_hits,
-                    scans=self.scans,
-                    shortcuts=self.shortcuts,
-                    rows_examined=self.rows_examined,
-                )
-
-    def merge(self, other: "QueryStats") -> None:
-        """Fold another database's counters in (every field, enforced by the
-        metrics-registry completeness test)."""
-
-        self.index_hits += other.index_hits
-        self.scans += other.scans
-        self.shortcuts += other.shortcuts
-        self.index_builds += other.index_builds
-        self.rows_examined += other.rows_examined
-
-    def copy(self) -> "QueryStats":
-        return QueryStats(**{f.name: getattr(self, f.name) for f in _dataclass_fields(self)})
-
-    def since(self, before: "QueryStats") -> "QueryStats":
-        return QueryStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(before, f.name)
-                for f in _dataclass_fields(self)
-            }
-        )
-
-    def as_dict(self) -> Dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in _dataclass_fields(self)}
+    if plan.kind == "scan":
+        counters["query.scans"] += 1
+    elif plan.kind == "all":
+        counters["query.shortcuts"] += 1
+    else:
+        counters["query.index_hits"] += 1
+    counters["query.rows_examined"] += plan.rows_examined
+    if trace.TRACER.enabled:
+        # Every 64th plan (queries are the hottest events in the whole
+        # engine): a sampled plan-kind timeline with the cumulative
+        # counters, enough to reconstruct hit ratios over time without
+        # an event per query.
+        index_hits = counters["query.index_hits"]
+        scans = counters["query.scans"]
+        shortcuts = counters["query.shortcuts"]
+        if (index_hits + scans + shortcuts) % 64 == 0:
+            trace.TRACER.event(
+                "orm.query",
+                kind=plan.kind,
+                table=plan.table,
+                index_column=plan.index_column,
+                index_hits=index_hits,
+                scans=scans,
+                shortcuts=shortcuts,
+                rows_examined=counters["query.rows_examined"],
+            )
 
 
 # -- snapshots -----------------------------------------------------------------
@@ -295,7 +270,7 @@ class Table:
         self,
         name: str,
         indexing: bool = True,
-        stats: Optional[QueryStats] = None,
+        counters: Optional[Counters] = None,
     ) -> None:
         self.name = name
         self.rows: Dict[int, Dict[str, Any]] = {}
@@ -304,7 +279,10 @@ class Table:
         #: ``update`` un-shares them copy-on-write before mutating.
         self._shared: Set[int] = set()
         self.indexing = bool(indexing)
-        self.stats = stats if stats is not None else QueryStats()
+        #: The owning database's ``query.*`` counters.
+        self.counters = (
+            counters if counters is not None else Counters.fromkeys(QUERY_COUNTERS, 0)
+        )
         #: Lazily built hash indexes: column -> value -> set of row ids.
         self._indexes: Dict[str, Dict[Any, Set[int]]] = {}
         #: Columns whose whole index (outer dict *and* buckets) is shared
@@ -350,7 +328,7 @@ class Table:
                 index[value] = bucket = set()
             bucket.add(row_id)
         self._indexes[column] = index
-        self.stats.index_builds += 1
+        self.counters["query.index_builds"] += 1
         if self._origin is not None:
             self._origin.indexes[column] = index
             self._index_shared.add(column)
@@ -575,17 +553,19 @@ class Table:
 
     def all(self) -> List[Dict[str, Any]]:
         rows = [_copy_row(row) for row in self.rows.values()]
-        self.stats.record(
-            QueryPlan("scan", self.name, rows_examined=len(rows), rows_matched=len(rows))
+        plan = QueryPlan(
+            "scan", self.name, rows_examined=len(rows), rows_matched=len(rows)
         )
+        _count_plan(self.counters, plan)
         return rows
 
     def select(self, predicate: Callable[[Dict[str, Any]], bool]) -> List[Dict[str, Any]]:
         rows = [_copy_row(row) for row in self.rows.values() if predicate(row)]
-        self.stats.record(
+        _count_plan(
+            self.counters,
             QueryPlan(
                 "scan", self.name, rows_examined=len(self.rows), rows_matched=len(rows)
-            )
+            ),
         )
         return rows
 
@@ -751,7 +731,7 @@ class Table:
             ids = ids[:limit]
         plan.rows_examined = examined
         plan.rows_matched = len(ids)
-        self.stats.record(plan)
+        _count_plan(self.counters, plan)
         return ids, plan
 
     # -- snapshot support -------------------------------------------------------
@@ -823,7 +803,8 @@ class Database:
         #: (copy-on-write: the next write replaces it with a private copy).
         self._globals_shared = False
         self.indexing = default_indexing() if indexing is None else bool(indexing)
-        self.query_stats = QueryStats()
+        #: Query-planner counters (``query.*``), shared by every table.
+        self.counters = Counters.fromkeys(QUERY_COUNTERS, 0)
         #: The most recently executed plan (``explain`` for the last query).
         self.last_plan: Optional[QueryPlan] = None
 
@@ -832,7 +813,7 @@ class Database:
     def table(self, name: str) -> Table:
         table = self._tables.get(name)
         if table is None:
-            table = Table(name, indexing=self.indexing, stats=self.query_stats)
+            table = Table(name, indexing=self.indexing, counters=self.counters)
             self._tables[name] = table
         return table
 
@@ -963,7 +944,7 @@ class Database:
         t = self.table(table)
         if not conditions and limit is None:
             self.last_plan = QueryPlan("all", table, rows_matched=len(t))
-            self.query_stats.record(self.last_plan)
+            _count_plan(self.counters, self.last_plan)
             return len(t)
         ids, plan = t.match_ids(conditions, limit=limit)
         self.last_plan = plan
@@ -977,7 +958,7 @@ class Database:
         t = self.table(table)
         if not conditions:
             self.last_plan = QueryPlan("all", table, rows_matched=min(len(t), 1))
-            self.query_stats.record(self.last_plan)
+            _count_plan(self.counters, self.last_plan)
             return len(t) > 0
         ids, plan = t.match_ids(conditions, limit=1)
         self.last_plan = plan

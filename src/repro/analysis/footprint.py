@@ -22,16 +22,17 @@ Like ``check_expr``, results are memoized on the (immutable) node in an
 underscore-prefixed entry (``_fp_memo``, which a pickled node never carries),
 keyed by ``ClassTable.generation`` and the types of the node's free
 variables, so filling a hole recomputes only the root-to-hole spine.  Memo
-hits are surfaced as ``SearchStats.footprint_hits``.
+hits are counted on ``search.footprint_hits``.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from repro.lang import ast as A
 from repro.lang import types as T
 from repro.lang.effects import STAR, Effect, EffectPair
+from repro.obs.metrics import Counters
 from repro.typesys.class_table import ClassTable, ResolvedSig
 from repro.typesys.typecheck import (
     SynTypeError,
@@ -55,31 +56,31 @@ def infer(
     expr: A.Node,
     env: Mapping[str, T.Type],
     ct: ClassTable,
-    stats: Optional[Any] = None,
+    counters: Optional[Counters] = None,
 ) -> Tuple[T.Type, EffectPair]:
     """The type and static effect footprint of ``expr`` under ``env``.
 
     Types come from :func:`repro.typesys.typecheck.check_expr` (shared memo
     and all); effects from the footprint pass below.  Raises
     :class:`SynTypeError` when the expression cannot be typed -- callers
-    that need a total answer use :func:`footprint` instead.  ``stats`` is
-    any object with a ``footprint_hits`` counter (``SearchStats`` in
-    practice); memo hits increment it.
+    that need a total answer use :func:`footprint` instead.  Memo hits
+    increment ``search.footprint_hits`` on ``counters`` (the run's search
+    counters).
     """
 
-    return check_expr(expr, env, ct), _pair(expr, env, ct, stats)
+    return check_expr(expr, env, ct), _pair(expr, env, ct, counters)
 
 
 def footprint(
     expr: A.Node,
     env: Mapping[str, T.Type],
     ct: ClassTable,
-    stats: Optional[Any] = None,
+    counters: Optional[Counters] = None,
 ) -> EffectPair:
     """Total variant of :func:`infer`: untypeable expressions widen to TOP."""
 
     try:
-        return _pair(expr, env, ct, stats)
+        return _pair(expr, env, ct, counters)
     except SynTypeError:
         return TOP_PAIR
 
@@ -88,25 +89,25 @@ def _pair(
     expr: A.Node,
     env: Mapping[str, T.Type],
     ct: ClassTable,
-    stats: Optional[Any],
+    counters: Optional[Counters],
 ) -> EffectPair:
     if not isinstance(expr, _MEMOIZED_NODES):
-        return _pair_structural(expr, env, ct, stats)
+        return _pair_structural(expr, env, ct, counters)
     key = _memo_key(expr, env, ct)
     if key is None:
-        return _pair_structural(expr, env, ct, stats)
+        return _pair_structural(expr, env, ct, counters)
     memo = expr.__dict__.get("_fp_memo")
     if memo is not None:
         hit = memo.get(key)
         if hit is not None:
-            if stats is not None:
-                stats.footprint_hits += 1
+            if counters is not None:
+                counters["search.footprint_hits"] += 1
             ok, payload = hit
             if ok:
                 return payload
             raise SynTypeError(payload)
     try:
-        result = _pair_structural(expr, env, ct, stats)
+        result = _pair_structural(expr, env, ct, counters)
     except SynTypeError as error:
         _memo_store(expr, memo, key, (False, str(error)))
         raise
@@ -127,7 +128,7 @@ def _pair_structural(
     expr: A.Node,
     env: Mapping[str, T.Type],
     ct: ClassTable,
-    stats: Optional[Any],
+    counters: Optional[Counters],
 ) -> EffectPair:
     if isinstance(
         expr, (A.NilLit, A.BoolLit, A.IntLit, A.StrLit, A.SymLit)
@@ -146,36 +147,36 @@ def _pair_structural(
         # the only sound abstraction of "anything".
         return TOP_PAIR
     if isinstance(expr, A.Seq):
-        return _pair(expr.first, env, ct, stats).union(
-            _pair(expr.second, env, ct, stats)
+        return _pair(expr.first, env, ct, counters).union(
+            _pair(expr.second, env, ct, counters)
         )
     if isinstance(expr, A.Let):
-        value_pair = _pair(expr.value, env, ct, stats)
+        value_pair = _pair(expr.value, env, ct, counters)
         inner = dict(env)
         inner[expr.var] = check_expr(expr.value, env, ct)
-        return value_pair.union(_pair(expr.body, inner, ct, stats))
+        return value_pair.union(_pair(expr.body, inner, ct, counters))
     if isinstance(expr, A.If):
         # Path-insensitive: both branches may run.
         return (
-            _pair(expr.cond, env, ct, stats)
-            .union(_pair(expr.then_branch, env, ct, stats))
-            .union(_pair(expr.else_branch, env, ct, stats))
+            _pair(expr.cond, env, ct, counters)
+            .union(_pair(expr.then_branch, env, ct, counters))
+            .union(_pair(expr.else_branch, env, ct, counters))
         )
     if isinstance(expr, A.Not):
-        return _pair(expr.expr, env, ct, stats)
+        return _pair(expr.expr, env, ct, counters)
     if isinstance(expr, A.Or):
-        return _pair(expr.left, env, ct, stats).union(
-            _pair(expr.right, env, ct, stats)
+        return _pair(expr.left, env, ct, counters).union(
+            _pair(expr.right, env, ct, counters)
         )
     if isinstance(expr, A.HashLit):
         pair = _PURE_PAIR
         for _key, value in expr.entries:
-            pair = pair.union(_pair(value, env, ct, stats))
+            pair = pair.union(_pair(value, env, ct, counters))
         return pair
     if isinstance(expr, A.MethodCall):
-        return _call_pair(expr, env, ct, stats)
+        return _call_pair(expr, env, ct, counters)
     if isinstance(expr, A.MethodDef):
-        return _pair(expr.body, env, ct, stats)
+        return _pair(expr.body, env, ct, counters)
     raise SynTypeError(f"cannot analyze expression {expr!r}")
 
 
@@ -183,11 +184,11 @@ def _call_pair(
     expr: A.MethodCall,
     env: Mapping[str, T.Type],
     ct: ClassTable,
-    stats: Optional[Any],
+    counters: Optional[Counters],
 ) -> EffectPair:
-    pair = _pair(expr.receiver, env, ct, stats)
+    pair = _pair(expr.receiver, env, ct, counters)
     for arg in expr.args:
-        pair = pair.union(_pair(arg, env, ct, stats))
+        pair = pair.union(_pair(arg, env, ct, counters))
     receiver_type = check_expr(expr.receiver, env, ct)
     # A union receiver may dispatch to any member at runtime, so the call's
     # footprint unions every member's resolved annotation -- the same
@@ -234,7 +235,7 @@ def _write_specificity(resolved: ResolvedSig) -> Tuple[int, int, int]:
 
 
 def writers_for_effect(
-    hole_effect: Effect, ct: ClassTable, stats: Optional[Any] = None
+    hole_effect: Effect, ct: ClassTable, counters: Optional[Counters] = None
 ) -> List[ResolvedSig]:
     """Resolved synthesis methods whose write effect subsumes ``hole_effect``,
     most-specific-first.
@@ -245,7 +246,7 @@ def writers_for_effect(
     The list is ordered by :func:`_write_specificity` so the enumerator
     tries precise writers (the likeliest minimal fills) before class-level
     and ``*`` writers; expansions whose order differs from the declaration
-    scan are counted on ``stats.writer_reorders`` (every call with the same
+    scan are counted on ``search.writer_reorders`` (every call with the same
     effect counts, memo hit or not, so merged parallel counters equal a
     serial run's).
     """
@@ -256,10 +257,10 @@ def writers_for_effect(
     hit = _WRITERS_MEMO.get(key)
     if hit is not None:
         writers, reordered = hit
-        if stats is not None:
-            stats.footprint_hits += 1
+        if counters is not None:
+            counters["search.footprint_hits"] += 1
             if reordered:
-                stats.writer_reorders += 1
+                counters["search.writer_reorders"] += 1
         return writers
     scan = [
         resolved
@@ -272,6 +273,6 @@ def writers_for_effect(
     if len(_WRITERS_MEMO) >= _WRITERS_MEMO_LIMIT:
         _WRITERS_MEMO.clear()
     _WRITERS_MEMO[key] = (writers, reordered)
-    if stats is not None and reordered:
-        stats.writer_reorders += 1
+    if counters is not None and reordered:
+        counters["search.writer_reorders"] += 1
     return writers

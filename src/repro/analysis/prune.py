@@ -31,7 +31,7 @@ interpreter pass for an outcome that is already known.
    :class:`~repro.synth.goal.SpecOutcome` its first representative
    produced.  A later candidate with a known normal form reuses the
    outcome without touching the interpreter or the database -- counted as
-   ``SearchStats.static_prunes``.  Alpha-keying is sound because bound
+   ``search.static_prunes``.  Alpha-keying is sound because bound
    names are not observable: evaluation of alpha-equivalent expressions
    produces the same value, effects and errors (binders resolve to the
    same frame slots under both namings).
@@ -57,11 +57,12 @@ toggles it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Hashable, Optional
+from typing import TYPE_CHECKING, Dict, Hashable, Optional
 
 from repro.lang import ast as A
 from repro.lang.resolve import alpha_key
 from repro.analysis.footprint import footprint
+from repro.obs.metrics import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.synth.goal import SpecOutcome, SynthesisProblem
@@ -73,10 +74,12 @@ _LITERALS = (A.NilLit, A.BoolLit, A.IntLit, A.StrLit, A.SymLit)
 class StaticPruner:
     """Normal-form outcome memo for one work-list search (one spec)."""
 
-    def __init__(self, problem: "SynthesisProblem", stats: Optional[Any] = None) -> None:
+    def __init__(
+        self, problem: "SynthesisProblem", counters: Optional[Counters] = None
+    ) -> None:
         self.env = dict(problem.param_env)
         self.ct = problem.class_table
-        self.stats = stats
+        self.counters = counters
         self._outcomes: Dict[Hashable, "SpecOutcome"] = {}
         self._normal: Dict[A.Node, A.Node] = {}
 
@@ -98,7 +101,7 @@ class StaticPruner:
     def write_pure(self, candidate: A.Node) -> bool:
         """Whether the candidate's static write footprint is provably pure."""
 
-        return footprint(candidate, self.env, self.ct, self.stats).write.is_pure
+        return footprint(candidate, self.env, self.ct, self.counters).write.is_pure
 
     # ------------------------------------------------------------------ normalize
 
@@ -187,7 +190,7 @@ class StaticPruner:
             witness = self._outcomes.get(alpha_key(self._reduce(prefix)))
             if witness is None or witness.error is not None:
                 break
-            if not footprint(prefix, self.env, self.ct, self.stats).write.is_pure:
+            if not footprint(prefix, self.env, self.ct, self.counters).write.is_pure:
                 break
             normal = normal.second
         return normal

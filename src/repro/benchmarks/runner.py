@@ -5,7 +5,9 @@ Built on :class:`repro.synth.session.SynthesisSession`: a warm
 and, when the caller provides a session with one, the persistent
 spec-outcome store) across its runs, while ``warm_state=False`` gives every
 run a freshly built problem inside a throwaway store-less session for fully
-isolated (cold) timing measurements.
+isolated (cold) timing measurements.  A :class:`BenchmarkResult` sums its
+runs' counters (``result.counters``, keyed ``layer.name``) with
+:meth:`~repro.obs.metrics.Counters.merge`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.benchmarks.registry import BenchmarkSpec
-from repro.obs.metrics import merge_snapshots
+from repro.obs.metrics import Counters, merge_snapshots
 from repro.synth.config import SynthConfig
 from repro.synth.session import SynthesisSession
 from repro.synth.synthesizer import SynthesisResult
@@ -37,36 +39,9 @@ class BenchmarkResult:
     lib_methods: int = 0
     program_text: str = ""
     last_result: Optional[SynthesisResult] = None
-    # Evaluation-cache counters summed across runs (see repro.synth.cache).
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_redundant: int = 0
-    cache_evictions: int = 0
-    # Persistent-store counters summed across runs (see repro.synth.store):
-    # outcomes answered from / missed by the session's on-disk store.
-    store_hits: int = 0
-    store_misses: int = 0
-    # State-management counters summed across runs (see repro.synth.state):
-    # snapshot restores vs. full reset+setup rebuilds, and how often the
-    # problem's reset closure actually ran.
-    state_restores: int = 0
-    state_rebuilds: int = 0
-    reset_replays: int = 0
-    # Query-planner counters summed across runs (repro.activerecord): spec
-    # evaluations answered through a hash index vs. full-table scans.
-    index_hits: int = 0
-    index_scans: int = 0
-    # Static-analysis counters summed across runs (repro.analysis): dynamic
-    # candidate evaluations performed vs. answered statically, footprint
-    # memo hits, restores skipped via the write-pure fast-path, and S-Eff
-    # type fallbacks (each a latent annotation bug; see effect_guided).
-    evaluated: int = 0
-    static_prunes: int = 0
-    footprint_hits: int = 0
-    state_pure_skips: int = 0
-    effect_type_fallbacks: int = 0
-    # Unified metrics (repro.obs.metrics): the per-run snapshots folded
-    # together with ``merge_snapshots`` across this result's runs.
+    #: The runs' counters summed (``SynthesisResult.counters``).
+    counters: Counters = field(default_factory=Counters)
+    #: The runs' metrics snapshots folded with ``merge_snapshots``.
     metrics: Optional[dict] = None
 
     @property
@@ -89,27 +64,12 @@ class BenchmarkResult:
         return f"{self.median_s:.2f} ± {self.siqr_s:.2f}"
 
     def record(self, outcome: SynthesisResult, elapsed: float) -> None:
-        """Fold one run's outcome into the summed counters."""
+        """Fold one run's outcome into this result."""
 
         self.last_result = outcome
         self.timed_out = outcome.timed_out
         self.success = outcome.success
-        self.cache_hits += outcome.stats.cache_hits
-        self.cache_misses += outcome.stats.cache_misses
-        self.cache_redundant += outcome.stats.cache_redundant
-        self.cache_evictions += outcome.stats.cache_evictions
-        self.store_hits += outcome.stats.store_hits
-        self.store_misses += outcome.stats.store_misses
-        self.state_restores += outcome.stats.state_restores
-        self.state_rebuilds += outcome.stats.state_rebuilds
-        self.reset_replays += outcome.stats.reset_replays
-        self.index_hits += outcome.stats.index_hits
-        self.index_scans += outcome.stats.index_scans
-        self.evaluated += outcome.stats.evaluated
-        self.static_prunes += outcome.stats.static_prunes
-        self.footprint_hits += outcome.stats.footprint_hits
-        self.state_pure_skips += outcome.stats.state_pure_skips
-        self.effect_type_fallbacks += outcome.stats.effect_type_fallbacks
+        self.counters.merge(outcome.counters)
         if outcome.metrics is not None:
             self.metrics = (
                 outcome.metrics

@@ -12,8 +12,8 @@ The sweep runs through one :class:`SynthesisSession`: a benchmark's three
 precision variants run back to back against *one* problem whose snapshot
 recordings are shared (spec outcomes are memoized per precision, so no
 outcome crosses precision levels, but the candidate-independent setup
-recordings are replayed instead of rebuilt -- the warm ``_with_precision``
-rework).  Pass ``--cold`` (or ``warm=False``) for the legacy fully isolated
+recordings are replayed instead of rebuilt -- the session's warm precision
+variants).  Pass ``--cold`` (or ``warm=False``) for the legacy fully isolated
 cells, and ``--store`` to persist spec outcomes across sweep processes.
 """
 

@@ -4,12 +4,12 @@ For every benchmark the harness reports the columns of the paper's Table 1:
 number of specs, min/max assertions, number of library methods, the median ±
 SIQR synthesis time with full type-and-effect guidance, the median times with
 only type guidance, only effect guidance and neither, and the synthesized
-method's size (AST nodes) and path count.  A ``cache`` column (hits/misses)
-additionally reports how much work the evaluation memo of
-:mod:`repro.synth.cache` absorbed during the full-guidance run, and a
-``state`` column (restores/rebuilds) how many reset+setup replays the
-snapshot manager of :mod:`repro.synth.state` turned into copy-on-write
-database restores.
+method's size (AST nodes) and path count.  Two columns read the
+full-guidance runs' counters: ``cache`` (spec and guard memo hits/misses,
+``cache.*``) reports how much work the evaluation memo of
+:mod:`repro.synth.cache` absorbed, and ``state`` (``state.restores`` /
+``state.rebuilds``) how many reset+setup replays the snapshot manager of
+:mod:`repro.synth.state` turned into copy-on-write database restores.
 
 The paper uses 11 runs and a 300 s timeout on a 2016 MacBook Pro; the
 defaults here are smaller (3 runs, 30 s timeout) so a full sweep stays cheap,
@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import argparse
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.benchmarks import BenchmarkSpec, all_benchmarks, run_benchmark
 from repro.evaluation.report import format_table, format_time
+from repro.obs.metrics import Counters
 from repro.synth.config import SynthConfig
 from repro.synth.session import SynthesisSession
 
@@ -55,12 +56,13 @@ class Table1Row:
     meth_size: Optional[int] = None
     syn_paths: Optional[int] = None
     success: bool = False
-    cache_hits: int = 0
-    cache_misses: int = 0
-    state_restores: int = 0
-    state_rebuilds: int = 0
+    #: The full-guidance runs' summed counters (``BenchmarkResult.counters``).
+    counters: Counters = field(default_factory=Counters)
 
     def as_dict(self) -> Dict[str, object]:
+        c = self.counters
+        hits = c["cache.spec_hits"] + c["cache.guard_hits"]
+        misses = c["cache.spec_misses"] + c["cache.guard_misses"]
         row: Dict[str, object] = {
             "id": self.benchmark.id,
             "name": self.benchmark.name,
@@ -70,8 +72,8 @@ class Table1Row:
             "time": format_time(self.median_s, self.siqr_s, self.success),
             "size": self.meth_size if self.meth_size is not None else "-",
             "paths": self.syn_paths if self.syn_paths is not None else "-",
-            "cache": f"{self.cache_hits}/{self.cache_misses}",
-            "state": f"{self.state_restores}/{self.state_rebuilds}",
+            "cache": f"{hits}/{misses}",
+            "state": f"{c['state.restores']}/{c['state.rebuilds']}",
             "paper_time": f"{self.benchmark.paper.time_s:.2f}",
             "paper_size": self.benchmark.paper.meth_size,
             "paper_paths": self.benchmark.paper.syn_paths,
@@ -185,10 +187,7 @@ def run_table1(
         row.siqr_s = result.siqr_s
         row.meth_size = result.meth_size
         row.syn_paths = result.syn_paths
-        row.cache_hits = result.cache_hits
-        row.cache_misses = result.cache_misses
-        row.state_restores = result.state_restores
-        row.state_rebuilds = result.state_rebuilds
+        row.counters = result.counters
 
         # The guidance-mode columns compare modes against each other, so
         # like Figure 7 the sweep is cold per cell (a session per cell via

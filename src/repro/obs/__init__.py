@@ -7,9 +7,9 @@ engine reports itself through:
   span/parent ids, JSONL sink) instrumented through the whole pipeline.
   Default-off: every instrumentation site guards on a single attribute
   check against a no-op tracer, so the disabled path costs one branch.
-- :mod:`repro.obs.metrics` -- a registry of counters/gauges/histograms
-  that wraps the engine's existing stats dataclasses behind one
-  ``snapshot()`` export path, plus per-phase wall-time histograms.
+- :mod:`repro.obs.metrics` -- the engine's one counter namespace
+  (:class:`~repro.obs.metrics.Counters`, keyed ``layer.name``) and the
+  per-phase wall-time histograms, behind one ``snapshot()`` export path.
 - :mod:`repro.obs.tool` -- trace analysis (per-phase breakdowns, slowest
   specs, hit-ratio timelines) and Chrome trace-event export, fronted by
   ``scripts/trace_tool.py``.

@@ -1,76 +1,90 @@
-"""Unified metrics: one export path over the engine's stats dataclasses.
+"""Engine counters and per-phase timings behind one export path.
 
-The engine grew one ad-hoc counter dataclass per subsystem --
-``SearchStats`` (search), ``CacheStats`` (evaluation memo + persistent
-store counters), ``StateStats`` (snapshots), ``QueryStats`` (ORM
-planner), ``StoreStats`` (on-disk store file) -- each with its own
-``as_dict``/``merge``.  :class:`MetricsRegistry` wraps any number of them
-(live references, so a snapshot always reflects the current values)
-behind a single schema-versioned ``snapshot()`` export, alongside
-free-standing counters/gauges and per-phase wall-time histograms.
+Every unit of work the engine counts lives in one flat :class:`Counters`
+dict keyed ``layer.name`` -- ``search.expansions``, ``cache.spec_hits``,
+``state.restores``, ``query.index_hits``, ``store.writes``.  Each counter
+has exactly one owner, which declares its keys (at zero) and increments
+them where the work happens:
 
-Snapshots are plain JSON-able dicts; :func:`merge_snapshots` folds two of
-them (summing counters and numeric stats fields, or-ing booleans,
-combining histograms) so parallel workers' metrics merge the same way
-their stats dataclasses already do.
+* ``search.*`` -- the run's search (a fresh ``Counters`` per run or worker
+  task), except ``search.reset_replays``, which the problem counts;
+* ``cache.*`` -- the evaluation memo (:class:`~repro.synth.cache.SynthCache`);
+* ``state.*`` -- the snapshot manager
+  (:class:`~repro.synth.state.StateManager`);
+* ``query.*`` -- the database's query planner
+  (:class:`~repro.activerecord.database.Database`);
+* ``store.*`` -- the persistent store
+  (:class:`~repro.synth.store.SpecOutcomeStore`).
+
+``docs/API.md`` ("Metrics") lists every key with its meaning.  The memo,
+snapshot manager, database, store and problem outlive a run, so a run (or
+a worker task) reports their work as a :class:`Baseline` delta.  Counts
+from several runs or worker processes fold with :meth:`Counters.merge`.
+
+:class:`MetricsRegistry` adds per-phase wall-time histograms;
+``snapshot(counters)`` is the schema-versioned JSON-able dict on
+``SynthesisResult.metrics`` (``phases`` plus ``stats``, the counters nested
+per layer), and :func:`merge_snapshots` folds two snapshots.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Mapping, Optional
 
 #: Bump when the snapshot dict changes shape.
-METRICS_SCHEMA_VERSION = 1
+METRICS_SCHEMA_VERSION = 2
 
 
-def stats_sources() -> Dict[str, type]:
-    """The stats dataclasses the registry is expected to wrap.
+class Counters(dict):
+    """Flat engine counters keyed ``layer.name``; a missing key reads 0.
 
-    A function (not a module constant) so importing :mod:`repro.obs`
-    never drags the whole engine in; the completeness tests iterate this
-    to lock every class into the export/merge path.
+    A plain dict underneath, so an increment is one dict update with a
+    constant key (``counters["search.pushed"] += 1``).
     """
 
-    from repro.activerecord.database import QueryStats
-    from repro.synth.cache import CacheStats
-    from repro.synth.search import SearchStats
-    from repro.synth.state import StateStats
-    from repro.synth.store import StoreStats
+    __slots__ = ()
 
-    return {
-        "search": SearchStats,
-        "cache": CacheStats,
-        "state": StateStats,
-        "query": QueryStats,
-        "store": StoreStats,
-    }
+    def __missing__(self, key: str) -> int:
+        return 0
+
+    def copy(self) -> "Counters":
+        return Counters(self)
+
+    def since(self, before: Mapping[str, int]) -> "Counters":
+        """What was counted after ``before`` was copied (every key kept)."""
+
+        return Counters(
+            {key: value - before.get(key, 0) for key, value in self.items()}
+        )
+
+    def merge(self, other: Mapping[str, int]) -> None:
+        """Add ``other``'s counts to this one's (new keys start at 0)."""
+
+        for key, value in other.items():
+            self[key] += value
+
+    def as_dict(self) -> Dict[str, Dict[str, int]]:
+        """The counters nested per layer: ``{layer: {name: value}}``."""
+
+        nested: Dict[str, Dict[str, int]] = {}
+        for key in sorted(self):
+            layer, _, name = key.partition(".")
+            nested.setdefault(layer, {})[name] = self[key]
+        return nested
 
 
-class Counter:
-    """Monotonically increasing integer."""
+class Baseline:
+    """Several owners' counters at one moment; :meth:`delta` is what they
+    have counted since, summed into one :class:`Counters`."""
 
-    __slots__ = ("name", "value")
+    def __init__(self, *owners: Optional[Counters]) -> None:
+        self._owners = [(c, c.copy()) for c in owners if c is not None]
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
-
-
-class Gauge:
-    """Last-write-wins numeric value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
+    def delta(self) -> Counters:
+        total = Counters()
+        for counters, before in self._owners:
+            total.merge(counters.since(before))
+        return total
 
 
 class Histogram:
@@ -104,27 +118,10 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Counters, gauges, phase histograms and attached stats dataclasses."""
+    """Per-phase wall-time histograms of one run."""
 
     def __init__(self) -> None:
-        self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._stats: Dict[str, Any] = {}
-
-    # ----------------------------------------------------------- instruments
-
-    def counter(self, name: str) -> Counter:
-        instrument = self._counters.get(name)
-        if instrument is None:
-            instrument = self._counters[name] = Counter(name)
-        return instrument
-
-    def gauge(self, name: str) -> Gauge:
-        instrument = self._gauges.get(name)
-        if instrument is None:
-            instrument = self._gauges[name] = Gauge(name)
-        return instrument
 
     def histogram(self, name: str) -> Histogram:
         instrument = self._histograms.get(name)
@@ -137,53 +134,17 @@ class MetricsRegistry:
 
         self.histogram(phase).observe(seconds)
 
-    def attach_stats(self, prefix: str, stats: Any) -> None:
-        """Export a stats dataclass (live reference) under ``prefix``.
-
-        The snapshot enumerates ``dataclasses.fields`` directly rather
-        than trusting ``as_dict`` so a field added to a stats class can
-        never silently drop out of the export (the completeness tests
-        additionally cross-check ``as_dict`` agreement).
-        """
-
-        if not dataclasses.is_dataclass(stats):
-            raise TypeError(f"attach_stats needs a dataclass, got {type(stats)!r}")
-        self._stats[prefix] = stats
-
-    # ---------------------------------------------------------------- export
-
-    def snapshot(self) -> Dict[str, Any]:
-        """One JSON-able dict of everything the registry knows."""
+    def snapshot(self, counters: Optional[Counters] = None) -> Dict[str, Any]:
+        """One JSON-able dict of the phase timings and ``counters``."""
 
         return {
             "schema_version": METRICS_SCHEMA_VERSION,
-            "counters": {
-                name: counter.value for name, counter in sorted(self._counters.items())
-            },
-            "gauges": {
-                name: gauge.value for name, gauge in sorted(self._gauges.items())
-            },
             "phases": {
                 name: hist.as_dict()
                 for name, hist in sorted(self._histograms.items())
             },
-            "stats": {
-                prefix: {
-                    field.name: getattr(stats, field.name)
-                    for field in dataclasses.fields(stats)
-                }
-                for prefix, stats in sorted(self._stats.items())
-            },
+            "stats": counters.as_dict() if counters is not None else {},
         }
-
-    def as_dict(self) -> Dict[str, Any]:
-        return self.snapshot()
-
-
-def _merge_value(a: Any, b: Any) -> Any:
-    if isinstance(a, bool) or isinstance(b, bool):
-        return bool(a) or bool(b)
-    return a + b
 
 
 def _merge_histogram(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
@@ -201,30 +162,22 @@ def _merge_histogram(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def merge_snapshots(a: Dict[str, Any], b: Dict[str, Any]) -> Dict[str, Any]:
-    """Fold two snapshots: counters/stats sum (bools or), histograms combine.
+    """Fold two snapshots: counters sum, histograms combine."""
 
-    Gauges are last-write-wins, matching their in-process semantics:
-    ``b``'s value survives where both define one.
-    """
-
-    merged: Dict[str, Any] = {"schema_version": METRICS_SCHEMA_VERSION}
-    merged["counters"] = dict(a.get("counters", {}))
-    for name, value in b.get("counters", {}).items():
-        merged["counters"][name] = _merge_value(merged["counters"].get(name, 0), value)
-    merged["gauges"] = {**a.get("gauges", {}), **b.get("gauges", {})}
-    merged["phases"] = dict(a.get("phases", {}))
+    phases = dict(a.get("phases", {}))
     for name, hist in b.get("phases", {}).items():
-        if name in merged["phases"]:
-            merged["phases"][name] = _merge_histogram(merged["phases"][name], hist)
-        else:
-            merged["phases"][name] = dict(hist)
-    merged["stats"] = {
-        prefix: dict(fields) for prefix, fields in a.get("stats", {}).items()
+        phases[name] = (
+            _merge_histogram(phases[name], hist) if name in phases else dict(hist)
+        )
+    stats: Dict[str, Dict[str, int]] = {
+        layer: dict(names) for layer, names in a.get("stats", {}).items()
     }
-    for prefix, fields in b.get("stats", {}).items():
-        section = merged["stats"].setdefault(prefix, {})
-        for name, value in fields.items():
-            section[name] = (
-                _merge_value(section[name], value) if name in section else value
-            )
-    return merged
+    for layer, names in b.get("stats", {}).items():
+        section = stats.setdefault(layer, {})
+        for name, value in names.items():
+            section[name] = section.get(name, 0) + value
+    return {
+        "schema_version": METRICS_SCHEMA_VERSION,
+        "phases": phases,
+        "stats": stats,
+    }

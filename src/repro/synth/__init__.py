@@ -20,27 +20,23 @@ The public entry point is :class:`~repro.synth.session.SynthesisSession`: a
 context-managed engine owning the evaluation memo
 (:mod:`repro.synth.cache`), the snapshot managers
 (:mod:`repro.synth.state`), the base config and an optional persistent
-spec-outcome store (:mod:`repro.synth.store`).  ``session.run`` replaces the
-deprecated one-shot :func:`~repro.synth.synthesizer.synthesize`, and
-``session.sweep`` drives the evaluation harnesses.  See ``docs/API.md``.
+spec-outcome store (:mod:`repro.synth.store`).  ``session.run`` synthesizes
+one problem and ``session.sweep`` drives the evaluation harnesses; every
+result carries the run's counters (:class:`~repro.obs.metrics.Counters`,
+keyed ``layer.name``).  See ``docs/API.md``.
 """
 
-from repro.synth.cache import CacheStats, SynthCache
+from repro.synth.cache import SynthCache
 from repro.synth.config import SynthConfig
 from repro.synth.dsl import define
 from repro.synth.goal import Spec, SpecContext, SynthesisProblem, evaluate_spec
 from repro.synth.parallel import ParallelExecutor, run_synthesis_parallel
 from repro.synth.session import SweepEntry, SynthesisSession
-from repro.synth.state import (
-    NondeterministicSetupError,
-    StateManager,
-    StateStats,
-)
-from repro.synth.store import SpecOutcomeStore, StoreStats
-from repro.synth.synthesizer import SynthesisResult, run_synthesis, synthesize
+from repro.synth.state import NondeterministicSetupError, StateManager
+from repro.synth.store import SpecOutcomeStore
+from repro.synth.synthesizer import SynthesisResult, run_synthesis
 
 __all__ = [
-    "CacheStats",
     "SynthCache",
     "SynthConfig",
     "define",
@@ -50,14 +46,11 @@ __all__ = [
     "evaluate_spec",
     "NondeterministicSetupError",
     "StateManager",
-    "StateStats",
     "SpecOutcomeStore",
-    "StoreStats",
     "ParallelExecutor",
     "run_synthesis_parallel",
     "SweepEntry",
     "SynthesisSession",
     "SynthesisResult",
     "run_synthesis",
-    "synthesize",
 ]

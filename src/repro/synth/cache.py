@@ -32,18 +32,18 @@ An enabled cache may additionally carry a persistent spec-outcome store
 :class:`~repro.synth.session.SynthesisSession`): in-memory misses fall back
 to the store's content-hash-keyed entries, which survive the process, and
 every executed outcome is written through.  Store hits skip the execution
-like memo hits do but are counted separately (``CacheStats.store_hits``).
+like memo hits do but are counted separately (``cache.store_hits``).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from repro.lang import ast as A
 from repro.lang.resolve import alpha_key
 from repro.obs import trace
+from repro.obs.metrics import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.synth.config import SynthConfig
@@ -51,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.synth.store import SpecOutcomeStore
 
 #: Default bound on memo entries; beyond it the least-recently-used entry
-#: is evicted (counted in :attr:`CacheStats.evictions`).
+#: is evicted (counted on ``cache.evictions``).
 DEFAULT_MAX_ENTRIES = 100_000
 
 #: Sentinel stored for keys tracked by a *disabled* cache (key presence is
@@ -62,86 +62,29 @@ _TRACKED = object()
 _MISSING = object()
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/eviction counters for one :class:`SynthCache`."""
-
-    spec_hits: int = 0
-    spec_misses: int = 0
-    #: Disabled-cache lookups that *would* have hit: each one is a redundant
-    #: ``reset+setup+run`` execution the enabled cache eliminates.
-    spec_redundant: int = 0
-    guard_hits: int = 0
-    guard_misses: int = 0
-    guard_redundant: int = 0
-    evictions: int = 0
-    invalidations: int = 0
-    #: Persistent-store lookups (spec and guard combined; see
-    #: :mod:`repro.synth.store`).  A store hit skips the execution entirely
-    #: and is *not* double-counted as an in-memory hit or miss.
-    store_hits: int = 0
-    store_misses: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.spec_hits + self.guard_hits
-
-    @property
-    def misses(self) -> int:
-        return self.spec_misses + self.guard_misses
-
-    @property
-    def redundant(self) -> int:
-        return self.spec_redundant + self.guard_redundant
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "spec_hits": self.spec_hits,
-            "spec_misses": self.spec_misses,
-            "spec_redundant": self.spec_redundant,
-            "guard_hits": self.guard_hits,
-            "guard_misses": self.guard_misses,
-            "guard_redundant": self.guard_redundant,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-            "store_hits": self.store_hits,
-            "store_misses": self.store_misses,
-        }
-
-    def copy(self) -> "CacheStats":
-        return CacheStats(**self.as_dict())
-
-    def since(self, before: "CacheStats") -> "CacheStats":
-        """The counter deltas accumulated after ``before`` was copied.
-
-        Used when one cache is shared across several ``synthesize`` calls
-        (the per-registry warm cache): each run reports only its own work.
-        """
-
-        before_counts = before.as_dict()
-        return CacheStats(
-            **{key: value - before_counts[key] for key, value in self.as_dict().items()}
-        )
-
-    def merge(self, other: "CacheStats") -> None:
-        self.spec_hits += other.spec_hits
-        self.spec_misses += other.spec_misses
-        self.spec_redundant += other.spec_redundant
-        self.guard_hits += other.guard_hits
-        self.guard_misses += other.guard_misses
-        self.guard_redundant += other.guard_redundant
-        self.evictions += other.evictions
-        self.invalidations += other.invalidations
-        self.store_hits += other.store_hits
-        self.store_misses += other.store_misses
+#: The memo's counters, owned by each :class:`SynthCache` (meanings:
+#: ``docs/API.md``, "Metrics").
+CACHE_COUNTERS = (
+    "cache.spec_hits",
+    "cache.spec_misses",
+    "cache.spec_redundant",
+    "cache.guard_hits",
+    "cache.guard_misses",
+    "cache.guard_redundant",
+    "cache.evictions",
+    "cache.invalidations",
+    "cache.store_hits",
+    "cache.store_misses",
+)
 
 
 class SynthCache:
-    """Spec/guard evaluation memo of one run.
+    """Spec/guard evaluation memo.
 
-    One instance is created per :func:`~repro.synth.synthesizer.synthesize`
-    call and threaded through the search, reuse and merge phases, so the
-    memo never outlives the problem state it was recorded against.
+    A :class:`~repro.synth.session.SynthesisSession` owns one instance and
+    threads it through the search, reuse and merge phases of every run; it
+    is registered on the problems it serves, so baseline invalidations
+    flush it.
     """
 
     def __init__(
@@ -163,7 +106,7 @@ class SynthCache:
         #: disabled cache is a measurement baseline and must execute -- and
         #: written through whenever an executed outcome is recorded.
         self.store = store
-        self.stats = CacheStats()
+        self.counters = Counters.fromkeys(CACHE_COUNTERS, 0)
         self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
         #: Representative program node per key.  Keys identify programs by
         #: alpha-key, which cannot be turned back into a program; the store
@@ -210,7 +153,7 @@ class SynthCache:
         while len(self._entries) > self.max_entries:
             evicted, _ = self._entries.popitem(last=False)
             self._programs.pop(evicted, None)
-            self.stats.evictions += 1
+            self.counters["cache.evictions"] += 1
 
     # ------------------------------------------------------------------ spec memo
 
@@ -224,7 +167,7 @@ class SynthCache:
         """
 
         if not self.enabled and not self.track_redundancy:
-            self.stats.spec_misses += 1
+            self.counters["cache.spec_misses"] += 1
             return None
         key = self._key("spec", problem, program, spec)
         entry = self._get(key)
@@ -232,18 +175,18 @@ class SynthCache:
             if self.enabled and self.store is not None:
                 outcome = self.store.load_spec(problem, program, spec)
                 if outcome is not None:
-                    self.stats.store_hits += 1
+                    self.counters["cache.store_hits"] += 1
                     self._put(key, outcome, program)
                     if trace.TRACER.enabled:
                         trace.TRACER.annotate(src="store")
                     return outcome
-                self.stats.store_misses += 1
-            self.stats.spec_misses += 1
+                self.counters["cache.store_misses"] += 1
+            self.counters["cache.spec_misses"] += 1
             return None
         if not self.enabled:
-            self.stats.spec_redundant += 1
+            self.counters["cache.spec_redundant"] += 1
             return None
-        self.stats.spec_hits += 1
+        self.counters["cache.spec_hits"] += 1
         if trace.TRACER.enabled:
             trace.TRACER.annotate(src="memo")
         return entry
@@ -274,7 +217,7 @@ class SynthCache:
         """
 
         if not self.enabled and not self.track_redundancy:
-            self.stats.guard_misses += 1
+            self.counters["cache.guard_misses"] += 1
             return _MISSING
         key = self._key("guard", problem, program, spec)
         entry = self._get(key)
@@ -284,18 +227,18 @@ class SynthCache:
 
                 truth = self.store.load_guard(problem, program, spec)
                 if truth is not STORE_MISS:
-                    self.stats.store_hits += 1
+                    self.counters["cache.store_hits"] += 1
                     self._put(key, truth, program)
                     if trace.TRACER.enabled:
                         trace.TRACER.annotate(src="store")
                     return truth
-                self.stats.store_misses += 1
-            self.stats.guard_misses += 1
+                self.counters["cache.store_misses"] += 1
+            self.counters["cache.guard_misses"] += 1
             return _MISSING
         if not self.enabled:
-            self.stats.guard_redundant += 1
+            self.counters["cache.guard_redundant"] += 1
             return _MISSING
-        self.stats.guard_hits += 1
+        self.counters["cache.guard_hits"] += 1
         if trace.TRACER.enabled:
             trace.TRACER.annotate(src="memo")
         return entry
@@ -393,7 +336,7 @@ class SynthCache:
         self._programs.clear()
         if self.store is not None:
             self.store.invalidate()
-        self.stats.invalidations += 1
+        self.counters["cache.invalidations"] += 1
 
     def __len__(self) -> int:
         return len(self._entries)

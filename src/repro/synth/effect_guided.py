@@ -16,12 +16,13 @@ effect subsumes the hole's effect, or removed entirely by S-EffNil.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import List, Optional
 
 from repro.lang import ast as A
 from repro.lang import types as T
 from repro.lang.effects import Effect, subsumed
 from repro.analysis.footprint import infer, writers_for_effect
+from repro.obs.metrics import Counters
 from repro.synth.config import SynthConfig
 from repro.synth.enumerate import call_template
 from repro.synth.goal import SynthesisProblem
@@ -32,7 +33,7 @@ def insert_effect_hole(
     expr: A.Node,
     read_effect: Effect,
     problem: SynthesisProblem,
-    stats: Optional[Any] = None,
+    counters: Optional[Counters] = None,
 ) -> A.Node:
     """Rule S-Eff: wrap a failed candidate with an effect hole.
 
@@ -44,17 +45,17 @@ def insert_effect_hole(
     be *typed* signals an annotation or typechecker bug; the wrap used to
     fall back to ``problem.ret_type`` silently, hiding such bugs.  The
     fallback remains (rejecting the wrap would change synthesized programs)
-    but every occurrence is now counted on ``stats.effect_type_fallbacks``
+    but every occurrence is now counted on ``search.effect_type_fallbacks``
     so the bench reports and the soundness sweep surface them.
     """
 
     try:
         expr_type, _ = infer(
-            expr, dict(problem.param_env), problem.class_table, stats
+            expr, dict(problem.param_env), problem.class_table, counters
         )
     except SynTypeError:
-        if stats is not None:
-            stats.effect_type_fallbacks += 1
+        if counters is not None:
+            counters["search.effect_type_fallbacks"] += 1
         expr_type = problem.ret_type
     taken = list(problem.params) + A.bound_names(expr)
     var = A.fresh_name("t", taken)
@@ -70,7 +71,7 @@ def expand_effect_hole(
     site: A.HoleSite,
     problem: SynthesisProblem,
     config: SynthConfig,
-    stats: Optional[Any] = None,
+    counters: Optional[Counters] = None,
 ) -> List[A.Node]:
     """Rules S-EffApp and S-EffNil: all one-step fillings of an effect hole."""
 
@@ -85,8 +86,8 @@ def expand_effect_hole(
     # one spec tends to miss the same assertion -- skip the method scan.
     # The list arrives most-specific-first (precise-region writers before
     # class-level before ``*``); expansions where that sort changed the
-    # declaration order are counted on ``stats.writer_reorders``.
-    for resolved in writers_for_effect(hole.effect, ct, stats):
+    # declaration order are counted on ``search.writer_reorders``.
+    for resolved in writers_for_effect(hole.effect, ct, counters):
         call = call_template(resolved)
         replacements.append(call)
         if config.chain_effect_reads and not resolved.effects.read.is_pure:

@@ -28,6 +28,7 @@ from repro.interp.effect_log import effect_capture
 from repro.interp.errors import AssertionFailure, SynRuntimeError
 from repro.interp.interpreter import Interpreter
 from repro.obs import trace
+from repro.obs.metrics import Counters
 from repro.synth.state import NondeterministicSetupError
 from repro.typesys.class_table import ClassTable
 from repro.typesys.sigparser import parse_method_sig
@@ -35,7 +36,6 @@ from repro.typesys.sigparser import parse_method_sig
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.activerecord.database import Database
     from repro.synth.cache import SynthCache
-    from repro.synth.search import SearchStats
     from repro.synth.state import StateManager
 
 SetupFn = Callable[["SpecContext"], None]
@@ -171,9 +171,14 @@ class SynthesisProblem:
     _state_manager: Optional["StateManager"] = field(
         default=None, init=False, repr=False, compare=False
     )
-    #: Number of reset-closure invocations (the state-rebuild work the
-    #: snapshot subsystem removes; surfaced as ``SearchStats.reset_replays``).
-    _reset_count: int = field(default=0, init=False, repr=False, compare=False)
+    #: The problem's counter: ``search.reset_replays``, the reset-closure
+    #: invocations (the state-rebuild work the snapshot subsystem removes).
+    counters: Counters = field(
+        default_factory=lambda: Counters({"search.reset_replays": 0}),
+        init=False,
+        repr=False,
+        compare=False,
+    )
     #: The enumerator's S-Const/S-App table, keyed by ``(class-table
     #: generation, hole type, use_types)`` (see
     #: :func:`repro.synth.enumerate.productions`).  Held here, not at module
@@ -236,7 +241,7 @@ class SynthesisProblem:
         """Invoke the reset closure (counted so benchmarks can report it)."""
 
         self.reset()
-        self._reset_count += 1
+        self.counters["search.reset_replays"] += 1
         if self._state_manager is not None:
             # A direct reset mutated the database behind the manager's back;
             # its restore fast-path marker (see StateManager.note_eval) must
@@ -245,7 +250,7 @@ class SynthesisProblem:
 
     @property
     def reset_replays(self) -> int:
-        return self._reset_count
+        return self.counters["search.reset_replays"]
 
     # -- state management --------------------------------------------------------
 
@@ -253,8 +258,8 @@ class SynthesisProblem:
         """The problem's snapshot/restore manager, or ``None`` without a database.
 
         Created on first use and kept for the problem's lifetime, so the warm
-        baseline and spec recordings are shared across repeated ``synthesize``
-        calls (e.g. a benchmark registry's runs).
+        baseline and spec recordings are shared across repeated runs (e.g. a
+        benchmark registry's runs).
         """
 
         if self.database is None:
@@ -378,7 +383,7 @@ def evaluate_spec(
     then runs inside an effect capture, and when the dynamic log confirms
     the purity, the state manager is told the database still equals the
     spec's pre-invoke snapshot -- letting the *next* replay of the same
-    spec skip its restore entirely (``StateStats.pure_skips``).  The
+    spec skip its restore entirely (``state.pure_skips``).  The
     dynamic confirmation makes the fast-path robust against annotation
     bugs: a lying "pure" annotation costs the skip, never correctness.
 
@@ -496,7 +501,6 @@ def evaluate_all_specs(
     specs: Optional[Sequence[Spec]] = None,
     cache: Optional["SynthCache"] = None,
     budget: Optional["Budget"] = None,
-    stats: Optional["SearchStats"] = None,
     state: Optional["StateManager"] = None,
     static_write_pure: bool = False,
 ) -> bool:
@@ -513,8 +517,6 @@ def evaluate_all_specs(
     interpreter = Interpreter(problem.class_table) if state is not None else None
     for spec in specs if specs is not None else problem.specs:
         if budget is not None and budget.expired():
-            if stats is not None:
-                stats.timed_out = True
             raise SynthesisTimeout(
                 f"timeout while validating {program.name!r} against specs"
             )

@@ -38,8 +38,9 @@ from repro.synth.goal import (
     SynthesisProblem,
     evaluate_all_specs,
 )
+from repro.obs.metrics import Counters, MetricsRegistry
 from repro.synth.implication import GuardEncoder, negate
-from repro.synth.search import SearchStats, generate_guard
+from repro.synth.search import generate_guard, search_counters
 from repro.synth.state import StateManager
 
 
@@ -66,18 +67,19 @@ class Merger:
         problem: SynthesisProblem,
         config: SynthConfig,
         budget: Optional[Budget] = None,
-        stats: Optional[SearchStats] = None,
+        counters: Optional[Counters] = None,
         cache: Optional[SynthCache] = None,
         state: Optional[StateManager] = None,
         executor: Optional[object] = None,
         benchmark_id: Optional[str] = None,
-        worker_totals: Optional[object] = None,
-        metrics: Optional[object] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.problem = problem
         self.config = config
         self.budget = budget or Budget(config.timeout_s)
-        self.stats = stats if stats is not None else SearchStats()
+        #: The run's counters: guard searches count into them, and worker
+        #: guard tasks' deltas are merged into them.
+        self.counters = counters if counters is not None else search_counters()
         #: Evaluation memo shared with the per-spec searches; the merge
         #: phase's ordering/validation loops re-run many identical
         #: (program, spec) pairs, which the memo answers without executing.
@@ -90,9 +92,8 @@ class Merger:
         #: guard is learned -- are then fanned out to the worker pool.
         self.executor = executor
         self.benchmark_id = benchmark_id
-        self.worker_totals = worker_totals
-        #: Optional phase-time sink (``observe_phase(name, seconds)``); the
-        #: merger reports every guard synthesis under ``guard_search``.
+        #: Optional phase-time sink; the merger reports every guard
+        #: synthesis under ``guard_search``.
         self.metrics = metrics
         self.encoder = GuardEncoder()
         #: Guards synthesized so far, reused across tuples (Section 4).
@@ -129,7 +130,7 @@ class Merger:
             negative,
             self.config,
             budget=self.budget,
-            stats=self.stats,
+            counters=self.counters,
             initial_candidates=self.guard_candidates(),
             cache=self.cache,
             state=self.state,
@@ -188,19 +189,16 @@ class Merger:
                     self.benchmark_id, self.config, indices, (), (A.TRUE,)
                 )
             )
-        self.stats.parallel_tasks += len(tasks)
+        self.counters["search.parallel_tasks"] += len(tasks)
 
         assigned: List[SpecSolution] = []
         for position, (solution, future) in enumerate(zip(solutions, tasks)):
             task = future.get()
-            self.stats.merge(task.stats)
-            self.cache.stats.merge(task.cache_stats)
+            self.counters.merge(task.counters)
             if self.metrics is not None:
                 self.metrics.observe_phase("guard_search", task.elapsed_s)
             if task.trace_events:
                 trace.TRACER.absorb(task.trace_events)
-            if self.worker_totals is not None:
-                self.worker_totals.add(task)
             absorb_memo(
                 self.cache,
                 self.problem,
@@ -208,9 +206,8 @@ class Merger:
                 write_through=not self.executor.workers_have_store,
             )
             if task.timed_out:
-                self.stats.timed_out = True
                 raise SynthesisTimeout("timeout while synthesizing a guard")
-            guard = task.guard
+            guard = task.found
             if guard is not None:
                 self.remember_guard(guard)
             assigned.append(
@@ -219,7 +216,7 @@ class Merger:
             if self.known_guards:
                 # A learned guard changes the initial candidates of every
                 # later tuple; fall back to the serial loop for the rest.
-                self.stats.parallel_discarded += len(tasks) - position - 1
+                self.counters["search.parallel_discarded"] += len(tasks) - position - 1
                 return assigned, solutions[position + 1 :]
         return assigned, []
 
@@ -286,7 +283,7 @@ class Merger:
             negated,
             dict(self.problem.param_env),
             self.problem.class_table,
-            self.stats,
+            self.counters,
         ).write.is_pure
         if all(
             _guard_holds(
@@ -405,14 +402,13 @@ class Merger:
             program.body,
             dict(self.problem.param_env),
             self.problem.class_table,
-            self.stats,
+            self.counters,
         ).write.is_pure
         return evaluate_all_specs(
             self.problem,
             program,
             cache=self.cache,
             budget=self.budget,
-            stats=self.stats,
             state=self.state,
             static_write_pure=pure,
         )

@@ -27,8 +27,12 @@ reuse*: serially, spec ``i`` first re-tries the solutions of specs
 dispatches every spec's search *speculatively*, then replays the serial
 resolution loop in the parent: reuse is evaluated with the parent's warm
 resources, a covered spec's speculative result is discarded (counted in
-``SearchStats.parallel_discarded``, its counters dropped so merged totals
-match a serial run), and an uncovered spec adopts the worker's result.
+``search.parallel_discarded``, its counters dropped so merged totals match
+a serial run), and an uncovered spec adopts the worker's result.  Every
+task reports its work as one :class:`~repro.obs.metrics.Counters` delta
+(the same before/after baseline a serial run takes), which the parent
+merges into the run's counters -- so serial and parallel totals are summed
+the same way.
 
 Workers run with a **per-worker** :class:`~repro.synth.cache.SynthCache`
 (one fresh memo per task for per-spec tasks, a persistent session memo for
@@ -66,22 +70,22 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
-from repro.activerecord.database import QueryStats
 from repro.lang import ast as A
 from repro.obs import trace
-from repro.synth.cache import TRACKED, CacheStats, SynthCache
+from repro.obs.metrics import Counters
+from repro.synth.cache import TRACKED, SynthCache
 from repro.synth.config import SynthConfig
 from repro.synth.goal import Budget, SynthesisTimeout, evaluate_spec
 from repro.synth.merge import Merger, SpecSolution
-from repro.synth.search import SearchStats, generate_for_spec, generate_guard
+from repro.synth.search import generate_for_spec, generate_guard, search_counters
 from repro.synth.simplify import simplify
-from repro.synth.state import StateStats
 from repro.synth.store import SpecOutcomeStore, outcome_from_json, outcome_to_json
 from repro.synth.synthesizer import (
     SynthesisResult,
-    _RunCounters,
     _adopt_hint,
+    _owner_baseline,
     _reuse_solution,
+    _RunCounters,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -103,38 +107,19 @@ MemoEntry = Tuple[str, A.Node, int, Any]
 
 
 @dataclass
-class SpecTaskResult:
-    """A worker's answer to one speculative per-spec search."""
+class TaskResult:
+    """A worker's answer to one speculative per-spec search or guard task."""
 
-    spec_index: int
-    expr: Optional[A.Node]
+    #: The spec's expression or the guard (``None`` when none was found).
+    found: Optional[A.Node]
     timed_out: bool
-    stats: SearchStats
-    cache_stats: CacheStats
-    state_stats: Optional[StateStats]
-    reset_replays: int
-    query_stats: Optional[QueryStats]
+    #: The task's work: its search counters plus the worker owners' delta.
+    counters: Counters
     memo: List[MemoEntry]
     #: Wall time of the worker's search, reported to the parent's
-    #: ``spec_search`` phase histogram when the task is consumed.
+    #: ``spec_search``/``guard_search`` phase histogram when consumed.
     elapsed_s: float = 0.0
     #: Trace events collected in the worker (empty unless tracing is on).
-    trace_events: List[dict] = field(default_factory=list)
-
-
-@dataclass
-class GuardTaskResult:
-    """A worker's answer to one guard synthesis task."""
-
-    guard: Optional[A.Node]
-    timed_out: bool
-    stats: SearchStats
-    cache_stats: CacheStats
-    state_stats: Optional[StateStats]
-    reset_replays: int
-    query_stats: Optional[QueryStats]
-    memo: List[MemoEntry]
-    elapsed_s: float = 0.0
     trace_events: List[dict] = field(default_factory=list)
 
 
@@ -147,12 +132,10 @@ class CellTaskResult:
     timed_out: bool
     program: Optional[A.MethodDef]
     elapsed_s: float
-    stats: SearchStats
-    cache_stats: Optional[CacheStats]
-    state_stats: Optional[StateStats]
+    counters: Counters
     specs: int
     lib_methods: int
-    #: The cell run's unified metrics snapshot (``SynthesisResult.metrics``).
+    #: The cell run's metrics snapshot (``SynthesisResult.metrics``).
     metrics: Optional[dict] = None
     #: Trace events collected in the worker (empty unless tracing is on).
     trace_events: List[dict] = field(default_factory=list)
@@ -166,35 +149,9 @@ class CellTaskResult:
             program=self.program,
             elapsed_s=self.elapsed_s,
             timed_out=self.timed_out,
-            stats=self.stats,
-            cache_stats=self.cache_stats,
-            state_stats=self.state_stats,
+            counters=self.counters,
             metrics=self.metrics,
         )
-
-
-@dataclass
-class WorkerTotals:
-    """Worker-side counters that cannot flow through the parent's objects.
-
-    Cache counters are merged straight into the parent's ``SynthCache`` (so
-    ``_RunCounters`` deltas pick them up), but state restores/rebuilds and
-    reset replays live on worker-local managers and problems; they are
-    accumulated here and folded into the result after ``finish``.
-    """
-
-    state: StateStats = field(default_factory=StateStats)
-    reset_replays: int = 0
-    query: QueryStats = field(default_factory=QueryStats)
-    have_state: bool = False
-
-    def add(self, task: "SpecTaskResult | GuardTaskResult") -> None:
-        if task.state_stats is not None:
-            self.state.merge(task.state_stats)
-            self.have_state = True
-        self.reset_replays += task.reset_replays
-        if task.query_stats is not None:
-            self.query.merge(task.query_stats)
 
 
 # ---------------------------------------------------------------------------
@@ -345,54 +302,50 @@ def absorb_memo(
             cache.seed_guard(problem, program, spec, truth, write_through=write_through)
 
 
-def _run_spec_task(
-    benchmark_id: str, config: SynthConfig, spec_index: int
-) -> SpecTaskResult:
+def _run_task(benchmark_id: str, config: SynthConfig, search) -> TaskResult:
+    """Run one search in this worker and measure its work.
+
+    ``search(problem, counters, cache, state)`` runs against the worker's
+    warm problem with a fresh per-task memo; the result's counters are the
+    task's search counters plus its :func:`_owner_baseline` delta.
+    """
+
     session, problem, state = _task_problem(benchmark_id, config)
     cache = _fresh_cache(session, config)
     problem.register_cache(cache)
-    spec = problem.specs[spec_index]
-    stats = SearchStats()
-    budget = Budget(config.timeout_s)
-    resets_before = problem.reset_replays
-    if state is not None:
-        # Attribute only this task's query counters to its stats delta.
-        state.sync_query_stats()
-    state_before = state.stats.copy() if state is not None else None
-    query_before = (
-        problem.database.query_stats.copy() if problem.database is not None else None
-    )
-    expr: Optional[A.Node] = None
+    counters = search_counters()
+    baseline = _owner_baseline(problem, cache, state)
+    found: Optional[A.Node] = None
     timed_out = False
-    task_started = time.perf_counter()
+    started = time.perf_counter()
     try:
-        expr = generate_for_spec(
-            problem, spec, config, budget=budget, stats=stats, cache=cache, state=state
-        )
+        found = search(problem, counters, cache, state)
     except SynthesisTimeout:
         timed_out = True
     finally:
-        task_elapsed = time.perf_counter() - task_started
+        elapsed = time.perf_counter() - started
         problem.unregister_cache(cache)
-    if state is not None:
-        state.sync_query_stats()
-    query_delta = (
-        problem.database.query_stats.since(query_before)
-        if query_before is not None
-        else None
-    )
-    return SpecTaskResult(
-        spec_index=spec_index,
-        expr=expr,
+    counters.merge(baseline.delta())
+    return TaskResult(
+        found=found,
         timed_out=timed_out,
-        stats=stats,
-        cache_stats=cache.stats,
-        state_stats=state.stats.since(state_before) if state is not None else None,
-        reset_replays=problem.reset_replays - resets_before,
-        query_stats=query_delta,
+        counters=counters,
         memo=_export_memo(cache, problem),
-        elapsed_s=task_elapsed,
+        elapsed_s=elapsed,
     )
+
+
+def _run_spec_task(
+    benchmark_id: str, config: SynthConfig, spec_index: int
+) -> TaskResult:
+    def search(problem, counters, cache, state):
+        return generate_for_spec(
+            problem, problem.specs[spec_index], config,
+            budget=Budget(config.timeout_s), counters=counters, cache=cache,
+            state=state,
+        )
+
+    return _run_task(benchmark_id, config, search)
 
 
 def _run_guard_task(
@@ -401,57 +354,21 @@ def _run_guard_task(
     positive_indices: Tuple[int, ...],
     negative_indices: Tuple[int, ...],
     initial_candidates: Tuple[A.Node, ...],
-) -> GuardTaskResult:
-    session, problem, state = _task_problem(benchmark_id, config)
-    cache = _fresh_cache(session, config)
-    problem.register_cache(cache)
-    stats = SearchStats()
-    budget = Budget(config.timeout_s)
-    resets_before = problem.reset_replays
-    if state is not None:
-        state.sync_query_stats()
-    state_before = state.stats.copy() if state is not None else None
-    query_before = (
-        problem.database.query_stats.copy() if problem.database is not None else None
-    )
-    guard: Optional[A.Node] = None
-    timed_out = False
-    task_started = time.perf_counter()
-    try:
-        guard = generate_guard(
+) -> TaskResult:
+    def search(problem, counters, cache, state):
+        return generate_guard(
             problem,
             [problem.specs[i] for i in positive_indices],
             [problem.specs[i] for i in negative_indices],
             config,
-            budget=budget,
-            stats=stats,
+            budget=Budget(config.timeout_s),
+            counters=counters,
             initial_candidates=list(initial_candidates),
             cache=cache,
             state=state,
         )
-    except SynthesisTimeout:
-        timed_out = True
-    finally:
-        task_elapsed = time.perf_counter() - task_started
-        problem.unregister_cache(cache)
-    if state is not None:
-        state.sync_query_stats()
-    query_delta = (
-        problem.database.query_stats.since(query_before)
-        if query_before is not None
-        else None
-    )
-    return GuardTaskResult(
-        guard=guard,
-        timed_out=timed_out,
-        stats=stats,
-        cache_stats=cache.stats,
-        state_stats=state.stats.since(state_before) if state is not None else None,
-        reset_replays=problem.reset_replays - resets_before,
-        query_stats=query_delta,
-        memo=_export_memo(cache, problem),
-        elapsed_s=task_elapsed,
-    )
+
+    return _run_task(benchmark_id, config, search)
 
 
 def _run_cell_task(
@@ -490,9 +407,7 @@ def _run_cell_task(
                 timed_out=result.timed_out,
                 program=result.program,
                 elapsed_s=elapsed,
-                stats=result.stats,
-                cache_stats=result.cache_stats,
-                state_stats=result.state_stats,
+                counters=result.counters,
                 specs=len(problem.specs),
                 lib_methods=problem.library_method_count(),
                 metrics=result.metrics,
@@ -668,46 +583,20 @@ def run_synthesis_parallel(
     """
 
     budget = Budget(config.timeout_s)
-    stats = SearchStats()
     problem.register_cache(cache)
     if state is not None:
         state.verify_every = config.verify_recordings
-    run = _RunCounters(problem, cache, state, external_cache=True)
-    totals = WorkerTotals()
+    run = _RunCounters(problem, cache, state)
+    counters = run.counters
     write_through = not executor.workers_have_store
     solutions: List[SpecSolution] = []
 
-    def merge_task(task: "SpecTaskResult | GuardTaskResult") -> None:
-        stats.merge(task.stats)
-        cache.stats.merge(task.cache_stats)
-        run.observe_phase("spec_search", task.elapsed_s)
+    def merge_task(task: TaskResult) -> None:
+        counters.merge(task.counters)
+        run.phases.observe_phase("spec_search", task.elapsed_s)
         if task.trace_events:
             trace.TRACER.absorb(task.trace_events)
-        totals.add(task)
         absorb_memo(cache, problem, task.memo, write_through)
-
-    def finish(result: SynthesisResult) -> SynthesisResult:
-        result = run.finish(result)
-        result.stats.state_restores += totals.state.restores
-        result.stats.state_rebuilds += totals.state.rebuilds
-        result.stats.state_pure_skips += totals.state.pure_skips
-        result.stats.reset_replays += totals.reset_replays
-        result.stats.index_hits += totals.query.index_hits
-        result.stats.index_scans += totals.query.scans
-        if totals.have_state:
-            if result.state_stats is not None:
-                result.state_stats.merge(totals.state)
-            else:
-                result.state_stats = totals.state
-        # The registry holds live references to the stats objects mutated
-        # above, so re-snapshotting folds the worker totals into the
-        # exported metrics as well.
-        if result.state_stats is not None:
-            run.registry.attach_stats("state", result.state_stats)
-        if run.query_delta is not None:
-            run.query_delta.merge(totals.query)
-        result.metrics = run.registry.snapshot()
-        return result
 
     try:
         # Hints are validated *before* dispatch: a spec whose previous
@@ -724,7 +613,7 @@ def run_synthesis_parallel(
         if solution_hints:
             for index, spec in enumerate(problem.specs):
                 hint = _adopt_hint(
-                    problem, spec, solution_hints, budget, SearchStats(), cache,
+                    problem, spec, solution_hints, budget, Counters(), cache,
                     state,
                 )
                 if hint is not None:
@@ -738,47 +627,46 @@ def run_synthesis_parallel(
                 if index not in validated_hints
             ],
         )
-        stats.parallel_tasks += len(pending)
+        counters["search.parallel_tasks"] += len(pending)
 
         specs_started = time.perf_counter()
         with trace.TRACER.span("phase.specs", specs=len(problem.specs)):
             for index, spec in enumerate(problem.specs):
                 if _reuse_solution(
-                    problem, spec, solutions, config, budget, stats, cache, state
+                    problem, spec, solutions, config, budget, cache, state
                 ):
                     if index in pending:
                         # The speculative search result is dropped unseen:
                         # its work must not pollute the counters a serial
                         # run would report.
-                        stats.parallel_discarded += 1
+                        counters["search.parallel_discarded"] += 1
                     continue
                 hint = validated_hints.get(index)
                 if hint is not None:
-                    stats.hint_reuses += 1
+                    counters["search.hint_reuses"] += 1
                     solutions.append(SpecSolution(expr=hint, specs=(spec,)))
                     continue
                 task = pending[index].get()
                 merge_task(task)
                 if task.timed_out:
                     raise SynthesisTimeout(f"timeout while solving spec #{index}")
-                if task.expr is None:
-                    return finish(
+                if task.found is None:
+                    return run.finish(
                         SynthesisResult(
                             problem,
                             success=False,
                             solutions=solutions,
                             elapsed_s=budget.elapsed(),
-                            stats=stats,
                         )
                     )
-                simplified = simplify(task.expr)
+                simplified = simplify(task.found)
                 if not evaluate_spec(
                     problem, problem.make_program(simplified), spec, cache=cache,
                     state=state,
                 ).ok:
-                    simplified = task.expr
+                    simplified = task.found
                 solutions.append(SpecSolution(expr=simplified, specs=(spec,)))
-        run.observe_phase("specs", time.perf_counter() - specs_started)
+        run.phases.observe_phase("specs", time.perf_counter() - specs_started)
 
         merge_started = time.perf_counter()
         with trace.TRACER.span("phase.merge", solutions=len(solutions)):
@@ -786,36 +674,32 @@ def run_synthesis_parallel(
                 problem,
                 config,
                 budget=budget,
-                stats=stats,
+                counters=counters,
                 cache=cache,
                 state=state,
                 executor=executor,
                 benchmark_id=benchmark_id,
-                worker_totals=totals,
-                metrics=run,
+                metrics=run.phases,
             )
             program = merger.merge(solutions)
-        run.observe_phase("merge", time.perf_counter() - merge_started)
+        run.phases.observe_phase("merge", time.perf_counter() - merge_started)
     except SynthesisTimeout:
-        stats.timed_out = True
-        return finish(
+        return run.finish(
             SynthesisResult(
                 problem,
                 success=False,
                 solutions=solutions,
                 elapsed_s=budget.elapsed(),
                 timed_out=True,
-                stats=stats,
             )
         )
 
-    return finish(
+    return run.finish(
         SynthesisResult(
             problem,
             success=program is not None,
             program=program,
             solutions=solutions,
             elapsed_s=budget.elapsed(),
-            stats=stats,
         )
     )

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.lang import ast as A
@@ -25,6 +24,7 @@ from repro.lang import types as T
 from repro.analysis.footprint import footprint
 from repro.analysis.prune import StaticPruner
 from repro.obs import trace
+from repro.obs.metrics import Counters
 from repro.synth.cache import SynthCache
 from repro.synth.config import ORDER_FIFO, ORDER_PAPER, ORDER_SIZE, SynthConfig
 from repro.synth.effect_guided import expand_effect_hole, insert_effect_hole
@@ -42,108 +42,29 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.synth.state import StateManager
 
 
-@dataclass
-class SearchStats:
-    """Counters describing one work-list search."""
+#: The search's counters, owned by each run (and each worker task) as a
+#: fresh :class:`Counters` (meanings: ``docs/API.md``, "Metrics").
+#: ``search.reset_replays`` is the problem's (``SynthesisProblem.counters``).
+SEARCH_COUNTERS = (
+    "search.expansions",
+    "search.evaluated",
+    "search.pushed",
+    "search.effect_wraps",
+    "search.pruned_size",
+    "search.hint_reuses",
+    "search.parallel_tasks",
+    "search.parallel_discarded",
+    "search.static_prunes",
+    "search.footprint_hits",
+    "search.effect_type_fallbacks",
+    "search.writer_reorders",
+)
 
-    expansions: int = 0
-    evaluated: int = 0
-    pushed: int = 0
-    effect_wraps: int = 0
-    pruned_size: int = 0
-    timed_out: bool = False
-    # Evaluation-cache counters (filled from the run's SynthCache; spec and
-    # guard memo lookups combined).  ``cache_redundant`` counts the
-    # re-executions a disabled cache observed -- the work the memo removes.
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_redundant: int = 0
-    cache_evictions: int = 0
-    # Persistent-store counters (repro.synth.store, attached to the run's
-    # SynthCache by a SynthesisSession): outcomes answered from / looked up
-    # against the on-disk spec-outcome store.
-    store_hits: int = 0
-    store_misses: int = 0
-    # State-management counters (filled from the run's StateManager, see
-    # repro.synth.state): snapshot restores vs. full reset+setup rebuilds,
-    # plus the raw number of reset-closure invocations.
-    state_restores: int = 0
-    state_rebuilds: int = 0
-    reset_replays: int = 0
-    # Query-planner counters (repro.activerecord.database.QueryStats, filled
-    # from the problem database's stats): spec-evaluation queries answered
-    # through a hash index vs. full-table scans.
-    index_hits: int = 0
-    index_scans: int = 0
-    # Cross-run solution reuse (the session's solution hints): specs whose
-    # search was skipped because the previous run's solution re-validated.
-    hint_reuses: int = 0
-    # Parallel-subsystem counters (repro.synth.parallel): tasks dispatched
-    # to the worker pool for this run, and speculative per-spec searches
-    # whose result was discarded because solution reuse covered the spec
-    # first (their work is NOT folded into the other counters, keeping the
-    # merged totals equal to a serial run's).
-    parallel_tasks: int = 0
-    parallel_discarded: int = 0
-    # Static-analysis counters (repro.analysis, behind
-    # SynthConfig.static_pruning): candidate evaluations answered from the
-    # normal-form outcome memo instead of the interpreter (disjoint from
-    # ``evaluated``), footprint/writer-list memo hits, snapshot restores
-    # skipped through the write-pure fast-path (mirrors
-    # StateStats.pure_skips), and S-Eff wraps whose candidate could not be
-    # typed so the hole fell back to the goal's return type (each one a
-    # would-be silent annotation/typing bug; see effect_guided).
-    static_prunes: int = 0
-    footprint_hits: int = 0
-    state_pure_skips: int = 0
-    effect_type_fallbacks: int = 0
-    # Effect-hole expansions whose S-EffApp writer list was reordered by the
-    # most-specific-first sort (repro.analysis.footprint.writers_for_effect)
-    # relative to the declaration-order scan; counted per expansion, memo
-    # hit or not, so merged parallel counters equal a serial run's.
-    writer_reorders: int = 0
 
-    def merge(self, other: "SearchStats") -> None:
-        """Fold another run's (or worker's) counters into this one.
+def search_counters() -> Counters:
+    """A fresh, all-zero set of :data:`SEARCH_COUNTERS`."""
 
-        Every numeric field must be aggregated here -- a field-completeness
-        test (``tests/test_parallel.py``) fails when a counter is added to
-        the dataclass without merge support, because the parallel subsystem
-        relies on merged worker counters matching serial totals.
-        """
-
-        self.expansions += other.expansions
-        self.evaluated += other.evaluated
-        self.pushed += other.pushed
-        self.effect_wraps += other.effect_wraps
-        self.pruned_size += other.pruned_size
-        self.timed_out = self.timed_out or other.timed_out
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.cache_redundant += other.cache_redundant
-        self.cache_evictions += other.cache_evictions
-        self.store_hits += other.store_hits
-        self.store_misses += other.store_misses
-        self.state_restores += other.state_restores
-        self.state_rebuilds += other.state_rebuilds
-        self.reset_replays += other.reset_replays
-        self.index_hits += other.index_hits
-        self.index_scans += other.index_scans
-        self.hint_reuses += other.hint_reuses
-        self.parallel_tasks += other.parallel_tasks
-        self.parallel_discarded += other.parallel_discarded
-        self.static_prunes += other.static_prunes
-        self.footprint_hits += other.footprint_hits
-        self.state_pure_skips += other.state_pure_skips
-        self.effect_type_fallbacks += other.effect_type_fallbacks
-        self.writer_reorders += other.writer_reorders
-
-    def as_dict(self) -> dict:
-        """Every counter by field name (bench reports, completeness tests)."""
-
-        from dataclasses import fields
-
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+    return Counters.fromkeys(SEARCH_COUNTERS, 0)
 
 
 class _WorkList:
@@ -188,7 +109,7 @@ def _expand(
     expr: A.Node,
     problem: SynthesisProblem,
     config: SynthConfig,
-    stats: Optional[SearchStats] = None,
+    counters: Optional[Counters] = None,
 ) -> List[A.Node]:
     """One-step expansion of the left-most hole of ``expr``.
 
@@ -201,7 +122,7 @@ def _expand(
         return []
     if isinstance(site.hole, A.TypedHole):
         return expand_typed_hole(expr, site, problem, config)
-    return expand_effect_hole(expr, site, problem, config, stats=stats)
+    return expand_effect_hole(expr, site, problem, config, counters=counters)
 
 
 def generate_for_spec(
@@ -209,7 +130,7 @@ def generate_for_spec(
     spec: Spec,
     config: SynthConfig,
     budget: Optional[Budget] = None,
-    stats: Optional[SearchStats] = None,
+    counters: Optional[Counters] = None,
     root: Optional[A.Node] = None,
     cache: Optional[SynthCache] = None,
     state: Optional["StateManager"] = None,
@@ -224,11 +145,11 @@ def generate_for_spec(
     tracer = trace.TRACER
     if not tracer.enabled:
         return _generate_for_spec_impl(
-            problem, spec, config, budget, stats, root, cache, state
+            problem, spec, config, budget, counters, root, cache, state
         )
     with tracer.span("search.spec", spec=spec.name) as span:
         result = _generate_for_spec_impl(
-            problem, spec, config, budget, stats, root, cache, state
+            problem, spec, config, budget, counters, root, cache, state
         )
         span.annotate(found=result is not None)
         return result
@@ -239,53 +160,54 @@ def _generate_for_spec_impl(
     spec: Spec,
     config: SynthConfig,
     budget: Optional[Budget] = None,
-    stats: Optional[SearchStats] = None,
+    counters: Optional[Counters] = None,
     root: Optional[A.Node] = None,
     cache: Optional[SynthCache] = None,
     state: Optional["StateManager"] = None,
 ) -> Optional[A.Node]:
     budget = budget or Budget(config.timeout_s)
-    stats = stats if stats is not None else SearchStats()
+    counters = counters if counters is not None else search_counters()
     cache = cache if cache is not None else SynthCache.from_config(config)
     worklist = _WorkList(config.exploration_order)
     worklist.push(root if root is not None else A.TypedHole(problem.ret_type), 0)
     # The static pruner is per-search (one spec, one baseline), so its
     # normal-form outcome memo can never leak an outcome across specs.
-    pruner = StaticPruner(problem, stats) if config.static_pruning else None
+    pruner = StaticPruner(problem, counters) if config.static_pruning else None
 
     while worklist:
         if budget.expired():
-            stats.timed_out = True
             raise SynthesisTimeout(f"timeout while solving {spec.name!r}")
         # Pruned candidates count against the budget exactly like evaluated
         # ones: with pruning on, every prune replaces one evaluation the
         # pruning-off search performs, so both exhaust the budget at the
         # same candidate and synthesize identical programs.
-        if stats.evaluated + stats.static_prunes > config.max_candidates:
+        if (
+            counters["search.evaluated"] + counters["search.static_prunes"]
+            > config.max_candidates
+        ):
             return None
 
         passed, expr = worklist.pop()
-        stats.expansions += 1
-        if trace.TRACER.enabled and stats.expansions % 64 == 0:
+        counters["search.expansions"] += 1
+        if trace.TRACER.enabled and counters["search.expansions"] % 64 == 0:
             # Cumulative counters every 64 expansions: a cheap progress
             # timeline of the enumeration without a span per pop.
             trace.TRACER.event(
                 "search.batch",
-                expansions=stats.expansions,
-                evaluated=stats.evaluated,
-                pushed=stats.pushed,
+                expansions=counters["search.expansions"],
+                evaluated=counters["search.evaluated"],
+                pushed=counters["search.pushed"],
                 queue=len(worklist),
             )
-        for candidate in _expand(expr, problem, config, stats):
+        for candidate in _expand(expr, problem, config, counters):
             if budget.expired():
-                stats.timed_out = True
                 raise SynthesisTimeout(f"timeout while solving {spec.name!r}")
             if A.has_holes(candidate):
                 if A.node_count(candidate) <= config.max_size:
                     if worklist.push(candidate, passed):
-                        stats.pushed += 1
+                        counters["search.pushed"] += 1
                 else:
-                    stats.pruned_size += 1
+                    counters["search.pruned_size"] += 1
                 continue
 
             key = None
@@ -297,10 +219,10 @@ def _generate_for_spec_impl(
                     # outcome carries the same ok/passed_asserts/failure
                     # fields, so every decision below is byte-identical to
                     # what the evaluation would have produced.
-                    stats.static_prunes += 1
+                    counters["search.static_prunes"] += 1
                     outcome = reused
                 else:
-                    stats.evaluated += 1
+                    counters["search.evaluated"] += 1
                     outcome = evaluate_spec(
                         problem,
                         problem.make_program(candidate),
@@ -311,7 +233,7 @@ def _generate_for_spec_impl(
                     )
                     pruner.record(key, outcome)
             else:
-                stats.evaluated += 1
+                counters["search.evaluated"] += 1
                 outcome = evaluate_spec(
                     problem,
                     problem.make_program(candidate),
@@ -323,16 +245,16 @@ def _generate_for_spec_impl(
                 return candidate
             if config.use_effects and outcome.has_effect_error:
                 wrapped = insert_effect_hole(
-                    candidate, outcome.failure.read_effect, problem, stats=stats
+                    candidate, outcome.failure.read_effect, problem, counters=counters
                 )
                 # The S-Eff wrap adds nodes (a let, a seq and two holes), so
                 # the size bound must hold for the *wrapped* candidate --
                 # checking the bare candidate would let oversized programs
                 # enter the work list unpruned.
                 if A.node_count(wrapped) > config.max_size:
-                    stats.pruned_size += 1
+                    counters["search.pruned_size"] += 1
                 elif worklist.push(wrapped, outcome.passed_asserts):
-                    stats.effect_wraps += 1
+                    counters["search.effect_wraps"] += 1
     return None
 
 
@@ -342,7 +264,7 @@ def generate_guard(
     negative_specs: Sequence[Spec],
     config: SynthConfig,
     budget: Optional[Budget] = None,
-    stats: Optional[SearchStats] = None,
+    counters: Optional[Counters] = None,
     initial_candidates: Sequence[A.Node] = (),
     cache: Optional[SynthCache] = None,
     state: Optional["StateManager"] = None,
@@ -363,7 +285,7 @@ def generate_guard(
             negative_specs,
             config,
             budget,
-            stats,
+            counters,
             initial_candidates,
             cache,
             state,
@@ -377,7 +299,7 @@ def generate_guard(
             negative_specs,
             config,
             budget,
-            stats,
+            counters,
             initial_candidates,
             cache,
             state,
@@ -392,22 +314,22 @@ def _generate_guard_impl(
     negative_specs: Sequence[Spec],
     config: SynthConfig,
     budget: Optional[Budget] = None,
-    stats: Optional[SearchStats] = None,
+    counters: Optional[Counters] = None,
     initial_candidates: Sequence[A.Node] = (),
     cache: Optional[SynthCache] = None,
     state: Optional["StateManager"] = None,
 ) -> Optional[A.Node]:
     budget = budget or Budget(config.timeout_s)
-    stats = stats if stats is not None else SearchStats()
+    counters = counters if counters is not None else search_counters()
     cache = cache if cache is not None else SynthCache.from_config(config)
 
     def accepted(guard: A.Node) -> bool:
-        stats.evaluated += 1
+        counters["search.evaluated"] += 1
         # Guards are mostly pure reads, so consecutive trials against the
         # same spec can skip the snapshot restore between them when the
         # static footprint proves the previous guard wrote nothing.
         pure = config.static_pruning and footprint(
-            guard, dict(problem.param_env), problem.class_table, stats
+            guard, dict(problem.param_env), problem.class_table, counters
         ).write.is_pure
         for spec in positive_specs:
             if not evaluate_guard(
@@ -435,7 +357,6 @@ def _generate_guard_impl(
 
     for guard in initial_candidates:
         if budget.expired():
-            stats.timed_out = True
             raise SynthesisTimeout("timeout while synthesizing a guard")
         if accepted(guard):
             return guard
@@ -445,27 +366,25 @@ def _generate_guard_impl(
 
     while worklist:
         if budget.expired():
-            stats.timed_out = True
             raise SynthesisTimeout("timeout while synthesizing a guard")
-        if stats.evaluated > config.max_candidates:
+        if counters["search.evaluated"] > config.max_candidates:
             return None
 
         _, expr = worklist.pop()
-        stats.expansions += 1
-        for candidate in _expand(expr, problem, config, stats):
+        counters["search.expansions"] += 1
+        for candidate in _expand(expr, problem, config, counters):
             # One expansion can yield many hole-free candidates, each of
             # which runs every positive and negative spec; without this
             # per-candidate guard (mirroring generate_for_spec) a single
             # expansion could evaluate far past the timeout.
             if budget.expired():
-                stats.timed_out = True
                 raise SynthesisTimeout("timeout while synthesizing a guard")
             if A.has_holes(candidate):
                 if A.node_count(candidate) <= config.guard_max_size:
                     if worklist.push(candidate, 0):
-                        stats.pushed += 1
+                        counters["search.pushed"] += 1
                 else:
-                    stats.pruned_size += 1
+                    counters["search.pruned_size"] += 1
                 continue
             if accepted(candidate):
                 return candidate

@@ -3,10 +3,7 @@
 The paper's evaluation is not one synthesis run but a long sequence of
 *related* runs: Table 1 medians repeat each benchmark, Figure 7 sweeps the
 four guidance modes and Figure 8 sweeps the three effect-annotation
-precisions.  Before this module, each harness hand-threaded the warm
-resources (``synthesize(problem, config, cache=..., state=...)``), precision
-overrides silently rebuilt the problem and dropped them, and nothing
-survived the process.
+precisions.
 
 A session is the engine object that owns everything a sequence of runs
 shares:
@@ -14,7 +11,7 @@ shares:
 * the base :class:`~repro.synth.config.SynthConfig` (per-run overrides are
   applied on top);
 * one :class:`~repro.synth.cache.SynthCache` -- the spec/guard evaluation
-  memo and hit counters -- shared by every run of the session;
+  memo -- shared by every run of the session;
 * the per-problem :class:`~repro.synth.state.StateManager` snapshot
   recordings (held on the problems, reused by the session across runs *and*
   across effect-precision variants: ``run`` derives coarsened problem copies
@@ -36,8 +33,10 @@ Typical use::
         )
 
 ``session.sweep`` is the engine behind the Table 1 / Figure 7 / Figure 8
-harnesses and the CI bench gates; ``synthesize(...)`` remains as a
-deprecated shim that spins up a throwaway session for one run.
+harnesses and the CI bench gates.  Every result carries the run's counters
+(``result.counters``, keyed ``layer.name``): the session's memo, snapshot
+managers and store outlive a run, so each result reports only the work that
+run added to them.
 """
 
 from __future__ import annotations
@@ -258,7 +257,6 @@ class SynthesisSession:
             effective,
             cache=self.cache,
             state=state,
-            external_cache=True,
             solution_hints=hints,
         )
         self._remember_solutions(runner, effective, result)
@@ -588,8 +586,7 @@ class SynthesisSession:
         registration list, so outcomes memoized per precision coexist and
         the snapshot recordings (which are precision-independent: they
         capture candidate-free pre-invoke state) are replayed instead of
-        rebuilt.  This is the warm rework of the old ``_with_precision``
-        rebuild that dropped every warm resource.
+        rebuilt.
         """
 
         if problem.class_table.effect_precision == precision:

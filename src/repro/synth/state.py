@@ -36,7 +36,7 @@ by the recording, so a recording is finalized only when the setup
 
 Anything else (or a setup that raised before completing) falls back to a full
 reset+setup replay, preserving the seed semantics exactly; the fallback is
-counted in :class:`StateStats` so the benchmarks can report it.  One class
+counted (``state.unreplayable``) so the benchmarks can report it.  One class
 of setup is inherently undetectable: pure control flow on the candidate's
 result after the invoke (``x = ctx.invoke(a); if x is None: raise``) leaves
 no observable trace during the recording pass, so such specs must not rely
@@ -46,7 +46,8 @@ opt-in ``SynthConfig.verify_recordings`` debug mode audits that contract at
 runtime: every Nth replay of a recorded spec re-runs the full reset+setup
 under a fresh recorder and diffs what it captured against the recording,
 raising :class:`NondeterministicSetupError` on divergence.  Restores and
-rebuilds surface in ``SearchStats``/Table 1, and ``benchmarks/bench_state.py
+rebuilds surface as ``state.restores``/``state.rebuilds`` in every run's
+counters and Table 1, and ``benchmarks/bench_state.py
 --check`` gates on snapshot-on and snapshot-off runs synthesizing identical
 programs.
 
@@ -66,6 +67,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Set, Tuple
 
 from repro.obs import trace
+from repro.obs.metrics import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.activerecord.database import Database
@@ -92,80 +94,17 @@ class NondeterministicSetupError(RuntimeError):
     """
 
 
-@dataclass
-class StateStats:
-    """Counters describing one :class:`StateManager`'s work."""
-
-    #: Snapshot restores that replaced a full reset+setup replay.
-    restores: int = 0
-    #: Restores whose table swap was skipped entirely because the previous
-    #: evaluation of the same spec was statically write-pure and dynamically
-    #: confirmed clean (see ``note_eval``); counted *inside* ``restores``.
-    pure_skips: int = 0
-    #: Full reset+setup replays (recording passes and unreplayable specs).
-    rebuilds: int = 0
-    #: Snapshots captured (one baseline plus one per replayable spec).
-    captures: int = 0
-    #: Specs whose setup could not be recorded (they keep full replays).
-    unreplayable: int = 0
-    invalidations: int = 0
-    #: ``verify_recordings`` passes that re-recorded a setup and found it
-    #: deterministic (a mismatch raises instead of counting).
-    verifications: int = 0
-    #: Queries the manager's database answered through a hash index (see
-    #: :class:`repro.activerecord.database.QueryStats`; pulled in by
-    #: ``sync_query_stats``).
-    index_hits: int = 0
-    #: Queries that fell back to a full table scan.
-    index_scans: int = 0
-
-    def copy(self) -> "StateStats":
-        return StateStats(**self.as_dict())
-
-    def since(self, before: "StateStats") -> "StateStats":
-        """The counter deltas accumulated after ``before`` was copied."""
-
-        return StateStats(
-            restores=self.restores - before.restores,
-            pure_skips=self.pure_skips - before.pure_skips,
-            rebuilds=self.rebuilds - before.rebuilds,
-            captures=self.captures - before.captures,
-            unreplayable=self.unreplayable - before.unreplayable,
-            invalidations=self.invalidations - before.invalidations,
-            verifications=self.verifications - before.verifications,
-            index_hits=self.index_hits - before.index_hits,
-            index_scans=self.index_scans - before.index_scans,
-        )
-
-    def merge(self, other: "StateStats") -> None:
-        """Fold another manager's counters in (parallel worker aggregation).
-
-        Like ``SearchStats.merge``, every field must be aggregated -- the
-        field-completeness test in ``tests/test_parallel.py`` guards it.
-        """
-
-        self.restores += other.restores
-        self.pure_skips += other.pure_skips
-        self.rebuilds += other.rebuilds
-        self.captures += other.captures
-        self.unreplayable += other.unreplayable
-        self.invalidations += other.invalidations
-        self.verifications += other.verifications
-        self.index_hits += other.index_hits
-        self.index_scans += other.index_scans
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "restores": self.restores,
-            "pure_skips": self.pure_skips,
-            "rebuilds": self.rebuilds,
-            "captures": self.captures,
-            "unreplayable": self.unreplayable,
-            "invalidations": self.invalidations,
-            "verifications": self.verifications,
-            "index_hits": self.index_hits,
-            "index_scans": self.index_scans,
-        }
+#: The snapshot manager's counters, owned by each :class:`StateManager`
+#: (meanings: ``docs/API.md``, "Metrics").
+STATE_COUNTERS = (
+    "state.restores",
+    "state.pure_skips",
+    "state.rebuilds",
+    "state.captures",
+    "state.unreplayable",
+    "state.invalidations",
+    "state.verifications",
+)
 
 
 @dataclass(frozen=True)
@@ -239,8 +178,8 @@ class StateManager:
 
     One instance lives on the :class:`~repro.synth.goal.SynthesisProblem`
     (lazily created by ``problem.state_manager()``), so the warm baseline and
-    spec recordings are shared across every ``synthesize`` call on that
-    problem -- including repeated benchmark-registry runs.
+    spec recordings are shared across every run on that problem --
+    including repeated benchmark-registry runs.
     """
 
     def __init__(self, database: "Database", verify_every: int = 0) -> None:
@@ -249,31 +188,16 @@ class StateManager:
         #: pass instead (full reset+setup, diffed against the recording);
         #: set from ``SynthConfig.verify_recordings`` by the synthesizer.
         self.verify_every = verify_every
-        self.stats = StateStats()
+        self.counters = Counters.fromkeys(STATE_COUNTERS, 0)
         self._baseline: Optional[Dict[str, Any]] = None
         self._recordings: Dict["Spec", SpecRecording] = {}
         self._unreplayable: Set["Spec"] = set()
         self._replay_counts: Dict["Spec", int] = {}
-        self._query_seen = database.query_stats.copy()
         #: Restore fast-path markers (see ``note_eval``): the spec whose
         #: just-finished replay provably left the database at its pre-invoke
         #: snapshot, and the spec whose replay is currently in flight.
         self._clean_spec: Optional["Spec"] = None
         self._replay_spec: Optional["Spec"] = None
-
-    def sync_query_stats(self) -> None:
-        """Pull the database's query-planner counters into :class:`StateStats`.
-
-        The database counts index hits and scans continuously; this folds the
-        counts accumulated since the last sync into ``stats`` so
-        ``stats.since(before)`` deltas report them alongside restore counters.
-        """
-
-        current = self.database.query_stats
-        delta = current.since(self._query_seen)
-        self.stats.index_hits += delta.index_hits
-        self.stats.index_scans += delta.scans
-        self._query_seen = current.copy()
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -286,7 +210,7 @@ class StateManager:
         self._replay_counts.clear()
         self._clean_spec = None
         self._replay_spec = None
-        self.stats.invalidations += 1
+        self.counters["state.invalidations"] += 1
 
     def note_external_mutation(self) -> None:
         """The database was mutated outside ``begin`` (e.g. a direct reset).
@@ -336,7 +260,7 @@ class StateManager:
         if self._baseline is None:
             problem.run_reset()
             self._baseline = self.database.snapshot()
-            self.stats.captures += 1
+            self.counters["state.captures"] += 1
         else:
             self.database.restore(self._baseline)
 
@@ -371,7 +295,7 @@ class StateManager:
                             "state.restore", kind="verify", spec=spec.name
                         )
                     return self._verification_pass(problem, spec, recording)
-            self.stats.restores += 1
+            self.counters["state.restores"] += 1
             if trace.TRACER.enabled:
                 trace.TRACER.event(
                     "state.restore",
@@ -385,7 +309,7 @@ class StateManager:
                 # *is* the snapshot, so the table swap is a no-op.  Counted
                 # inside ``restores`` so snapshot-subsystem totals are
                 # unchanged by the fast-path.
-                self.stats.pure_skips += 1
+                self.counters["state.pure_skips"] += 1
             else:
                 self.database.restore(recording.snapshot)
             # One joint deep copy so objects shared between the scratch
@@ -402,7 +326,7 @@ class StateManager:
             self._replay_spec = spec
             return replay
 
-        self.stats.rebuilds += 1
+        self.counters["state.rebuilds"] += 1
         if trace.TRACER.enabled:
             trace.TRACER.event("state.restore", kind="rebuild", spec=spec.name)
         self.restore_baseline(problem)
@@ -435,7 +359,7 @@ class StateManager:
         candidates against the wrong state.
         """
 
-        self.stats.rebuilds += 1
+        self.counters["state.rebuilds"] += 1
         self.restore_baseline(problem)
 
         def verify(ctx: "SpecContext") -> None:
@@ -465,7 +389,7 @@ class StateManager:
                     f"spec {spec.name!r}: scratch state diverged from its "
                     "recording (nondeterministic setup)"
                 )
-            self.stats.verifications += 1
+            self.counters["state.verifications"] += 1
 
         return verify
 
@@ -495,7 +419,7 @@ class StateManager:
                 args=recorder.args or (),
                 state=recorder.state or {},
             )
-            self.stats.captures += 1
+            self.counters["state.captures"] += 1
         else:
             self._unreplayable.add(spec)
-            self.stats.unreplayable += 1
+            self.counters["state.unreplayable"] += 1

@@ -48,7 +48,8 @@ path suffix, or forced with ``backend="json"``/``"sqlite"``):
   database, so workers observe each other's flushed outcomes mid-run.
 
 A corrupted file, a file with a different schema version, or an individual
-malformed entry is ignored and counted in :class:`StoreStats`; the store
+malformed entry is ignored and counted (``store.stale_dropped``, or the
+``corrupt_file`` flag for a whole unusable file); the store
 never raises on bad persisted data.  Both backends track a last-hit order
 per entry, and :meth:`SpecOutcomeStore.compact` prunes the least recently
 hit entries beyond a bound (``scripts/store_tool.py`` wraps this, plus
@@ -68,12 +69,12 @@ import os
 import sqlite3
 import tempfile
 import types
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
 from repro.interp.errors import AssertionFailure, SynRuntimeError
 from repro.lang.effects import Effect, EffectPair, Region
 from repro.obs import trace
+from repro.obs.metrics import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lang import ast as A
@@ -89,62 +90,15 @@ STORE_MISS = object()
 SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 
 
-@dataclass
-class StoreStats:
-    """File- and entry-level counters for one :class:`SpecOutcomeStore`."""
-
-    #: Entries loaded from disk at open time (after dropping malformed ones).
-    loaded: int = 0
-    #: Persisted entries dropped at load: wrong shape, unknown kind.
-    stale_dropped: int = 0
-    #: Whether the backing file existed but could not be used (the store
-    #: then starts empty; the corrupt file is replaced on the next flush).
-    corrupt_file: bool = False
-    writes: int = 0
-    flushes: int = 0
-    #: Entries pruned by :meth:`SpecOutcomeStore.compact`.
-    compacted: int = 0
-    #: Entries adopted from a concurrent writer's flush (JSON merge-on-flush).
-    merged_in: int = 0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "loaded": self.loaded,
-            "stale_dropped": self.stale_dropped,
-            "corrupt_file": self.corrupt_file,
-            "writes": self.writes,
-            "flushes": self.flushes,
-            "compacted": self.compacted,
-            "merged_in": self.merged_in,
-        }
-
-    def copy(self) -> "StoreStats":
-        return StoreStats(**self.as_dict())
-
-    def since(self, before: "StoreStats") -> "StoreStats":
-        """The counter deltas accumulated after ``before`` was copied."""
-
-        return StoreStats(
-            loaded=self.loaded - before.loaded,
-            stale_dropped=self.stale_dropped - before.stale_dropped,
-            corrupt_file=self.corrupt_file,
-            writes=self.writes - before.writes,
-            flushes=self.flushes - before.flushes,
-            compacted=self.compacted - before.compacted,
-            merged_in=self.merged_in - before.merged_in,
-        )
-
-    def merge(self, other: "StoreStats") -> None:
-        """Fold another store's counters in (every field, like the other
-        stats dataclasses -- the registry completeness test enforces it)."""
-
-        self.loaded += other.loaded
-        self.stale_dropped += other.stale_dropped
-        self.corrupt_file = self.corrupt_file or other.corrupt_file
-        self.writes += other.writes
-        self.flushes += other.flushes
-        self.compacted += other.compacted
-        self.merged_in += other.merged_in
+#: The store's counters, owned by each :class:`SpecOutcomeStore` (meanings:
+#: ``docs/API.md``, "Metrics").
+STORE_COUNTERS = (
+    "store.stale_dropped",
+    "store.writes",
+    "store.flushes",
+    "store.compacted",
+    "store.merged_in",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +330,13 @@ class SpecOutcomeStore:
 
     def __init__(self, path: str, backend: Optional[str] = None) -> None:
         self.path = os.fspath(path)
-        self.stats = StoreStats()
+        self.counters = Counters.fromkeys(STORE_COUNTERS, 0)
+        #: Load-time diagnostics: entries loaded from disk at open time
+        #: (after dropping malformed ones), and whether the backing file
+        #: existed but could not be used (the store then starts empty; the
+        #: corrupt file is replaced on the next flush).
+        self.loaded = 0
+        self.corrupt_file = False
         self._dirty = False
         self._closed = False
         # Hash memos: fingerprinting a problem walks the class table, spec
@@ -459,7 +419,7 @@ class SpecOutcomeStore:
         try:
             return outcome_from_json(entry)
         except (KeyError, ValueError, TypeError):
-            self.stats.stale_dropped += 1
+            self.counters["store.stale_dropped"] += 1
             return None
 
     def save_spec(
@@ -474,7 +434,7 @@ class SpecOutcomeStore:
             return
         payload["kind"] = "spec"
         self._raw_put(self._key("spec", problem, program, spec), payload)
-        self.stats.writes += 1
+        self.counters["store.writes"] += 1
 
     # ------------------------------------------------------------------ guard API
 
@@ -491,7 +451,7 @@ class SpecOutcomeStore:
             return STORE_MISS
         truth = entry.get("truth", STORE_MISS)
         if truth is STORE_MISS or not (truth is None or isinstance(truth, bool)):
-            self.stats.stale_dropped += 1
+            self.counters["store.stale_dropped"] += 1
             return STORE_MISS
         return truth
 
@@ -506,7 +466,7 @@ class SpecOutcomeStore:
             self._key("guard", problem, program, spec),
             {"v": STORE_VERSION, "kind": "guard", "truth": truthiness},
         )
-        self.stats.writes += 1
+        self.counters["store.writes"] += 1
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -572,10 +532,10 @@ class SpecOutcomeStore:
         """Insert one raw entry as the most recently hit (migration API)."""
 
         if not _valid_entry(payload):
-            self.stats.stale_dropped += 1
+            self.counters["store.stale_dropped"] += 1
             return
         self._raw_put(key, payload)
-        self.stats.writes += 1
+        self.counters["store.writes"] += 1
 
     def compact(self, max_entries: int) -> int:
         """LRU-style pruning: keep the ``max_entries`` most recently hit.
@@ -619,10 +579,10 @@ class JsonSpecOutcomeStore(SpecOutcomeStore):
 
     def _load(self) -> None:
         entries, corrupt, stale = self._read_disk()
-        self.stats.corrupt_file = corrupt
-        self.stats.stale_dropped += stale
+        self.corrupt_file = corrupt
+        self.counters["store.stale_dropped"] += stale
         self._entries = entries
-        self.stats.loaded = len(self._entries)
+        self.loaded = len(self._entries)
 
     def _read_disk(self) -> Tuple[Dict[str, Dict[str, object]], bool, int]:
         """Parse the on-disk document: ``(valid entries, corrupt?, stale)``."""
@@ -682,7 +642,7 @@ class JsonSpecOutcomeStore(SpecOutcomeStore):
         # The next flush must overwrite the document: merging would re-adopt
         # the pruned entries straight back from disk.
         self._wiped = True
-        self.stats.compacted += excess
+        self.counters["store.compacted"] += excess
         return excess
 
     def flush(self) -> None:
@@ -711,7 +671,7 @@ class JsonSpecOutcomeStore(SpecOutcomeStore):
                     k: v for k, v in disk.items() if k not in ours
                 }
                 self._entries.update(ours)
-                self.stats.merged_in += merged_in
+                self.counters["store.merged_in"] += merged_in
         directory = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(directory, exist_ok=True)
         payload = json.dumps(
@@ -731,7 +691,7 @@ class JsonSpecOutcomeStore(SpecOutcomeStore):
             raise
         self._dirty = False
         self._wiped = False
-        self.stats.flushes += 1
+        self.counters["store.flushes"] += 1
         if trace.TRACER.enabled:
             trace.TRACER.event("store.flush", backend="json", entries=len(self))
 
@@ -814,7 +774,7 @@ class SQLiteSpecOutcomeStore(SpecOutcomeStore):
             # An unreadable database (e.g. a JSON document renamed to .db):
             # mirror the JSON corrupt-file behavior by starting empty.  The
             # broken file is replaced so the store is usable from here on.
-            self.stats.corrupt_file = True
+            self.corrupt_file = True
             try:
                 if self._conn is not None:  # pragma: no cover - defensive
                     self._conn.close()
@@ -831,7 +791,7 @@ class SQLiteSpecOutcomeStore(SpecOutcomeStore):
         if row is None or row[0] != str(STORE_VERSION):
             # Same contract as a wrong-version JSON document: entries
             # recorded under different rules are ignored wholesale.
-            self.stats.corrupt_file = True
+            self.corrupt_file = True
             with conn:
                 conn.execute("DELETE FROM entries")
                 conn.execute(
@@ -843,8 +803,8 @@ class SQLiteSpecOutcomeStore(SpecOutcomeStore):
                 "DELETE FROM entries WHERE kind NOT IN ('spec', 'guard') OR v != ?",
                 (STORE_VERSION,),
             )
-        self.stats.stale_dropped += cursor.rowcount if cursor.rowcount > 0 else 0
-        self.stats.loaded = conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
+        self.counters["store.stale_dropped"] += max(cursor.rowcount, 0)
+        self.loaded = conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
         self._clock = (
             conn.execute("SELECT COALESCE(MAX(last_hit), 0) FROM entries").fetchone()[0]
         )
@@ -871,7 +831,7 @@ class SQLiteSpecOutcomeStore(SpecOutcomeStore):
         except ValueError:
             payload = None
         if not _valid_entry(payload):
-            self.stats.stale_dropped += 1
+            self.counters["store.stale_dropped"] += 1
             with self._conn:
                 self._conn.execute("DELETE FROM entries WHERE key = ?", (key,))
             return None
@@ -923,7 +883,7 @@ class SQLiteSpecOutcomeStore(SpecOutcomeStore):
         self._pending.clear()
         self._touched.clear()
         self._dirty = False
-        self.stats.flushes += 1
+        self.counters["store.flushes"] += 1
         if trace.TRACER.enabled:
             trace.TRACER.event("store.flush", backend="sqlite", entries=len(self))
 
@@ -938,7 +898,7 @@ class SQLiteSpecOutcomeStore(SpecOutcomeStore):
                 (max_entries,),
             )
         pruned = cursor.rowcount if cursor.rowcount > 0 else 0
-        self.stats.compacted += pruned
+        self.counters["store.compacted"] += pruned
         return pruned
 
     def raw_entries(self) -> Iterator[Tuple[str, Dict[str, object]]]:

@@ -23,7 +23,8 @@ from repro.analysis import (
 )
 from repro.analysis.soundness import check_benchmark, check_expr_against_specs, search_candidates
 from repro.interp.effect_log import log_effect
-from repro.synth import SynthConfig, define, synthesize
+from repro.obs.metrics import Counters
+from repro.synth import SynthConfig, SynthesisSession, define
 from repro.synth.config import default_static_pruning
 from repro.synth.effect_guided import insert_effect_hole
 from repro.typesys.class_table import ClassTable, MethodSig
@@ -129,19 +130,19 @@ def test_footprint_holes_are_top(blog_problem):
 def test_footprint_memo_hits_and_generation_invalidation(blog_problem):
     ct = blog_problem.class_table
     expr = A.Seq(_first_user(), _first_user())
-    stats = SimpleNamespace(footprint_hits=0)
-    first = footprint(expr, {}, ct, stats)
-    hits_after_first = stats.footprint_hits
-    assert footprint(expr, {}, ct, stats) == first
-    assert stats.footprint_hits > hits_after_first
+    counters = Counters()
+    first = footprint(expr, {}, ct, counters)
+    hits_after_first = counters["search.footprint_hits"]
+    assert footprint(expr, {}, ct, counters) == first
+    assert counters["search.footprint_hits"] > hits_after_first
     # Any table mutation moves the generation, so the memo misses once...
     ct.add_class("ScratchClass")
-    hits_before = stats.footprint_hits
-    assert footprint(expr, {}, ct, stats) == first
+    hits_before = counters["search.footprint_hits"]
+    assert footprint(expr, {}, ct, counters) == first
     # ...then warms back up for the new generation.
-    rewarmed = stats.footprint_hits
-    footprint(expr, {}, ct, stats)
-    assert stats.footprint_hits > rewarmed
+    rewarmed = counters["search.footprint_hits"]
+    footprint(expr, {}, ct, counters)
+    assert counters["search.footprint_hits"] > rewarmed
     assert hits_before <= rewarmed  # the miss itself added no hit at the root
 
 
@@ -155,9 +156,9 @@ def test_writers_for_effect_prefilter(blog_problem):
         assert not resolved.effects.write.is_pure
         assert E.subsumed(E.Effect.of("User.name"), resolved.effects.write, ct)
     # Second lookup for the same (generation, effect) is memoized.
-    stats = SimpleNamespace(footprint_hits=0)
-    assert writers_for_effect(E.Effect.of("User.name"), ct, stats) == writers
-    assert stats.footprint_hits == 1
+    counters = Counters()
+    assert writers_for_effect(E.Effect.of("User.name"), ct, counters) == writers
+    assert counters["search.footprint_hits"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -242,15 +243,18 @@ def test_static_pruning_is_transparent_and_cheaper():
     for enabled in (False, True):
         problem = _make_blog_problem(build_blog_app())
         config = SynthConfig(timeout_s=30, static_pruning=enabled)
-        results[enabled] = synthesize(problem, config)
+        with SynthesisSession(config) as session:
+            results[enabled] = session.run(problem)
     off, on = results[False], results[True]
     assert off.success and on.success
     assert off.program == on.program  # byte-identical synthesis
-    ops_off = off.stats.evaluated + off.stats.state_restores - off.stats.state_pure_skips
-    ops_on = on.stats.evaluated + on.stats.state_restores - on.stats.state_pure_skips
-    assert ops_on < ops_off
-    assert on.stats.state_pure_skips > 0
-    assert off.stats.state_pure_skips == 0 and off.stats.static_prunes == 0
+    def dynamic_ops(c):
+        return c["search.evaluated"] + c["state.restores"] - c["state.pure_skips"]
+
+    assert dynamic_ops(on.counters) < dynamic_ops(off.counters)
+    assert on.counters["state.pure_skips"] > 0
+    assert off.counters["state.pure_skips"] == 0
+    assert off.counters["search.static_prunes"] == 0
 
 
 def test_static_pruning_env_override(monkeypatch):
@@ -265,12 +269,12 @@ def test_static_pruning_env_override(monkeypatch):
 
 
 def test_insert_effect_hole_counts_type_fallbacks(blog_problem):
-    stats = SimpleNamespace(effect_type_fallbacks=0, footprint_hits=0)
-    insert_effect_hole(_first_user(), E.Effect.of("User.name"), blog_problem, stats)
-    assert stats.effect_type_fallbacks == 0
+    counters = Counters()
+    insert_effect_hole(_first_user(), E.Effect.of("User.name"), blog_problem, counters)
+    assert counters["search.effect_type_fallbacks"] == 0
     # An untypeable candidate falls back to the goal's return type -- counted.
-    insert_effect_hole(A.Var("ghost"), E.Effect.of("User.name"), blog_problem, stats)
-    assert stats.effect_type_fallbacks == 1
+    insert_effect_hole(A.Var("ghost"), E.Effect.of("User.name"), blog_problem, counters)
+    assert counters["search.effect_type_fallbacks"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -502,11 +506,10 @@ def test_pruner_witness_strip_is_alpha_invariant(blog_problem):
 def test_search_shares_memo_across_renamed_candidates(blog_problem):
     """End-to-end: static_prunes counts renamed-let duplicates as hits."""
 
-    from repro.synth.search import SearchStats
     from repro.synth.goal import evaluate_spec
 
-    stats = SearchStats()
-    pruner = StaticPruner(blog_problem, stats)
+    counters = Counters()
+    pruner = StaticPruner(blog_problem, counters)
     call = _first_user()
     spec = blog_problem.specs[0]
     manager = blog_problem.state_manager()
@@ -516,13 +519,13 @@ def test_search_shares_memo_across_renamed_candidates(blog_problem):
         key = pruner.key_for(candidate)
         hit = pruner.outcome_for(key)
         if hit is not None:
-            stats.static_prunes += 1
+            counters["search.static_prunes"] += 1
             seen += 1
             continue
         program = blog_problem.make_program(candidate)
         outcome = evaluate_spec(blog_problem, program, spec, state=manager)
         pruner.record(key, outcome)
-    assert seen == 2 and stats.static_prunes == 2
+    assert seen == 2 and counters["search.static_prunes"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -576,14 +579,15 @@ def test_writer_reorders_counter(blog_problem):
         effects=EffectPair(read=E.Effect.pure(), write=E.Effect.of("Doc.title")),
         impl=lambda interp, recv, v: None, synthesis=True,
     ))
-    stats = SimpleNamespace(footprint_hits=0, writer_reorders=0)
-    writers = writers_for_effect(E.Effect.of("Doc.title"), ct, stats)
+    counters = Counters()
+    writers = writers_for_effect(E.Effect.of("Doc.title"), ct, counters)
     names = [resolved.sig.qualified_name for resolved in writers]
     assert names.index("Doc.retitle") < names.index("Doc.touch") < names.index(
         "Doc.wipe_all"
     )
-    assert stats.writer_reorders == 1
+    assert counters["search.writer_reorders"] == 1
     # Memo hits re-count the reorder, so merged parallel counters match a
     # serial run's.
-    writers_for_effect(E.Effect.of("Doc.title"), ct, stats)
-    assert stats.writer_reorders == 2 and stats.footprint_hits == 1
+    writers_for_effect(E.Effect.of("Doc.title"), ct, counters)
+    assert counters["search.writer_reorders"] == 2
+    assert counters["search.footprint_hits"] == 1

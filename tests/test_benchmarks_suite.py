@@ -23,7 +23,7 @@ from repro.evaluation.figure8 import run_figure8
 from repro.evaluation.report import cumulative_counts, format_markdown_table, format_table
 from repro.evaluation.table1 import measure_assertions, run_table1
 from repro.lang.effects import PRECISIONS
-from repro.synth import SynthConfig, synthesize
+from repro.synth import SynthConfig
 
 
 # ---------------------------------------------------------------------------

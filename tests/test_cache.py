@@ -11,7 +11,7 @@ from repro.lang import ast as A
 from repro.lang import types as T
 from repro.apps.blog import build_blog_app, seed_blog
 from repro.benchmarks import get_benchmark, run_benchmark
-from repro.synth import SynthConfig, define, evaluate_spec, synthesize
+from repro.synth import SynthConfig, SynthesisSession, define, evaluate_spec
 from repro.synth.cache import MISSING, SynthCache
 from repro.synth.goal import (
     Budget,
@@ -20,7 +20,12 @@ from repro.synth.goal import (
     evaluate_guard,
 )
 from repro.synth.merge import SpecSolution
-from repro.synth.search import SearchStats, _WorkList, generate_for_spec, generate_guard
+from repro.synth.search import (
+    _WorkList,
+    generate_for_spec,
+    generate_guard,
+    search_counters,
+)
 from repro.synth.synthesizer import _reuse_solution
 
 
@@ -129,11 +134,13 @@ def test_spec_memo_hit_skips_execution(mutable_seed_problem):
 
     first = evaluate_spec(problem, program, spec, cache=cache)
     assert first.ok
-    assert (cache.stats.spec_misses, cache.stats.spec_hits) == (1, 0)
+    assert cache.counters["cache.spec_misses"] == 1
+    assert cache.counters["cache.spec_hits"] == 0
 
     second = evaluate_spec(problem, program, spec, cache=cache)
     assert second is first  # the memoized outcome object, no re-run
-    assert (cache.stats.spec_misses, cache.stats.spec_hits) == (1, 1)
+    assert cache.counters["cache.spec_misses"] == 1
+    assert cache.counters["cache.spec_hits"] == 1
 
 
 def test_disabled_cache_executes_but_counts_redundancy(mutable_seed_problem):
@@ -145,9 +152,9 @@ def test_disabled_cache_executes_but_counts_redundancy(mutable_seed_problem):
     second = evaluate_spec(problem, program, spec, cache=cache)
     assert first.ok and second.ok
     assert second is not first  # re-executed
-    assert cache.stats.spec_hits == 0
-    assert cache.stats.spec_misses == 1  # one unique key...
-    assert cache.stats.spec_redundant == 1  # ...and one observed re-run
+    assert cache.counters["cache.spec_hits"] == 0
+    assert cache.counters["cache.spec_misses"] == 1  # one unique key...
+    assert cache.counters["cache.spec_redundant"] == 1  # ...and one observed re-run
     # Total executions on the disabled path = misses + redundant.
 
 
@@ -158,14 +165,15 @@ def test_untracked_disabled_cache_is_a_noop_baseline(mutable_seed_problem):
     evaluate_spec(problem, program, spec, cache=cache)
     evaluate_spec(problem, program, spec, cache=cache)
     assert len(cache) == 0  # no key bookkeeping at all
-    assert cache.stats.spec_redundant == 0
-    assert cache.stats.spec_misses == 2  # executions still counted
+    assert cache.counters["cache.spec_redundant"] == 0
+    assert cache.counters["cache.spec_misses"] == 2  # executions still counted
 
 
 def test_synthesize_releases_its_cache(blog_problem):
-    result = synthesize(blog_problem, SynthConfig(timeout_s=30))
+    with SynthesisSession(SynthConfig(timeout_s=30)) as session:
+        result = session.run(blog_problem)
     assert result.success
-    # The per-run cache must not stay registered on a long-lived problem.
+    # The session's cache must not stay registered on a long-lived problem.
     assert blog_problem._caches == []
 
 
@@ -180,8 +188,8 @@ def test_memo_is_precision_keyed(mutable_seed_problem):
 
     coarse = replace(problem, class_table=problem.class_table.coarsened(PRECISION_PURITY))
     evaluate_spec(coarse, program, spec, cache=cache)
-    assert cache.stats.spec_misses == 2  # different precision, different key
-    assert cache.stats.spec_hits == 0
+    assert cache.counters["cache.spec_misses"] == 2  # different precision, different key
+    assert cache.counters["cache.spec_hits"] == 0
 
 
 def test_lru_eviction_is_counted(mutable_seed_problem):
@@ -191,11 +199,11 @@ def test_lru_eviction_is_counted(mutable_seed_problem):
     for body in bodies:
         evaluate_spec(problem, problem.make_program(body), spec, cache=cache)
     assert len(cache) == 2
-    assert cache.stats.evictions == 1
+    assert cache.counters["cache.evictions"] == 1
     # The oldest entry was evicted: looking it up again is a miss.
     evaluate_spec(problem, problem.make_program(bodies[0]), spec, cache=cache)
-    assert cache.stats.spec_hits == 0
-    assert cache.stats.spec_misses == 4
+    assert cache.counters["cache.spec_hits"] == 0
+    assert cache.counters["cache.spec_misses"] == 4
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +217,8 @@ def test_guard_memo_answers_both_polarities_from_one_run(mutable_seed_problem):
     guard = A.TRUE
     assert evaluate_guard(problem, guard, spec, expect=True, cache=cache)
     assert not evaluate_guard(problem, guard, spec, expect=False, cache=cache)
-    assert cache.stats.guard_misses == 1
-    assert cache.stats.guard_hits == 1  # negated question answered from memo
+    assert cache.counters["cache.guard_misses"] == 1
+    assert cache.counters["cache.guard_hits"] == 1  # negated question answered from memo
 
 
 def test_guard_memo_rejects_crashing_guards(mutable_seed_problem):
@@ -219,7 +227,7 @@ def test_guard_memo_rejects_crashing_guards(mutable_seed_problem):
     crashing = A.call(A.NIL, "name")
     assert not evaluate_guard(problem, crashing, spec, expect=True, cache=cache)
     assert not evaluate_guard(problem, crashing, spec, expect=False, cache=cache)
-    assert cache.stats.guard_hits == 1
+    assert cache.counters["cache.guard_hits"] == 1
     program = problem.make_program(crashing)
     assert cache.lookup_guard(problem, program, spec) is None  # stored crash
     assert cache.lookup_guard(problem, problem.make_program(A.FALSE), spec) is MISSING
@@ -242,13 +250,13 @@ def test_invalidation_after_reset_baseline_mutates(mutable_seed_problem):
     seed["username"] = "dave"
     stale = evaluate_spec(problem, program, spec, cache=cache)
     assert stale.ok  # ...so the memoized outcome is stale by construction
-    assert cache.stats.spec_hits == 1
+    assert cache.counters["cache.spec_hits"] == 1
 
     problem.invalidate_caches()
-    assert cache.stats.invalidations == 1
+    assert cache.counters["cache.invalidations"] == 1
     fresh = evaluate_spec(problem, program, spec, cache=cache)
     assert not fresh.ok  # re-executed against the new baseline
-    assert cache.stats.spec_misses == 2
+    assert cache.counters["cache.spec_misses"] == 2
 
 
 def test_rebind_reset_invalidates_registered_caches(mutable_seed_problem):
@@ -262,7 +270,7 @@ def test_rebind_reset_invalidates_registered_caches(mutable_seed_problem):
     app = problem.app if hasattr(problem, "app") else None  # noqa: F841
     problem.rebind_reset(lambda: None)
     assert len(cache) == 0
-    assert cache.stats.invalidations == 1
+    assert cache.counters["cache.invalidations"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -281,20 +289,25 @@ def test_synthesis_results_identical_with_and_without_cache(benchmark_id):
     )
     assert off.success and on.success
     assert off.last_result.program == on.last_result.program
-    assert on.cache_hits > 0  # the memo absorbed repeated executions
-    assert off.cache_hits == 0  # a disabled cache never serves hits
-    assert off.cache_redundant > 0  # ...but it observed the redundancy
+    on_c, off_c = on.counters, off.counters
+    # The memo absorbed repeated executions; a disabled cache never hits...
+    assert on_c["cache.spec_hits"] + on_c["cache.guard_hits"] > 0
+    assert off_c["cache.spec_hits"] + off_c["cache.guard_hits"] == 0
+    # ...but the disabled cache observed the redundancy.
+    assert off_c["cache.spec_redundant"] + off_c["cache.guard_redundant"] > 0
     # The executions the enabled cache performed are exactly the unique ones.
-    assert on.cache_misses == off.cache_misses
+    for key in ("cache.spec_misses", "cache.guard_misses"):
+        assert on_c[key] == off_c[key]
 
 
 def test_synthesize_surfaces_cache_stats(blog_problem):
-    result = synthesize(blog_problem, SynthConfig(timeout_s=30))
+    with SynthesisSession(SynthConfig(timeout_s=30)) as session:
+        result = session.run(blog_problem)
     assert result.success
-    assert result.cache_stats is not None
-    assert result.stats.cache_misses == result.cache_stats.misses
-    assert result.stats.cache_misses > 0
-    assert set(result.cache_stats.as_dict()) >= {"spec_hits", "spec_misses", "evictions"}
+    assert result.counters["cache.spec_misses"] > 0
+    cache = result.metrics["stats"]["cache"]
+    assert set(cache) >= {"spec_hits", "spec_misses", "evictions"}
+    assert cache["spec_misses"] == result.counters["cache.spec_misses"]
 
 
 # ---------------------------------------------------------------------------
@@ -305,20 +318,14 @@ def test_synthesize_surfaces_cache_stats(blog_problem):
 def test_reuse_solution_checks_budget(blog_problem):
     spec = blog_problem.specs[0]
     solutions = [SpecSolution(expr=FIRST_USER, specs=())]
-    stats = SearchStats()
     with pytest.raises(SynthesisTimeout):
-        _reuse_solution(
-            blog_problem, spec, solutions, SynthConfig(), Budget(0.0), stats
-        )
-    assert stats.timed_out
+        _reuse_solution(blog_problem, spec, solutions, SynthConfig(), Budget(0.0))
 
 
 def test_evaluate_all_specs_checks_budget(blog_problem):
     program = blog_problem.make_program(FIRST_USER)
-    stats = SearchStats()
     with pytest.raises(SynthesisTimeout):
-        evaluate_all_specs(blog_problem, program, budget=Budget(0.0), stats=stats)
-    assert stats.timed_out
+        evaluate_all_specs(blog_problem, program, budget=Budget(0.0))
 
 
 def test_evaluate_all_specs_without_budget_still_works(blog_problem):
@@ -336,13 +343,13 @@ def test_effect_wrap_is_size_bounded(blog_problem):
     # the S-Eff wrap would grow it past the bound; the wrapped candidate
     # must be pruned (counted in pruned_size), never pushed.
     config = SynthConfig(timeout_s=20, max_size=3)
-    stats = SearchStats()
+    counters = search_counters()
     expr = generate_for_spec(
-        blog_problem, blog_problem.specs[0], config, stats=stats
+        blog_problem, blog_problem.specs[0], config, counters=counters
     )
     assert expr is None  # no solution fits in 3 nodes
-    assert stats.effect_wraps == 0  # every wrap exceeded the bound
-    assert stats.pruned_size > 0
+    assert counters["search.effect_wraps"] == 0  # every wrap exceeded the bound
+    assert counters["search.pruned_size"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +373,7 @@ class _FlippingBudget:
 
 def test_generate_guard_checks_budget_per_candidate(blog_problem):
     spec = blog_problem.specs[0]
-    stats = SearchStats()
+    counters = search_counters()
     with pytest.raises(SynthesisTimeout):
         generate_guard(
             blog_problem,
@@ -374,10 +381,9 @@ def test_generate_guard_checks_budget_per_candidate(blog_problem):
             [],
             SynthConfig(),
             budget=_FlippingBudget(),
-            stats=stats,
+            counters=counters,
         )
     # The budget expired during the first expansion: without the
     # per-candidate guard, every hole-free candidate of that expansion
     # would have been evaluated before the next pop noticed the timeout.
-    assert stats.evaluated == 0
-    assert stats.timed_out
+    assert counters["search.evaluated"] == 0

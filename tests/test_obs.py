@@ -1,12 +1,13 @@
 """Tests for the observability subsystem (repro.obs): span-based tracing,
-the unified metrics registry, the trace analysis tooling, and the traced
-``session.run`` end-to-end contract (root span, phase coverage, Chrome
-export)."""
+the counter namespace and metrics snapshots, the trace analysis tooling,
+and the traced ``session.run`` end-to-end contract (root span, phase
+coverage, Chrome export)."""
 
 from __future__ import annotations
 
-import dataclasses
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -14,11 +15,17 @@ from repro.obs import trace
 from repro.obs import tool
 from repro.obs.metrics import (
     METRICS_SCHEMA_VERSION,
+    Baseline,
+    Counters,
     MetricsRegistry,
     merge_snapshots,
-    stats_sources,
 )
+from repro.activerecord.database import QUERY_COUNTERS
 from repro.synth import SynthConfig, SynthesisSession
+from repro.synth.cache import CACHE_COUNTERS
+from repro.synth.search import SEARCH_COUNTERS
+from repro.synth.state import STATE_COUNTERS
+from repro.synth.store import STORE_COUNTERS
 
 
 @pytest.fixture(autouse=True)
@@ -123,21 +130,98 @@ def test_reset_after_fork_drops_tracer_without_closing(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Metrics registry
+# Counters and the metrics registry
 # ---------------------------------------------------------------------------
+
+
+def test_counters_since_merge_and_per_layer_nesting():
+    """The one counter namespace: flat ``layer.name`` keys, a missing key
+    reads 0, ``since``/``merge`` are per-key arithmetic over every key, and
+    ``as_dict`` nests per layer (the shape of ``metrics["stats"]``)."""
+
+    counters = Counters.fromkeys(("search.expansions", "cache.spec_hits"), 0)
+    assert counters["search.never_counted"] == 0
+    assert "search.never_counted" not in counters  # reading adds no key
+
+    before = counters.copy()
+    counters["search.expansions"] += 5
+    counters["state.restores"] += 2  # a key first counted after the copy
+    assert before["search.expansions"] == 0  # the copy is independent
+    delta = counters.since(before)
+    assert isinstance(delta, Counters)
+    assert delta == {"search.expansions": 5, "cache.spec_hits": 0, "state.restores": 2}
+
+    total = Counters({"search.expansions": 1, "query.scans": 4})
+    total.merge(delta)
+    assert total == {
+        "search.expansions": 6,
+        "query.scans": 4,
+        "cache.spec_hits": 0,
+        "state.restores": 2,
+    }
+    assert total.as_dict() == {
+        "cache": {"spec_hits": 0},
+        "query": {"scans": 4},
+        "search": {"expansions": 6},
+        "state": {"restores": 2},
+    }
+
+    # A baseline over several owners sums each owner's delta.
+    cache, state = Counters({"cache.spec_hits": 3}), Counters({"state.restores": 1})
+    baseline = Baseline(cache, None, state)
+    cache["cache.spec_hits"] += 2
+    state["state.restores"] += 4
+    assert baseline.delta() == {"cache.spec_hits": 2, "state.restores": 4}
+
+
+#: Every key each counter owner declares, by layer (the search layer also
+#: holds the problem's ``search.reset_replays``).
+OWNER_COUNTERS = {
+    "cache": CACHE_COUNTERS,
+    "query": QUERY_COUNTERS,
+    "search": SEARCH_COUNTERS + ("search.reset_replays",),
+    "state": STATE_COUNTERS,
+    "store": STORE_COUNTERS,
+}
+
+
+@pytest.mark.parametrize("prefix", sorted(OWNER_COUNTERS))
+def test_registry_exports_and_merges_every_stats_field(prefix):
+    """Every counter an owner declares must flow through the snapshot.
+
+    The keys must be distinct and live in the owner's layer, the snapshot
+    must export each one under ``stats[layer]``, and ``merge_snapshots``
+    must fold it exactly like ``Counters.merge``.
+    """
+
+    keys = OWNER_COUNTERS[prefix]
+    assert len(set(keys)) == len(keys)
+    assert all(key.startswith(prefix + ".") for key in keys)
+    names = {key.partition(".")[2] for key in keys}
+    a = Counters({key: 2 * index + 1 for index, key in enumerate(keys)})
+    b = Counters({key: 100 + index for index, key in enumerate(keys)})
+
+    snap_a = MetricsRegistry().snapshot(a)
+    snap_b = MetricsRegistry().snapshot(b)
+    assert set(snap_a["stats"]) == {prefix}
+    assert set(snap_a["stats"][prefix]) == names
+
+    merged = merge_snapshots(snap_a, snap_b)["stats"][prefix]
+    a.merge(b)  # Counters.merge is the reference semantics
+    assert set(merged) == names
+    for name in names:
+        assert merged[name] == a[f"{prefix}.{name}"], f"{prefix}.{name}"
 
 
 def test_registry_instruments_and_snapshot_shape():
     registry = MetricsRegistry()
-    registry.counter("evals").inc()
-    registry.counter("evals").inc(4)
-    registry.gauge("pool_size").set(2)
     registry.observe_phase("spec_search", 0.5)
     registry.observe_phase("spec_search", 1.5)
-    snap = registry.snapshot()
+    counters = Counters({"search.evaluated": 5, "cache.spec_hits": 2})
+    snap = registry.snapshot(counters)
     assert snap["schema_version"] == METRICS_SCHEMA_VERSION
-    assert snap["counters"] == {"evals": 5}
-    assert snap["gauges"] == {"pool_size": 2}
+    assert set(snap) == {"schema_version", "phases", "stats"}
+    assert snap["stats"] == {"cache": {"spec_hits": 2}, "search": {"evaluated": 5}}
     hist = snap["phases"]["spec_search"]
     assert hist["count"] == 2
     assert hist["total_s"] == pytest.approx(2.0)
@@ -147,34 +231,16 @@ def test_registry_instruments_and_snapshot_shape():
     json.dumps(snap)  # JSON-able end to end
 
 
-def test_attach_stats_rejects_non_dataclasses():
-    with pytest.raises(TypeError):
-        MetricsRegistry().attach_stats("bogus", object())
-
-
-def test_attached_stats_are_live_references():
-    from repro.synth.search import SearchStats
-
-    registry = MetricsRegistry()
-    stats = SearchStats()
-    registry.attach_stats("search", stats)
-    stats.expansions += 7
-    assert registry.snapshot()["stats"]["search"]["expansions"] == 7
-
-
 def test_merge_snapshots_combines_every_section():
     a_reg, b_reg = MetricsRegistry(), MetricsRegistry()
-    a_reg.counter("evals").inc(2)
-    a_reg.gauge("jobs").set(1)
     a_reg.observe_phase("run", 1.0)
-    b_reg.counter("evals").inc(3)
-    b_reg.counter("only_b").inc()
-    b_reg.gauge("jobs").set(4)
     b_reg.observe_phase("run", 3.0)
     b_reg.observe_phase("merge", 0.25)
-    merged = merge_snapshots(a_reg.snapshot(), b_reg.snapshot())
-    assert merged["counters"] == {"evals": 5, "only_b": 1}
-    assert merged["gauges"] == {"jobs": 4}  # last write wins
+    merged = merge_snapshots(
+        a_reg.snapshot(Counters({"search.evaluated": 2})),
+        b_reg.snapshot(Counters({"search.evaluated": 3, "query.scans": 1})),
+    )
+    assert merged["stats"] == {"query": {"scans": 1}, "search": {"evaluated": 5}}
     run = merged["phases"]["run"]
     assert run["count"] == 2
     assert run["total_s"] == pytest.approx(4.0)
@@ -182,58 +248,6 @@ def test_merge_snapshots_combines_every_section():
     assert run["max_s"] == pytest.approx(3.0)
     assert run["mean_s"] == pytest.approx(2.0)
     assert merged["phases"]["merge"]["count"] == 1
-
-
-# ---------------------------------------------------------------------------
-# Registry field completeness over every stats dataclass
-# ---------------------------------------------------------------------------
-
-
-def _distinct_instances(stats_cls):
-    """Two instances with distinct per-field values (mirrors the parallel
-    suite's ``_completeness`` idiom)."""
-
-    a_values, b_values = {}, {}
-    for index, field in enumerate(dataclasses.fields(stats_cls)):
-        if field.type in ("int", int):
-            a_values[field.name] = 2 * index + 1
-            b_values[field.name] = 100 + index
-        elif field.type in ("bool", bool):
-            a_values[field.name] = False
-            b_values[field.name] = True
-        else:  # pragma: no cover - all counters are ints/bools today
-            raise AssertionError(f"unexpected counter type {field.type!r}")
-    return stats_cls(**a_values), stats_cls(**b_values)
-
-
-@pytest.mark.parametrize("prefix", sorted(stats_sources()))
-def test_registry_exports_and_merges_every_stats_field(prefix):
-    """Adding a field to a stats dataclass must flow through the registry.
-
-    The snapshot must export the new field, ``merge_snapshots`` must fold
-    it exactly like the class's own ``merge``, and ``as_dict`` (the legacy
-    export) must not have drifted from the dataclass fields.
-    """
-
-    stats_cls = stats_sources()[prefix]
-    field_names = {f.name for f in dataclasses.fields(stats_cls)}
-    a, b = _distinct_instances(stats_cls)
-
-    a_registry, b_registry = MetricsRegistry(), MetricsRegistry()
-    a_registry.attach_stats(prefix, a)
-    b_registry.attach_stats(prefix, b)
-    snap_a, snap_b = a_registry.snapshot(), b_registry.snapshot()
-    assert set(snap_a["stats"][prefix]) == field_names
-
-    merged = merge_snapshots(snap_a, snap_b)["stats"][prefix]
-    a.merge(b)  # the class's own merge is the reference semantics
-    for name in field_names:
-        assert merged[name] == getattr(a, name), f"{stats_cls.__name__}.{name}"
-
-    if hasattr(a, "as_dict"):
-        assert set(a.as_dict()) == field_names, (
-            f"{stats_cls.__name__}.as_dict drifted from its dataclass fields"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +360,8 @@ def test_run_result_carries_metrics_snapshot():
     metrics = result.metrics
     assert metrics["schema_version"] == METRICS_SCHEMA_VERSION
     assert set(metrics["stats"]) >= {"search", "cache", "state"}
-    assert metrics["stats"]["search"]["evaluated"] == result.stats.evaluated
-    assert metrics["stats"]["cache"]["spec_hits"] == result.cache_stats.spec_hits
+    assert metrics["stats"] == result.counters.as_dict()
+    assert metrics["stats"]["search"]["evaluated"] > 0
     assert "run" in metrics["phases"] and metrics["phases"]["run"]["count"] == 1
     assert "spec_search" in metrics["phases"]
 
@@ -359,3 +373,42 @@ def test_benchmark_result_folds_metrics_across_runs():
     assert result.success
     assert result.metrics is not None
     assert result.metrics["phases"]["run"]["count"] == 2
+
+
+def _perfbench_counters():
+    """``perfbench/child.py``'s ``COUNTERS`` table, read without importing
+    the benchmark (it expects its own directory on ``sys.path``)."""
+
+    child = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    source = child.read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "COUNTERS"
+            for target in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/child.py defines no COUNTERS")
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+@pytest.mark.parametrize("benchmark_id", ["S5", "A1"])
+def test_metrics_stats_hold_every_counter_perfbench_reads(benchmark_id, parallel):
+    """The end-to-end benchmark reads its per-layer counters from
+    ``result.metrics["stats"]`` by name, defaulting a missing one to 0, so
+    a renamed counter would silently zero a benchmark metric.  Every name
+    it reads must be exported (serial and parallel), and the search and
+    snapshot counters it reports must be live."""
+
+    with SynthesisSession(SynthConfig(timeout_s=60)) as session:
+        result = session.run(benchmark_id, parallel=parallel)
+    assert result.success
+    stats = result.metrics["stats"]
+    for layer, names in _perfbench_counters().items():
+        for name in names:
+            if (layer, name) in {("cache", "intern_hits"), ("cache", "intern_misses")}:
+                continue  # the deleted AST interner's pair, always 0
+            assert name in stats.get(layer, {}), f"{layer}.{name}"
+    live = [("search", "expansions"), ("search", "pushed"), ("search", "evaluated"),
+            ("state", "restores")]
+    for layer, name in live:
+        assert stats[layer][name] > 0, f"{layer}.{name}"

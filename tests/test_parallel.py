@@ -1,7 +1,7 @@
 """Tests for the parallel synthesis subsystem (repro.synth.parallel):
 serial-vs-parallel equivalence (programs, outcomes and merged counters),
-sweep-cell distribution, the two-process SQLite store round-trip, cross-run
-solution hints, and the counter-merge field-completeness guards."""
+sweep-cell distribution, the two-process SQLite store round-trip and
+cross-run solution hints."""
 
 from __future__ import annotations
 
@@ -9,19 +9,27 @@ import dataclasses
 
 import pytest
 
+from repro.activerecord import Database
 from repro.benchmarks import get_benchmark, run_benchmark
 from repro.interp import Interpreter
+from repro.obs.metrics import Counters
 from repro.synth import SynthConfig, SynthesisSession
-from repro.synth.cache import CacheStats
-from repro.synth.search import SearchStats
-from repro.synth.state import StateStats
+from repro.synth.cache import SynthCache
+from repro.synth.search import SEARCH_COUNTERS, search_counters
+from repro.synth.state import StateManager
 
 #: Multi-spec registry benchmarks cheap enough for pooled tests.
 FAST = ["S4", "S5"]
 
 #: Counters that only the parallel run accumulates (dispatch bookkeeping,
 #: not work): excluded from the serial-equality comparison.
-PARALLEL_ONLY = {"parallel_tasks", "parallel_discarded"}
+PARALLEL_ONLY = {"search.parallel_tasks", "search.parallel_discarded"}
+
+
+def _work(counters):
+    """Every counter but the parallel dispatch bookkeeping."""
+
+    return {key: value for key, value in counters.items() if key not in PARALLEL_ONLY}
 
 
 # ---------------------------------------------------------------------------
@@ -39,7 +47,7 @@ def test_parallel_run_synthesizes_identical_programs(benchmark_id):
     assert parallel.success == serial.success
     assert parallel.timed_out == serial.timed_out
     assert parallel.program == serial.program
-    assert parallel.stats.parallel_tasks > 0
+    assert parallel.counters["search.parallel_tasks"] > 0
 
 
 @pytest.mark.parametrize("benchmark_id", ["S1", "S5"])
@@ -59,13 +67,7 @@ def test_parallel_counters_equal_serial_totals(benchmark_id):
         serial = session.run(benchmark_id)
     with SynthesisSession(config) as session:
         parallel = session.run(benchmark_id, parallel=2)
-    serial_counts = serial.stats.as_dict()
-    parallel_counts = parallel.stats.as_dict()
-    for field in serial_counts:
-        if field in PARALLEL_ONLY:
-            continue
-        assert parallel_counts[field] == serial_counts[field], field
-    assert parallel.cache_stats.as_dict() == serial.cache_stats.as_dict()
+    assert _work(parallel.counters) == _work(serial.counters)
 
 
 def test_parallel_hit_miss_totals_preserved_on_speculative_overlap():
@@ -78,11 +80,12 @@ def test_parallel_hit_miss_totals_preserved_on_speculative_overlap():
     with SynthesisSession(config) as session:
         parallel = session.run("S4", parallel=2)
     assert parallel.program == serial.program
-    assert (
-        parallel.stats.cache_hits + parallel.stats.cache_misses
-        == serial.stats.cache_hits + serial.stats.cache_misses
-    )
-    assert parallel.stats.evaluated == serial.stats.evaluated
+    def lookups(counters):
+        return sum(counters[f"cache.{kind}_{outcome}"]
+                   for kind in ("spec", "guard") for outcome in ("hits", "misses"))
+
+    assert lookups(parallel.counters) == lookups(serial.counters)
+    assert parallel.counters["search.evaluated"] == serial.counters["search.evaluated"]
 
 
 def test_non_registry_problem_falls_back_to_serial():
@@ -90,7 +93,7 @@ def test_non_registry_problem_falls_back_to_serial():
     with SynthesisSession(SynthConfig(timeout_s=60), parallel=2) as session:
         result = session.run(problem)
     assert result.success
-    assert result.stats.parallel_tasks == 0
+    assert result.counters["search.parallel_tasks"] == 0
 
 
 def test_fresh_state_falls_back_to_serial():
@@ -99,7 +102,7 @@ def test_fresh_state_falls_back_to_serial():
     with SynthesisSession(SynthConfig(timeout_s=60), parallel=2) as session:
         result = session.run("S4", fresh_state=True)
     assert result.success
-    assert result.stats.parallel_tasks == 0
+    assert result.counters["search.parallel_tasks"] == 0
 
 
 def test_parallel_sweep_with_json_store_warns(tmp_path):
@@ -189,11 +192,11 @@ def test_two_process_sqlite_store_round_trip(tmp_path):
     assert all(entry.success for entry in entries)
 
     with SynthesisSession(config, store=path) as fresh:
-        assert fresh.store.stats.loaded > 0
+        assert fresh.store.loaded > 0
         results = {bid: fresh.run(bid) for bid in FAST}
     for bid, result in results.items():
         assert result.success
-        assert result.stats.store_hits >= 1, bid
+        assert result.counters["cache.store_hits"] >= 1, bid
         serial = SynthesisSession(config)
         try:
             assert result.program == serial.run(bid).program
@@ -214,7 +217,7 @@ def test_parallel_run_with_json_store_persists_via_parent(tmp_path):
     with SynthesisSession(config, store=path) as fresh:
         second = fresh.run("S4")
     assert second.program == first.program
-    assert second.stats.store_hits >= 1
+    assert second.counters["cache.store_hits"] >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -228,11 +231,11 @@ def test_session_repeats_reuse_solutions_without_searching():
         first = session.run("S4")
         second = session.run("S4")
     assert second.program == first.program
-    assert second.stats.hint_reuses > 0
+    assert second.counters["search.hint_reuses"] > 0
     # Hints replace the per-spec searches (the merge phase's guard
     # syntheses still expand), so the repeat does strictly less work.
-    assert second.stats.expansions < first.stats.expansions
-    assert second.stats.evaluated < first.stats.evaluated
+    assert second.counters["search.expansions"] < first.counters["search.expansions"]
+    assert second.counters["search.evaluated"] < first.counters["search.evaluated"]
 
 
 def test_hints_do_not_cross_configs():
@@ -241,7 +244,7 @@ def test_hints_do_not_cross_configs():
         coarse = session.run("S4", effect_precision="class")
     # The precision variant runs on a derived problem with its own hint
     # space, so its first run must have searched.
-    assert coarse.stats.hint_reuses == 0
+    assert coarse.counters["search.hint_reuses"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -304,66 +307,57 @@ def test_ast_memo_slots_are_dropped_on_pickle(orm_class_table):
 
 
 # ---------------------------------------------------------------------------
-# Counter-merge field completeness
+# Counter-merge completeness
 # ---------------------------------------------------------------------------
 
 
-def _completeness(stats_cls):
-    """Merging two instances must aggregate every dataclass field.
+def _completeness(owner_counters):
+    """Merging two runs' counters must add up every key the owner declares.
 
-    Fails when a counter is added without merge support: the unmerged field
-    keeps ``a``'s value instead of the expected combination.
+    Takes an owner's fresh counters; fails when one of its keys is not
+    declared at zero or is not summed by ``merge``.
     """
 
-    fields = dataclasses.fields(stats_cls)
-    a_values = {}
-    b_values = {}
-    for index, field in enumerate(fields):
-        if field.type in ("int", int):
-            a_values[field.name] = 2 * index + 1
-            b_values[field.name] = 100 + index
-        elif field.type in ("bool", bool):
-            a_values[field.name] = False
-            b_values[field.name] = True
-        else:  # pragma: no cover - all counters are ints/bools today
-            raise AssertionError(f"unexpected counter type {field.type!r}")
-    a = stats_cls(**a_values)
-    b = stats_cls(**b_values)
-    a.merge(b)
-    for field in fields:
-        merged = getattr(a, field.name)
-        if field.type in ("bool", bool):
-            assert merged is True, f"{stats_cls.__name__}.{field.name} not merged"
-        else:
-            expected = a_values[field.name] + b_values[field.name]
-            assert merged == expected, f"{stats_cls.__name__}.{field.name} not merged"
+    keys = sorted(owner_counters)
+    assert keys
+    assert all(value == 0 for value in owner_counters.values())
+    a = Counters({key: 2 * index + 1 for index, key in enumerate(keys)})
+    b = Counters({key: 100 + index for index, key in enumerate(keys)})
+    merged = a.copy()
+    merged.merge(b)
+    assert set(merged) == set(keys)
+    for key in keys:
+        assert merged[key] == a[key] + b[key], f"{key} not merged"
 
 
 def test_search_stats_merge_covers_every_counter():
-    _completeness(SearchStats)
+    _completeness(search_counters())
 
 
 def test_cache_stats_merge_covers_every_counter():
-    _completeness(CacheStats)
+    _completeness(SynthCache().counters)
 
 
 def test_state_stats_merge_covers_every_counter():
-    _completeness(StateStats)
+    _completeness(StateManager(Database()).counters)
 
 
 def test_cache_stats_as_dict_and_since_cover_every_counter():
-    """`as_dict`/`since` round-trip every field (bench report plumbing)."""
+    """`as_dict`/`since` round-trip every cache counter (bench report plumbing)."""
 
-    fields = [f.name for f in dataclasses.fields(CacheStats)]
-    stats = CacheStats(**{name: i + 1 for i, name in enumerate(fields)})
-    assert set(stats.as_dict()) == set(fields)
-    delta = stats.since(CacheStats())
-    assert delta.as_dict() == stats.as_dict()
+    fresh = SynthCache().counters
+    keys = sorted(fresh)
+    counters = Counters({key: i + 1 for i, key in enumerate(keys)})
+    assert counters.as_dict() == {
+        "cache": {key.partition(".")[2]: counters[key] for key in keys}
+    }
+    delta = counters.since(fresh)
+    assert delta.as_dict() == counters.as_dict()
 
 
 def test_search_stats_as_dict_covers_every_counter():
-    fields = {f.name for f in dataclasses.fields(SearchStats)}
-    assert set(SearchStats().as_dict()) == fields
+    names = {key.partition(".")[2] for key in SEARCH_COUNTERS}
+    assert search_counters().as_dict() == {"search": dict.fromkeys(names, 0)}
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +399,7 @@ def test_parallel_trace_merge_matches_serial_span_set(tmp_path):
         parallel = session.run("S5", parallel=2)
     assert parallel.success and serial.success
     assert parallel.program == serial.program
-    assert parallel.stats.parallel_tasks > 0
+    assert parallel.counters["search.parallel_tasks"] > 0
     assert _span_multiset(parallel_path) == _span_multiset(serial_path)
 
     # Worker spans really crossed the process boundary: the merged trace
@@ -415,17 +409,15 @@ def test_parallel_trace_merge_matches_serial_span_set(tmp_path):
     _, events = load_trace(parallel_path)
     assert len({e["worker"] for e in events}) > 1
 
-    # Merged metric totals equal the serial run's for every exported stats
-    # field (the phase histograms measure wall time, which legitimately
+    # Merged metric totals equal the serial run's for every exported
+    # counter (the phase histograms measure wall time, which legitimately
     # differs; PARALLEL_ONLY counters are dispatch bookkeeping).
     assert set(parallel.metrics["stats"]) == set(serial.metrics["stats"])
-    for prefix, fields in serial.metrics["stats"].items():
-        for name, value in fields.items():
-            if name in PARALLEL_ONLY:
+    for layer, names in serial.metrics["stats"].items():
+        for name, value in names.items():
+            if f"{layer}.{name}" in PARALLEL_ONLY:
                 continue
-            assert parallel.metrics["stats"][prefix][name] == value, (
-                f"{prefix}.{name}"
-            )
+            assert parallel.metrics["stats"][layer][name] == value, f"{layer}.{name}"
     assert set(parallel.metrics["phases"]) >= set(serial.metrics["phases"])
 
 

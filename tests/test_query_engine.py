@@ -203,17 +203,18 @@ def test_planner_picks_most_selective_column():
 def test_query_stats_counters():
     db = Database(indexing=True)
     _seed(db)
-    before = db.query_stats.copy()
+    before = db.counters.copy()
     db.query("posts", {"author": "alice"})
-    delta = db.query_stats.since(before)
-    assert delta.index_builds == 1 and delta.index_hits == 1 and delta.scans == 0
+    delta = db.counters.since(before)
+    assert delta["query.index_builds"] == 1
+    assert delta["query.index_hits"] == 1 and delta["query.scans"] == 0
     db.query("posts", {"author": "bob"})
-    delta = db.query_stats.since(before)
-    assert delta.index_builds == 1 and delta.index_hits == 2
+    delta = db.counters.since(before)
+    assert delta["query.index_builds"] == 1 and delta["query.index_hits"] == 2
     db.count("posts")
-    assert db.query_stats.since(before).shortcuts == 1
+    assert db.counters.since(before)["query.shortcuts"] == 1
     db.query("posts")
-    assert db.query_stats.since(before).scans == 1
+    assert db.counters.since(before)["query.scans"] == 1
 
 
 def test_no_copy_count_exists_examine_no_rows():
@@ -254,11 +255,11 @@ def test_indexes_stay_warm_across_restores():
     _seed(db)
     db.query("posts", {"author": "alice"})
     snap = db.snapshot()
-    builds = db.query_stats.index_builds
+    builds = db.counters["query.index_builds"]
     for _ in range(3):
         db.restore(snap)
         assert [r["id"] for r in db.query("posts", {"author": "alice"})] == [1, 3]
-    assert db.query_stats.index_builds == builds
+    assert db.counters["query.index_builds"] == builds
 
 
 def test_index_built_after_snapshot_is_published_back():
@@ -268,10 +269,10 @@ def test_index_built_after_snapshot_is_published_back():
     _seed(db)
     snap = db.snapshot()
     db.query("posts", {"author": "alice"})  # lazy build, undiverged
-    builds = db.query_stats.index_builds
+    builds = db.counters["query.index_builds"]
     db.restore(snap)
     db.query("posts", {"author": "bob"})
-    assert db.query_stats.index_builds == builds  # restore carried it back in
+    assert db.counters["query.index_builds"] == builds  # restore carried it back in
 
 
 def test_table_snapshot_equality_ignores_index_cache():
@@ -406,8 +407,11 @@ def test_synthesis_identical_with_indexing_off_and_on():
 def test_run_benchmark_reports_index_counters():
     result = run_benchmark(get_benchmark("S4"), runs=1)
     assert result.success
-    assert result.index_hits > 0
-    assert result.last_result.stats.index_hits == result.index_hits
+    assert result.counters["query.index_hits"] > 0
+    assert (
+        result.last_result.counters["query.index_hits"]
+        == result.counters["query.index_hits"]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +453,7 @@ def test_scale_find_user_synthesizes_through_the_index():
     assert result.success
     assert "find_by" in result.pretty() or "where" in result.pretty()
     assert "create" not in result.pretty() and "destroy" not in result.pretty()
-    assert result.stats.index_hits > 0
+    assert result.counters["query.index_hits"] > 0
 
 
 @pytest.mark.slow
@@ -460,4 +464,4 @@ def test_scale_user_exists_synthesizes_through_the_index():
     assert result.success
     assert "exists?" in result.pretty()
     assert "create" not in result.pretty() and "destroy" not in result.pretty()
-    assert result.stats.index_hits > 0
+    assert result.counters["query.index_hits"] > 0

@@ -1,8 +1,7 @@
 """Tests for the SynthesisSession engine API and the persistent spec-outcome
 store (repro.synth.session / repro.synth.store): shared-vs-cold run
 equivalence, warm precision sweeps, sweep normalization, store round-trips
-across simulated process boundaries, corrupted/stale store handling, and
-parity of the deprecated ``synthesize`` shim."""
+across simulated process boundaries, and corrupted/stale store handling."""
 
 from __future__ import annotations
 
@@ -12,12 +11,7 @@ import pytest
 
 from repro.benchmarks import get_benchmark, run_benchmark
 from repro.lang.effects import PRECISIONS
-from repro.synth import (
-    SpecOutcomeStore,
-    SynthConfig,
-    SynthesisSession,
-    synthesize,
-)
+from repro.synth import SpecOutcomeStore, SynthConfig, SynthesisSession
 from repro.synth.store import (
     STORE_VERSION,
     outcome_from_json,
@@ -49,7 +43,7 @@ def test_shared_vs_cold_run_equivalence(benchmark_id):
     assert first.pretty() == cold.program_text
     # The second warm run answers everything from the shared memo and
     # snapshot baseline: no reset-closure replays at all.
-    assert second.stats.reset_replays == 0
+    assert second.counters["search.reset_replays"] == 0
 
 
 def test_run_accepts_problem_spec_and_id():
@@ -76,8 +70,8 @@ def test_precision_override_stays_warm():
         coarse = session.run("S1", effect_precision="class")
     assert precise.success and coarse.success
     # The coarse run replayed the precise run's recordings: zero resets.
-    assert coarse.stats.reset_replays == 0
-    assert coarse.stats.state_restores > 0
+    assert coarse.counters["search.reset_replays"] == 0
+    assert coarse.counters["state.restores"] > 0
 
 
 def test_session_close_unregisters_cache_and_rejects_runs():
@@ -92,18 +86,6 @@ def test_session_close_unregisters_cache_and_rejects_runs():
         session.run("S1")
 
 
-def test_deprecated_synthesize_shim_parity():
-    benchmark = get_benchmark("S1")
-    config = SynthConfig(timeout_s=60)
-    with pytest.warns(DeprecationWarning, match="SynthesisSession"):
-        legacy = synthesize(benchmark.build(), config)
-    with SynthesisSession(config) as session:
-        modern = session.run(benchmark.build())
-    assert legacy.success and modern.success
-    assert legacy.program == modern.program
-    assert legacy.pretty() == modern.pretty()
-
-
 # ---------------------------------------------------------------------------
 # sweep(): variants, warm vs cold isolation
 # ---------------------------------------------------------------------------
@@ -116,7 +98,7 @@ def test_sweep_warm_shares_state_across_variants():
     assert all(e.success for e in entries)
     assert entries[0].result.program == entries[1].result.program
     # Variant b ran entirely from variant a's warm state.
-    assert entries[1].result.stats.reset_replays == 0
+    assert entries[1].result.counters["search.reset_replays"] == 0
 
 
 def test_sweep_cold_isolates_every_cell():
@@ -125,7 +107,7 @@ def test_sweep_cold_isolates_every_cell():
     assert all(e.success for e in entries)
     assert entries[0].result.program == entries[1].result.program
     # Each cell rebuilt its own baseline (one reset-closure replay each).
-    assert [e.result.stats.reset_replays for e in entries] == [1, 1]
+    assert [e.result.counters["search.reset_replays"] for e in entries] == [1, 1]
 
 
 def test_sweep_variant_normalization():
@@ -165,31 +147,31 @@ def test_store_round_trip_across_sessions(tmp_path, benchmark_id):
     assert path.exists()
 
     with SynthesisSession(config, store=str(path)) as second_session:
-        assert second_session.store.stats.loaded > 0
+        assert second_session.store.loaded > 0
         second = second_session.run(benchmark_id)
     assert second.success
     assert second.program == first.program
-    assert second.stats.store_hits >= 1
+    assert second.counters["cache.store_hits"] >= 1
     # Everything executed in session one came back from disk: no resets.
-    assert second.stats.reset_replays == 0
+    assert second.counters["search.reset_replays"] == 0
 
 
 def test_clear_memory_caches_falls_back_to_store(tmp_path):
     path = tmp_path / "outcomes.json"
     with SynthesisSession(SynthConfig(timeout_s=60), store=str(path)) as session:
         first = session.run("S1")
-        assert first.stats.store_hits == 0
+        assert first.counters["cache.store_hits"] == 0
         session.clear_memory_caches()
         second = session.run("S1")
     assert second.program == first.program
-    assert second.stats.store_hits >= 1
+    assert second.counters["cache.store_hits"] >= 1
 
 
 def test_store_corrupted_file_is_ignored(tmp_path):
     path = tmp_path / "outcomes.json"
     path.write_text("{not json!", encoding="utf-8")
     store = SpecOutcomeStore(str(path))
-    assert store.stats.corrupt_file
+    assert store.corrupt_file
     assert len(store) == 0
     with SynthesisSession(SynthConfig(timeout_s=60), store=store) as session:
         result = session.run("S1")
@@ -206,7 +188,7 @@ def test_store_wrong_schema_version_is_ignored(tmp_path):
         encoding="utf-8",
     )
     store = SpecOutcomeStore(str(path))
-    assert store.stats.corrupt_file
+    assert store.corrupt_file
     assert len(store) == 0
 
 
@@ -231,8 +213,8 @@ def test_store_stale_entries_are_dropped(tmp_path):
         encoding="utf-8",
     )
     store = SpecOutcomeStore(str(path))
-    assert store.stats.loaded == 1
-    assert store.stats.stale_dropped == 3
+    assert store.loaded == 1
+    assert store.counters["store.stale_dropped"] == 3
 
 
 def test_store_malformed_entry_payload_is_a_miss(tmp_path):
@@ -251,7 +233,7 @@ def test_store_malformed_entry_payload_is_a_miss(tmp_path):
     with SynthesisSession(SynthConfig(timeout_s=60), store=str(path)) as session:
         result = session.run("S1")
     assert result.success
-    assert result.stats.reset_replays >= 1  # it really re-executed
+    assert result.counters["search.reset_replays"] >= 1  # it really re-executed
 
 
 def test_store_disabled_cache_never_consults_store(tmp_path):
@@ -263,7 +245,7 @@ def test_store_disabled_cache_never_consults_store(tmp_path):
     with SynthesisSession(off, store=str(path)) as session:
         result = session.run("S1")
     assert result.success
-    assert result.stats.store_hits == 0
+    assert result.counters["cache.store_hits"] == 0
 
 
 def test_invalidate_caches_wipes_attached_store(tmp_path):
@@ -367,8 +349,11 @@ def test_two_pass_figure8_sweep_matches_cold_and_hits_store(tmp_path):
         assert warm1.result.program == isolated.result.program
         assert warm2.result.program == isolated.result.program
 
-    resets = lambda entries: sum(e.result.stats.reset_replays for e in entries)
-    store_hits = lambda entries: sum(e.result.stats.store_hits for e in entries)
+    def resets(entries):
+        return sum(e.result.counters["search.reset_replays"] for e in entries)
+
+    def store_hits(entries):
+        return sum(e.result.counters["cache.store_hits"] for e in entries)
     # Pass 1 pays the one baseline capture; pass 2 re-answers everything
     # from the store without a single reset; cold pays one per cell.
     assert resets(pass2) < resets(pass1) <= resets(cold)

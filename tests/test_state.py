@@ -19,7 +19,7 @@ from repro.apps.gitlab import build_gitlab_app, seed_issues, seed_two_factor_use
 from repro.benchmarks import all_benchmarks, get_benchmark, run_benchmark
 from repro.lang import ast as A
 from repro.lang.values import HashValue, Symbol
-from repro.synth import SynthConfig, define, synthesize
+from repro.synth import SynthConfig, SynthesisSession, define
 from repro.synth.goal import evaluate_all_specs, evaluate_spec
 from repro.synth.state import StateManager
 
@@ -304,9 +304,9 @@ def test_record_then_replay_matches_legacy_outcomes():
     for outcome in (recorded, replayed):
         assert outcome.ok is legacy.ok is True
         assert outcome.passed_asserts == legacy.passed_asserts
-    assert state.stats.rebuilds == 1
-    assert state.stats.restores == 1
-    assert state.stats.unreplayable == 0
+    assert state.counters["state.rebuilds"] == 1
+    assert state.counters["state.restores"] == 1
+    assert state.counters["state.unreplayable"] == 0
 
 
 def test_replay_restores_database_between_failing_candidates():
@@ -371,9 +371,9 @@ def test_state_write_after_invoke_is_unreplayable():
     first = evaluate_spec(problem, program, spec, state=state)
     second = evaluate_spec(problem, program, spec, state=state)
     assert first.ok and second.ok
-    assert state.stats.unreplayable == 1
-    assert state.stats.restores == 0
-    assert state.stats.rebuilds == 2
+    assert state.counters["state.unreplayable"] == 1
+    assert state.counters["state.restores"] == 0
+    assert state.counters["state.rebuilds"] == 2
 
 
 def test_database_write_after_invoke_is_unreplayable():
@@ -398,8 +398,8 @@ def test_database_write_after_invoke_is_unreplayable():
     second = evaluate_spec(problem, program, spec, state=state)
     # Replay would skip the post-invoke insert; the fallback must not.
     assert first.ok and second.ok
-    assert state.stats.unreplayable == 1
-    assert state.stats.restores == 0
+    assert state.counters["state.unreplayable"] == 1
+    assert state.counters["state.restores"] == 0
 
 
 def test_double_invoke_is_unreplayable():
@@ -422,7 +422,7 @@ def test_double_invoke_is_unreplayable():
 
     assert evaluate_spec(problem, program, spec, state=state).ok
     assert evaluate_spec(problem, program, spec, state=state).ok
-    assert state.stats.unreplayable == 1
+    assert state.counters["state.unreplayable"] == 1
 
 
 def test_post_invoke_inplace_state_mutation_is_unreplayable():
@@ -449,8 +449,8 @@ def test_post_invoke_inplace_state_mutation_is_unreplayable():
     first = evaluate_spec(problem, program, spec, state=state)
     second = evaluate_spec(problem, program, spec, state=state)
     assert first.ok and second.ok
-    assert state.stats.unreplayable == 1
-    assert state.stats.restores == 0
+    assert state.counters["state.unreplayable"] == 1
+    assert state.counters["state.restores"] == 0
 
 
 def test_replay_preserves_identity_between_state_and_invoke_args():
@@ -486,7 +486,7 @@ def test_replay_preserves_identity_between_state_and_invoke_args():
     recorded = evaluate_spec(problem, program, spec := problem.specs[0], state=state)
     replayed = evaluate_spec(problem, program, spec, state=state)
     assert recorded.ok == replayed.ok
-    assert state.stats.restores == 1
+    assert state.counters["state.restores"] == 1
 
 
 def test_broken_reset_closure_propagates_as_infrastructure_error():
@@ -538,7 +538,7 @@ def test_rebind_reset_invalidates_recordings_and_baseline():
 
     problem.rebind_reset(new_reset)
     assert state.recording_for(spec) is None
-    assert state.stats.invalidations == 1
+    assert state.counters["state.invalidations"] == 1
     # The new baseline (with the pre-seeded user) is observed on re-record.
     outcome = evaluate_spec(problem, program, spec, state=state)
     assert outcome.ok
@@ -576,16 +576,17 @@ def test_synthesis_identical_with_and_without_snapshots(benchmark_id):
         config = benchmark.make_config(
             SynthConfig.full(timeout_s=60.0, snapshot_state=snapshots)
         )
-        results[snapshots] = synthesize(benchmark.build(), config)
+        with SynthesisSession(config) as session:
+            results[snapshots] = session.run(benchmark.build())
     assert results[False].success and results[True].success
     assert results[False].program == results[True].program
-    with_snapshots = results[True]
-    assert with_snapshots.stats.state_restores > 0
+    with_snapshots, without = results[True].counters, results[False].counters
+    assert with_snapshots["state.restores"] > 0
     # The reset closure ran once (baseline capture) instead of per candidate.
-    assert with_snapshots.stats.reset_replays == 1
-    assert results[False].stats.reset_replays >= 2 * with_snapshots.stats.reset_replays
-    assert results[False].stats.state_restores == 0
-    assert results[False].state_stats is None
+    assert with_snapshots["search.reset_replays"] == 1
+    assert without["search.reset_replays"] >= 2 * with_snapshots["search.reset_replays"]
+    # No snapshot manager, so no state counters at all.
+    assert "state" not in results[False].metrics["stats"]
 
 
 def test_warm_runner_shares_state_across_runs():
@@ -595,10 +596,10 @@ def test_warm_runner_shares_state_across_runs():
     assert warm.success
     # Run 2 answers everything from the shared memo and snapshot baseline:
     # the reset closure ran only for run 1's baseline capture.
-    assert warm.reset_replays == 1
+    assert warm.counters["search.reset_replays"] == 1
     cold = run_benchmark(benchmark, config, runs=2, warm_state=False)
     assert cold.success
-    assert cold.reset_replays == 2
+    assert cold.counters["search.reset_replays"] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +617,10 @@ def test_verify_recordings_passes_on_deterministic_setup():
     recorded = evaluate_spec(problem, program, spec, state=state)
     verified = evaluate_spec(problem, program, spec, state=state)
     assert recorded.ok and verified.ok
-    assert state.stats.verifications == 1
+    assert state.counters["state.verifications"] == 1
     # The verification pass is a full rebuild, not a restore.
-    assert state.stats.restores == 0
-    assert state.stats.rebuilds == 2
+    assert state.counters["state.restores"] == 0
+    assert state.counters["state.rebuilds"] == 2
 
 
 def test_verify_recordings_interval_mixes_replays_and_audits():
@@ -631,8 +632,8 @@ def test_verify_recordings_interval_mixes_replays_and_audits():
 
     for _ in range(5):  # 1 recording + 4 replay slots
         assert evaluate_spec(problem, program, spec, state=state).ok
-    assert state.stats.verifications == 2
-    assert state.stats.restores == 2
+    assert state.counters["state.verifications"] == 2
+    assert state.counters["state.restores"] == 2
 
 
 def test_verify_recordings_catches_nondeterministic_setup():
@@ -678,4 +679,4 @@ def test_verify_recordings_threaded_from_config():
         assert result.success
         manager = session.problem_for("S1").state_manager()
         assert manager.verify_every == 2
-        assert manager.stats.verifications > 0
+        assert manager.counters["state.verifications"] > 0

@@ -79,12 +79,12 @@ def test_round_trip_across_sessions(tmp_path, backend):
 
     with SynthesisSession(config, store=path) as second_session:
         assert second_session.store.backend == backend
-        assert second_session.store.stats.loaded > 0
+        assert second_session.store.loaded > 0
         second = second_session.run("S4")
     assert second.success
     assert second.program == first.program
-    assert second.stats.store_hits >= 1
-    assert second.stats.reset_replays == 0
+    assert second.counters["cache.store_hits"] >= 1
+    assert second.counters["search.reset_replays"] == 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -93,14 +93,14 @@ def test_corrupted_file_is_ignored(tmp_path, backend):
     with open(path, "wb") as fh:
         fh.write(b"{not json! and definitely not sqlite\xff\x00")
     store = SpecOutcomeStore(path)
-    assert store.stats.corrupt_file
+    assert store.corrupt_file
     assert len(store) == 0
     # The store stays usable: a run against it persists fresh outcomes.
     with SynthesisSession(SynthConfig(timeout_s=60), store=store) as session:
         result = session.run("S1")
     assert result.success
     reopened = SpecOutcomeStore(path)
-    assert not reopened.stats.corrupt_file
+    assert not reopened.corrupt_file
     assert len(reopened) > 0
     reopened.close()
 
@@ -120,7 +120,7 @@ def test_wrong_schema_version_is_dropped_wholesale(tmp_path, backend):
             conn.execute("UPDATE meta SET value = '999' WHERE key = 'version'")
         conn.close()
     store = SpecOutcomeStore(path)
-    assert store.stats.corrupt_file
+    assert store.corrupt_file
     assert len(store) == 0
     store.close()
 
@@ -152,8 +152,8 @@ def test_stale_entries_are_dropped_at_load(tmp_path, backend):
             )
         conn.close()
     store = SpecOutcomeStore(path)
-    assert store.stats.loaded == 1
-    assert store.stats.stale_dropped == 2
+    assert store.loaded == 1
+    assert store.counters["store.stale_dropped"] == 2
     assert dict(store.raw_entries()) == {"good": _entry()}
     store.close()
 
@@ -186,7 +186,7 @@ def test_compact_keeps_most_recently_hit(tmp_path, backend):
     assert store._raw_get("k0") is not None
     pruned = store.compact(2)
     assert pruned == 3
-    assert store.stats.compacted == 3
+    assert store.counters["store.compacted"] == 3
     kept = {key for key, _ in store.raw_entries()}
     assert kept == {"k4", "k0"}
     store.flush()
@@ -229,8 +229,8 @@ def test_store_tool_migrate_round_trip(tmp_path, direction):
     with SynthesisSession(SynthConfig(timeout_s=60), store=dst_path) as session:
         second = session.run("S1")
     assert second.program == first.program
-    assert second.stats.store_hits >= 1
-    assert second.stats.reset_replays == 0
+    assert second.counters["cache.store_hits"] >= 1
+    assert second.counters["search.reset_replays"] == 0
 
 
 def test_store_tool_info_and_compact(tmp_path):
@@ -274,7 +274,7 @@ def test_json_concurrent_flush_merges_instead_of_losing(tmp_path):
     first.flush()
     second.raw_put("from-second", _entry(False))
     second.flush()  # pre-fix this overwrote the document, dropping from-first
-    assert second.stats.merged_in == 1
+    assert second.counters["store.merged_in"] == 1
     merged = dict(SpecOutcomeStore(path).raw_entries())
     assert set(merged) == {"from-first", "from-second"}
 
