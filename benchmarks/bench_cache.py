@@ -33,7 +33,7 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_cache.py --out cache_report.json
     PYTHONPATH=src python benchmarks/bench_cache.py --check   # CI smoke
-    PYTHONPATH=src python benchmarks/bench_cache.py --store outcomes.json --check
+    PYTHONPATH=src python benchmarks/bench_cache.py --store outcomes.sqlite --check
 """
 
 from __future__ import annotations

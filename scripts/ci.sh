@@ -17,7 +17,7 @@
 # state snapshots) with identical synthesized programs.
 #
 # The store-persistence gate then runs bench_cache twice more against one
-# persistent spec-outcome store (repro.synth.store): the first pass
+# persistent SQLite spec-outcome store (repro.synth.store): the first pass
 # populates it, the second pass -- a separate process -- must answer >= 1
 # spec execution from the store while still synthesizing identical programs.
 #
@@ -92,9 +92,9 @@ python benchmarks/bench_state.py \
     --check
 
 echo "== store persistence gate =="
-STORE_DB="${CI_STORE_DB:-bench_outcome_store.json}"
+STORE_DB="${CI_STORE_DB:-bench_outcome_store.sqlite}"
 STORE_REPORT="${CI_STORE_REPORT:-bench_store_report.json}"
-rm -f "$STORE_DB"
+rm -f "$STORE_DB" "$STORE_DB-wal" "$STORE_DB-shm"
 # Pass 1 populates the store; pass 2 (a fresh process) must hit it.
 python benchmarks/bench_cache.py \
     --benchmarks S1 S4 \

@@ -102,8 +102,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--store",
-        help="persist spec outcomes to this store path (suffix selects the "
-        "backend: .sqlite/.sqlite3/.db for SQLite, anything else JSON)",
+        help="persist spec outcomes to this SQLite store path "
+        "(e.g. outcomes.sqlite; created if missing)",
     )
     parser.add_argument(
         "--jobs",

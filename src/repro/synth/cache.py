@@ -28,10 +28,10 @@ which keys it has seen and counts the lookups that would have hit as
 the redundancy the memo removes without changing the disabled-path behavior.
 
 An enabled cache may additionally carry a persistent spec-outcome store
-(:mod:`repro.synth.store`, owned by a
-:class:`~repro.synth.session.SynthesisSession`): in-memory misses fall back
-to the store's content-hash-keyed entries, which survive the process, and
-every executed outcome is written through.  Store hits skip the execution
+(:mod:`repro.synth.store`, an SQLite file such as ``outcomes.sqlite`` owned
+by a :class:`~repro.synth.session.SynthesisSession`): in-memory misses fall
+back to the store's content-hash-keyed entries, which survive the process,
+and every executed outcome is written through.  Store hits skip the execution
 like memo hits do but are counted separately (``cache.store_hits``).
 """
 
@@ -265,16 +265,13 @@ class SynthCache:
         program: A.Node,
         spec: "Spec",
         outcome: Any,
-        write_through: bool = False,
     ) -> None:
         """Adopt an outcome another process executed (parallel absorption).
 
         Puts the entry exactly as :meth:`store_spec` would -- including the
         disabled-cache tracked-key bookkeeping, so redundancy counting stays
-        equivalent to a serial run -- but without touching any counter.
-        ``write_through`` additionally persists it to an attached store (used
-        when the executing worker had no store of its own, e.g. the JSON
-        backend whose document the owning session is the sole writer of).
+        equivalent to a serial run -- but without touching any counter or
+        the store (the executing worker wrote it to the shared store).
         ``outcome`` may be the module sentinel ``_TRACKED`` when absorbing a
         disabled cache's key-tracking export.
         """
@@ -283,8 +280,6 @@ class SynthCache:
             # A tracked key carries no outcome; seeding it into an enabled
             # memo would serve the sentinel as a result.
             return
-        if write_through and self.enabled and self.store is not None:
-            self.store.save_spec(problem, program, spec, outcome)
         if not self.enabled and not self.track_redundancy:
             return
         key = self._key("spec", problem, program, spec)
@@ -296,15 +291,12 @@ class SynthCache:
         program: A.Node,
         spec: "Spec",
         truthiness: Any,
-        write_through: bool = False,
     ) -> None:
         """Adopt a guard truthiness another process executed (see
         :meth:`seed_spec`)."""
 
         if self.enabled and truthiness is _TRACKED:
             return
-        if write_through and self.enabled and self.store is not None:
-            self.store.save_guard(problem, program, spec, truthiness)
         if not self.enabled and not self.track_redundancy:
             return
         key = self._key("guard", problem, program, spec)

@@ -199,12 +199,7 @@ class Merger:
                 self.metrics.observe_phase("guard_search", task.elapsed_s)
             if task.trace_events:
                 trace.TRACER.absorb(task.trace_events)
-            absorb_memo(
-                self.cache,
-                self.problem,
-                task.memo,
-                write_through=not self.executor.workers_have_store,
-            )
+            absorb_memo(self.cache, self.problem, task.memo)
             if task.timed_out:
                 raise SynthesisTimeout("timeout while synthesizing a guard")
             guard = task.found

@@ -45,10 +45,9 @@ the search branches only on ``ok`` / ``passed_asserts`` / the failure's
 read effect.
 
 Workers share work across processes through the persistent spec-outcome
-store.  Only the :class:`~repro.synth.store.SQLiteSpecOutcomeStore` backend
-is handed to workers (concurrent-safe upserts); with a JSON store the
-parent session remains the sole writer and persists the workers' exported
-outcomes itself on absorption.
+store: each opens the session's SQLite file (``outcomes.sqlite``, say) by
+path -- its upserts are concurrent-safe -- and persists the outcomes it
+executes itself.
 
 Problems must be *reconstructable in the worker*, which is true exactly for
 registry benchmarks (workers rebuild them by id and cache them per worker
@@ -79,7 +78,7 @@ from repro.synth.goal import Budget, SynthesisTimeout, evaluate_spec
 from repro.synth.merge import Merger, SpecSolution
 from repro.synth.search import generate_for_spec, generate_guard, search_counters
 from repro.synth.simplify import simplify
-from repro.synth.store import SpecOutcomeStore, outcome_from_json, outcome_to_json
+from repro.synth.store import outcome_from_json, outcome_to_json
 from repro.synth.synthesizer import (
     SynthesisResult,
     _adopt_hint,
@@ -164,38 +163,24 @@ _WORKER: Optional["_WorkerState"] = None
 class _WorkerState:
     """Per-process state: one persistent session plus its store connection."""
 
-    def __init__(
-        self,
-        base_config: SynthConfig,
-        store_path: Optional[str],
-        store_backend: Optional[str],
-    ) -> None:
+    def __init__(self, base_config: SynthConfig, store_path: Optional[str]) -> None:
         from repro.synth.session import SynthesisSession
 
-        store = (
-            SpecOutcomeStore.open(store_path, backend=store_backend)
-            if store_path is not None
-            else None
-        )
         # Workers never write the parent's trace file themselves: their
         # session must not re-open ``trace_path`` (the parent owns it), so
         # the path is stripped here.  The *task* configs keep it -- that is
         # the per-task "collect events for the parent" flag.
         self.session = SynthesisSession(
-            replace(base_config, trace_path=None), store=store
+            replace(base_config, trace_path=None), store=store_path
         )
 
 
-def _worker_init(
-    base_config: SynthConfig,
-    store_path: Optional[str],
-    store_backend: Optional[str],
-) -> None:
+def _worker_init(base_config: SynthConfig, store_path: Optional[str]) -> None:
     global _WORKER
     # A forked worker inherits the parent's live tracer object, including
     # its open file handle; drop it (without closing the parent's file).
     trace.reset_after_fork()
-    _WORKER = _WorkerState(base_config, store_path, store_backend)
+    _WORKER = _WorkerState(base_config, store_path)
 
 
 def _worker_call(task: Tuple) -> Any:
@@ -280,26 +265,21 @@ def _export_memo(cache: SynthCache, problem: "SynthesisProblem") -> List[MemoEnt
 
 
 def absorb_memo(
-    cache: SynthCache,
-    problem: "SynthesisProblem",
-    memo: Sequence[MemoEntry],
-    write_through: bool,
+    cache: SynthCache, problem: "SynthesisProblem", memo: Sequence[MemoEntry]
 ) -> None:
     """Seed a worker's exported memo entries into the parent cache.
 
-    With ``write_through`` the outcomes are also persisted to the parent's
-    store (the worker had none -- JSON backend); without it the worker
-    already wrote them to the shared SQLite store itself.
+    The worker already persisted them to the shared store itself.
     """
 
     for kind, program, index, value in memo:
         spec = problem.specs[index]
         if kind == "spec":
             outcome = TRACKED if value == TRACKED_MARK else outcome_from_json(value)
-            cache.seed_spec(problem, program, spec, outcome, write_through=write_through)
+            cache.seed_spec(problem, program, spec, outcome)
         else:
             truth = TRACKED if value == TRACKED_MARK else value
-            cache.seed_guard(problem, program, spec, truth, write_through=write_through)
+            cache.seed_guard(problem, program, spec, truth)
 
 
 def _run_task(benchmark_id: str, config: SynthConfig, search) -> TaskResult:
@@ -442,19 +422,12 @@ class ParallelExecutor:
         jobs: int,
         base_config: Optional[SynthConfig] = None,
         store_path: Optional[str] = None,
-        store_backend: Optional[str] = None,
     ) -> None:
         self.jobs = max(int(jobs), 1)
         self.base_config = base_config if base_config is not None else SynthConfig()
+        #: The session's spec-outcome store, opened by every worker.
         self.store_path = store_path
-        self.store_backend = store_backend
         self._pool = None
-
-    @property
-    def workers_have_store(self) -> bool:
-        """Whether workers persist outcomes themselves (SQLite backend)."""
-
-        return self.store_path is not None
 
     def _get_pool(self):
         if self._pool is None:
@@ -476,11 +449,7 @@ class ParallelExecutor:
                 self._pool = context.Pool(
                     processes=self.jobs,
                     initializer=_worker_init,
-                    initargs=(
-                        self.base_config,
-                        self.store_path,
-                        self.store_backend,
-                    ),
+                    initargs=(self.base_config, self.store_path),
                 )
             finally:
                 gc.unfreeze()
@@ -588,7 +557,6 @@ def run_synthesis_parallel(
         state.verify_every = config.verify_recordings
     run = _RunCounters(problem, cache, state)
     counters = run.counters
-    write_through = not executor.workers_have_store
     solutions: List[SpecSolution] = []
 
     def merge_task(task: TaskResult) -> None:
@@ -596,7 +564,7 @@ def run_synthesis_parallel(
         run.phases.observe_phase("spec_search", task.elapsed_s)
         if task.trace_events:
             trace.TRACER.absorb(task.trace_events)
-        absorb_memo(cache, problem, task.memo, write_through)
+        absorb_memo(cache, problem, task.memo)
 
     try:
         # Hints are validated *before* dispatch: a spec whose previous

@@ -18,14 +18,14 @@ shares:
   that share the original's manager and cache registration, so a Figure 8
   sweep replays recordings instead of rebuilding state);
 * optionally a persistent :class:`~repro.synth.store.SpecOutcomeStore`
-  (content-hash keyed, JSON-backed) so outcomes survive the process --
+  (content-hash keyed, SQLite-backed) so outcomes survive the process --
   repeated evaluation sweeps skip re-execution entirely.
 
 Typical use::
 
     from repro.synth import SynthConfig, SynthesisSession
 
-    with SynthesisSession(SynthConfig(timeout_s=30), store="outcomes.json") as s:
+    with SynthesisSession(SynthConfig(timeout_s=30), store="outcomes.sqlite") as s:
         result = s.run(problem)                       # one warm run
         entries = s.sweep(                            # problems x variants
             ["S1", "S4"],
@@ -109,11 +109,11 @@ class SynthesisSession:
         behavior follows the *session* config even when individual runs
         override other knobs.
     store:
-        ``None`` (no persistence), a filesystem path (the backend is chosen
-        by suffix: ``.sqlite``/``.sqlite3``/``.db`` open the concurrent-safe
-        SQLite backend, anything else the JSON document), or an existing
-        :class:`SpecOutcomeStore` to share.  The store is flushed on
-        ``close``/context exit.
+        ``None`` (no persistence), a filesystem path of an SQLite store
+        (created if missing), or an existing :class:`SpecOutcomeStore` to
+        share.  On ``close``/context exit the session closes a store it
+        opened from a path, and only flushes a store passed in as an
+        instance, which stays open for its owner.
     parallel:
         Default worker count for ``run``/``sweep`` (both also take a
         per-call ``parallel=`` override).  With more than one job the
@@ -121,8 +121,7 @@ class SynthesisSession:
         :class:`~repro.synth.parallel.ParallelExecutor` worker pool:
         ``run`` fans the per-spec searches of registry-derived problems out
         across workers, ``sweep`` distributes whole cells.  Workers share
-        outcomes through the session's store only for the SQLite backend
-        (with a JSON store the session remains the sole writer).
+        outcomes through the session's store.
     """
 
     def __init__(
@@ -132,6 +131,13 @@ class SynthesisSession:
         parallel: int = 1,
     ) -> None:
         self.config = config or SynthConfig()
+        #: Whether ``close`` closes the store (the session opened it).  The
+        #: store opens before the tracer: opening a legacy JSON store raises,
+        #: and must not leave behind a tracer that no session will close.
+        self._owns_store = store is not None and not isinstance(
+            store, SpecOutcomeStore
+        )
+        self.store = SpecOutcomeStore.open(store)
         #: Tracer lifecycle: the first session whose config carries a
         #: ``trace_path`` (explicit or via ``REPRO_TRACE``) owns the global
         #: tracer and closes it on ``close``.  If a tracer is already live
@@ -141,7 +147,6 @@ class SynthesisSession:
         if self.config.trace_path and not trace.TRACER.enabled:
             trace.enable(self.config.trace_path)
             self._owns_tracer = True
-        self.store = SpecOutcomeStore.open(store)
         self.cache = SynthCache.from_config(self.config)
         self.cache.store = self.store
         self.parallel = max(int(parallel), 1)
@@ -358,24 +363,10 @@ class SynthesisSession:
     ) -> List[SweepEntry]:
         """Distribute sweep cells over the worker pool, order-preserving.
 
-        Cell tasks run wholly inside a worker, so their outcomes are only
-        persisted when workers carry the store themselves -- the SQLite
-        backend.  A JSON store cannot be handed to workers and gets nothing
-        from cell tasks (unlike per-spec ``run`` fan-out, where the parent
-        absorbs and persists worker outcomes), so a parallel sweep against
-        one warns.
+        Cell tasks run wholly inside a worker, which persists their
+        outcomes to the session's store itself.
         """
 
-        if self.store is not None and self.store.backend != "sqlite":
-            import warnings
-
-            warnings.warn(
-                "parallel sweep cells do not persist outcomes to a "
-                f"{self.store.backend} store; use the SQLite backend "
-                "(e.g. a .sqlite path) for multi-process persistence",
-                RuntimeWarning,
-                stacklevel=3,
-            )
         executor = self._executor_for(jobs)
         cells: List[Tuple[ProblemSource, Optional["BenchmarkSpec"], str, SynthConfig, Any]] = []
         for source in sources:
@@ -434,11 +425,9 @@ class SynthesisSession:
     def _executor_for(self, jobs: int) -> "ParallelExecutor":
         """The session's worker pool, (re)built for ``jobs`` workers.
 
-        Workers are handed the session's store only when it is the SQLite
-        backend -- its upserts are concurrent-safe -- and the parent's
-        connection is flushed first so workers see everything written so
-        far.  With a JSON store the session remains the sole writer and
-        persists worker outcomes itself during memo absorption.
+        Workers open the session's store by path -- its upserts are
+        concurrent-safe -- and the parent's connection is flushed first so
+        workers see everything written so far.
         """
 
         from repro.synth.parallel import ParallelExecutor
@@ -447,16 +436,12 @@ class SynthesisSession:
             self._executor.close()
             self._executor = None
         if self._executor is None:
-            store_path = store_backend = None
-            if self.store is not None and self.store.backend == "sqlite":
+            store_path = None
+            if self.store is not None:
                 self.store.flush()
                 store_path = self.store.path
-                store_backend = "sqlite"
             self._executor = ParallelExecutor(
-                jobs,
-                base_config=self.config,
-                store_path=store_path,
-                store_backend=store_backend,
+                jobs, base_config=self.config, store_path=store_path
             )
         return self._executor
 
@@ -478,7 +463,8 @@ class SynthesisSession:
     # ------------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Flush the store, stop the worker pool and detach the cache."""
+        """Stop the worker pool, detach the cache, and close (or, when it
+        was passed in as an instance, flush) the store."""
 
         if self._closed:
             return
@@ -488,7 +474,9 @@ class SynthesisSession:
         if self._executor is not None:
             self._executor.close()
             self._executor = None
-        if self.store is not None:
+        if self._owns_store:
+            self.store.close()
+        elif self.store is not None:
             self.store.flush()
         if self._owns_tracer:
             trace.disable()

@@ -1,4 +1,4 @@
-"""Persistent, content-hash-keyed spec-outcome stores (JSON and SQLite).
+"""Persistent, content-hash-keyed spec-outcome store (SQLite).
 
 The in-memory memo of :mod:`repro.synth.cache` dies with the process, but
 the paper's evaluation is a long sequence of *related* processes: Table 1
@@ -31,29 +31,21 @@ store-served :class:`~repro.synth.goal.SpecOutcome` carries ``value=None``.
 This is sufficient for synthesis to proceed identically: the search branches
 only on ``ok`` / ``passed_asserts`` / the failure's read effect.
 
-Two backends share the schema, the content-hash keys and the entry payloads,
-behind the dispatching :class:`SpecOutcomeStore` constructor (selected by
-path suffix, or forced with ``backend="json"``/``"sqlite"``):
+The store is one SQLite database (``SpecOutcomeStore("outcomes.sqlite")``),
+one row per entry in WAL mode with upsert writes, so several processes -- the :mod:`repro.synth.parallel` worker
+pools -- can share it.  Lookups read through to the database, so workers
+observe each other's flushed outcomes mid-run.
 
-* :class:`JsonSpecOutcomeStore` -- a single JSON document
-  (``{"version", "entries"}``) written atomically (temp file +
-  ``os.replace``).  Flush first merges the entries currently on disk into
-  the in-memory map, so two processes flushing the same path interleave
-  without losing each other's outcomes -- but the read-modify-write is not
-  atomic across processes, so heavily concurrent writers should use the
-  SQLite backend;
-* :class:`SQLiteSpecOutcomeStore` -- one row per entry in WAL mode with
-  upsert writes, the supported path for multi-process use
-  (:mod:`repro.synth.parallel` worker pools).  Lookups read through to the
-  database, so workers observe each other's flushed outcomes mid-run.
-
-A corrupted file, a file with a different schema version, or an individual
-malformed entry is ignored and counted (``store.stale_dropped``, or the
-``corrupt_file`` flag for a whole unusable file); the store
-never raises on bad persisted data.  Both backends track a last-hit order
-per entry, and :meth:`SpecOutcomeStore.compact` prunes the least recently
-hit entries beyond a bound (``scripts/store_tool.py`` wraps this, plus
-JSON <-> SQLite migration, as a CLI).
+A corrupted file, a database of a different schema version, or an
+individual malformed entry is ignored and counted (``store.stale_dropped``,
+or the ``corrupt_file`` flag for a whole unusable file); the store never
+raises on bad persisted data.  The one exception is a document written by
+the retired JSON backend: opening it raises ``ValueError`` and leaves the
+file untouched, because replacing it would destroy the outcomes it holds
+(``scripts/store_tool.py migrate`` converts it, reading it with
+:func:`read_legacy_json`).  The store tracks a last-hit order per entry, and
+:meth:`SpecOutcomeStore.compact` prunes the least recently hit entries
+beyond a bound (``scripts/store_tool.py`` wraps this as a CLI).
 
 Closures that capture mutable out-of-band state (beyond what the problem
 fingerprint covers) hash equal even when that state differs; like the
@@ -67,7 +59,6 @@ import hashlib
 import json
 import os
 import sqlite3
-import tempfile
 import types
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Tuple
 
@@ -80,15 +71,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.lang import ast as A
     from repro.synth.goal import Spec, SpecOutcome, SynthesisProblem
 
-#: Bump when the entry payload shape changes; older files are ignored whole.
+#: Bump when the entry payload shape changes; older databases are ignored
+#: whole.
 STORE_VERSION = 1
 
 #: Sentinel distinguishing "no entry" from a stored ``None`` guard truthiness.
 STORE_MISS = object()
-
-#: Path suffixes dispatched to the SQLite backend (everything else is JSON).
-SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
-
 
 #: The store's counters, owned by each :class:`SpecOutcomeStore` (meanings:
 #: ``docs/API.md``, "Metrics").
@@ -97,7 +85,6 @@ STORE_COUNTERS = (
     "store.writes",
     "store.flushes",
     "store.compacted",
-    "store.merged_in",
 )
 
 
@@ -202,6 +189,27 @@ def _valid_entry(value: Any) -> bool:
     )
 
 
+def read_legacy_json(path: str) -> Optional[List[Tuple[str, Any]]]:
+    """The entries of a legacy JSON store document, in last-hit order.
+
+    The retired JSON backend wrote one ``{"version": 1, "entries": {key:
+    payload}}`` document whose entry order was its last-hit order.  Returns
+    ``None`` when ``path`` does not hold a JSON object with an ``entries``
+    member.  Entries come back unvalidated: each payload carries its own
+    version tag, and :meth:`SpecOutcomeStore.raw_put` drops invalid ones.
+    """
+
+    try:
+        with open(path, "rb") as fh:
+            data = json.loads(fh.read())
+    except (OSError, ValueError):
+        return None
+    if not isinstance(data, dict) or "entries" not in data:
+        return None
+    entries = data["entries"]
+    return list(entries.items()) if isinstance(entries, dict) else []
+
+
 # ---------------------------------------------------------------------------
 # Content hashing
 # ---------------------------------------------------------------------------
@@ -285,60 +293,49 @@ def program_hash(program: "A.Node") -> str:
 
 
 # ---------------------------------------------------------------------------
-# Backend dispatch
+# The store
 # ---------------------------------------------------------------------------
 
 
-def _backend_class(path: Any, backend: Optional[str]) -> type:
-    if backend is not None:
-        try:
-            return {"json": JsonSpecOutcomeStore, "sqlite": SQLiteSpecOutcomeStore}[
-                backend
-            ]
-        except KeyError:
-            raise ValueError(
-                f"unknown store backend {backend!r} (expected 'json' or 'sqlite')"
-            ) from None
-    suffix = os.path.splitext(os.fspath(path))[1].lower()
-    if suffix in SQLITE_SUFFIXES:
-        return SQLiteSpecOutcomeStore
-    return JsonSpecOutcomeStore
-
-
 class SpecOutcomeStore:
-    """Persistent memo of spec and guard outcomes, behind backend dispatch.
+    """Persistent memo of spec and guard outcomes in one SQLite database.
 
     One store is owned by a :class:`~repro.synth.session.SynthesisSession`
     (or opened standalone) and attached to the session's
     :class:`~repro.synth.cache.SynthCache`, which consults it on in-memory
-    misses and writes every executed outcome through.  ``flush`` persists
-    dirty entries; ``close`` flushes and detaches.
+    misses and writes every executed outcome through.
 
-    Constructing (or :meth:`open`-ing) the base class dispatches on the path
-    suffix -- :data:`SQLITE_SUFFIXES` select :class:`SQLiteSpecOutcomeStore`,
-    everything else :class:`JsonSpecOutcomeStore` -- or on an explicit
-    ``backend="json"``/``"sqlite"`` argument.
+    * WAL journal mode plus a generous busy timeout: concurrent readers
+      never block, and concurrent writers queue instead of failing;
+    * writes are buffered in memory and flushed as upserts in one immediate
+      transaction, so two worker processes writing the same store interleave
+      per key and lose nothing;
+    * lookups miss the write buffer and read through to the database, so a
+      worker observes outcomes other workers flushed mid-run;
+    * a ``last_hit`` sequence column records the hit order for
+      :meth:`compact` (hit touches are buffered and persisted on flush).
+
+    ``flush`` persists buffered writes and touches; ``close`` flushes and
+    closes the connection.  A database recorded under a different
+    :data:`STORE_VERSION`, or a file SQLite cannot open, is dropped wholesale
+    (``corrupt_file`` set) -- except a legacy JSON store document, which
+    raises ``ValueError`` and is left as it is.
     """
 
-    #: Backend tag (``"json"`` / ``"sqlite"``), set by the subclasses.
-    backend = "json"
-
-    def __new__(cls, path: Any = None, backend: Optional[str] = None):
-        if cls is SpecOutcomeStore:
-            cls = _backend_class(path, backend)
-        return object.__new__(cls)
-
-    def __init__(self, path: str, backend: Optional[str] = None) -> None:
+    def __init__(self, path: "str | os.PathLike") -> None:
         self.path = os.fspath(path)
         self.counters = Counters.fromkeys(STORE_COUNTERS, 0)
-        #: Load-time diagnostics: entries loaded from disk at open time
-        #: (after dropping malformed ones), and whether the backing file
-        #: existed but could not be used (the store then starts empty; the
-        #: corrupt file is replaced on the next flush).
+        #: Load-time diagnostics: entries in the database at open time
+        #: (after dropping malformed ones), and whether the file existed but
+        #: could not be used (the store then starts empty, in a new file).
         self.loaded = 0
         self.corrupt_file = False
-        self._dirty = False
-        self._closed = False
+        #: Buffered writes, and every key hit or written since the last
+        #: flush in hit order (a dict as an ordered set); the flush persists
+        #: both, so a non-empty ``_touched`` means there is work to flush.
+        self._pending: Dict[str, Dict[str, object]] = {}
+        self._touched: Dict[str, None] = {}
+        self._clock = 0
         # Hash memos: fingerprinting a problem walks the class table, spec
         # hashing walks closure bytecode and program hashing pretty-prints
         # the candidate, so each is computed once.  Problems are keyed by
@@ -349,20 +346,92 @@ class SpecOutcomeStore:
         self._problem_fps: Dict[int, Tuple["SynthesisProblem", str]] = {}
         self._spec_hashes: Dict[Tuple[str, "Spec"], str] = {}
         self._program_hashes: Dict["A.Node", str] = {}
-        self._load()
-
-    # ------------------------------------------------------------------ opening
+        self._conn: Optional[sqlite3.Connection] = self._load()
 
     @staticmethod
     def open(
         store: "SpecOutcomeStore | str | os.PathLike | None",
-        backend: Optional[str] = None,
     ) -> Optional["SpecOutcomeStore"]:
         """Coerce a path (or an existing store, or ``None``) into a store."""
 
         if store is None or isinstance(store, SpecOutcomeStore):
             return store
-        return SpecOutcomeStore(store, backend=backend)
+        return SpecOutcomeStore(store)
+
+    # ------------------------------------------------------------------ schema
+
+    def _connect(self) -> sqlite3.Connection:
+        """Open the database and create the schema if it is missing."""
+
+        directory = os.path.dirname(os.path.abspath(self.path))
+        os.makedirs(directory, exist_ok=True)
+        conn = sqlite3.connect(self.path, timeout=30.0)
+        try:
+            conn.execute("PRAGMA journal_mode=WAL")
+            conn.execute("PRAGMA synchronous=NORMAL")
+            conn.execute("PRAGMA busy_timeout=30000")
+            with conn:
+                conn.execute(
+                    "CREATE TABLE IF NOT EXISTS meta"
+                    " (key TEXT PRIMARY KEY, value TEXT)"
+                )
+                conn.execute(
+                    "CREATE TABLE IF NOT EXISTS entries ("
+                    " key TEXT PRIMARY KEY,"
+                    " kind TEXT NOT NULL,"
+                    " v INTEGER NOT NULL,"
+                    " payload TEXT NOT NULL,"
+                    " last_hit INTEGER NOT NULL DEFAULT 0)"
+                )
+                conn.execute(
+                    "INSERT OR IGNORE INTO meta (key, value) VALUES ('version', ?)",
+                    (str(STORE_VERSION),),
+                )
+        except sqlite3.Error:
+            conn.close()
+            raise
+        return conn
+
+    def _load(self) -> sqlite3.Connection:
+        try:
+            conn = self._connect()
+        except sqlite3.Error:
+            if read_legacy_json(self.path) is not None:
+                raise ValueError(
+                    f"{self.path} is a spec-outcome store in the retired JSON "
+                    "format; convert it with `python scripts/store_tool.py "
+                    f"migrate {self.path} NEW.sqlite` and open the new file"
+                ) from None
+            # Any other unreadable file starts empty: it is replaced so the
+            # store is usable from here on.
+            self.corrupt_file = True
+            for suffix in ("", "-wal", "-shm"):
+                try:
+                    os.unlink(self.path + suffix)
+                except OSError:
+                    pass
+            conn = self._connect()
+        row = conn.execute("SELECT value FROM meta WHERE key = 'version'").fetchone()
+        if row is None or row[0] != str(STORE_VERSION):
+            # Entries recorded under different rules are ignored wholesale.
+            self.corrupt_file = True
+            with conn:
+                conn.execute("DELETE FROM entries")
+                conn.execute(
+                    "INSERT OR REPLACE INTO meta (key, value) VALUES ('version', ?)",
+                    (str(STORE_VERSION),),
+                )
+        with conn:
+            cursor = conn.execute(
+                "DELETE FROM entries WHERE kind NOT IN ('spec', 'guard') OR v != ?",
+                (STORE_VERSION,),
+            )
+        self.counters["store.stale_dropped"] += max(cursor.rowcount, 0)
+        self.loaded = conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
+        self._clock = conn.execute(
+            "SELECT COALESCE(MAX(last_hit), 0) FROM entries"
+        ).fetchone()[0]
+        return conn
 
     # ------------------------------------------------------------------ keys
 
@@ -468,348 +537,6 @@ class SpecOutcomeStore:
         )
         self.counters["store.writes"] += 1
 
-    # ------------------------------------------------------------------ lifecycle
-
-    def invalidate(self) -> None:
-        """Drop every entry (in memory and, at the next flush, on disk).
-
-        Called when a problem's baseline state changed *out of band*
-        (:meth:`SynthesisProblem.invalidate_caches`): persisted outcomes are
-        then stale but content hashes cannot tell, so the store wipes
-        conservatively.  Rebinding the reset closure needs no wipe -- the
-        closure participates in the problem fingerprint, so old entries
-        become unreachable by construction.
-        """
-
-        self._wipe()
-        self._problem_fps.clear()
-        self._spec_hashes.clear()
-        self._program_hashes.clear()
-
-    def close(self) -> None:
-        self.flush()
-        self._closed = True
-
-    def __enter__(self) -> "SpecOutcomeStore":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------ backend hooks
-
-    def _load(self) -> None:
-        raise NotImplementedError
-
-    def _raw_get(self, key: str) -> Optional[Dict[str, object]]:
-        """The raw payload under ``key`` (touching its last-hit order)."""
-
-        raise NotImplementedError
-
-    def _raw_put(self, key: str, payload: Dict[str, object]) -> None:
-        raise NotImplementedError
-
-    def _wipe(self) -> None:
-        raise NotImplementedError
-
-    def flush(self) -> None:
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def raw_entries(self) -> Iterator[Tuple[str, Dict[str, object]]]:
-        """All ``(key, payload)`` pairs, least recently hit first.
-
-        The raw-access API behind ``scripts/store_tool.py``'s backend
-        migration: iterating one store and :meth:`raw_put`-ing into another
-        preserves entries *and* their pruning order.
-        """
-
-        raise NotImplementedError
-
-    def raw_put(self, key: str, payload: Dict[str, object]) -> None:
-        """Insert one raw entry as the most recently hit (migration API)."""
-
-        if not _valid_entry(payload):
-            self.counters["store.stale_dropped"] += 1
-            return
-        self._raw_put(key, payload)
-        self.counters["store.writes"] += 1
-
-    def compact(self, max_entries: int) -> int:
-        """LRU-style pruning: keep the ``max_entries`` most recently hit.
-
-        Entries are ordered by last hit (lookups and writes both refresh an
-        entry's position); the oldest beyond the bound are dropped.  Returns
-        the number of pruned entries.  The ROADMAP growth-management
-        follow-up: stores are append-only otherwise, so long-lived sweep
-        stores eventually outgrow their usefulness.
-        """
-
-        raise NotImplementedError
-
-
-# ---------------------------------------------------------------------------
-# JSON backend
-# ---------------------------------------------------------------------------
-
-
-class JsonSpecOutcomeStore(SpecOutcomeStore):
-    """Single-document JSON backend (atomic temp-file + ``os.replace``).
-
-    The whole document is held in memory; entry order is the last-hit order
-    (Python dicts preserve insertion order, and hits/writes reinsert at the
-    end), which the document serializes, so compaction order survives the
-    process.  ``flush`` merges the entries currently on disk into the
-    in-memory map first, so concurrent writers no longer lose each other's
-    flushes wholesale -- but the read-merge-write is not atomic, so the
-    SQLite backend remains the supported path for multi-process writers.
-    """
-
-    backend = "json"
-
-    def __init__(self, path: str, backend: Optional[str] = None) -> None:
-        self._entries: Dict[str, Dict[str, object]] = {}
-        #: Set by :meth:`invalidate` and :meth:`compact`: the next flush
-        #: must overwrite the disk document instead of merging it back in
-        #: (dropped entries would otherwise be re-adopted from disk).
-        self._wiped = False
-        super().__init__(path, backend)
-
-    def _load(self) -> None:
-        entries, corrupt, stale = self._read_disk()
-        self.corrupt_file = corrupt
-        self.counters["store.stale_dropped"] += stale
-        self._entries = entries
-        self.loaded = len(self._entries)
-
-    def _read_disk(self) -> Tuple[Dict[str, Dict[str, object]], bool, int]:
-        """Parse the on-disk document: ``(valid entries, corrupt?, stale)``."""
-
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except FileNotFoundError:
-            return {}, False, 0
-        except (OSError, ValueError):
-            return {}, True, 0
-        if (
-            not isinstance(data, dict)
-            or data.get("version") != STORE_VERSION
-            or not isinstance(data.get("entries"), dict)
-        ):
-            # A future (or ancient) schema: ignore wholesale rather than
-            # misread entries recorded under different rules.
-            return {}, True, 0
-        entries: Dict[str, Dict[str, object]] = {}
-        stale = 0
-        for key, value in data["entries"].items():
-            if isinstance(key, str) and _valid_entry(value):
-                entries[key] = value
-            else:
-                stale += 1
-        return entries, False, stale
-
-    def _raw_get(self, key: str) -> Optional[Dict[str, object]]:
-        entry = self._entries.get(key)
-        if entry is not None:
-            # Refresh the last-hit order (in memory only: a pure-read session
-            # does not dirty the document just by looking).
-            self._entries[key] = self._entries.pop(key)
-        return entry
-
-    def _raw_put(self, key: str, payload: Dict[str, object]) -> None:
-        self._entries.pop(key, None)
-        self._entries[key] = payload
-        self._dirty = True
-
-    def _wipe(self) -> None:
-        if self._entries:
-            self._entries.clear()
-        self._dirty = True
-        self._wiped = True
-
-    def compact(self, max_entries: int) -> int:
-        if max_entries < 0:
-            raise ValueError("max_entries must be >= 0")
-        excess = len(self._entries) - max_entries
-        if excess <= 0:
-            return 0
-        for key in list(self._entries)[:excess]:
-            del self._entries[key]
-        self._dirty = True
-        # The next flush must overwrite the document: merging would re-adopt
-        # the pruned entries straight back from disk.
-        self._wiped = True
-        self.counters["store.compacted"] += excess
-        return excess
-
-    def flush(self) -> None:
-        """Merge the on-disk entries in, then persist atomically.
-
-        The merge fixes the last-flush-wins data loss of concurrent writers:
-        entries another process flushed since our load are adopted (ours win
-        per key) instead of being overwritten wholesale.  An
-        :meth:`invalidate` suppresses the merge for its next flush -- the
-        wipe must reach the disk.  No-op when nothing changed.
-        """
-
-        if not self._dirty or self._closed:
-            return
-        if not self._wiped:
-            disk, _corrupt, _stale = self._read_disk()
-            merged_in = 0
-            for key, value in disk.items():
-                if key not in self._entries:
-                    merged_in += 1
-            if merged_in:
-                # Disk-only entries are treated as older than anything we
-                # touched: they go first, our entries keep their order.
-                ours = self._entries
-                self._entries = {
-                    k: v for k, v in disk.items() if k not in ours
-                }
-                self._entries.update(ours)
-                self.counters["store.merged_in"] += merged_in
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        payload = json.dumps(
-            {"version": STORE_VERSION, "entries": self._entries},
-            separators=(",", ":"),
-        )
-        fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-            os.replace(tmp_path, self.path)
-        except BaseException:
-            try:
-                os.unlink(tmp_path)
-            except OSError:
-                pass
-            raise
-        self._dirty = False
-        self._wiped = False
-        self.counters["store.flushes"] += 1
-        if trace.TRACER.enabled:
-            trace.TRACER.event("store.flush", backend="json", entries=len(self))
-
-    def raw_entries(self) -> Iterator[Tuple[str, Dict[str, object]]]:
-        yield from list(self._entries.items())
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
-# ---------------------------------------------------------------------------
-# SQLite backend
-# ---------------------------------------------------------------------------
-
-
-class SQLiteSpecOutcomeStore(SpecOutcomeStore):
-    """One-row-per-entry SQLite backend, the supported multi-process path.
-
-    * WAL journal mode plus a generous busy timeout: concurrent readers
-      never block, and concurrent writers queue instead of failing;
-    * writes are buffered in memory and flushed as upserts in one immediate
-      transaction, so two worker processes writing the same store interleave
-      per key and lose nothing;
-    * lookups miss the write buffer and read through to the database, so a
-      worker observes outcomes other workers flushed mid-run;
-    * a ``last_hit`` sequence column records the hit order for
-      :meth:`compact` (hit touches are buffered and persisted on flush).
-
-    Schema-version handling mirrors the JSON document: a file recorded under
-    a different :data:`STORE_VERSION` is dropped wholesale (and
-    ``corrupt_file`` set), as is an unreadable database file.
-    """
-
-    backend = "sqlite"
-
-    def __init__(self, path: str, backend: Optional[str] = None) -> None:
-        self._conn: Optional[sqlite3.Connection] = None
-        self._pending: Dict[str, Dict[str, object]] = {}
-        self._touched: Dict[str, None] = {}
-        self._clock = 0
-        super().__init__(path, backend)
-
-    # ------------------------------------------------------------------ schema
-
-    def _connect(self) -> sqlite3.Connection:
-        directory = os.path.dirname(os.path.abspath(self.path))
-        os.makedirs(directory, exist_ok=True)
-        conn = sqlite3.connect(self.path, timeout=30.0)
-        conn.execute("PRAGMA journal_mode=WAL")
-        conn.execute("PRAGMA synchronous=NORMAL")
-        conn.execute("PRAGMA busy_timeout=30000")
-        return conn
-
-    def _init_schema(self, conn: sqlite3.Connection) -> None:
-        with conn:
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS meta (key TEXT PRIMARY KEY, value TEXT)"
-            )
-            conn.execute(
-                "CREATE TABLE IF NOT EXISTS entries ("
-                " key TEXT PRIMARY KEY,"
-                " kind TEXT NOT NULL,"
-                " v INTEGER NOT NULL,"
-                " payload TEXT NOT NULL,"
-                " last_hit INTEGER NOT NULL DEFAULT 0)"
-            )
-            conn.execute(
-                "INSERT OR IGNORE INTO meta (key, value) VALUES ('version', ?)",
-                (str(STORE_VERSION),),
-            )
-
-    def _load(self) -> None:
-        try:
-            conn = self._connect()
-            self._init_schema(conn)
-            row = conn.execute(
-                "SELECT value FROM meta WHERE key = 'version'"
-            ).fetchone()
-        except sqlite3.Error:
-            # An unreadable database (e.g. a JSON document renamed to .db):
-            # mirror the JSON corrupt-file behavior by starting empty.  The
-            # broken file is replaced so the store is usable from here on.
-            self.corrupt_file = True
-            try:
-                if self._conn is not None:  # pragma: no cover - defensive
-                    self._conn.close()
-            finally:
-                self._conn = None
-            for suffix in ("", "-wal", "-shm"):
-                try:
-                    os.unlink(self.path + suffix)
-                except OSError:
-                    pass
-            conn = self._connect()
-            self._init_schema(conn)
-            row = (str(STORE_VERSION),)
-        if row is None or row[0] != str(STORE_VERSION):
-            # Same contract as a wrong-version JSON document: entries
-            # recorded under different rules are ignored wholesale.
-            self.corrupt_file = True
-            with conn:
-                conn.execute("DELETE FROM entries")
-                conn.execute(
-                    "INSERT OR REPLACE INTO meta (key, value) VALUES ('version', ?)",
-                    (str(STORE_VERSION),),
-                )
-        with conn:
-            cursor = conn.execute(
-                "DELETE FROM entries WHERE kind NOT IN ('spec', 'guard') OR v != ?",
-                (STORE_VERSION,),
-            )
-        self.counters["store.stale_dropped"] += max(cursor.rowcount, 0)
-        self.loaded = conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
-        self._clock = (
-            conn.execute("SELECT COALESCE(MAX(last_hit), 0) FROM entries").fetchone()[0]
-        )
-        self._conn = conn
-
     # ------------------------------------------------------------------ raw ops
 
     def _touch(self, key: str) -> None:
@@ -817,6 +544,8 @@ class SQLiteSpecOutcomeStore(SpecOutcomeStore):
         self._touched[key] = None
 
     def _raw_get(self, key: str) -> Optional[Dict[str, object]]:
+        """The raw payload under ``key`` (touching its last-hit order)."""
+
         pending = self._pending.get(key)
         if pending is not None:
             self._touch(key)
@@ -836,25 +565,103 @@ class SQLiteSpecOutcomeStore(SpecOutcomeStore):
                 self._conn.execute("DELETE FROM entries WHERE key = ?", (key,))
             return None
         self._touch(key)
-        self._dirty = True
         return payload
 
     def _raw_put(self, key: str, payload: Dict[str, object]) -> None:
         self._pending[key] = payload
         self._touch(key)
-        self._dirty = True
 
-    def _wipe(self) -> None:
+    def raw_entries(self) -> Iterator[Tuple[str, Dict[str, object]]]:
+        """All ``(key, payload)`` pairs, least recently hit first."""
+
+        self.flush()
+        for key, payload in self._conn.execute(
+            "SELECT key, payload FROM entries ORDER BY last_hit ASC, key"
+        ):
+            try:
+                decoded = json.loads(payload)
+            except ValueError:
+                continue
+            if _valid_entry(decoded):
+                yield key, decoded
+
+    def raw_put(self, key: str, payload: Dict[str, object]) -> None:
+        """Insert one raw entry as the most recently hit (migration API).
+
+        Putting entries in their last-hit order, as ``scripts/store_tool.py
+        migrate`` does, preserves the pruning order.
+        """
+
+        if not _valid_entry(payload):
+            self.counters["store.stale_dropped"] += 1
+            return
+        self._raw_put(key, payload)
+        self.counters["store.writes"] += 1
+
+    def __len__(self) -> int:
+        count = self._conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
+        if not self._pending:
+            return count
+        # Count pending keys not yet persisted in chunks (one IN query per
+        # chunk, bounded by SQLite's host-parameter limit).
+        pending = list(self._pending)
+        persisted = 0
+        for start in range(0, len(pending), 500):
+            chunk = pending[start : start + 500]
+            placeholders = ",".join("?" * len(chunk))
+            persisted += self._conn.execute(
+                f"SELECT COUNT(*) FROM entries WHERE key IN ({placeholders})",
+                chunk,
+            ).fetchone()[0]
+        return count + len(pending) - persisted
+
+    # ------------------------------------------------------------------ lifecycle
+
+    def invalidate(self) -> None:
+        """Drop every entry, in memory and on disk.
+
+        Called when a problem's baseline state changed *out of band*
+        (:meth:`SynthesisProblem.invalidate_caches`): persisted outcomes are
+        then stale but content hashes cannot tell, so the store wipes
+        conservatively.  Rebinding the reset closure needs no wipe -- the
+        closure participates in the problem fingerprint, so old entries
+        become unreachable by construction.
+        """
+
         self._pending.clear()
         self._touched.clear()
         with self._conn:
             self._conn.execute("DELETE FROM entries")
-        self._dirty = False
+        self._problem_fps.clear()
+        self._spec_hashes.clear()
+        self._program_hashes.clear()
+
+    def compact(self, max_entries: int) -> int:
+        """LRU-style pruning: keep the ``max_entries`` most recently hit.
+
+        Entries are ordered by last hit (lookups and writes both refresh an
+        entry's position); the oldest beyond the bound are dropped.  Returns
+        the number of pruned entries.  Stores are append-only otherwise, so
+        long-lived sweep stores eventually outgrow their usefulness.
+        """
+
+        if max_entries < 0:
+            raise ValueError("max_entries must be >= 0")
+        self.flush()
+        with self._conn:
+            cursor = self._conn.execute(
+                "DELETE FROM entries WHERE key NOT IN ("
+                " SELECT key FROM entries ORDER BY last_hit DESC, key LIMIT ?)",
+                (max_entries,),
+            )
+        pruned = cursor.rowcount if cursor.rowcount > 0 else 0
+        self.counters["store.compacted"] += pruned
+        return pruned
 
     def flush(self) -> None:
         """Upsert buffered writes and hit touches in one transaction."""
 
-        if not self._dirty or self._closed:
+        if not self._touched or self._conn is None:
             return
         with self._conn:
             for key in self._touched:
@@ -882,56 +689,21 @@ class SQLiteSpecOutcomeStore(SpecOutcomeStore):
                     )
         self._pending.clear()
         self._touched.clear()
-        self._dirty = False
         self.counters["store.flushes"] += 1
         if trace.TRACER.enabled:
-            trace.TRACER.event("store.flush", backend="sqlite", entries=len(self))
-
-    def compact(self, max_entries: int) -> int:
-        if max_entries < 0:
-            raise ValueError("max_entries must be >= 0")
-        self.flush()
-        with self._conn:
-            cursor = self._conn.execute(
-                "DELETE FROM entries WHERE key NOT IN ("
-                " SELECT key FROM entries ORDER BY last_hit DESC, key LIMIT ?)",
-                (max_entries,),
-            )
-        pruned = cursor.rowcount if cursor.rowcount > 0 else 0
-        self.counters["store.compacted"] += pruned
-        return pruned
-
-    def raw_entries(self) -> Iterator[Tuple[str, Dict[str, object]]]:
-        self.flush()
-        for key, payload in self._conn.execute(
-            "SELECT key, payload FROM entries ORDER BY last_hit ASC, key"
-        ):
-            try:
-                decoded = json.loads(payload)
-            except ValueError:
-                continue
-            if _valid_entry(decoded):
-                yield key, decoded
-
-    def __len__(self) -> int:
-        count = self._conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0]
-        if not self._pending:
-            return count
-        # Count pending keys not yet persisted in chunks (one IN query per
-        # chunk, bounded by SQLite's host-parameter limit).
-        pending = list(self._pending)
-        persisted = 0
-        for start in range(0, len(pending), 500):
-            chunk = pending[start : start + 500]
-            placeholders = ",".join("?" * len(chunk))
-            persisted += self._conn.execute(
-                f"SELECT COUNT(*) FROM entries WHERE key IN ({placeholders})",
-                chunk,
-            ).fetchone()[0]
-        return count + len(pending) - persisted
+            trace.TRACER.event("store.flush", entries=len(self))
 
     def close(self) -> None:
-        super().close()
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        """Flush and close the connection (a second call does nothing)."""
+
+        if self._conn is None:
+            return
+        self.flush()
+        self._conn.close()
+        self._conn = None
+
+    def __enter__(self) -> "SpecOutcomeStore":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()

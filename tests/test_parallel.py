@@ -105,15 +105,6 @@ def test_fresh_state_falls_back_to_serial():
     assert result.counters["search.parallel_tasks"] == 0
 
 
-def test_parallel_sweep_with_json_store_warns(tmp_path):
-    """Cell tasks cannot persist to a JSON store; the sweep must say so."""
-
-    path = str(tmp_path / "outcomes.json")
-    with SynthesisSession(SynthConfig(timeout_s=60), store=path, parallel=2) as session:
-        with pytest.warns(RuntimeWarning, match="SQLite backend"):
-            session.sweep(["S1"], warm=True)
-
-
 def test_run_benchmark_parallel_matches_serial():
     benchmark = get_benchmark("S5")
     config = SynthConfig(timeout_s=60)
@@ -204,20 +195,22 @@ def test_two_process_sqlite_store_round_trip(tmp_path):
             serial.close()
 
 
-def test_parallel_run_with_json_store_persists_via_parent(tmp_path):
-    """With a JSON store workers stay store-less; the parent writes through."""
+def test_parallel_run_persists_spec_tasks_through_workers(tmp_path):
+    """Per-spec tasks write their outcomes to the store from the workers."""
 
-    path = str(tmp_path / "outcomes.json")
+    path = str(tmp_path / "outcomes.sqlite")
     config = SynthConfig(timeout_s=60)
     with SynthesisSession(config, store=path, parallel=2) as session:
         first = session.run("S4")
-        assert session.store.backend == "json"
     assert first.success
+    assert first.counters["search.parallel_tasks"] > 0
 
     with SynthesisSession(config, store=path) as fresh:
         second = fresh.run("S4")
     assert second.program == first.program
     assert second.counters["cache.store_hits"] >= 1
+    # The spec searches ran only in workers, yet nothing is re-executed.
+    assert second.counters["search.reset_replays"] == 0
 
 
 # ---------------------------------------------------------------------------

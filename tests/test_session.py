@@ -1,11 +1,13 @@
 """Tests for the SynthesisSession engine API and the persistent spec-outcome
 store (repro.synth.session / repro.synth.store): shared-vs-cold run
 equivalence, warm precision sweeps, sweep normalization, store round-trips
-across simulated process boundaries, and corrupted/stale store handling."""
+across simulated process boundaries, malformed store payloads and the
+session's store lifecycle."""
 
 from __future__ import annotations
 
 import json
+import sqlite3
 
 import pytest
 
@@ -139,7 +141,7 @@ def test_sweep_variant_normalization():
 def test_store_round_trip_across_sessions(tmp_path, benchmark_id):
     """Write in one session, reopen in another process-simulated session."""
 
-    path = tmp_path / "outcomes.json"
+    path = tmp_path / "outcomes.sqlite"
     config = SynthConfig(timeout_s=60)
     with SynthesisSession(config, store=str(path)) as first_session:
         first = first_session.run(benchmark_id)
@@ -157,7 +159,7 @@ def test_store_round_trip_across_sessions(tmp_path, benchmark_id):
 
 
 def test_clear_memory_caches_falls_back_to_store(tmp_path):
-    path = tmp_path / "outcomes.json"
+    path = tmp_path / "outcomes.sqlite"
     with SynthesisSession(SynthConfig(timeout_s=60), store=str(path)) as session:
         first = session.run("S1")
         assert first.counters["cache.store_hits"] == 0
@@ -167,77 +169,35 @@ def test_clear_memory_caches_falls_back_to_store(tmp_path):
     assert second.counters["cache.store_hits"] >= 1
 
 
-def test_store_corrupted_file_is_ignored(tmp_path):
-    path = tmp_path / "outcomes.json"
-    path.write_text("{not json!", encoding="utf-8")
-    store = SpecOutcomeStore(str(path))
-    assert store.corrupt_file
-    assert len(store) == 0
-    with SynthesisSession(SynthConfig(timeout_s=60), store=store) as session:
-        result = session.run("S1")
-    assert result.success
-    # The corrupt file was overwritten with a valid store on flush.
-    data = json.loads(path.read_text(encoding="utf-8"))
-    assert data["version"] == STORE_VERSION and data["entries"]
-
-
-def test_store_wrong_schema_version_is_ignored(tmp_path):
-    path = tmp_path / "outcomes.json"
-    path.write_text(
-        json.dumps({"version": 999, "entries": {"k": {"v": 999, "kind": "spec"}}}),
-        encoding="utf-8",
-    )
-    store = SpecOutcomeStore(str(path))
-    assert store.corrupt_file
-    assert len(store) == 0
-
-
-def test_store_stale_entries_are_dropped(tmp_path):
-    path = tmp_path / "outcomes.json"
-    path.write_text(
-        json.dumps(
-            {
-                "version": STORE_VERSION,
-                "entries": {
-                    "bad-version": {"v": 999, "kind": "spec", "ok": True},
-                    "bad-kind": {"v": STORE_VERSION, "kind": "mystery"},
-                    "not-a-dict": 5,
-                    "good": {
-                        "v": STORE_VERSION,
-                        "kind": "guard",
-                        "truth": True,
-                    },
-                },
-            }
-        ),
-        encoding="utf-8",
-    )
-    store = SpecOutcomeStore(str(path))
-    assert store.loaded == 1
-    assert store.counters["store.stale_dropped"] == 3
-
-
 def test_store_malformed_entry_payload_is_a_miss(tmp_path):
     """An entry that loads but cannot be decoded is treated as stale."""
 
-    path = tmp_path / "outcomes.json"
+    path = tmp_path / "outcomes.sqlite"
     with SynthesisSession(SynthConfig(timeout_s=60), store=str(path)) as session:
         session.run("S1")
-    data = json.loads(path.read_text(encoding="utf-8"))
-    # Corrupt every spec payload in place (keep the entry shape valid).
-    for entry in data["entries"].values():
-        if entry["kind"] == "spec":
+    conn = sqlite3.connect(str(path))
+    with conn:
+        # Corrupt every spec payload in place (keep the entry shape valid).
+        for key, payload in conn.execute(
+            "SELECT key, payload FROM entries WHERE kind = 'spec'"
+        ).fetchall():
+            entry = json.loads(payload)
             entry["ok"] = "definitely-not-a-bool"
-    path.write_text(json.dumps(data), encoding="utf-8")
+            conn.execute(
+                "UPDATE entries SET payload = ? WHERE key = ?",
+                (json.dumps(entry), key),
+            )
+    conn.close()
 
     with SynthesisSession(SynthConfig(timeout_s=60), store=str(path)) as session:
         result = session.run("S1")
+        assert session.store.counters["store.stale_dropped"] >= 1
     assert result.success
     assert result.counters["search.reset_replays"] >= 1  # it really re-executed
 
 
 def test_store_disabled_cache_never_consults_store(tmp_path):
-    path = tmp_path / "outcomes.json"
+    path = tmp_path / "outcomes.sqlite"
     config = SynthConfig(timeout_s=60)
     with SynthesisSession(config, store=str(path)) as session:
         session.run("S1")
@@ -249,14 +209,36 @@ def test_store_disabled_cache_never_consults_store(tmp_path):
 
 
 def test_invalidate_caches_wipes_attached_store(tmp_path):
-    path = tmp_path / "outcomes.json"
+    path = tmp_path / "outcomes.sqlite"
     with SynthesisSession(SynthConfig(timeout_s=60), store=str(path)) as session:
         session.run("S1")
         assert len(session.store) > 0
         session.problem_for("S1").invalidate_caches()
         assert len(session.store) == 0
-    data = json.loads(path.read_text(encoding="utf-8"))
-    assert data["entries"] == {}
+    conn = sqlite3.connect(str(path))
+    assert conn.execute("SELECT COUNT(*) FROM entries").fetchone()[0] == 0
+    conn.close()
+
+
+def test_session_closes_the_store_it_opened(tmp_path):
+    with SynthesisSession(SynthConfig(timeout_s=60), store=tmp_path / "o.sqlite") as s:
+        s.run("S1")
+        store = s.store
+    assert store._conn is None
+
+
+def test_session_flushes_but_keeps_a_passed_in_store_open(tmp_path):
+    store = SpecOutcomeStore(tmp_path / "o.sqlite")
+    with SynthesisSession(SynthConfig(timeout_s=60), store=store) as session:
+        session.run("S1")
+    assert store._conn is not None
+    assert not store._touched  # flushed: nothing left to persist
+    assert store.counters["store.flushes"] >= 1
+    # The owner keeps using it, and closes it.
+    store.raw_put("k", {"v": STORE_VERSION, "kind": "guard", "truth": True})
+    assert len(store) > 1
+    store.close()
+    assert store._conn is None
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +317,7 @@ def test_two_pass_figure8_sweep_matches_cold_and_hits_store(tmp_path):
     variants = [(p, {"effect_precision": p}) for p in PRECISIONS]
     config = SynthConfig.full(timeout_s=60)
 
-    with SynthesisSession(config, store=str(tmp_path / "store.json")) as session:
+    with SynthesisSession(config, store=str(tmp_path / "store.sqlite")) as session:
         pass1 = session.sweep(["S1"], variants)
         session.clear_memory_caches()
         pass2 = session.sweep(["S1"], variants)
