@@ -145,7 +145,10 @@ def search_candidates(problem, config=None, limit: int = 200) -> List[A.Node]:
         if isinstance(site.hole, A.EffectHole):
             expansions = [A.replace_at(expr, site.path, A.NIL)]
         else:
-            expansions = expand_typed_hole(expr, site, problem, config)
+            expansions = [
+                entry.build()
+                for entry in expand_typed_hole(expr, site, problem, config)
+            ]
         for candidate in expansions:
             if candidate in seen:
                 continue

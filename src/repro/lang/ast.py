@@ -19,7 +19,8 @@ once, at construction, from its children's fields:
 
 * ``_hash`` -- the structural hash that ``hash(node)`` returns;
 * ``_node_count`` -- the number of nodes (:func:`node_count`);
-* ``_has_holes`` -- whether a hole occurs in it (:func:`has_holes`).
+* ``_holes`` -- the number of holes in it (:func:`count_holes`,
+  :func:`has_holes`).
 
 So none of them ever walks a tree, and subtrees shared between candidates
 are never measured twice.  ``__reduce__`` rebuilds a node through its
@@ -37,15 +38,19 @@ Two utilities matter for synthesis:
   correctly (rule T-Let).
 * :func:`replace_at` splices a replacement in at such a path, rebuilding only
   the nodes on the path (one :meth:`Node.with_child` per level) and sharing
-  every other subtree; :func:`splicer` walks the path once for many
-  replacements.
+  every other subtree; a :class:`Splicer` walks the path once for many
+  replacements, and its :class:`Pending` entries defer each splice: an entry
+  knows the size and hole count of its tree from the construction-time
+  fields of the parent and the replacement, and builds the tree only when
+  :meth:`Pending.build` is first called.  The search's work list holds such
+  entries, so a refinement that is never popped is never built.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.lang.effects import Effect
 from repro.lang.types import Type
@@ -59,13 +64,13 @@ class Node:
     """Base class for all AST nodes.
 
     A leaf counts one node and contains no hole unless it is one (the hole
-    classes override ``_has_holes``); its hash is set by the ``__post_init__``
+    classes override ``_holes``); its hash is set by the ``__post_init__``
     below.  Compound nodes set all three construction-time fields in their
     own ``__init__`` and override :meth:`children` and :meth:`with_child`.
     """
 
     _node_count = 1
-    _has_holes = False
+    _holes = 0
     _hash: int
     #: The dataclass field names, in order (set by :func:`_node`).
     _field_names: Tuple[str, ...] = ()
@@ -178,7 +183,7 @@ class TypedHole(Node):
 
     type: Type
 
-    _has_holes = True
+    _holes = 1
 
 
 @_node
@@ -187,7 +192,7 @@ class EffectHole(Node):
 
     effect: Effect
 
-    _has_holes = True
+    _holes = 1
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +218,7 @@ class Seq(Node):
         fields["second"] = second
         fields["_hash"] = hash(("Seq", first._hash, second._hash))
         fields["_node_count"] = 1 + first._node_count + second._node_count
-        fields["_has_holes"] = first._has_holes or second._has_holes
+        fields["_holes"] = first._holes + second._holes
 
     def children(self) -> Tuple[Node, ...]:
         return (self.first, self.second)
@@ -237,7 +242,7 @@ class Let(Node):
         fields["body"] = body
         fields["_hash"] = hash(("Let", var, value._hash, body._hash))
         fields["_node_count"] = 1 + value._node_count + body._node_count
-        fields["_has_holes"] = value._has_holes or body._has_holes
+        fields["_holes"] = value._holes + body._holes
 
     def children(self) -> Tuple[Node, ...]:
         return (self.value, self.body)
@@ -262,13 +267,13 @@ class MethodCall(Node):
         fields["name"] = name
         fields["args"] = args
         count = 1 + receiver._node_count
-        holes = receiver._has_holes
+        holes = receiver._holes
         for arg in args:
             count += arg._node_count
-            holes = holes or arg._has_holes
+            holes += arg._holes
         fields["_hash"] = hash(("MethodCall", receiver._hash, name, args))
         fields["_node_count"] = count
-        fields["_has_holes"] = holes
+        fields["_holes"] = holes
 
     def children(self) -> Tuple[Node, ...]:
         return (self.receiver,) + self.args
@@ -292,13 +297,13 @@ class HashLit(Node):
         fields = self.__dict__
         fields["entries"] = entries
         count = 1
-        holes = False
+        holes = 0
         for _, value in entries:
             count += value._node_count
-            holes = holes or value._has_holes
+            holes += value._holes
         fields["_hash"] = hash(("HashLit", entries))
         fields["_node_count"] = count
-        fields["_has_holes"] = holes
+        fields["_holes"] = holes
 
     def children(self) -> Tuple[Node, ...]:
         return tuple([value for _, value in self.entries])
@@ -328,9 +333,7 @@ class If(Node):
         fields["_node_count"] = (
             1 + cond._node_count + then_branch._node_count + else_branch._node_count
         )
-        fields["_has_holes"] = (
-            cond._has_holes or then_branch._has_holes or else_branch._has_holes
-        )
+        fields["_holes"] = cond._holes + then_branch._holes + else_branch._holes
 
     def children(self) -> Tuple[Node, ...]:
         return (self.cond, self.then_branch, self.else_branch)
@@ -354,7 +357,7 @@ class Not(Node):
         fields["expr"] = expr
         fields["_hash"] = hash(("Not", expr._hash))
         fields["_node_count"] = 1 + expr._node_count
-        fields["_has_holes"] = expr._has_holes
+        fields["_holes"] = expr._holes
 
     def children(self) -> Tuple[Node, ...]:
         return (self.expr,)
@@ -376,7 +379,7 @@ class Or(Node):
         fields["right"] = right
         fields["_hash"] = hash(("Or", left._hash, right._hash))
         fields["_node_count"] = 1 + left._node_count + right._node_count
-        fields["_has_holes"] = left._has_holes or right._has_holes
+        fields["_holes"] = left._holes + right._holes
 
     def children(self) -> Tuple[Node, ...]:
         return (self.left, self.right)
@@ -400,7 +403,7 @@ class MethodDef(Node):
         fields["body"] = body
         fields["_hash"] = hash(("MethodDef", name, params, body._hash))
         fields["_node_count"] = 1 + body._node_count
-        fields["_has_holes"] = body._has_holes
+        fields["_holes"] = body._holes
 
     def children(self) -> Tuple[Node, ...]:
         return (self.body,)
@@ -432,13 +435,15 @@ def node_count(node: Node) -> int:
 
 
 def count_holes(node: Node) -> int:
-    return sum(1 for n in walk(node) if isinstance(n, (TypedHole, EffectHole)))
+    """Number of typed and effect holes in ``node``."""
+
+    return node._holes
 
 
 def has_holes(node: Node) -> bool:
     """Negation of the paper's ``evaluable`` predicate (Figure 12)."""
 
-    return node._has_holes
+    return node._holes > 0
 
 
 def count_paths(node: Node) -> int:
@@ -522,7 +527,7 @@ def iter_holes(node: Node) -> Iterator[HoleSite]:
 def _iter_holes(
     node: Node, path: Path, bindings: Tuple[Tuple[str, Node], ...]
 ) -> Iterator[HoleSite]:
-    if not node._has_holes:
+    if not node._holes:
         return
     if isinstance(node, (TypedHole, EffectHole)):
         yield HoleSite(node, path, bindings)
@@ -551,28 +556,67 @@ def first_hole(node: Node) -> Optional[HoleSite]:
     return site
 
 
-def splicer(node: Node, path: Path) -> Callable[[Node], Node]:
-    """``lambda replacement: replace_at(node, path, replacement)``, walking
-    ``path`` once however many replacements are spliced in."""
+class Splicer:
+    """``splice(replacement)`` is ``replace_at(node, path, replacement)``,
+    walking ``path`` once however many replacements are spliced in."""
 
-    spine: List[Tuple[Node, int]] = []
-    for index in path:
-        spine.append((node, index))
-        node = node.children()[index]
-    spine.reverse()
+    __slots__ = ("_spine", "_rest_size", "_rest_holes")
 
-    def splice(replacement: Node) -> Node:
-        for parent, index in spine:
+    def __init__(self, node: Node, path: Path) -> None:
+        spine: List[Tuple[Node, int]] = []
+        root = node
+        for index in path:
+            spine.append((node, index))
+            node = node.children()[index]
+        spine.reverse()
+        self._spine = spine
+        # Size and holes of the tree once the subtree at ``path`` is cut out.
+        self._rest_size = root._node_count - node._node_count
+        self._rest_holes = root._holes - node._holes
+
+    def __call__(self, replacement: Node) -> Node:
+        for parent, index in self._spine:
             replacement = parent.with_child(index, replacement)
         return replacement
 
-    return splice
+
+class Pending:
+    """The tree ``splice(replacement)``, built only when :meth:`build` is
+    first called.
+
+    ``size`` and ``holes`` are the tree's :func:`node_count` and
+    :func:`count_holes`, known without building it.
+    """
+
+    __slots__ = ("size", "holes", "_splice", "_replacement", "_node")
+
+    def __init__(self, splice: Splicer, replacement: Node) -> None:
+        self.size: int = splice._rest_size + replacement._node_count
+        self.holes: int = splice._rest_holes + replacement._holes
+        self._splice = splice
+        self._replacement = replacement
+        self._node: Optional[Node] = None
+
+    @classmethod
+    def of(cls, node: Node) -> "Pending":
+        """An entry for a tree that is already built: ``node`` spliced in
+        at the empty path, which builds ``node`` itself."""
+
+        return cls(Splicer(node, ()), node)
+
+    def build(self) -> Node:
+        """The tree, spliced on the first call and the same object after."""
+
+        node = self._node
+        if node is None:
+            node = self._node = self._splice(self._replacement)
+        return node
 
 
 def replace_at(node: Node, path: Path, replacement: Node) -> Node:
     """Rebuild ``node`` with ``replacement`` spliced in at ``path``."""
 
-    return splicer(node, path)(replacement)
+    return Splicer(node, path)(replacement)
 
 
 def fill_first_hole(node: Node, replacement: Node) -> Node:

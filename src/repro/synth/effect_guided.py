@@ -72,8 +72,10 @@ def expand_effect_hole(
     problem: SynthesisProblem,
     config: SynthConfig,
     counters: Optional[Counters] = None,
-) -> List[A.Node]:
-    """Rules S-EffApp and S-EffNil: all one-step fillings of an effect hole."""
+) -> List[A.Pending]:
+    """Rules S-EffApp and S-EffNil: all one-step fillings of an effect hole,
+    as :class:`~repro.lang.ast.Pending` entries (built by the narrowing
+    re-check, otherwise left to the caller)."""
 
     assert isinstance(site.hole, A.EffectHole)
     hole = site.hole
@@ -98,20 +100,20 @@ def expand_effect_hole(
     # S-EffNil removes an unneeded effect hole.
     replacements.append(A.NIL)
 
-    splice = A.splicer(expr, site.path)
-    results: List[A.Node] = []
+    splice = A.Splicer(expr, site.path)
+    results: List[A.Pending] = []
     seen: set[A.Node] = set()
     for replacement in replacements:
-        candidate = splice(replacement)
-        if candidate in seen:
+        if replacement in seen:
             continue
-        seen.add(candidate)
+        seen.add(replacement)
+        entry = A.Pending(splice, replacement)
         if config.use_types and config.narrow_types:
             try:
-                check_expr(candidate, dict(problem.param_env), problem.class_table)
+                check_expr(entry.build(), dict(problem.param_env), problem.class_table)
             except SynTypeError:
                 continue
-        results.append(candidate)
+        results.append(entry)
     return results
 
 

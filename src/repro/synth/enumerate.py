@@ -239,8 +239,13 @@ def expand_typed_hole(
     site: A.HoleSite,
     problem: SynthesisProblem,
     config: SynthConfig,
-) -> List[A.Node]:
-    """All one-step refinements of ``expr`` at the typed hole ``site``."""
+) -> List[A.Pending]:
+    """All one-step refinements of ``expr`` at the typed hole ``site``.
+
+    Each refinement is a :class:`~repro.lang.ast.Pending` entry: its size
+    and hole count are known at once, and the tree is built only when the
+    narrowing re-check below or the caller needs it.
+    """
 
     assert isinstance(site.hole, A.TypedHole)
     hole = site.hole
@@ -255,14 +260,16 @@ def expand_typed_hole(
     replacements += table.calls
 
     param_env = dict(problem.param_env)
-    splice = A.splicer(expr, site.path)
-    results: List[A.Node] = []
+    splice = A.Splicer(expr, site.path)
+    results: List[A.Pending] = []
+    # Splicing at one path is injective: equal trees come from equal
+    # replacements, so deduplicating replacements deduplicates the trees.
     seen: set[A.Node] = set()
     for replacement, replacement_type in replacements:
-        candidate = splice(replacement)
-        if candidate in seen:
+        if replacement in seen:
             continue
-        seen.add(candidate)
+        seen.add(replacement)
+        entry = A.Pending(splice, replacement)
         if (
             config.use_types
             and config.narrow_types
@@ -275,8 +282,8 @@ def expand_typed_hole(
             # Replacements of exactly the hole's type cannot introduce type
             # errors, so the re-check is skipped for them.
             try:
-                check_expr(candidate, param_env, problem.class_table)
+                check_expr(entry.build(), param_env, problem.class_table)
             except SynTypeError:
                 continue
-        results.append(candidate)
+        results.append(entry)
     return results

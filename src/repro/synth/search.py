@@ -8,9 +8,20 @@ assertion with a non-pure read effect are wrapped by rule S-Eff and pushed
 back, everything else is discarded.  Candidates that still contain holes go
 back on the queue unless they exceed the size bound.
 
+Most queued candidates are never popped, so the queue holds
+:class:`~repro.lang.ast.Pending` entries: a refinement's size and hole count
+come from construction-time fields, and its tree is built only when it is
+popped, when it is hole-free (it is evaluated at once), or when the type
+narrowing re-check of the expansion needs it.  Duplicates are dropped at pop
+time: a tree derived twice is queued twice but expanded once.
+
 The queue is ordered as in Section 4: by number of passed assertions
 (descending), then program size (ascending).  The alternative orderings are
 kept for the ablation benchmarks.
+
+The candidate budget (``SynthConfig.max_candidates``) is checked before
+every evaluation, so at most that many candidates are run (or, in spec
+search, answered by the static pruner).
 """
 
 from __future__ import annotations
@@ -68,38 +79,42 @@ def search_counters() -> Counters:
 
 
 class _WorkList:
-    """A priority queue of ``(passed_asserts, expression)`` entries."""
+    """A priority queue of ``(passed_asserts, entry)`` pairs.
+
+    An entry's tree is built when it is popped.  A tree equal to one popped
+    before is skipped: equal trees tie on priority (their size and
+    ``passed_asserts`` are functions of the tree), so the first one pushed
+    is the one expanded.
+    """
 
     def __init__(self, order: str) -> None:
         self.order = order
-        self._heap: List[Tuple[Tuple, int, int, A.Node]] = []
+        self._heap: List[Tuple[Tuple, int, int, A.Pending]] = []
         self._counter = itertools.count()
-        self._seen: set[A.Node] = set()
+        self._popped: set[A.Node] = set()
 
-    def push(self, expr: A.Node, passed: int) -> bool:
-        """Queue ``expr`` unless a structurally equal candidate was queued."""
-
-        if expr in self._seen:
-            return False
-        self._seen.add(expr)
+    def push(self, entry: A.Pending, passed: int) -> None:
         count = next(self._counter)
         if self.order == ORDER_PAPER:
-            priority: Tuple = (-passed, A.node_count(expr), count)
+            priority: Tuple = (-passed, entry.size, count)
         elif self.order == ORDER_SIZE:
-            priority = (A.node_count(expr), count)
+            priority = (entry.size, count)
         elif self.order == ORDER_FIFO:
             priority = (count,)
         else:  # pragma: no cover - validated by SynthConfig
             raise ValueError(self.order)
-        heapq.heappush(self._heap, (priority, count, passed, expr))
-        return True
+        heapq.heappush(self._heap, (priority, count, passed, entry))
 
-    def pop(self) -> Tuple[int, A.Node]:
-        _, _, passed, expr = heapq.heappop(self._heap)
-        return passed, expr
+    def pop(self) -> Optional[Tuple[int, A.Node]]:
+        """The best queued tree not popped before, or ``None`` if none is left."""
 
-    def __bool__(self) -> bool:
-        return bool(self._heap)
+        while self._heap:
+            _, _, passed, entry = heapq.heappop(self._heap)
+            expr = entry.build()
+            if expr not in self._popped:
+                self._popped.add(expr)
+                return passed, expr
+        return None
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -110,11 +125,11 @@ def _expand(
     problem: SynthesisProblem,
     config: SynthConfig,
     counters: Optional[Counters] = None,
-) -> List[A.Node]:
+) -> List[A.Pending]:
     """One-step expansion of the left-most hole of ``expr``.
 
     ``first_hole`` descends only into subtrees that contain a hole (each
-    node knows whether it does) and is memoized on the node.
+    node knows how many it does) and is memoized on the node.
     """
 
     site = A.first_hole(expr)
@@ -169,25 +184,20 @@ def _generate_for_spec_impl(
     counters = counters if counters is not None else search_counters()
     cache = cache if cache is not None else SynthCache.from_config(config)
     worklist = _WorkList(config.exploration_order)
-    worklist.push(root if root is not None else A.TypedHole(problem.ret_type), 0)
+    worklist.push(
+        A.Pending.of(root if root is not None else A.TypedHole(problem.ret_type)), 0
+    )
     # The static pruner is per-search (one spec, one baseline), so its
     # normal-form outcome memo can never leak an outcome across specs.
     pruner = StaticPruner(problem, counters) if config.static_pruning else None
 
-    while worklist:
+    while True:
         if budget.expired():
             raise SynthesisTimeout(f"timeout while solving {spec.name!r}")
-        # Pruned candidates count against the budget exactly like evaluated
-        # ones: with pruning on, every prune replaces one evaluation the
-        # pruning-off search performs, so both exhaust the budget at the
-        # same candidate and synthesize identical programs.
-        if (
-            counters["search.evaluated"] + counters["search.static_prunes"]
-            > config.max_candidates
-        ):
+        popped = worklist.pop()
+        if popped is None:
             return None
-
-        passed, expr = worklist.pop()
+        passed, expr = popped
         counters["search.expansions"] += 1
         if trace.TRACER.enabled and counters["search.expansions"] % 64 == 0:
             # Cumulative counters every 64 expansions: a cheap progress
@@ -199,17 +209,28 @@ def _generate_for_spec_impl(
                 pushed=counters["search.pushed"],
                 queue=len(worklist),
             )
-        for candidate in _expand(expr, problem, config, counters):
+        for entry in _expand(expr, problem, config, counters):
             if budget.expired():
                 raise SynthesisTimeout(f"timeout while solving {spec.name!r}")
-            if A.has_holes(candidate):
-                if A.node_count(candidate) <= config.max_size:
-                    if worklist.push(candidate, passed):
-                        counters["search.pushed"] += 1
+            if entry.holes:
+                if entry.size <= config.max_size:
+                    worklist.push(entry, passed)
+                    counters["search.pushed"] += 1
                 else:
                     counters["search.pruned_size"] += 1
                 continue
+            # Pruned candidates count against the budget exactly like
+            # evaluated ones: with pruning on, every prune replaces one
+            # evaluation the pruning-off search performs, so both exhaust
+            # the budget at the same candidate and synthesize identical
+            # programs.
+            if (
+                counters["search.evaluated"] + counters["search.static_prunes"]
+                >= config.max_candidates
+            ):
+                return None
 
+            candidate = entry.build()
             key = None
             if pruner is not None:
                 key = pruner.key_for(candidate)
@@ -253,9 +274,9 @@ def _generate_for_spec_impl(
                 # enter the work list unpruned.
                 if A.node_count(wrapped) > config.max_size:
                     counters["search.pruned_size"] += 1
-                elif worklist.push(wrapped, outcome.passed_asserts):
+                else:
+                    worklist.push(A.Pending.of(wrapped), outcome.passed_asserts)
                     counters["search.effect_wraps"] += 1
-    return None
 
 
 def generate_guard(
@@ -355,37 +376,44 @@ def _generate_guard_impl(
                 return False
         return True
 
+    def exhausted() -> bool:
+        return counters["search.evaluated"] >= config.max_candidates
+
     for guard in initial_candidates:
         if budget.expired():
             raise SynthesisTimeout("timeout while synthesizing a guard")
+        if exhausted():
+            return None
         if accepted(guard):
             return guard
 
     worklist = _WorkList(config.exploration_order)
-    worklist.push(A.TypedHole(T.BOOL), 0)
+    worklist.push(A.Pending.of(A.TypedHole(T.BOOL)), 0)
 
-    while worklist:
+    while True:
         if budget.expired():
             raise SynthesisTimeout("timeout while synthesizing a guard")
-        if counters["search.evaluated"] > config.max_candidates:
+        popped = worklist.pop()
+        if popped is None:
             return None
-
-        _, expr = worklist.pop()
+        _, expr = popped
         counters["search.expansions"] += 1
-        for candidate in _expand(expr, problem, config, counters):
+        for entry in _expand(expr, problem, config, counters):
             # One expansion can yield many hole-free candidates, each of
             # which runs every positive and negative spec; without this
             # per-candidate guard (mirroring generate_for_spec) a single
             # expansion could evaluate far past the timeout.
             if budget.expired():
                 raise SynthesisTimeout("timeout while synthesizing a guard")
-            if A.has_holes(candidate):
-                if A.node_count(candidate) <= config.guard_max_size:
-                    if worklist.push(candidate, 0):
-                        counters["search.pushed"] += 1
+            if entry.holes:
+                if entry.size <= config.guard_max_size:
+                    worklist.push(entry, 0)
+                    counters["search.pushed"] += 1
                 else:
                     counters["search.pruned_size"] += 1
                 continue
+            if exhausted():
+                return None
+            candidate = entry.build()
             if accepted(candidate):
                 return candidate
-    return None

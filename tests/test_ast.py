@@ -235,10 +235,15 @@ def test_node_count_positive_and_walk_consistent(expr):
     assert A.node_count(expr) == len(list(A.walk(expr))) >= 1
 
 
+def _walked_holes(expr):
+    return sum(isinstance(n, (A.TypedHole, A.EffectHole)) for n in A.walk(expr))
+
+
 @given(_exprs())
 @settings(max_examples=80, deadline=None)
 def test_construction_time_fields_agree_with_traversals(expr):
-    assert A.has_holes(expr) == (A.count_holes(expr) > 0)
+    assert A.count_holes(expr) == _walked_holes(expr)
+    assert A.has_holes(expr) == (_walked_holes(expr) > 0)
     assert A.first_hole(expr) == next(A.iter_holes(expr), None)
 
 
@@ -252,7 +257,15 @@ def test_replace_at_every_hole_matches_a_reference_rebuild(expr):
         assert spliced == expected
         assert hash(spliced) == hash(expected)
         assert A.node_count(spliced) == len(list(A.walk(spliced)))
-        assert A.has_holes(spliced) == (A.count_holes(spliced) > 0)
+        assert A.count_holes(spliced) == _walked_holes(spliced)
+        # A pending entry knows the size and holes of the tree it builds.
+        for replacement in (filler, A.TypedHole(T.INT)):
+            entry = A.Pending(A.Splicer(expr, site.path), replacement)
+            built = entry.build()
+            assert built == _reference_replace(expr, site.path, replacement)
+            assert entry.build() is built
+            assert entry.size == len(list(A.walk(built)))
+            assert entry.holes == _walked_holes(built)
 
 
 @given(_exprs())

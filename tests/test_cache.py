@@ -113,13 +113,79 @@ def test_worklist_deduplicates_pushed_candidates():
     worklist = _WorkList("paper")
     a = A.Seq(A.TypedHole(T.BOOL), A.NIL)
     b = A.Seq(A.TypedHole(T.BOOL), A.NIL)
+    c = A.Seq(A.TypedHole(T.BOOL), A.TRUE)
     assert a is not b and a == b
-    assert worklist.push(a, 0)
-    assert not worklist.push(b, 0)  # structurally equal: already seen
-    assert worklist.push(A.Seq(A.TypedHole(T.BOOL), A.TRUE), 0)
-    assert len(worklist) == 2
+    for tree in (a, b, c):
+        worklist.push(A.Pending.of(tree), 0)
+    assert len(worklist) == 3  # equal trees are both queued
     _, popped = worklist.pop()
-    assert popped is a
+    assert popped is a  # the first one pushed is popped ...
+    assert worklist.pop() == (0, c)  # ... and the second one skipped
+    assert worklist.pop() is None
+
+
+class _Base:
+    pass
+
+
+class _Sub(_Base):
+    pass
+
+
+def _override_problem():
+    """A method and its override: ``Base#m`` and ``Sub#m`` are distinct
+    S-App productions that derive the same tree once the receiver hole is
+    filled with the ``Sub`` parameter (``arg0.m([]:Int, []:Int)``)."""
+
+    from repro.corelib import register_corelib
+    from repro.typesys.class_table import ClassTable, MethodSig
+
+    ct = ClassTable()
+    register_corelib(ct)
+    ct.add_class("Base", pyclass=_Base)
+    ct.add_class("Sub", "Base", pyclass=_Sub)
+    for owner in ("Base", "Sub"):
+        ct.add_method(
+            MethodSig(owner, "m", (T.INT, T.INT), T.INT,
+                      impl=lambda interp, recv, a, b: a + b)
+        )
+    problem = define("overridden", "(Sub, Int) -> Int", consts=[1], class_table=ct)
+
+    def setup(ctx):
+        ctx.invoke(_Sub(), 2)
+
+    def postcond(ctx, result):
+        ctx.assert_(lambda: False)
+
+    problem.add_spec("never passes", setup, postcond)
+    return problem
+
+
+def test_worklist_expands_a_tree_derived_twice_once(monkeypatch):
+    import repro.synth.search as search
+
+    expanded = []
+    expand = search._expand
+
+    def recording(expr, *args, **kwargs):
+        expanded.append(expr)
+        return expand(expr, *args, **kwargs)
+
+    monkeypatch.setattr(search, "_expand", recording)
+    problem = _override_problem()
+    counters = search_counters()
+    found = generate_for_spec(
+        problem, problem.specs[0], SynthConfig(timeout_s=60, max_size=6),
+        counters=counters,
+    )
+    assert found is None
+    assert len(expanded) == len(set(expanded)) == counters["search.expansions"]
+    # The counters of push-time dedup: the same trees are expanded and
+    # evaluated.  Only ``pushed`` also counts the 7 duplicate pushes.
+    assert counters["search.expansions"] == 128
+    assert counters["search.evaluated"] == 142
+    assert counters["search.pruned_size"] == 422
+    assert counters["search.pushed"] == 127 + 7
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +416,59 @@ def test_effect_wrap_is_size_bounded(blog_problem):
     assert expr is None  # no solution fits in 3 nodes
     assert counters["search.effect_wraps"] == 0  # every wrap exceeded the bound
     assert counters["search.pruned_size"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Bugfix regression: the candidate budget binds within an expansion
+# ---------------------------------------------------------------------------
+
+
+def _never_passing_problem():
+    from repro.corelib import register_corelib
+    from repro.typesys.class_table import ClassTable
+
+    ct = ClassTable()
+    # The comparison methods give guard search a large space of booleans.
+    register_corelib(ct, synthesis_equality=True)
+    problem = define(
+        "unsolvable", "(Bool, Bool, Int) -> Obj", consts=[True, False, 1],
+        class_table=ct,
+    )
+
+    def setup(ctx):
+        ctx.invoke(True, False, 3)
+
+    def postcond(ctx, result):
+        ctx.assert_(lambda: False)
+
+    return problem, problem.add_spec("never passes", setup, postcond)
+
+
+@pytest.mark.parametrize("max_candidates", [1, 5, 20])
+def test_max_candidates_bounds_spec_search(max_candidates):
+    # One expansion can yield many hole-free candidates (the root hole's
+    # alone yields six); the budget must stop the search at the candidate
+    # that exhausts it, not at the next pop.
+    problem, spec = _never_passing_problem()
+    counters = search_counters()
+    config = SynthConfig(timeout_s=60, max_candidates=max_candidates)
+    assert generate_for_spec(problem, spec, config, counters=counters) is None
+    spent = counters["search.evaluated"] + counters["search.static_prunes"]
+    assert spent == max_candidates
+
+
+@pytest.mark.parametrize("max_candidates", [1, 5, 20])
+def test_max_candidates_bounds_guard_search(max_candidates):
+    # A guard that must be truthy and falsy under the same spec never holds.
+    problem, spec = _never_passing_problem()
+    counters = search_counters()
+    config = SynthConfig(timeout_s=60, max_candidates=max_candidates)
+    guard = generate_guard(
+        problem, [spec], [spec], config, counters=counters,
+        initial_candidates=[A.TRUE],
+    )
+    assert guard is None
+    assert counters["search.evaluated"] == max_candidates
 
 
 # ---------------------------------------------------------------------------

@@ -412,3 +412,45 @@ def test_metrics_stats_hold_every_counter_perfbench_reads(benchmark_id, parallel
             ("state", "restores")]
     for layer, name in live:
         assert stats[layer][name] > 0, f"{layer}.{name}"
+
+
+def _perfbench_spans():
+    """A fresh ``perfbench/spans.py`` module and the ``layers`` table of
+    ``perfbench/rationale.json``, both read without writing anything under
+    ``perfbench/`` (no bytecode cache)."""
+
+    import types
+
+    root = Path(__file__).resolve().parents[1] / "perfbench"
+    path = root / "spans.py"
+    module = types.ModuleType("perfbench_spans")
+    module.__file__ = str(path)
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    layers = json.loads((root / "rationale.json").read_text())["layers"]
+    return module, layers
+
+
+def test_perfbench_wrap_sites_resolve_and_enumeration_is_reached():
+    """The end-to-end benchmark wraps engine functions by the name their
+    caller looks them up by, and tallies ``len()`` of what the enumeration
+    sites return; a traced run is incorrect when a site cannot be resolved
+    or is never reached.  Every site must resolve, and one A5 run (which
+    wraps a failed candidate in an effect hole and expands that hole) must
+    reach all three ``enumerate`` sites and count their candidates."""
+
+    spans_module, layers = _perfbench_spans()
+    spans = spans_module.LayerSpans(
+        {name: layer["wraps"] for name, layer in layers.items()}
+    )
+    assert spans.missing == []
+    spans.install()
+    try:
+        with SynthesisSession(SynthConfig(timeout_s=60)) as session:
+            result = session.run("A5")
+    finally:
+        spans.uninstall()
+    assert result.success
+    summary = spans.summary()
+    for site in layers["enumerate"]["wraps"]:
+        assert summary["site_calls"].get(site, 0) > 0, site
+    assert summary["counts"]["enumerate.candidates"] > 0

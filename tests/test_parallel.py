@@ -287,11 +287,11 @@ def test_ast_memo_slots_are_dropped_on_pickle(orm_class_table):
         assert carried == [], f"pickled node carries memos: {carried}"
     # Construction-time fields are recomputed, not transported: their names
     # never appear in the payload, and they match a fresh build's.
-    for name in ("_hash", "_node_count", "_has_holes") + memos:
+    for name in ("_hash", "_node_count", "_holes") + memos:
         assert name.encode() not in payload
     fresh = build()
-    assert (revived._hash, revived._node_count, revived._has_holes) == (
-        fresh._hash, fresh._node_count, fresh._has_holes
+    assert (revived._hash, revived._node_count, revived._holes) == (
+        fresh._hash, fresh._node_count, fresh._holes
     )
 
     # The revived tree is fully usable: it evaluates and typechecks.

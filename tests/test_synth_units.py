@@ -135,11 +135,17 @@ def test_simplify_recurses_into_branches():
 # ---------------------------------------------------------------------------
 
 
+def _built(entries):
+    """The trees of an expansion's pending entries."""
+
+    return [entry.build() for entry in entries]
+
+
 def test_expand_root_hole_offers_vars_consts_and_calls(blog_problem):
     config = SynthConfig()
     root = A.TypedHole(T.ClassType("User"))
     site = A.first_hole(root)
-    candidates = expand_typed_hole(root, site, blog_problem, config)
+    candidates = _built(expand_typed_hole(root, site, blog_problem, config))
     assert any(isinstance(c, A.MethodCall) for c in candidates)
     # No Str-typed constant or variable fits a User-typed hole.
     assert A.Var("arg0") not in candidates
@@ -149,14 +155,16 @@ def test_expand_root_hole_offers_vars_consts_and_calls(blog_problem):
 def test_expand_bool_hole_includes_constants(blog_problem):
     config = SynthConfig()
     root = A.TypedHole(T.BOOL)
-    candidates = expand_typed_hole(root, A.first_hole(root), blog_problem, config)
+    site = A.first_hole(root)
+    candidates = _built(expand_typed_hole(root, site, blog_problem, config))
     assert A.TRUE in candidates and A.FALSE in candidates
 
 
 def test_expand_unguided_mode_ignores_types(blog_problem):
     config = SynthConfig.unguided()
     root = A.TypedHole(T.ClassType("User"))
-    candidates = expand_typed_hole(root, A.first_hole(root), blog_problem, config)
+    site = A.first_hole(root)
+    candidates = _built(expand_typed_hole(root, site, blog_problem, config))
     assert A.Var("arg0") in candidates  # type filter disabled
 
 
@@ -165,7 +173,7 @@ def test_expand_hash_hole_enumerates_key_subsets(blog_problem):
     hash_type = T.FiniteHashType.make(optional={"a": T.STRING, "b": T.STRING})
     root = A.call(A.ConstRef("User"), "where", A.TypedHole(hash_type))
     site = A.first_hole(root)
-    candidates = expand_typed_hole(root, site, blog_problem, config)
+    candidates = _built(expand_typed_hole(root, site, blog_problem, config))
     hash_args = [c.args[0] for c in candidates if isinstance(c.args[0], A.HashLit)]
     key_sets = {tuple(k for k, _ in h.entries) for h in hash_args}
     assert ("a",) in key_sets and ("b",) in key_sets and ("a", "b") in key_sets
@@ -175,7 +183,7 @@ def test_narrowing_prunes_nil_receivers(blog_problem):
     config = SynthConfig()
     expr = A.call(A.TypedHole(T.ClassType("User")), "name")
     site = A.first_hole(expr)
-    candidates = expand_typed_hole(expr, site, blog_problem, config)
+    candidates = _built(expand_typed_hole(expr, site, blog_problem, config))
     assert A.call(A.NIL, "name") not in candidates
 
 
@@ -187,7 +195,7 @@ def test_let_bindings_are_visible_at_holes(blog_problem):
         A.TypedHole(T.ClassType("User")),
     )
     site = A.first_hole(expr)
-    candidates = expand_typed_hole(expr, site, blog_problem, config)
+    candidates = _built(expand_typed_hole(expr, site, blog_problem, config))
     assert any(
         isinstance(c, A.Let) and c.body == A.Var("t0") for c in candidates
     )
@@ -198,12 +206,13 @@ def test_class_table_mutation_refreshes_the_s_app_productions(blog_problem):
 
     config = SynthConfig()
     root = A.TypedHole(T.ClassType("User"))
+    site = A.first_hole(root)
     newest = A.MethodCall(A.TypedHole(T.SingletonClassType("User")), "newest", ())
-    assert newest not in expand_typed_hole(root, A.first_hole(root), blog_problem, config)
+    assert newest not in _built(expand_typed_hole(root, site, blog_problem, config))
     blog_problem.class_table.add_method(
         MethodSig("User", "newest", (), T.ClassType("User"), singleton=True)
     )
-    assert newest in expand_typed_hole(root, A.first_hole(root), blog_problem, config)
+    assert newest in _built(expand_typed_hole(root, site, blog_problem, config))
 
 
 def test_production_table_dies_with_its_problem():
@@ -258,7 +267,7 @@ def test_expand_effect_hole_offers_writers_and_nil(blog_problem):
     config = SynthConfig()
     expr = A.Seq(A.EffectHole(Effect.of("User.name")), A.TypedHole(T.ClassType("User")))
     site = A.first_hole(expr)
-    candidates = expand_effect_hole(expr, site, blog_problem, config)
+    candidates = _built(expand_effect_hole(expr, site, blog_problem, config))
     assert any(
         isinstance(c.first, A.MethodCall) and c.first.name == "name=" for c in candidates
     )
