@@ -9,16 +9,21 @@ hook RbSyn uses to give every candidate program a clean slate (Section 4,
 State isolation guarantees:
 
 * Rows handed across the table boundary (``insert``/``get``/``all``/
-  ``query`` return values, ``insert``/``update`` arguments) are copied,
-  including nested mutable values, so a candidate program can never mutate
-  stored state through a stale reference.
+  ``query`` return values, the row a ``select`` predicate sees,
+  ``insert``/``update`` arguments) are copied, including nested mutable
+  values, so a candidate program can never mutate stored state through a
+  stale reference.
 * ``snapshot()``/``restore()`` are an exact round-trip of the whole database
   state -- every table's rows *and* ``next_id`` plus the globals -- which is
-  what :mod:`repro.synth.state` builds its copy-on-write spec-evaluation
-  snapshots on.  ``restore`` swaps each table's row mapping for the
-  snapshot's by reference; the shared row dicts are protected by a
-  copy-on-write set (``Table._shared``), so restoring is O(rows) pointer
-  copies and only rows that are subsequently updated pay for a real copy.
+  what :mod:`repro.synth.state` builds its spec-evaluation snapshots on.
+  Both are copy-on-write at two levels and copy no row: ``Table.dump`` hands
+  the live row mapping, row dicts included, to the snapshot, and
+  ``Table.adopt`` takes the snapshot's mapping by reference, so each costs
+  O(tables + indexed columns).  Afterwards the first insert, delete or row
+  replacement copies the mapping (``Table._rows_shared``), and the first
+  write to a row below the watermark -- the ``next_id`` at the last
+  dump/adopt; ids are monotonic, so later inserts are private -- copies that
+  one row dict, at most once until the next dump/adopt (``Table._private``).
   The globals dict is copy-on-write too: when all its values are atomic it
   is shared with the snapshot by reference and the next
   ``set_global``/``delete_global`` pays for the copy.
@@ -240,11 +245,14 @@ def _rebuild_table_snapshot(
 class TableSnapshot(dict):
     """One table's dumped ``{"rows", "next_id"}`` state plus an index cache.
 
-    The cache lives in slots, *outside* the mapping items, so snapshot
-    equality -- which :mod:`repro.synth.state` relies on to detect
-    post-invoke writes and verify recordings -- compares only the logical
-    state; two identical states with differently warmed index caches still
-    compare equal.  The cache is shared copy-on-write with the tables built
+    The row mapping and its row dicts are shared with the table that dumped
+    them and with every table that adopts them, so they are read-only: the
+    tables copy before they write (see ``Table.dump``).  The cache lives in
+    slots, *outside* the mapping items, so snapshot equality -- which
+    :mod:`repro.synth.state` relies on to detect post-invoke writes and
+    verify recordings -- compares only the logical state; two identical
+    states with differently warmed index caches still compare equal.  The
+    cache is shared copy-on-write with the tables built
     from it (see ``Table.adopt``) and is *live*: a table still byte-identical
     to this snapshot publishes newly built indexes back into it.
     """
@@ -275,9 +283,14 @@ class Table:
         self.name = name
         self.rows: Dict[int, Dict[str, Any]] = {}
         self.next_id = 1
-        #: Row ids whose dicts are shared with a snapshot (see ``adopt``);
-        #: ``update`` un-shares them copy-on-write before mutating.
-        self._shared: Set[int] = set()
+        #: Whether ``rows`` is also a snapshot's mapping (set by ``dump`` and
+        #: ``adopt``); the first insert, delete or row replacement copies it.
+        self._rows_shared = False
+        #: Row dicts with ids below the watermark are shared with a snapshot
+        #: unless listed in ``_private`` (already copied since the last
+        #: dump/adopt); ``_writable_row`` copies them before a write.
+        self._watermark = 0
+        self._private: Set[int] = set()
         self.indexing = bool(indexing)
         #: The owning database's ``query.*`` counters.
         self.counters = (
@@ -428,8 +441,34 @@ class Table:
 
     # -- row mutation -----------------------------------------------------------
 
+    def _share_rows(self) -> None:
+        """Mark the row mapping and every row dict as shared with a snapshot."""
+
+        self._rows_shared = True
+        self._watermark = self.next_id
+        self._private = set()
+
+    def _writable_rows(self) -> Dict[int, Dict[str, Any]]:
+        """The row mapping, private to this table (copy-on-write)."""
+
+        if self._rows_shared:
+            self.rows = dict(self.rows)
+            self._rows_shared = False
+        return self.rows
+
+    def _writable_row(self, row_id: int, row: Dict[str, Any]) -> Dict[str, Any]:
+        """Stored ``row``, replaced by a private copy if a snapshot shares it."""
+
+        if row_id < self._watermark and row_id not in self._private:
+            row = _copy_row(row)
+            self._writable_rows()[row_id] = row
+            self._private.add(row_id)
+        return row
+
     def _insert_row(self, values: Dict[str, Any]) -> Dict[str, Any]:
         self._diverge()
+        if self._rows_shared:
+            self._writable_rows()
         row = _copy_row(values)
         row["id"] = self.next_id
         self.rows[self.next_id] = row
@@ -486,12 +525,7 @@ class Table:
         else:
             return row
         self._diverge()
-        if row_id in self._shared:
-            # Copy-on-write: the dict is shared with a snapshot; replace it
-            # with a private copy before mutating.
-            row = dict(row)
-            self.rows[row_id] = row
-            self._shared.discard(row_id)
+        row = self._writable_row(row_id, row)
         changes = {
             key: _copy_value(value) for key, value in values.items() if key != "id"
         }
@@ -521,10 +555,7 @@ class Table:
         except Exception:
             pass
         self._origin = None
-        if row_id in self._shared:
-            row = dict(row)
-            self.rows[row_id] = row
-            self._shared.discard(row_id)
+        row = self._writable_row(row_id, row)
         if not isinstance(value, _ATOMIC):
             value = copy.deepcopy(value)
         if column in self._indexes:
@@ -542,11 +573,11 @@ class Table:
         return _copy_row(row) if row is not None else None
 
     def delete(self, row_id: int) -> bool:
-        row = self.rows.pop(row_id, None)
+        row = self.rows.get(row_id)
         if row is None:
             return False
         self._diverge()
-        self._shared.discard(row_id)
+        del self._writable_rows()[row_id]
         if self._indexes:
             self._index_delete(row)
         return True
@@ -560,7 +591,14 @@ class Table:
         return rows
 
     def select(self, predicate: Callable[[Dict[str, Any]], bool]) -> List[Dict[str, Any]]:
-        rows = [_copy_row(row) for row in self.rows.values() if predicate(row)]
+        """Copies of the rows ``predicate`` accepts.
+
+        The predicate sees the copy it may return, never a stored row, so a
+        predicate that mutates its argument cannot reach stored state (or a
+        snapshot sharing the row).
+        """
+
+        rows = [row for row in map(_copy_row, self.rows.values()) if predicate(row)]
         _count_plan(
             self.counters,
             QueryPlan(
@@ -571,11 +609,13 @@ class Table:
 
     def clear(self) -> None:
         self._diverge()
-        self.rows.clear()
+        # Replace (never mutate) the row and index containers: they may be
+        # shared with a live snapshot.
+        self.rows = {}
         self.next_id = 1
-        self._shared.clear()
-        # Replace (never mutate) the index containers: they may be shared
-        # with a live snapshot.
+        self._rows_shared = False
+        self._watermark = 0
+        self._private = set()
         self._indexes = {}
         self._index_shared = set()
         self._bucket_shared = set()
@@ -737,34 +777,34 @@ class Table:
     # -- snapshot support -------------------------------------------------------
 
     def dump(self) -> TableSnapshot:
-        """This table's state as an independent ``{"rows", "next_id"}`` entry.
+        """This table's state as a ``{"rows", "next_id"}`` snapshot entry.
 
-        The entry also carries the current index cache (shared, marked
+        Copies no row: the entry takes the live row mapping, row dicts
+        included, and the table marks both shared, so its next structural
+        write copies the mapping and its next write to each existing row
+        copies that row (see ``_writable_rows``/``_writable_row``).  The
+        entry also carries the current index cache (shared, marked
         copy-on-write on our side) and becomes the table's ``_origin``: until
         the next mutation, indexes built here are published into the entry.
         """
 
-        entry = TableSnapshot(
-            {
-                "rows": {row_id: _copy_row(row) for row_id, row in self.rows.items()},
-                "next_id": self.next_id,
-            }
-        )
+        entry = TableSnapshot({"rows": self.rows, "next_id": self.next_id})
         entry.indexes = dict(self._indexes)
         entry.unindexable = set(self._unindexable)
+        self._share_rows()
         self._index_shared = set(self._indexes)
         self._bucket_shared -= self._index_shared
         self._origin = entry
         return entry
 
     def adopt(self, entry: Mapping[str, Any]) -> None:
-        """Install snapshot state, sharing row dicts and indexes copy-on-write.
+        """Install snapshot state, sharing rows and indexes copy-on-write.
 
-        The row *mapping* is copied (inserts/deletes never touch the
-        snapshot) but the row dicts themselves are shared and marked in
-        ``_shared`` so ``update`` copies them before mutating.  The
-        snapshot's cached indexes are installed the same way -- shared until
-        the first index write -- so restore/evaluate loops stay warm.
+        Copies no row: the snapshot's row mapping is taken by reference and
+        marked shared like a fresh ``dump``, so the entry stays valid across
+        any number of restores.  The snapshot's cached indexes are installed
+        the same way -- shared until the first index write -- so
+        restore/evaluate loops stay warm.
         """
 
         if self._origin is entry:
@@ -775,10 +815,9 @@ class Table:
             # Restore-evaluate loops over read-only programs hit this path
             # every iteration and skip the container rebuilds entirely.
             return
-        rows = entry["rows"]
-        self.rows = dict(rows)
+        self.rows = entry["rows"]
         self.next_id = entry["next_id"]
-        self._shared = set(rows)
+        self._share_rows()
         indexes = getattr(entry, "indexes", None) or {}
         self._indexes = dict(indexes)
         self._index_shared = set(indexes)
@@ -1089,11 +1128,14 @@ class Database:
         return {key: _copy_value(value) for key, value in self._globals.items()}
 
     def snapshot(self) -> Dict[str, Any]:
-        """An exact, independent copy of the database state.
+        """The database state, shared copy-on-write with the live tables.
 
         Covers every table's rows *and* ``next_id`` (so a restore never
         reuses ids handed out before a delete) plus the globals;
-        ``restore`` makes the pair an exact round-trip.  Pristine tables
+        ``restore`` makes the pair an exact round-trip.  No later write to
+        the database changes the snapshot, yet taking it copies no row: it
+        costs O(tables + indexed columns), and later writes pay for the
+        copies (see ``Table.dump``).  Treat it as read-only.  Pristine tables
         (no rows, no ids ever assigned) are omitted so snapshots compare
         equal across auto-created-but-unused tables.  Table entries are
         :class:`TableSnapshot` objects carrying the index cache out-of-band;
@@ -1110,15 +1152,17 @@ class Database:
         }
 
     def restore(self, snap: Dict[str, Any]) -> None:
-        """Restore a ``snapshot()`` by cheap copy-on-write table swaps.
+        """Restore a ``snapshot()`` by copy-on-write table swaps.
 
-        Tables created after the snapshot was captured are cleared, mirroring
-        what re-running ``reset`` plus the seed closure would leave behind.
-        The snapshot stays valid across any number of restores: like the
-        tables, the globals dict is adopted by reference (and marked shared)
-        when all its values are atomic, copied eagerly otherwise.  Cached
-        indexes ride along with each table entry, so no restore ever forces
-        an index rebuild by itself.
+        Copies no row: each table adopts its entry's row mapping by
+        reference (``Table.adopt``), so a restore costs O(tables + indexed
+        columns).  Tables created after the snapshot was captured are
+        cleared, mirroring what re-running ``reset`` plus the seed closure
+        would leave behind.  The snapshot stays valid across any number of
+        restores: like the tables, the globals dict is adopted by reference
+        (and marked shared) when all its values are atomic, copied eagerly
+        otherwise.  Cached indexes ride along with each table entry, so no
+        restore ever forces an index rebuild by itself.
         """
 
         saved = snap["tables"]

@@ -13,8 +13,9 @@ tier by default) never picks them up in Table 1 sweeps or the replay tests;
 they are reached explicitly by id (``get_benchmark("SC1")``), by
 ``all_benchmarks(tier="scale")``, by the slow-marked tests in
 ``tests/test_query_engine.py`` and by ``benchmarks/bench_orm.py``'s scale
-smoke.  SC3 seeds 10^6 rows and needs roughly 1-2 GB of RSS for the spec
-recording snapshots; it is meant for explicit slow runs only.
+smoke.  SC3 seeds 10^6 rows: one cold run takes 10-11 s and peaks at about
+1.6 GB of RSS (2-vCPU host, ``PYTHONHASHSEED=0``, ``timeout_s=300``), so it
+is meant for explicit slow runs only.
 """
 
 from __future__ import annotations
@@ -201,7 +202,7 @@ register_benchmark(
         build=lambda: build_scale_find_user(1_000_000),
         description=(
             "S3's query chain against 10^6 seeded users "
-            "(needs ~1-2 GB RSS for the recording snapshots)."
+            "(needs ~1.6 GB RSS)."
         ),
         paper=_S3_REFERENCE,
     )

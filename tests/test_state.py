@@ -1,8 +1,9 @@
 """Tests for the state-management subsystem (repro.synth.state) and the
 database-layer guarantees it builds on: the ``Table.update`` id-override
 fix, the exact snapshot/restore round-trip (rows, ``next_id``, globals),
-deep-copied row boundaries, copy-on-write restores, recording/replay
-equivalence across every registered benchmark app, batched
+deep-copied row boundaries, copy-on-write snapshots and restores (with a
+differential test of snapshot isolation), recording/replay equivalence
+across every registered benchmark app, batched
 ``evaluate_all_specs``, and invalidation via ``rebind_reset``."""
 
 from __future__ import annotations
@@ -10,7 +11,10 @@ from __future__ import annotations
 import copy
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.activerecord import database as database_module
 from repro.activerecord.database import Database
 from repro.apps.blog import build_blog_app, seed_blog
 from repro.apps.diaspora import build_diaspora_app, seed_invitations, seed_pods
@@ -91,7 +95,7 @@ def test_snapshot_globals_are_independent():
 
 
 # ---------------------------------------------------------------------------
-# Copy-on-write globals (atomic values share the dict with the snapshot)
+# Copy-on-write snapshots (globals and table rows shared with the snapshot)
 # ---------------------------------------------------------------------------
 
 
@@ -105,6 +109,38 @@ def test_atomic_globals_are_shared_cow_with_snapshot():
     db.set_global("mode", "slow")
     assert snap["globals"] == {"mode": "fast"}
     assert db.get_global("mode") == "slow"
+
+
+def test_table_rows_are_shared_cow_with_snapshot(monkeypatch):
+    db = Database(indexing=True)
+    db.bulk_insert("users", ({"username": f"u{i}", "n": i % 7} for i in range(1000)))
+    db.query("users", {"username": "u9"})  # builds the username index
+    table = db.table("users")
+    copies = []
+    copy_row = database_module._copy_row
+
+    def counting_copy_row(row):
+        copies.append(row["id"])
+        return copy_row(row)
+
+    monkeypatch.setattr(database_module, "_copy_row", counting_copy_row)
+    snap = db.snapshot()
+    rows = snap["tables"]["users"]["rows"]
+    # Taking the snapshot copies no row: the snapshot shares the row dicts.
+    assert copies == []
+    assert all(rows[row_id] is row for row_id, row in table.rows.items())
+    # One write copies exactly the written row, leaving the snapshot's intact.
+    db.write_one("users", 10, "username", "changed")
+    assert copies == [10]
+    assert rows[10]["username"] == "u9"
+    assert table.rows[10]["username"] == "changed"
+    assert all(rows[row_id] is table.rows[row_id] for row_id in rows if row_id != 10)
+    # Restoring copies no row either: the table adopts the snapshot's mapping.
+    copies.clear()
+    db.restore(snap)
+    assert copies == []
+    assert table.rows is rows
+    assert [r["id"] for r in db.query("users", {"username": "u9"})] == [10]
 
 
 def test_restore_adopts_globals_cow_and_survives_writes():
@@ -167,6 +203,34 @@ def test_returned_rows_do_not_alias_stored_state():
     assert db.get("posts", 1)["tags"] == ["x"]
 
 
+@pytest.mark.parametrize(
+    "predicate, selected",
+    [
+        pytest.param(
+            lambda r: r["tags"].append("y") or True,
+            {"title": "a", "tags": ["x", "y"], "id": 1},
+            id="nested-append",
+        ),
+        pytest.param(
+            lambda r: r.update(id=99) or True,
+            {"title": "a", "tags": ["x"], "id": 99},
+            id="id-override",
+        ),
+    ],
+)
+def test_select_predicate_cannot_mutate_stored_rows(predicate, selected):
+    db = Database()
+    db.insert("posts", title="a", tags=["x"])
+    snap = db.snapshot()
+    # The predicate sees, and may change, the copy that select returns.
+    assert db.select("posts", predicate) == [selected]
+    stored = {"title": "a", "tags": ["x"], "id": 1}
+    assert db.get("posts", 1) == stored and db.get("posts", 99) is None
+    db.restore(snap)
+    assert db.get("posts", 1) == stored
+    assert snap["tables"]["posts"]["rows"] == {1: stored}
+
+
 def test_update_values_are_deep_copied():
     db = Database()
     db.insert("posts", title="a", tags=[])
@@ -194,6 +258,187 @@ def test_symbols_survive_deepcopy_interned():
     clone = copy.deepcopy(value)
     assert clone == value
     assert next(iter(clone)) is Symbol("title")
+
+
+# ---------------------------------------------------------------------------
+# Differential: snapshots stay isolated from every later write
+# ---------------------------------------------------------------------------
+
+_TABLES = ("posts", "late")  # "late" is first written after some snapshot
+_ROW_IDS = st.integers(1, 6)
+_CELLS = {
+    "a": st.integers(0, 2),
+    "b": st.sampled_from(["x", "y", None]),
+    "tags": st.lists(st.integers(0, 1), max_size=2),
+}
+_TABLE = st.sampled_from(_TABLES)
+_VALUES = st.fixed_dictionaries({}, optional=_CELLS)
+_CONDITIONS = st.fixed_dictionaries({}, optional={"a": _CELLS["a"], "b": _CELLS["b"]})
+_OPS = st.one_of(
+    st.tuples(st.just("insert"), _TABLE, _VALUES),
+    st.tuples(st.just("bulk_insert"), _TABLE, st.lists(_VALUES, max_size=3)),
+    st.tuples(
+        st.just("update"),
+        _TABLE,
+        _ROW_IDS,
+        st.fixed_dictionaries({}, optional={**_CELLS, "id": _ROW_IDS}),
+    ),
+    st.tuples(st.just("write"), _TABLE, _ROW_IDS, _VALUES),
+    st.sampled_from([*_CELLS, "id"]).flatmap(
+        lambda column: st.tuples(
+            st.just("write_one"),
+            _TABLE,
+            _ROW_IDS,
+            st.just(column),
+            _CELLS.get(column, _ROW_IDS),
+        )
+    ),
+    st.tuples(st.just("update_where"), _TABLE, _CONDITIONS, _VALUES),
+    st.tuples(st.just("delete"), _TABLE, _ROW_IDS),
+    st.tuples(st.just("delete_where"), _TABLE, _CONDITIONS),
+    st.just(("reset",)),
+    st.tuples(
+        st.just("set_global"),
+        st.sampled_from(["mode", "tags"]),
+        st.one_of(_CELLS["a"], _CELLS["tags"]),
+    ),
+    st.just(("snapshot",)),
+    st.tuples(st.just("restore"), st.integers(0, 50)),
+)
+_SEED = (
+    "bulk_insert",
+    "posts",
+    [{"a": 0, "b": "x", "tags": [0]}, {"a": 1}, {"b": "y"}],
+)
+_PROBES = [
+    dict(conditions={}),
+    dict(conditions={"a": 0}),
+    dict(conditions={"a": 2}),
+    dict(conditions={"b": "x"}),
+    dict(conditions={"b": None}),
+    dict(conditions={"a": 1, "b": "y"}),
+    dict(conditions={"tags": [0]}),
+    dict(conditions={"b": "x"}, order="a", descending=True, limit=2),
+]
+
+
+def _apply(db, op):
+    kind, *args = copy.deepcopy(op)
+    if kind == "insert":
+        db.insert(args[0], **args[1])
+    elif kind == "update":
+        db.update(args[0], args[1], **args[2])
+    else:
+        getattr(db, kind)(*args)
+
+
+def _apply_to_model(model, op):
+    """``op`` applied to a plain-dict model of the logical database state."""
+
+    kind, *args = copy.deepcopy(op)
+    if kind == "reset":
+        model["tables"], model["globals"] = {}, {}
+        return
+    if kind == "set_global":
+        model["globals"][args[0]] = args[1]
+        return
+    table = model["tables"].setdefault(args[0], {"rows": {}, "next_id": 1})
+    rows = table["rows"]
+
+    def insert(values):
+        rows[table["next_id"]] = {**values, "id": table["next_id"]}
+        table["next_id"] += 1
+
+    def update(row_id, values):
+        # Ids are storage keys, never written; a write whose every value
+        # already reads back equal (a missing column reads as None) is
+        # skipped whole.
+        row = rows.get(row_id)
+        changes = {k: v for k, v in values.items() if k != "id"}
+        if row is not None and any(row.get(k) != v for k, v in changes.items()):
+            row.update(changes)
+
+    def matching(conditions):
+        return [
+            row_id
+            for row_id, row in rows.items()
+            if all(row.get(c) == v for c, v in conditions.items())
+        ]
+
+    if kind == "insert":
+        insert(args[1])
+    elif kind == "bulk_insert":
+        for values in args[1]:
+            insert(values)
+    elif kind in ("update", "write"):
+        update(args[1], args[2])
+    elif kind == "write_one":
+        update(args[1], {args[2]: args[3]})
+    elif kind == "update_where":
+        for row_id in matching(args[1]):
+            update(row_id, args[2])
+    elif kind == "delete":
+        rows.pop(args[1], None)
+    elif kind == "delete_where":
+        for row_id in matching(args[1]):
+            del rows[row_id]
+
+
+def _logical(model):
+    """A deep copy of the model, shaped like ``Database.snapshot()``."""
+
+    return copy.deepcopy(
+        {
+            "tables": {
+                name: table
+                for name, table in model["tables"].items()
+                if table["rows"] or table["next_id"] != 1
+            },
+            "globals": model["globals"],
+        }
+    )
+
+
+@given(st.lists(st.lists(_OPS, min_size=1, max_size=4), min_size=1, max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_snapshots_stay_isolated_from_every_write(steps):
+    # An indexed database, its scan-only twin and a plain-dict model run the
+    # same operations; every snapshot ever taken keeps a deep-copied
+    # reference of the logical state it captured.  The checks after each
+    # step take a snapshot too, so a step groups up to four operations:
+    # writes must also stay isolated when no snapshot separates them.
+    db, twin = Database(indexing=True), Database(indexing=False)
+    model = {"tables": {}, "globals": {}}
+    for target in (db, twin):
+        _apply(target, _SEED)
+    _apply_to_model(model, _SEED)
+    snaps = []  # (db snapshot, twin snapshot, reference)
+    for step in steps:
+        for op in step:
+            if op[0] == "snapshot":
+                snaps.append((db.snapshot(), twin.snapshot(), _logical(model)))
+            elif op[0] == "restore":
+                if snaps:
+                    snap, twin_snap, reference = snaps[op[1] % len(snaps)]
+                    db.restore(snap)
+                    twin.restore(twin_snap)
+                    model = copy.deepcopy(reference)
+            else:
+                _apply(db, op)
+                _apply(twin, op)
+                _apply_to_model(model, op)
+        for snap, twin_snap, reference in snaps:
+            assert snap == reference and twin_snap == reference
+        reference = _logical(model)
+        now, twin_now = db.snapshot(), twin.snapshot()
+        assert now == reference and twin_now == reference
+        snaps.append((now, twin_now, reference))
+        for name in _TABLES:
+            for probe in _PROBES:
+                assert db.query(name, **probe) == twin.query(name, **probe)
+                assert db.count(name, probe["conditions"]) == twin.count(
+                    name, probe["conditions"]
+                )
 
 
 # ---------------------------------------------------------------------------
