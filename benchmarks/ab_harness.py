@@ -32,12 +32,11 @@ SCHEMA_VERSION = 1
 #: subsystem-specific fields are added per harness).
 _BASE_ENTRY_KEYS = frozenset({"id", "programs_identical", "program", "meets_target"})
 
-#: (benchmark_id, timeout_s, enabled, store_path, jobs) -> run section,
-#: carrying the synthesized program under ``_program`` and its text under
-#: ``_text``.  ``store_path`` is the persistent spec-outcome store to use
-#: (or ``None``); ``jobs`` is the worker-pool size (1 = serial); gates that
-#: do not support either simply ignore them.
-RunFn = Callable[[str, float, bool, Optional[str], int], Dict[str, object]]
+#: (benchmark_id, timeout_s, enabled, store_path) -> run section, carrying
+#: the synthesized program under ``_program`` and its text under ``_text``.
+#: ``store_path`` is the persistent spec-outcome store to use (or ``None``);
+#: gates that do not support it simply ignore it.
+RunFn = Callable[[str, float, bool, Optional[str]], Dict[str, object]]
 
 #: (off_section, on_section, programs_identical) -> extra entry fields,
 #: which must include ``meets_target``.
@@ -90,18 +89,16 @@ class ABHarness:
         benchmark_id: str,
         timeout_s: float,
         store_path: Optional[str] = None,
-        jobs: int = 1,
     ) -> Dict[str, object]:
         """Run one benchmark subsystem-off then -on and diff the counters.
 
         ``store_path`` (if the gate supports it) attaches a persistent
         spec-outcome store to the subsystem-on run only: the off run is the
-        measurement baseline and must execute everything.  ``jobs`` sizes
-        the worker pool of gates that support parallel runs.
+        measurement baseline and must execute everything.
         """
 
-        off = self.run(benchmark_id, timeout_s, False, None, jobs)
-        on = self.run(benchmark_id, timeout_s, True, store_path, jobs)
+        off = self.run(benchmark_id, timeout_s, False, None)
+        on = self.run(benchmark_id, timeout_s, True, store_path)
         program_off = off.pop("_program")
         text_off = off.pop("_text")
         program_on = on.pop("_program")
@@ -133,10 +130,9 @@ class ABHarness:
         benchmark_ids: Sequence[str],
         timeout_s: float,
         store_path: Optional[str] = None,
-        jobs: int = 1,
     ) -> Dict[str, object]:
         entries = [
-            self.compare_benchmark(bid, timeout_s, store_path, jobs)
+            self.compare_benchmark(bid, timeout_s, store_path)
             for bid in benchmark_ids
         ]
         meeting = sum(1 for e in entries if e["meets_target"])
@@ -148,7 +144,6 @@ class ABHarness:
             "generated_by": self.generated_by,
             "timeout_s": timeout_s,
             "store": store_path,
-            "jobs": jobs,
             "benchmarks": entries,
             "summary": {
                 "benchmarks_run": len(entries),
@@ -225,12 +220,6 @@ class ABHarness:
             "gate's second pass)",
         )
         parser.add_argument(
-            "--jobs",
-            type=int,
-            default=int(os.environ.get("REPRO_JOBS", 1)),
-            help="worker processes for gates that support parallel runs",
-        )
-        parser.add_argument(
             "--check",
             action="store_true",
             help="exit non-zero unless the schema validates and the target is met",
@@ -238,9 +227,7 @@ class ABHarness:
         args = parser.parse_args(argv)
 
         try:
-            report = self.build_report(
-                args.benchmarks, args.timeout, args.store, args.jobs
-            )
+            report = self.build_report(args.benchmarks, args.timeout, args.store)
         except KeyError as error:
             print(f"error: {error.args[0]}", file=sys.stderr)
             return 2

@@ -73,14 +73,11 @@ def _run(
     timeout_s: float,
     enabled: bool,
     store_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> Dict[str, object]:
     benchmark = get_benchmark(benchmark_id)
     config = SynthConfig.full(timeout_s=timeout_s, static_pruning=enabled)
     with SynthesisSession(config, store=store_path if enabled else None) as session:
-        result = run_benchmark(
-            benchmark, config, runs=1, session=session, parallel=jobs
-        )
+        result = run_benchmark(benchmark, config, runs=1, session=session)
     # Restores are counted whether or not the purity fast-path elided them
     # (pure_skips is a subset marker), so the restores actually executed are
     # the difference; with the analysis off no skip ever happens.
@@ -143,18 +140,16 @@ def compare_benchmark(
     benchmark_id: str,
     timeout_s: float,
     store_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> Dict[str, object]:
-    return HARNESS.compare_benchmark(benchmark_id, timeout_s, store_path, jobs)
+    return HARNESS.compare_benchmark(benchmark_id, timeout_s, store_path)
 
 
 def build_report(
     benchmark_ids: Sequence[str],
     timeout_s: float,
     store_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> Dict[str, object]:
-    return HARNESS.build_report(benchmark_ids, timeout_s, store_path, jobs)
+    return HARNESS.build_report(benchmark_ids, timeout_s, store_path)
 
 
 def validate_report(report: Dict[str, object]) -> List[str]:

@@ -75,16 +75,13 @@ def _run(
     timeout_s: float,
     cached: bool,
     store_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> Dict[str, object]:
     benchmark = get_benchmark(benchmark_id)
     config = SynthConfig.full(timeout_s=timeout_s, cache_spec_outcomes=cached)
     # Only the cache-on run may consult the persistent store (the off run is
     # the baseline and must execute everything); the session flushes it.
     with SynthesisSession(config, store=store_path if cached else None) as session:
-        result = run_benchmark(
-            benchmark, config, runs=1, session=session, parallel=jobs
-        )
+        result = run_benchmark(benchmark, config, runs=1, session=session)
     # A disabled cache executes every lookup (misses AND redundant ones);
     # an enabled cache executes only the misses (store hits never execute
     # and are excluded from the miss counter).
@@ -147,18 +144,16 @@ def compare_benchmark(
     benchmark_id: str,
     timeout_s: float,
     store_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> Dict[str, object]:
-    return HARNESS.compare_benchmark(benchmark_id, timeout_s, store_path, jobs)
+    return HARNESS.compare_benchmark(benchmark_id, timeout_s, store_path)
 
 
 def build_report(
     benchmark_ids: Sequence[str],
     timeout_s: float,
     store_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> Dict[str, object]:
-    return HARNESS.build_report(benchmark_ids, timeout_s, store_path, jobs)
+    return HARNESS.build_report(benchmark_ids, timeout_s, store_path)
 
 
 def validate_report(report: Dict[str, object]) -> List[str]:

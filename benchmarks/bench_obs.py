@@ -25,8 +25,7 @@ Two claims keep the ``repro.obs`` instrumentation honest:
 Both claims fold into ``meets_target``; ``--check`` (used by
 ``scripts/ci.sh``) exits non-zero unless every selected benchmark passes.
 The report/CLI plumbing shared with the other gates lives in
-:mod:`ab_harness`; the persistent-store options are accepted but unused,
-and ``--jobs`` is ignored (overhead is a single-process measurement).
+:mod:`ab_harness`; the persistent-store options are accepted but unused.
 
 Usage::
 
@@ -156,7 +155,6 @@ def _run(
     timeout_s: float,
     enabled: bool,
     store_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> Dict[str, object]:
     benchmark = get_benchmark(benchmark_id)
     problem = benchmark.build()
@@ -295,18 +293,16 @@ def compare_benchmark(
     benchmark_id: str,
     timeout_s: float,
     store_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> Dict[str, object]:
-    return HARNESS.compare_benchmark(benchmark_id, timeout_s, store_path, jobs)
+    return HARNESS.compare_benchmark(benchmark_id, timeout_s, store_path)
 
 
 def build_report(
     benchmark_ids: Sequence[str],
     timeout_s: float,
     store_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> Dict[str, object]:
-    return HARNESS.build_report(benchmark_ids, timeout_s, store_path, jobs)
+    return HARNESS.build_report(benchmark_ids, timeout_s, store_path)
 
 
 def validate_report(report: Dict[str, object]) -> List[str]:

@@ -25,7 +25,7 @@ seeded scale-tier synthesis smoke (``--scale-rows``, default 20000): the
 S3/S4 query shapes must synthesize against a production-sized table with
 ``index_hits > 0``.  The report/CLI plumbing is shared with the other
 gates via :mod:`ab_harness`; the persistent-store options are accepted but
-unused here, and ``--jobs`` is ignored (throughput is single-process).
+unused here.
 
 Usage::
 
@@ -196,7 +196,6 @@ def _run(
     timeout_s: float,
     enabled: bool,
     store_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> Dict[str, object]:
     previous = default_indexing()
     set_default_indexing(enabled)
@@ -284,18 +283,16 @@ def compare_benchmark(
     benchmark_id: str,
     timeout_s: float,
     store_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> Dict[str, object]:
-    return HARNESS.compare_benchmark(benchmark_id, timeout_s, store_path, jobs)
+    return HARNESS.compare_benchmark(benchmark_id, timeout_s, store_path)
 
 
 def build_report(
     benchmark_ids: Sequence[str],
     timeout_s: float,
     store_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> Dict[str, object]:
-    return HARNESS.build_report(benchmark_ids, timeout_s, store_path, jobs)
+    return HARNESS.build_report(benchmark_ids, timeout_s, store_path)
 
 
 def validate_report(report: Dict[str, object]) -> List[str]:

@@ -68,13 +68,10 @@ def _run(
     timeout_s: float,
     snapshots: bool,
     store_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> Dict[str, object]:
     # ``store_path`` is ignored: this gate measures state-rebuild work, and
     # a store would let the on-run skip executions (and their restores)
     # entirely, measuring the store instead of the snapshot subsystem.
-    # ``jobs`` is ignored too: worker-side restores/rebuilds happen in other
-    # processes' managers, so the serial run is the meaningful measurement.
     benchmark = get_benchmark(benchmark_id)
     config = SynthConfig.full(timeout_s=timeout_s, snapshot_state=snapshots)
     result = run_benchmark(benchmark, config, runs=1)
@@ -138,18 +135,16 @@ def compare_benchmark(
     benchmark_id: str,
     timeout_s: float,
     store_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> Dict[str, object]:
-    return HARNESS.compare_benchmark(benchmark_id, timeout_s, store_path, jobs)
+    return HARNESS.compare_benchmark(benchmark_id, timeout_s, store_path)
 
 
 def build_report(
     benchmark_ids: Sequence[str],
     timeout_s: float,
     store_path: Optional[str] = None,
-    jobs: int = 1,
 ) -> Dict[str, object]:
-    return HARNESS.build_report(benchmark_ids, timeout_s, store_path, jobs)
+    return HARNESS.build_report(benchmark_ids, timeout_s, store_path)
 
 
 def validate_report(report: Dict[str, object]) -> List[str]:

@@ -1,11 +1,11 @@
-"""Parallel synthesis: fan a registry sweep out across worker processes.
+"""Parallel synthesis: spread a registry sweep's cells over worker processes.
 
-The paper's per-spec searches are independent until the merge step, so a
-:class:`~repro.synth.session.SynthesisSession` can own a worker pool
-(:mod:`repro.synth.parallel`) and distribute work without changing any
-result: per-spec searches within one run, and whole ``(benchmark, variant)``
-cells of a sweep.  Workers share outcomes through a concurrent-safe SQLite
-spec-outcome store, so a later process answers everything from disk.
+Every ``(benchmark, variant)`` cell of a sweep is an independent synthesis
+run, so a :class:`~repro.synth.session.SynthesisSession` can own a worker
+pool (:mod:`repro.synth.parallel`) and run whole cells in it without
+changing any result.  Each cell is a serial run inside its worker.  Workers
+share outcomes through a concurrent-safe SQLite spec-outcome store, so a
+later process answers everything from disk.
 
 Run with::
 
@@ -26,21 +26,17 @@ def main() -> None:
     store_path = os.path.join(tempfile.mkdtemp(), "outcomes.sqlite")
     config = SynthConfig(timeout_s=60)
 
-    # A session with `parallel=2` owns a two-worker pool.  `run` fans the
-    # per-spec searches of a registry benchmark out across the workers;
-    # `sweep` distributes whole cells.  Either way the synthesized programs
-    # are identical to a serial run's.
+    # A session with `parallel=2` owns a two-worker pool, and `sweep` runs
+    # whole cells in it.  The synthesized programs are identical to a
+    # serial sweep's.
     with SynthesisSession(config, store=store_path, parallel=2) as session:
-        result = session.run("S4")
-        tasks = result.counters["search.parallel_tasks"]
-        print(f"S4 across 2 workers ({tasks} tasks):")
-        print(result.pretty())
-        print()
-
         entries = session.sweep(BENCHMARKS)
+        print(f"{len(entries)} cells across 2 workers:")
         for entry in entries:
             status = "ok" if entry.success else "failed"
             print(f"  {entry.label:<4} {status}  {entry.elapsed_s:.3f}s")
+        print()
+        print(entries[1].result.pretty())
 
     # The SQLite store outlives the pool: a fresh (serial) session answers
     # spec evaluations from disk instead of re-executing them.

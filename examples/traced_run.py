@@ -34,7 +34,7 @@ def main() -> None:
 
     # The session owns the tracer: it is installed on entry and closed
     # (restoring the zero-overhead disabled default) on exit.  A parallel
-    # session merges worker-side spans into the same file.
+    # sweep merges its cells' worker-side spans into the same file.
     with SynthesisSession(config) as session:
         result = session.run("A1")
     print(f"synthesized {result.problem.name}:")

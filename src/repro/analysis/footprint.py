@@ -247,8 +247,8 @@ def writers_for_effect(
     tries precise writers (the likeliest minimal fills) before class-level
     and ``*`` writers; expansions whose order differs from the declaration
     scan are counted on ``search.writer_reorders`` (every call with the same
-    effect counts, memo hit or not, so merged parallel counters equal a
-    serial run's).
+    effect counts, memo hit or not, so a run's count does not depend on
+    what earlier runs in the process memoized).
     """
 
     from repro.lang.effects import subsumed

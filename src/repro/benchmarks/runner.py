@@ -104,20 +104,26 @@ def run_benchmark(
     Per-benchmark config overrides (e.g. a larger size bound) are applied on
     top of ``config`` either way.
 
-    ``parallel`` enables the worker pool of :mod:`repro.synth.parallel`:
-    warm runs fan each run's per-spec searches out across workers (through
-    the active session), and cold runs distribute the isolated repetitions
-    themselves over a throwaway pool.  Each repetition stays a fully cold
-    cell, but repetitions then run *concurrently*, so their wall-clock
-    includes co-scheduling contention: use ``parallel=1`` (the default)
-    when medians must be comparable to isolated serial runs (the paper's
-    Table 1 numbers); parallel cold runs trade that comparability for
-    throughput on multi-core hosts.
+    ``parallel`` distributes cold repetitions over a throwaway pool of
+    :mod:`repro.synth.parallel` workers, one cell per repetition; each
+    times only its ``run`` call, as the serial loop does.  Each repetition
+    stays a fully cold cell, but repetitions then run *concurrently*, so
+    their wall-clock includes co-scheduling contention: use ``parallel=1``
+    (the default) when medians must be comparable to isolated serial runs
+    (the paper's Table 1 numbers); parallel cold runs trade that
+    comparability for throughput on multi-core hosts.  Warm runs share one
+    session, so they are serial: ``warm_state=True`` with ``parallel > 1``
+    raises :class:`ValueError`.
     """
 
     effective = benchmark.make_config(config)
     result = BenchmarkResult(benchmark=benchmark, config=effective)
     jobs = max(int(parallel), 1)
+    if warm_state and jobs > 1:
+        raise ValueError(
+            "warm runs share one session and are serial; "
+            "use warm_state=False to distribute runs over workers"
+        )
 
     if not warm_state:
         if jobs > 1 and runs > 1:
@@ -143,7 +149,7 @@ def run_benchmark(
         result.lib_methods = problem.library_method_count()
         for _ in range(max(runs, 1)):
             start = time.perf_counter()
-            outcome = active.run(problem, config=effective, parallel=jobs)
+            outcome = active.run(problem, config=effective)
             elapsed = time.perf_counter() - start
             result.record(outcome, elapsed)
             if not outcome.success:

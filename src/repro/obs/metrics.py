@@ -6,8 +6,8 @@ dict keyed ``layer.name`` -- ``search.expansions``, ``cache.spec_hits``,
 has exactly one owner, which declares its keys (at zero) and increments
 them where the work happens:
 
-* ``search.*`` -- the run's search (a fresh ``Counters`` per run or worker
-  task), except ``search.reset_replays``, which the problem counts;
+* ``search.*`` -- the run's search (a fresh ``Counters`` per run), except
+  ``search.reset_replays``, which the problem counts;
 * ``cache.*`` -- the evaluation memo (:class:`~repro.synth.cache.SynthCache`);
 * ``state.*`` -- the snapshot manager
   (:class:`~repro.synth.state.StateManager`);
@@ -17,9 +17,10 @@ them where the work happens:
   (:class:`~repro.synth.store.SpecOutcomeStore`).
 
 ``docs/API.md`` ("Metrics") lists every key with its meaning.  The memo,
-snapshot manager, database, store and problem outlive a run, so a run (or
-a worker task) reports their work as a :class:`Baseline` delta.  Counts
-from several runs or worker processes fold with :meth:`Counters.merge`.
+snapshot manager, database, store and problem outlive a run, so a run
+reports their work as a :class:`Baseline` delta.  Counts from several runs
+(a benchmark's repetitions, wherever each ran) fold with
+:meth:`Counters.merge`.
 
 :class:`MetricsRegistry` adds per-phase wall-time histograms;
 ``snapshot(counters)`` is the schema-versioned JSON-able dict on
@@ -75,7 +76,8 @@ class Counters(dict):
 
 class Baseline:
     """Several owners' counters at one moment; :meth:`delta` is what they
-    have counted since, summed into one :class:`Counters`."""
+    have counted since, summed into one :class:`Counters`.  A run takes one
+    over the long-lived owners it touches when it starts."""
 
     def __init__(self, *owners: Optional[Counters]) -> None:
         self._owners = [(c, c.copy()) for c in owners if c is not None]

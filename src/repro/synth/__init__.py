@@ -30,7 +30,7 @@ from repro.synth.cache import SynthCache
 from repro.synth.config import SynthConfig
 from repro.synth.dsl import define
 from repro.synth.goal import Spec, SpecContext, SynthesisProblem, evaluate_spec
-from repro.synth.parallel import ParallelExecutor, run_synthesis_parallel
+from repro.synth.parallel import ParallelExecutor
 from repro.synth.session import SweepEntry, SynthesisSession
 from repro.synth.state import NondeterministicSetupError, StateManager
 from repro.synth.store import SpecOutcomeStore
@@ -48,7 +48,6 @@ __all__ = [
     "StateManager",
     "SpecOutcomeStore",
     "ParallelExecutor",
-    "run_synthesis_parallel",
     "SweepEntry",
     "SynthesisSession",
     "SynthesisResult",

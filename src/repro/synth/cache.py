@@ -38,7 +38,7 @@ like memo hits do but are counted separately (``cache.store_hits``).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 from repro.lang import ast as A
 from repro.lang.resolve import alpha_key
@@ -108,12 +108,6 @@ class SynthCache:
         self.store = store
         self.counters = Counters.fromkeys(CACHE_COUNTERS, 0)
         self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
-        #: Representative program node per key.  Keys identify programs by
-        #: alpha-key, which cannot be turned back into a program; the store
-        #: write-through and the parallel memo export need a real node, so
-        #: the first program recorded under a key is remembered (evicted in
-        #: lockstep with ``_entries``).
-        self._programs: Dict[Tuple, A.Node] = {}
 
     @staticmethod
     def from_config(config: "SynthConfig") -> "SynthCache":
@@ -132,8 +126,7 @@ class SynthCache:
         # Programs are keyed by their alpha-key (repro.lang.resolve), not
         # the raw node: bound names are not observable under evaluation, so
         # candidates differing only in let/parameter naming share one
-        # outcome entry.  The key is deterministic and hash-seed free, so a
-        # parent seeding worker outcomes computes the same keys.
+        # outcome entry.
         return (kind, alpha_key(program), spec, problem.class_table.effect_precision)
 
     # ------------------------------------------------------------------ raw memo
@@ -145,14 +138,11 @@ class SynthCache:
         self._entries.move_to_end(key)
         return entry
 
-    def _put(self, key: Tuple, value: Any, program: Optional[A.Node] = None) -> None:
+    def _put(self, key: Tuple, value: Any) -> None:
         self._entries[key] = value
         self._entries.move_to_end(key)
-        if program is not None and key not in self._programs:
-            self._programs[key] = program
         while len(self._entries) > self.max_entries:
-            evicted, _ = self._entries.popitem(last=False)
-            self._programs.pop(evicted, None)
+            self._entries.popitem(last=False)
             self.counters["cache.evictions"] += 1
 
     # ------------------------------------------------------------------ spec memo
@@ -176,7 +166,7 @@ class SynthCache:
                 outcome = self.store.load_spec(problem, program, spec)
                 if outcome is not None:
                     self.counters["cache.store_hits"] += 1
-                    self._put(key, outcome, program)
+                    self._put(key, outcome)
                     if trace.TRACER.enabled:
                         trace.TRACER.annotate(src="store")
                     return outcome
@@ -203,7 +193,7 @@ class SynthCache:
         if not self.enabled and not self.track_redundancy:
             return
         key = self._key("spec", problem, program, spec)
-        self._put(key, outcome if self.enabled else _TRACKED, program)
+        self._put(key, outcome if self.enabled else _TRACKED)
 
     # ------------------------------------------------------------------ guard memo
 
@@ -228,7 +218,7 @@ class SynthCache:
                 truth = self.store.load_guard(problem, program, spec)
                 if truth is not STORE_MISS:
                     self.counters["cache.store_hits"] += 1
-                    self._put(key, truth, program)
+                    self._put(key, truth)
                     if trace.TRACER.enabled:
                         trace.TRACER.annotate(src="store")
                     return truth
@@ -255,52 +245,7 @@ class SynthCache:
         if not self.enabled and not self.track_redundancy:
             return
         key = self._key("guard", problem, program, spec)
-        self._put(key, truthiness if self.enabled else _TRACKED, program)
-
-    # ------------------------------------------------------------------ seeding
-
-    def seed_spec(
-        self,
-        problem: "SynthesisProblem",
-        program: A.Node,
-        spec: "Spec",
-        outcome: Any,
-    ) -> None:
-        """Adopt an outcome another process executed (parallel absorption).
-
-        Puts the entry exactly as :meth:`store_spec` would -- including the
-        disabled-cache tracked-key bookkeeping, so redundancy counting stays
-        equivalent to a serial run -- but without touching any counter or
-        the store (the executing worker wrote it to the shared store).
-        ``outcome`` may be the module sentinel ``_TRACKED`` when absorbing a
-        disabled cache's key-tracking export.
-        """
-
-        if self.enabled and outcome is _TRACKED:
-            # A tracked key carries no outcome; seeding it into an enabled
-            # memo would serve the sentinel as a result.
-            return
-        if not self.enabled and not self.track_redundancy:
-            return
-        key = self._key("spec", problem, program, spec)
-        self._put(key, outcome if self.enabled else _TRACKED, program)
-
-    def seed_guard(
-        self,
-        problem: "SynthesisProblem",
-        program: A.Node,
-        spec: "Spec",
-        truthiness: Any,
-    ) -> None:
-        """Adopt a guard truthiness another process executed (see
-        :meth:`seed_spec`)."""
-
-        if self.enabled and truthiness is _TRACKED:
-            return
-        if not self.enabled and not self.track_redundancy:
-            return
-        key = self._key("guard", problem, program, spec)
-        self._put(key, truthiness if self.enabled else _TRACKED, program)
+        self._put(key, truthiness if self.enabled else _TRACKED)
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -314,7 +259,6 @@ class SynthCache:
         """
 
         self._entries.clear()
-        self._programs.clear()
 
     def invalidate(self) -> None:
         """Drop every memoized outcome (the baseline state changed).
@@ -325,7 +269,6 @@ class SynthCache:
         """
 
         self._entries.clear()
-        self._programs.clear()
         if self.store is not None:
             self.store.invalidate()
         self.counters["cache.invalidations"] += 1
@@ -336,7 +279,3 @@ class SynthCache:
 
 #: Re-exported miss sentinel for guard lookups.
 MISSING = _MISSING
-
-#: Re-exported tracked sentinel (disabled-cache key exports, see
-#: :mod:`repro.synth.parallel`).
-TRACKED = _TRACKED

@@ -24,12 +24,11 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.lang import ast as A
 from repro.analysis.footprint import footprint
-from repro.obs import trace
 from repro.synth.cache import SynthCache
 from repro.synth.config import SynthConfig
 from repro.synth.goal import (
@@ -70,15 +69,12 @@ class Merger:
         counters: Optional[Counters] = None,
         cache: Optional[SynthCache] = None,
         state: Optional[StateManager] = None,
-        executor: Optional[object] = None,
-        benchmark_id: Optional[str] = None,
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.problem = problem
         self.config = config
         self.budget = budget or Budget(config.timeout_s)
-        #: The run's counters: guard searches count into them, and worker
-        #: guard tasks' deltas are merged into them.
+        #: The run's counters: guard searches count into them.
         self.counters = counters if counters is not None else search_counters()
         #: Evaluation memo shared with the per-spec searches; the merge
         #: phase's ordering/validation loops re-run many identical
@@ -86,12 +82,6 @@ class Merger:
         self.cache = cache if cache is not None else SynthCache.from_config(config)
         #: Snapshot manager shared with the searches (None disables replay).
         self.state = state
-        #: Optional :class:`~repro.synth.parallel.ParallelExecutor` (plus the
-        #: registry id workers rebuild the problem from): the initial
-        #: ``assign_guards`` syntheses -- independent until a non-trivial
-        #: guard is learned -- are then fanned out to the worker pool.
-        self.executor = executor
-        self.benchmark_id = benchmark_id
         #: Optional phase-time sink; the merger reports every guard
         #: synthesis under ``guard_search``.
         self.metrics = metrics
@@ -144,76 +134,11 @@ class Merger:
     def assign_guards(self, solutions: Sequence[SpecSolution]) -> List[SpecSolution]:
         """Initial guard for each tuple: truthy under its own specs' setups."""
 
-        solutions = list(solutions)
         assigned: List[SpecSolution] = []
-        if (
-            self.executor is not None
-            and self.benchmark_id is not None
-            and not self.known_guards
-            and len(solutions) > 1
-        ):
-            assigned, solutions = self._assign_guards_parallel(solutions)
         for solution in solutions:
             guard = self.synthesize_guard(solution.specs, ())
             assigned.append(solution.with_guard(guard if guard is not None else A.TRUE))
         return assigned
-
-    def _assign_guards_parallel(
-        self, solutions: List[SpecSolution]
-    ) -> Tuple[List[SpecSolution], List[SpecSolution]]:
-        """Fan the independent initial guard syntheses out to the pool.
-
-        With no guards learned yet, every tuple's ``synthesize_guard`` call
-        sees the same initial candidates (``[true]``), so the tasks are
-        independent and their results equal the serial ones.  The moment a
-        task returns a non-trivial guard, serial execution *would* have
-        offered it to the remaining tuples (Section 4 reuse) -- so the
-        remaining speculative results are discarded and those tuples are
-        returned for the serial loop to finish.  Returns
-        ``(assigned prefix, remaining solutions)``.
-        """
-
-        from repro.synth.goal import SynthesisTimeout
-        from repro.synth.parallel import absorb_memo
-
-        index_of = {spec: i for i, spec in enumerate(self.problem.specs)}
-        tasks = []
-        for solution in solutions:
-            indices = tuple(index_of.get(spec) for spec in solution.specs)
-            if any(index is None for index in indices):
-                # Specs outside the registry problem cannot be named to a
-                # worker; keep the whole phase serial.
-                return [], solutions
-            tasks.append(
-                self.executor.submit_guard(
-                    self.benchmark_id, self.config, indices, (), (A.TRUE,)
-                )
-            )
-        self.counters["search.parallel_tasks"] += len(tasks)
-
-        assigned: List[SpecSolution] = []
-        for position, (solution, future) in enumerate(zip(solutions, tasks)):
-            task = future.get()
-            self.counters.merge(task.counters)
-            if self.metrics is not None:
-                self.metrics.observe_phase("guard_search", task.elapsed_s)
-            if task.trace_events:
-                trace.TRACER.absorb(task.trace_events)
-            absorb_memo(self.cache, self.problem, task.memo)
-            if task.timed_out:
-                raise SynthesisTimeout("timeout while synthesizing a guard")
-            guard = task.found
-            if guard is not None:
-                self.remember_guard(guard)
-            assigned.append(
-                solution.with_guard(guard if guard is not None else A.TRUE)
-            )
-            if self.known_guards:
-                # A learned guard changes the initial candidates of every
-                # later tuple; fall back to the serial loop for the rest.
-                self.counters["search.parallel_discarded"] += len(tasks) - position - 1
-                return assigned, solutions[position + 1 :]
-        return assigned, []
 
     # ------------------------------------------------------------------ rewriting
 

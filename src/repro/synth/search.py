@@ -53,8 +53,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.synth.state import StateManager
 
 
-#: The search's counters, owned by each run (and each worker task) as a
-#: fresh :class:`Counters` (meanings: ``docs/API.md``, "Metrics").
+#: The search's counters, owned by each run as a fresh :class:`Counters`
+#: (meanings: ``docs/API.md``, "Metrics").
 #: ``search.reset_replays`` is the problem's (``SynthesisProblem.counters``).
 SEARCH_COUNTERS = (
     "search.expansions",
@@ -63,8 +63,6 @@ SEARCH_COUNTERS = (
     "search.effect_wraps",
     "search.pruned_size",
     "search.hint_reuses",
-    "search.parallel_tasks",
-    "search.parallel_discarded",
     "search.static_prunes",
     "search.footprint_hits",
     "search.effect_type_fallbacks",

@@ -115,13 +115,11 @@ class SynthesisSession:
         opened from a path, and only flushes a store passed in as an
         instance, which stays open for its owner.
     parallel:
-        Default worker count for ``run``/``sweep`` (both also take a
-        per-call ``parallel=`` override).  With more than one job the
-        session owns a lazily-started
-        :class:`~repro.synth.parallel.ParallelExecutor` worker pool:
-        ``run`` fans the per-spec searches of registry-derived problems out
-        across workers, ``sweep`` distributes whole cells.  Workers share
-        outcomes through the session's store.
+        Default worker count for ``sweep`` (which also takes a per-call
+        ``parallel=`` override).  With more than one job the session owns a
+        lazily-started :class:`~repro.synth.parallel.ParallelExecutor`
+        worker pool that runs whole sweep cells.  Workers share outcomes
+        through the session's store.  ``run`` is always serial.
     """
 
     def __init__(
@@ -158,10 +156,6 @@ class SynthesisSession:
         #: Benchmark-id -> built problem, so repeated ``run("S1")`` /
         #: ``sweep`` calls reuse one warm problem per benchmark.
         self._built: Dict[str, SynthesisProblem] = {}
-        #: id(problem) -> registry id for problems this session built (the
-        #: reverse map that lets ``run(problem, parallel=N)`` name the
-        #: benchmark to worker processes).
-        self._benchmark_ids: Dict[int, str] = {}
         #: (id(problem), precision) -> (problem, derived copy) for the
         #: warm precision variants (strong ref keeps ids stable).
         self._derived: Dict[Tuple[int, str], Tuple[SynthesisProblem, SynthesisProblem]] = {}
@@ -182,7 +176,6 @@ class SynthesisSession:
         problem: ProblemSource,
         config: Optional[SynthConfig] = None,
         fresh_state: bool = False,
-        parallel: Optional[int] = None,
         **overrides: Any,
     ) -> SynthesisResult:
         """Synthesize ``problem`` with the session's warm resources.
@@ -197,23 +190,16 @@ class SynthesisSession:
         *shares* the original's snapshot manager and cache registration, so
         precision sweeps stay warm.  ``fresh_state=True`` gives this run a
         brand-new snapshot manager (cold state) instead of the problem's
-        long-lived one.
-
-        ``parallel`` (defaulting to the session's ``parallel``) fans the
-        per-spec searches out across the session's worker pool
-        (:mod:`repro.synth.parallel`) when the problem is a registry
-        benchmark -- workers rebuild it by id -- and it has more than one
-        spec; anything else falls back to the serial engine.  So does
-        ``fresh_state=True``: workers hold long-lived warm state, which
-        would silently defeat the cold-state contract.
+        long-lived one.  The run is serial, whatever the session's
+        ``parallel``: the worker pool runs only whole ``sweep`` cells.
         """
 
         self._check_open()
         tracer = trace.TRACER
         if not tracer.enabled:
-            return self._run_impl(problem, config, fresh_state, parallel, overrides)
+            return self._run_impl(problem, config, fresh_state, overrides)
         with tracer.span("session.run") as span:
-            result = self._run_impl(problem, config, fresh_state, parallel, overrides)
+            result = self._run_impl(problem, config, fresh_state, overrides)
             span.annotate(problem=result.problem.name, success=result.success)
             return result
 
@@ -222,7 +208,6 @@ class SynthesisSession:
         problem: ProblemSource,
         config: Optional[SynthConfig],
         fresh_state: bool,
-        parallel: Optional[int],
         overrides: Mapping[str, Any],
     ) -> SynthesisResult:
         base = config if config is not None else self.config
@@ -236,27 +221,6 @@ class SynthesisSession:
             state = self._state_for(runner, effective, fresh_state)
             self._register(runner)
             hints = self._hints_for(runner, effective)
-        jobs = self.parallel if parallel is None else max(int(parallel), 1)
-        if jobs > 1 and not fresh_state:
-            benchmark_id = (
-                benchmark.id
-                if benchmark is not None
-                else self._benchmark_ids.get(id(resolved))
-            )
-            if benchmark_id is not None and len(runner.specs) > 1:
-                from repro.synth.parallel import run_synthesis_parallel
-
-                result = run_synthesis_parallel(
-                    runner,
-                    effective,
-                    cache=self.cache,
-                    state=state,
-                    executor=self._executor_for(jobs),
-                    benchmark_id=benchmark_id,
-                    solution_hints=hints,
-                )
-                self._remember_solutions(runner, effective, result)
-                return result
         result = run_synthesis(
             runner,
             effective,
@@ -325,13 +289,8 @@ class SynthesisSession:
         variant_config: SynthConfig,
         warm: bool,
     ) -> SweepEntry:
-        """One serial sweep cell (shared by the serial and fallback paths).
-
-        The cell runs fully serial (``parallel=1`` is forced): a
-        ``sweep(parallel=1)`` on a parallel-default session must be a true
-        serial baseline, and the parallel sweep's ad-hoc fallback cells must
-        not contend with the pool already chewing the registry cells.
-        """
+        """One sweep cell run in this process (every cell of a serial
+        sweep, and the ad-hoc cells of a parallel one)."""
 
         with trace.TRACER.span(
             "sweep.cell",
@@ -341,7 +300,7 @@ class SynthesisSession:
         ):
             if warm:
                 problem = self._resolve_problem(source)
-                result = self.run(problem, config=variant_config, parallel=1)
+                result = self.run(problem, config=variant_config)
             else:
                 problem = benchmark.build() if benchmark is not None else source
                 with SynthesisSession(variant_config) as cold:
@@ -419,7 +378,6 @@ class SynthesisSession:
         if problem is None:
             problem = benchmark.build()
             self._built[benchmark.id] = problem
-            self._benchmark_ids[id(problem)] = benchmark.id
         return problem
 
     def _executor_for(self, jobs: int) -> "ParallelExecutor":

@@ -184,31 +184,14 @@ def run_synthesis(
     )
 
 
-def _owner_baseline(
-    problem: SynthesisProblem, cache: SynthCache, state: Optional[StateManager]
-) -> Baseline:
-    """A counter baseline over the long-lived owners a run or task touches:
-    the problem, the memo and its store, the snapshot manager and the
-    problem's database."""
-
-    database, store = problem.database, cache.store
-    return Baseline(
-        problem.counters,
-        cache.counters,
-        store.counters if store is not None else None,
-        state.counters if state is not None else None,
-        database.counters if database is not None else None,
-    )
-
-
 class _RunCounters:
     """The counters and phase timings of one run.
 
     ``counters`` starts with the run's fresh search counters; ``finish``
-    adds what the long-lived owners counted since the run began (see
-    :func:`_owner_baseline`), so a run sharing a session's warm memo and
-    snapshot manager reports only its own work.  The parallel layer merges
-    worker task deltas into ``counters`` as they are consumed.
+    adds what the long-lived owners -- the problem, the memo and its store,
+    the snapshot manager and the problem's database -- counted since the
+    run began, so a run sharing a session's warm memo and snapshot manager
+    reports only its own work.
     """
 
     def __init__(
@@ -218,9 +201,16 @@ class _RunCounters:
         state: Optional[StateManager],
     ) -> None:
         self.counters = search_counters()
-        self.baseline = _owner_baseline(problem, cache, state)
-        #: Per-phase wall-time histograms, observed by the run loop, the
-        #: merger and the parallel layer (worker-side spec/guard durations).
+        database, store = problem.database, cache.store
+        self.baseline = Baseline(
+            problem.counters,
+            cache.counters,
+            store.counters if store is not None else None,
+            state.counters if state is not None else None,
+            database.counters if database is not None else None,
+        )
+        #: Per-phase wall-time histograms, observed by the run loop and the
+        #: merger.
         self.phases = MetricsRegistry()
 
     def finish(self, result: SynthesisResult) -> SynthesisResult:

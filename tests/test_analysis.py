@@ -586,8 +586,8 @@ def test_writer_reorders_counter(blog_problem):
         "Doc.wipe_all"
     )
     assert counters["search.writer_reorders"] == 1
-    # Memo hits re-count the reorder, so merged parallel counters match a
-    # serial run's.
+    # Memo hits re-count the reorder, so a run's count does not depend on
+    # what earlier runs memoized.
     writers_for_effect(E.Effect.of("Doc.title"), ct, counters)
     assert counters["search.writer_reorders"] == 2
     assert counters["search.footprint_hits"] == 1

@@ -396,11 +396,12 @@ def test_metrics_stats_hold_every_counter_perfbench_reads(benchmark_id, parallel
     """The end-to-end benchmark reads its per-layer counters from
     ``result.metrics["stats"]`` by name, defaulting a missing one to 0, so
     a renamed counter would silently zero a benchmark metric.  Every name
-    it reads must be exported (serial and parallel), and the search and
-    snapshot counters it reports must be live."""
+    it reads must be exported (by a sweep cell run serially or in a
+    worker), and the search and snapshot counters it reports must be
+    live."""
 
     with SynthesisSession(SynthConfig(timeout_s=60)) as session:
-        result = session.run(benchmark_id, parallel=parallel)
+        result = session.sweep([benchmark_id], parallel=parallel)[0].result
     assert result.success
     stats = result.metrics["stats"]
     for layer, names in _perfbench_counters().items():

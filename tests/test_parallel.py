@@ -1,11 +1,14 @@
-"""Tests for the parallel synthesis subsystem (repro.synth.parallel):
-serial-vs-parallel equivalence (programs, outcomes and merged counters),
-sweep-cell distribution, the two-process SQLite store round-trip and
-cross-run solution hints."""
+"""Tests for the parallel synthesis subsystem (repro.synth.parallel), which
+runs whole sweep and benchmark cells in worker processes: cells match
+serial runs in programs and counters, a cell's time excludes its problem
+build, ``run`` and ad-hoc cells stay in the parent, the two-process SQLite
+store round-trip, worker trace shipping, cross-run solution hints and
+counter-merge completeness."""
 
 from __future__ import annotations
 
 import dataclasses
+import time
 
 import pytest
 
@@ -21,97 +24,100 @@ from repro.synth.state import StateManager
 #: Multi-spec registry benchmarks cheap enough for pooled tests.
 FAST = ["S4", "S5"]
 
-#: Counters that only the parallel run accumulates (dispatch bookkeeping,
-#: not work): excluded from the serial-equality comparison.
-PARALLEL_ONLY = {"search.parallel_tasks", "search.parallel_discarded"}
+
+def _pool_started(session):
+    return session._executor is not None and session._executor._pool is not None
 
 
-def _work(counters):
-    """Every counter but the parallel dispatch bookkeeping."""
+def _cell(benchmark_id, config, warm, parallel):
+    """One sweep cell's result, run serially or in a worker."""
 
-    return {key: value for key, value in counters.items() if key not in PARALLEL_ONLY}
+    with SynthesisSession(config) as session:
+        entry = session.sweep([benchmark_id], warm=warm, parallel=parallel)[0]
+        assert _pool_started(session) == (parallel > 1)
+    return entry.result
 
 
 # ---------------------------------------------------------------------------
-# Serial-vs-parallel equivalence
+# Cells match serial runs
 # ---------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("benchmark_id", FAST + ["S7", "A1"])
 def test_parallel_run_synthesizes_identical_programs(benchmark_id):
-    config = SynthConfig(timeout_s=60)
-    with SynthesisSession(config) as session:
-        serial = session.run(benchmark_id)
-    with SynthesisSession(config) as session:
-        parallel = session.run(benchmark_id, parallel=2)
-    assert parallel.success == serial.success
-    assert parallel.timed_out == serial.timed_out
-    assert parallel.program == serial.program
-    assert parallel.counters["search.parallel_tasks"] > 0
+    """A cold cell run in a worker synthesizes the serial program and
+    reports the serial run's counters, snapshot state on or off."""
+
+    for snapshot_state in (True, False):
+        config = SynthConfig(timeout_s=60, snapshot_state=snapshot_state)
+        serial = _cell(benchmark_id, config, warm=False, parallel=1)
+        parallel = _cell(benchmark_id, config, warm=False, parallel=2)
+        assert parallel.success == serial.success
+        assert parallel.timed_out == serial.timed_out
+        assert parallel.program == serial.program
+        assert dict(parallel.counters) == dict(serial.counters)
+        assert parallel.metrics["stats"] == serial.metrics["stats"]
 
 
 @pytest.mark.parametrize("benchmark_id", ["S1", "S5"])
 def test_parallel_counters_equal_serial_totals(benchmark_id):
-    """Merged worker counters must reproduce the serial run's totals.
+    """A warm cell runs in its worker's persistent session; the first one
+    reports the counters of a serial warm sweep's first cell, snapshot
+    state on or off."""
 
-    Measured with ``snapshot_state=False``: per-process snapshot managers
-    record specs independently, so state counters are only comparable when
-    the subsystem is off and every execution pays an explicit reset.  (The
-    remaining hit/miss classification is exact on these benchmarks; specs
-    whose search re-evaluates a program the parent's reuse phase just
-    executed -- e.g. S4 -- shift one hit to a miss, totals preserved.)
-    """
-
-    config = SynthConfig(timeout_s=60, snapshot_state=False)
-    with SynthesisSession(config) as session:
-        serial = session.run(benchmark_id)
-    with SynthesisSession(config) as session:
-        parallel = session.run(benchmark_id, parallel=2)
-    assert _work(parallel.counters) == _work(serial.counters)
-
-
-def test_parallel_hit_miss_totals_preserved_on_speculative_overlap():
-    """S4's speculative search re-executes one reuse evaluation: the
-    hit/miss split shifts by one but the combined totals stay equal."""
-
-    config = SynthConfig(timeout_s=60, snapshot_state=False)
-    with SynthesisSession(config) as session:
-        serial = session.run("S4")
-    with SynthesisSession(config) as session:
-        parallel = session.run("S4", parallel=2)
-    assert parallel.program == serial.program
-    def lookups(counters):
-        return sum(counters[f"cache.{kind}_{outcome}"]
-                   for kind in ("spec", "guard") for outcome in ("hits", "misses"))
-
-    assert lookups(parallel.counters) == lookups(serial.counters)
-    assert parallel.counters["search.evaluated"] == serial.counters["search.evaluated"]
+    for snapshot_state in (True, False):
+        config = SynthConfig(timeout_s=60, snapshot_state=snapshot_state)
+        serial = _cell(benchmark_id, config, warm=True, parallel=1)
+        parallel = _cell(benchmark_id, config, warm=True, parallel=2)
+        assert parallel.program == serial.program
+        assert dict(parallel.counters) == dict(serial.counters)
 
 
 def test_non_registry_problem_falls_back_to_serial():
+    """An ad-hoc problem cannot be rebuilt in a worker: a parallel sweep
+    runs its cell in the parent and never starts the pool."""
+
     problem = get_benchmark("S4").build()
     with SynthesisSession(SynthConfig(timeout_s=60), parallel=2) as session:
-        result = session.run(problem)
-    assert result.success
-    assert result.counters["search.parallel_tasks"] == 0
+        entries = session.sweep([problem])
+        assert not _pool_started(session)
+    assert entries[0].success
 
 
 def test_fresh_state_falls_back_to_serial():
-    """Workers hold warm state, so a cold-state run must stay in-process."""
+    """``run`` is serial on a parallel session, fresh state or warm: it
+    never starts the pool, and it takes no ``parallel`` argument."""
 
     with SynthesisSession(SynthConfig(timeout_s=60), parallel=2) as session:
-        result = session.run("S4", fresh_state=True)
-    assert result.success
-    assert result.counters["search.parallel_tasks"] == 0
+        cold = session.run("S4", fresh_state=True)
+        warm = session.run("S4")
+        with pytest.raises(TypeError):
+            session.run("S4", parallel=2)
+        assert not _pool_started(session)
+    assert cold.success
+    assert warm.program == cold.program
 
 
 def test_run_benchmark_parallel_matches_serial():
+    """Cold repetitions spread over workers sum to the serial loop's
+    counters and synthesize its program."""
+
     benchmark = get_benchmark("S5")
     config = SynthConfig(timeout_s=60)
-    serial = run_benchmark(benchmark, config, runs=1)
-    parallel = run_benchmark(benchmark, config, runs=1, parallel=2)
+    serial = run_benchmark(benchmark, config, runs=2, warm_state=False)
+    parallel = run_benchmark(
+        benchmark, config, runs=2, warm_state=False, parallel=2
+    )
     assert parallel.success and serial.success
     assert parallel.program_text == serial.program_text
+    assert dict(parallel.counters) == dict(serial.counters)
+
+
+def test_run_benchmark_warm_runs_refuse_workers():
+    """Warm runs share one session, so they cannot be spread over workers."""
+
+    with pytest.raises(ValueError, match="warm"):
+        run_benchmark(get_benchmark("S5"), SynthConfig(timeout_s=60), parallel=2)
 
 
 def test_run_benchmark_cold_parallel_distributes_runs():
@@ -124,6 +130,37 @@ def test_run_benchmark_cold_parallel_distributes_runs():
     assert parallel.success
     assert parallel.program_text == serial.program_text
     assert len(parallel.times_s) == len(serial.times_s) == 3
+
+
+#: A problem-build delay far above S1's run time (a few milliseconds).
+BUILD_DELAY_S = 0.3
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cold_cell_times_exclude_the_problem_build(monkeypatch, jobs):
+    """A cold cell's time covers its ``run`` call only, serial or in a
+    worker, so a slow problem build does not inflate Table 1 or Figure 7
+    medians."""
+
+    benchmark = get_benchmark("S1")
+    build = benchmark.build
+
+    def slow_build():
+        time.sleep(BUILD_DELAY_S)
+        return build()
+
+    # Patched before the pool forks, so the workers inherit the slow build.
+    monkeypatch.setattr(benchmark, "build", slow_build)
+    config = SynthConfig(timeout_s=60)
+    with SynthesisSession(config) as session:
+        entry = session.sweep(["S1"], warm=False, parallel=jobs)[0]
+    assert entry.success
+    assert entry.elapsed_s < BUILD_DELAY_S
+    result = run_benchmark(
+        benchmark, config, runs=2, warm_state=False, parallel=jobs
+    )
+    assert len(result.times_s) == 2
+    assert all(elapsed < BUILD_DELAY_S for elapsed in result.times_s)
 
 
 # ---------------------------------------------------------------------------
@@ -188,29 +225,13 @@ def test_two_process_sqlite_store_round_trip(tmp_path):
     for bid, result in results.items():
         assert result.success
         assert result.counters["cache.store_hits"] >= 1, bid
+        # The cells ran only in workers, yet nothing is re-executed.
+        assert result.counters["search.reset_replays"] == 0, bid
         serial = SynthesisSession(config)
         try:
             assert result.program == serial.run(bid).program
         finally:
             serial.close()
-
-
-def test_parallel_run_persists_spec_tasks_through_workers(tmp_path):
-    """Per-spec tasks write their outcomes to the store from the workers."""
-
-    path = str(tmp_path / "outcomes.sqlite")
-    config = SynthConfig(timeout_s=60)
-    with SynthesisSession(config, store=path, parallel=2) as session:
-        first = session.run("S4")
-    assert first.success
-    assert first.counters["search.parallel_tasks"] > 0
-
-    with SynthesisSession(config, store=path) as fresh:
-        second = fresh.run("S4")
-    assert second.program == first.program
-    assert second.counters["cache.store_hits"] >= 1
-    # The spec searches ran only in workers, yet nothing is re-executed.
-    assert second.counters["search.reset_replays"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -248,9 +269,10 @@ def test_hints_do_not_cross_configs():
 def test_ast_memo_slots_are_dropped_on_pickle(orm_class_table):
     """Per-node memos must never cross process boundaries.
 
-    Workers receive ASTs by pickle; a type, footprint or free-variable memo
-    smuggled through would at best be stale (keyed by the parent's class
-    table generation) and at worst unpicklable, and a transported hash is
+    ASTs cross the process boundary by pickle (a cell's program comes back
+    from its worker); a type, footprint or free-variable memo smuggled
+    through would at best be stale (keyed by the sender's class table
+    generation) and at worst unpicklable, and a transported hash is
     wrong under another string-hash seed.  ``Node.__reduce__`` rebuilds every
     node through its constructor, so only the dataclass fields travel: the
     memos are dropped and the construction-time fields are recomputed on the
@@ -375,43 +397,27 @@ def _span_multiset(path):
 
 
 def test_parallel_trace_merge_matches_serial_span_set(tmp_path):
-    """A traced ``parallel=2`` run must absorb worker spans into the same
-    span set a serial run emits, and its merged metrics totals must equal
-    the serial run's (timing histograms and dispatch bookkeeping aside)."""
+    """A traced cold ``parallel=2`` sweep must absorb the cells' worker
+    spans into the same span multiset a serial sweep emits."""
 
-    serial_path = str(tmp_path / "serial.jsonl")
-    parallel_path = str(tmp_path / "parallel.jsonl")
-    config = SynthConfig(timeout_s=60, snapshot_state=False)
-    with SynthesisSession(
-        dataclasses.replace(config, trace_path=serial_path)
-    ) as session:
-        serial = session.run("S5")
-    with SynthesisSession(
-        dataclasses.replace(config, trace_path=parallel_path)
-    ) as session:
-        parallel = session.run("S5", parallel=2)
-    assert parallel.success and serial.success
-    assert parallel.program == serial.program
-    assert parallel.counters["search.parallel_tasks"] > 0
-    assert _span_multiset(parallel_path) == _span_multiset(serial_path)
+    from repro.obs.tool import load_trace
+
+    config = SynthConfig(timeout_s=60)
+    paths, programs = {}, {}
+    for jobs in (1, 2):
+        paths[jobs] = str(tmp_path / f"jobs{jobs}.jsonl")
+        traced = dataclasses.replace(config, trace_path=paths[jobs])
+        with SynthesisSession(traced) as session:
+            entries = session.sweep(["S5", "S4"], warm=False, parallel=jobs)
+        assert all(entry.success for entry in entries)
+        programs[jobs] = [entry.result.program for entry in entries]
+    assert programs[2] == programs[1]
+    assert _span_multiset(paths[2]) == _span_multiset(paths[1])
 
     # Worker spans really crossed the process boundary: the merged trace
     # carries more than one worker tag.
-    from repro.obs.tool import load_trace
-
-    _, events = load_trace(parallel_path)
+    _, events = load_trace(paths[2])
     assert len({e["worker"] for e in events}) > 1
-
-    # Merged metric totals equal the serial run's for every exported
-    # counter (the phase histograms measure wall time, which legitimately
-    # differs; PARALLEL_ONLY counters are dispatch bookkeeping).
-    assert set(parallel.metrics["stats"]) == set(serial.metrics["stats"])
-    for layer, names in serial.metrics["stats"].items():
-        for name, value in names.items():
-            if f"{layer}.{name}" in PARALLEL_ONLY:
-                continue
-            assert parallel.metrics["stats"][layer][name] == value, f"{layer}.{name}"
-    assert set(parallel.metrics["phases"]) >= set(serial.metrics["phases"])
 
 
 # ---------------------------------------------------------------------------
