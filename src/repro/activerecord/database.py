@@ -30,10 +30,14 @@ State isolation guarantees:
 
 Indexed queries:
 
-* Each table lazily builds hash indexes (``{value: {row_id, ...}}``) on the
+* Each table lazily builds hash indexes (``{value: bucket}``) on the
   columns equality queries filter by -- built on the first indexed lookup
   (``Table.index_on``) and maintained incrementally by ``insert``/``update``/
-  ``delete``/``clear``.  Index buckets follow dict-key equivalence, which
+  ``delete``/``clear``.  A bucket is the bare row id while one row holds the
+  value and a ``set`` of row ids only while two or more do, so an index on a
+  unique column holds no container per row, and its build gives the cyclic
+  garbage collector no per-row object to track.  Only ``Table`` sees the
+  bucket shape.  Index buckets follow dict-key equivalence, which
   matches ``==`` for hashable values (``1 == 1.0 == True`` share a bucket),
   so an indexed lookup returns exactly the rows a scan would; the two
   exceptions are handled by the planner: NaN query values (identity-match in
@@ -49,8 +53,9 @@ Indexed queries:
 * Indexes participate in the snapshot machinery: ``dump`` hands the live
   index cache to the :class:`TableSnapshot` entry, ``adopt`` installs a
   snapshot's cached indexes copy-on-write (two levels: the outer
-  value->bucket dict, then individual bucket sets, are copied just before
-  the first write), and ``index_on`` publishes indexes built while a table
+  value->bucket dict, then each ``set`` bucket, are copied just before the
+  first write to them; an id bucket is immutable and never copied), and
+  ``index_on`` publishes indexes built while a table
   is still byte-identical to its snapshot back into that snapshot, so
   repeated restore/evaluate loops never rebuild an index from scratch.  A
   mutation "diverges" the table from its snapshot (``_origin = None``) so a
@@ -60,7 +65,7 @@ Indexed queries:
 
 Ordering invariant: a table's row mapping is kept in ascending-id insertion
 order (``next_id`` is monotonic, in-place updates keep dict positions, and
-``adopt`` preserves the dump's order), so ``sorted(bucket)`` reproduces scan
+``adopt`` preserves the dump's order), so a sorted bucket reproduces scan
 order exactly.
 """
 
@@ -83,6 +88,7 @@ from typing import (
     Optional,
     Set,
     Tuple,
+    Union,
 )
 
 #: Values that need no copying when rows cross the table boundary.  Rows made
@@ -230,10 +236,17 @@ def _count_plan(counters: Counters, plan: QueryPlan) -> None:
 
 # -- snapshots -----------------------------------------------------------------
 
+#: A hash-index bucket: the bare row id while one row holds the value, a set
+#: of two or more row ids otherwise.  Id buckets are immutable, so
+#: copy-on-write sharing never copies them; set buckets are copied before
+#: their first write (see ``Table._bucket_shared``).
+_Bucket = Union[int, Set[int]]
+_Index = Dict[Any, _Bucket]
+
 
 def _rebuild_table_snapshot(
     items: Dict[str, Any],
-    indexes: Dict[str, Dict[Any, Set[int]]],
+    indexes: Dict[str, _Index],
     unindexable: Set[str],
 ) -> "TableSnapshot":
     entry = TableSnapshot(items)
@@ -254,14 +267,16 @@ class TableSnapshot(dict):
     states with differently warmed index caches still compare equal.  The
     cache is shared copy-on-write with the tables built
     from it (see ``Table.adopt``) and is *live*: a table still byte-identical
-    to this snapshot publishes newly built indexes back into it.
+    to this snapshot publishes newly built indexes back into it.  Its
+    buckets are ``Table``'s private shape (a bare row id or a set of ids);
+    the snapshot only carries them.
     """
 
     __slots__ = ("indexes", "unindexable")
 
     def __init__(self, *args: Any, **kwargs: Any) -> None:
         super().__init__(*args, **kwargs)
-        self.indexes: Dict[str, Dict[Any, Set[int]]] = {}
+        self.indexes: Dict[str, _Index] = {}
         self.unindexable: Set[str] = set()
 
     def __reduce__(self) -> Tuple[Any, ...]:
@@ -296,13 +311,15 @@ class Table:
         self.counters = (
             counters if counters is not None else Counters.fromkeys(QUERY_COUNTERS, 0)
         )
-        #: Lazily built hash indexes: column -> value -> set of row ids.
-        self._indexes: Dict[str, Dict[Any, Set[int]]] = {}
+        #: Lazily built hash indexes: column -> value -> bucket (the bare
+        #: row id of a value one row holds, else a set of row ids).
+        self._indexes: Dict[str, _Index] = {}
         #: Columns whose whole index (outer dict *and* buckets) is shared
         #: with a snapshot; the first write copies the outer dict.
         self._index_shared: Set[str] = set()
-        #: Columns whose outer dict is private but whose bucket sets may
-        #: still be shared; writes copy the touched bucket first.
+        #: Columns whose outer dict is private but whose set buckets may
+        #: still be shared; writes copy the touched set first.  Id buckets
+        #: are immutable and never copied.
         self._bucket_shared: Set[str] = set()
         #: Columns that held an unhashable value; permanently scan-only
         #: (until ``clear``/``adopt`` resets the table).
@@ -315,11 +332,14 @@ class Table:
 
     # -- index maintenance ------------------------------------------------------
 
-    def index_on(self, column: str) -> Optional[Dict[Any, Set[int]]]:
+    def index_on(self, column: str) -> Optional[_Index]:
         """The hash index for ``column``, built lazily on first use.
 
-        Returns ``None`` (and remembers the column as unindexable) when any
-        stored value is unhashable.  Indexes built while the table is still
+        Maps each value to its bucket: the bare row id while one row holds
+        the value, a set of row ids while two or more do.  A unique column
+        thus costs one ``setdefault`` and no container per row.  Returns
+        ``None`` (and remembers the column as unindexable) when any stored
+        value is unhashable.  Indexes built while the table is still
         undiverged from a snapshot are published back into that snapshot so
         subsequent restores start warm.
         """
@@ -330,16 +350,19 @@ class Table:
         if index is not None:
             return index
         index = {}
+        setdefault = index.setdefault
         for row_id, row in self.rows.items():
             value = row.get(column)
             try:
-                bucket = index.get(value)
+                bucket = setdefault(value, row_id)
             except TypeError:
                 self._mark_unindexable(column)
                 return None
-            if bucket is None:
-                index[value] = bucket = set()
-            bucket.add(row_id)
+            if bucket is not row_id:  # else: a new one-row bucket
+                if isinstance(bucket, set):
+                    bucket.add(row_id)
+                else:
+                    index[value] = {bucket, row_id}
         self._indexes[column] = index
         self.counters["query.index_builds"] += 1
         if self._origin is not None:
@@ -360,40 +383,53 @@ class Table:
 
         self._origin = None
 
-    def _writable_index(self, column: str) -> Dict[Any, Set[int]]:
+    def _writable_index(self, column: str) -> _Index:
         """The column's index, with a private outer dict (copy-on-write)."""
 
         index = self._indexes[column]
         if column in self._index_shared:
-            index = dict(index)  # bucket sets stay shared; copied on write
+            index = dict(index)  # set buckets stay shared; copied on write
             self._indexes[column] = index
             self._index_shared.discard(column)
             self._bucket_shared.add(column)
         return index
 
     def _bucket_add(
-        self, column: str, index: Dict[Any, Set[int]], value: Any, row_id: int
+        self, column: str, index: _Index, value: Any, row_id: int
     ) -> None:
+        """Add ``row_id`` to ``value``'s bucket, widening an id to a set."""
+
         bucket = index.get(value)
         if bucket is None:
-            index[value] = {row_id}
-            return
-        if column in self._bucket_shared:
-            bucket = set(bucket)
-            index[value] = bucket
-        bucket.add(row_id)
+            index[value] = row_id
+        elif not isinstance(bucket, set):
+            index[value] = {bucket, row_id}
+        else:
+            if column in self._bucket_shared:
+                bucket = set(bucket)
+                index[value] = bucket
+            bucket.add(row_id)
 
     def _bucket_discard(
-        self, column: str, index: Dict[Any, Set[int]], value: Any, row_id: int
+        self, column: str, index: _Index, value: Any, row_id: int
     ) -> None:
+        """Drop ``row_id`` from ``value``'s bucket; a set left with one id
+        narrows to that id."""
+
         bucket = index.get(value)
         if bucket is None:
+            return
+        if not isinstance(bucket, set):
+            if bucket == row_id:
+                del index[value]
             return
         if column in self._bucket_shared:
             bucket = set(bucket)
             index[value] = bucket
         bucket.discard(row_id)
-        if not bucket:
+        if len(bucket) == 1:
+            index[value] = bucket.pop()
+        elif not bucket:
             del index[value]
 
     def _index_insert(self, row: Dict[str, Any]) -> None:
@@ -647,7 +683,10 @@ class Table:
                 if index is None:
                     continue
                 bucket = index.get(value)
-                size = len(bucket) if bucket else 0
+                if bucket is None:
+                    size = 0
+                else:
+                    size = len(bucket) if isinstance(bucket, set) else 1
                 if best is None or size < best_size:
                     best, best_size = column, size
             if best is not None:
@@ -724,7 +763,10 @@ class Table:
                             continue
                     except Exception:
                         continue
-                    size = len(bucket) if bucket else 0
+                    if bucket is None:
+                        size = 0
+                    else:
+                        size = len(bucket) if isinstance(bucket, set) else 1
                     if best is None or size < best_size:
                         best, best_bucket, best_size = column, bucket, size
                         # A unit (or empty) bucket cannot be beaten; skip
@@ -733,10 +775,12 @@ class Table:
                             break
             if best is not None:
                 plan = QueryPlan("index", self.name, index_column=best)
-                if best_bucket:
+                if best_bucket is not None:
                     single = len(conditions) == 1
                     ordered = (
-                        best_bucket if len(best_bucket) == 1 else sorted(best_bucket)
+                        sorted(best_bucket)
+                        if isinstance(best_bucket, set)
+                        else (best_bucket,)
                     )
                     for row_id in ordered:
                         if cap is not None and len(ids) >= cap:

@@ -13,9 +13,9 @@ tier by default) never picks them up in Table 1 sweeps or the replay tests;
 they are reached explicitly by id (``get_benchmark("SC1")``), by
 ``all_benchmarks(tier="scale")``, by the slow-marked tests in
 ``tests/test_query_engine.py`` and by ``benchmarks/bench_orm.py``'s scale
-smoke.  SC3 seeds 10^6 rows: one cold run takes 10-11 s and peaks at about
-1.6 GB of RSS (2-vCPU host, ``PYTHONHASHSEED=0``, ``timeout_s=300``), so it
-is meant for explicit slow runs only.
+smoke.  SC3 seeds 10^6 rows: one cold run takes 6-7 s and peaks at about
+0.9 GB of RSS (2-vCPU host, ``PYTHONHASHSEED=0``, ``timeout_s=300``, problem
+build included), so it is meant for explicit slow runs only.
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ _FIRST_NAMES = (
 def scale_user_rows(count: int, seed: int = SCALE_SEED) -> Iterator[Dict[str, str]]:
     """``count`` deterministic user rows (seeded; safe to regenerate).
 
-    Usernames are unique (``user_<i>``) so equality lookups are maximally
-    selective; names repeat from a small pool so a non-unique column exists
-    to index as well.
+    Both columns are unique: usernames are ``user_<i>`` and names are a
+    first name drawn from a small pool followed by ``<i>``, so every
+    equality lookup on either column is maximally selective.  A test that
+    needs a repeated column derives one, e.g. the first name alone.
     """
 
     rng = random.Random(seed)
@@ -202,7 +203,7 @@ register_benchmark(
         build=lambda: build_scale_find_user(1_000_000),
         description=(
             "S3's query chain against 10^6 seeded users "
-            "(needs ~1.6 GB RSS)."
+            "(needs ~0.9 GB RSS)."
         ),
         paper=_S3_REFERENCE,
     )

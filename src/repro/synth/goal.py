@@ -25,7 +25,7 @@ from repro.lang import types as T
 from repro.lang.effects import EffectPair
 from repro.lang.values import truthy, type_of_value
 from repro.interp.effect_log import effect_capture
-from repro.interp.errors import AssertionFailure, SynRuntimeError
+from repro.interp.errors import AssertionFailure
 from repro.interp.interpreter import Interpreter
 from repro.obs import trace
 from repro.obs.metrics import Counters
@@ -467,12 +467,16 @@ def _evaluate_spec_impl(
         raise
     except AssertionFailure as failure:
         outcome = SpecOutcome(
-            ok=False, passed_asserts=ctx.passed_asserts, failure=failure
+            ok=False,
+            passed_asserts=ctx.passed_asserts,
+            failure=_without_tracebacks(failure),
         )
-    except SynRuntimeError as error:
-        outcome = SpecOutcome(ok=False, passed_asserts=ctx.passed_asserts, error=error)
     except Exception as error:  # noqa: BLE001 - candidate-induced spec crashes
-        outcome = SpecOutcome(ok=False, passed_asserts=ctx.passed_asserts, error=error)
+        outcome = SpecOutcome(
+            ok=False,
+            passed_asserts=ctx.passed_asserts,
+            error=_without_tracebacks(error),
+        )
     if capture_invoke:
         outcome.invoke_pair = _union_pairs(ctx.invoke_pairs)
     if state is not None:
@@ -486,6 +490,24 @@ def _evaluate_spec_impl(
     if cache is not None and not capture_invoke:
         cache.store_spec(problem, program, spec, outcome)
     return outcome
+
+
+def _without_tracebacks(error: Exception) -> Exception:
+    """``error`` with the tracebacks of it and its chained causes cleared.
+
+    The memo and the static pruner keep failing outcomes for the rest of a
+    run, and a traceback would keep every frame of the evaluation alive
+    (interpreter, spec context, setup locals).  Nothing reads them: the
+    store keeps only the type and message.
+    """
+
+    link: Optional[BaseException] = error
+    seen = set()  # ``raise y from x`` inside ``except x`` can close a cycle
+    while link is not None and id(link) not in seen:
+        seen.add(id(link))
+        link.__traceback__ = None
+        link = link.__cause__ or link.__context__
+    return error
 
 
 def _union_pairs(pairs: Sequence[EffectPair]) -> EffectPair:

@@ -168,6 +168,114 @@ def test_update_to_same_value_keeps_index_consistent():
     assert [r["id"] for r in db.query("posts", {"author": "alice"})] == [1, 3]
 
 
+def test_unique_column_index_holds_bare_row_ids():
+    # Cost model: a bucket is the bare row id while one row holds the value,
+    # so an index on a unique column allocates no container per row.
+    db = Database(indexing=True)
+    db.bulk_insert(
+        "users",
+        (dict(row, first=row["name"].split()[0]) for row in scale_user_rows(200)),
+    )
+    db.query("users", {"username": "user_5"})
+    db.query("users", {"first": "Ada"})
+    table = db.table("users")
+    unique = table.index_on("username")
+    assert len(unique) == 200
+    assert all(type(bucket) is int for bucket in unique.values())
+    assert unique["user_5"] == 6
+    repeated = table.index_on("first")
+    assert all(
+        isinstance(bucket, set) and len(bucket) >= 2 for bucket in repeated.values()
+    )
+    assert db.counters["query.index_builds"] == 2
+
+
+def _tag_rows() -> list:
+    # Buckets of one ("a", "c"), two ("b") and three ("d") rows.
+    return [
+        {"tag": tag, "n": n}
+        for n, tag in enumerate(["a", "b", "b", "c", "d", "d", "d"])
+    ]
+
+
+def _move(path: str, db: Database, row_id: int, tag: str) -> None:
+    """Move row ``row_id`` to ``tag`` through one write path."""
+
+    if path == "update":
+        db.update("items", row_id, tag=tag)
+    elif path == "write_one":
+        db.write_one("items", row_id, "tag", tag)
+    else:  # update_where, selecting the row through the index being written
+        row = db.get("items", row_id)
+        db.update_where("items", {"tag": row["tag"], "n": row["n"]}, {"tag": tag})
+
+
+# Run from the snapshot, and again one after another, these moves take a
+# row out of a one-, two- and three-row bucket and into an empty, one-row
+# and two-row one: every widening and narrowing of a bucket.
+_MOVES = [(1, "c"), (2, "e"), (5, "a"), (4, "e"), (6, "b")]
+
+
+def _insert_steps(db: Database):
+    yield db.insert("items", tag="c", n=10)  # one row -> two
+    yield db.insert("items", tag="f", n=11)  # none -> one
+    yield db.insert("items", tag="f", n=12)  # one -> two
+    yield db.insert("items", tag="d", n=13)  # three -> four
+
+
+def _delete_steps(db: Database, where: bool):
+    for tag, row_id in (("a", 1), ("b", 2), ("d", 5), ("b", 3)):
+        # one -> none, two -> one, three -> two, one -> none
+        if where:
+            yield db.delete_where("items", {"tag": tag}, limit=1)
+        else:
+            yield db.delete("items", row_id)
+
+
+def _steps(path: str, db: Database):
+    if path == "insert":
+        return _insert_steps(db)
+    if path in ("delete", "delete_where"):
+        return _delete_steps(db, where=path == "delete_where")
+    return (_move(path, db, row_id, tag) for row_id, tag in _MOVES)
+
+
+@pytest.mark.parametrize(
+    "path", ["insert", "update", "write_one", "update_where", "delete", "delete_where"]
+)
+def test_bucket_transitions_match_scan_across_snapshots(path):
+    indexed, scan = Database(indexing=True), Database(indexing=False)
+    for db in (indexed, scan):
+        db.bulk_insert("items", _tag_rows())
+    indexed.query("items", {"tag": "a"})  # build the index before the snapshot
+    snaps = (indexed.snapshot(), scan.snapshot())
+    probes = [{"tag": tag} for tag in "abcdefz"] + [{"tag": "d", "n": 5}]
+
+    def check():
+        for conditions in probes:
+            for shape in ({}, {"order": "n", "descending": True}, {"limit": 1}):
+                assert indexed.query("items", conditions, **shape) == scan.query(
+                    "items", conditions, **shape
+                ), (conditions, shape)
+            assert indexed.count("items", conditions) == scan.count("items", conditions)
+        # A set bucket holds two or more rows; one row is a bare id.
+        index = indexed.table("items").index_on("tag")
+        assert all(len(b) >= 2 for b in index.values() if isinstance(b, set))
+
+    check()
+    for _ in zip(_steps(path, indexed), _steps(path, scan)):
+        check()
+        indexed.restore(snaps[0])
+        scan.restore(snaps[1])
+        check()  # the snapshot's buckets were never written through
+    # Then every step on top of the last, and one restore at the end.
+    for _ in zip(_steps(path, indexed), _steps(path, scan)):
+        check()
+    indexed.restore(snaps[0])
+    scan.restore(snaps[1])
+    check()
+
+
 # ---------------------------------------------------------------------------
 # Planner: plan kinds, selectivity, counters
 # ---------------------------------------------------------------------------
@@ -426,6 +534,60 @@ def test_scale_rows_deterministic():
     assert first[7]["username"] == "user_7"
     assert len({row["username"] for row in first}) == 50
     assert list(scale_user_rows(5, seed=1)) != list(scale_user_rows(5, seed=2))
+
+
+def _scale_battery(rows: int) -> list:
+    """``(method, args, kwargs)`` calls on the scale rows' users table.
+
+    Usernames and names are unique; ``first`` (the first name alone) is the
+    repeated column.  The calls reach one-row and many-row buckets, misses,
+    ``None``, multi-column conditions, order, descending and limit.
+    """
+
+    calls = []
+    for i in ((k * 7919 + 13) % rows for k in range(12)):
+        username, first = f"user_{i}", ("Ada", "Grace", "Alan")[i % 3]
+        calls += [
+            ("query", ({"username": username},), {}),
+            ("exists", ({"username": username},), {}),
+            ("count", ({"name": f"Ada {i}"},), {}),
+            ("pluck", ("name", {"username": username}), {}),
+            ("query", ({"first": first, "username": username},), {}),
+        ]
+    for first in ("Ada", "Grace", "Alan", "Nobody"):
+        calls += [
+            ("match_ids", ({"first": first},), {}),
+            ("count", ({"first": first},), {}),
+            ("query", ({"first": first},), {"order": "username"}),
+            ("query", ({"first": first},), dict(order="id", descending=True, limit=3)),
+            ("match_ids", ({"first": first},), {"limit": 5}),
+        ]
+    calls += [
+        ("query", ({"username": "nobody"},), {}),
+        ("exists", ({"username": "nobody"},), {}),
+        ("count", (), {}),
+        ("query", ({"name": "Grace 1"},), {"order": "username"}),
+        ("query", ({"name": "Alan 2"},), dict(order="id", descending=True, limit=3)),
+        ("query", ({"username": None},), {}),
+    ]
+    return calls
+
+
+def test_scale_battery_indexed_equals_scan():
+    # The indexed-vs-scan battery of benchmarks/bench_orm.py at 2,000 rows,
+    # plus a repeated column, compared call for call.
+    rows = 2000
+    indexed, scan = Database(indexing=True), Database(indexing=False)
+    for db in (indexed, scan):
+        db.bulk_insert(
+            "users",
+            (dict(row, first=row["name"].split()[0]) for row in scale_user_rows(rows)),
+        )
+    for method, args, kwargs in _scale_battery(rows):
+        got = getattr(indexed, method)("users", *args, **kwargs)
+        assert got == getattr(scan, method)("users", *args, **kwargs), (method, args)
+    assert indexed.counters["query.index_builds"] == 3
+    assert scan.counters["query.index_hits"] == 0
 
 
 def test_seed_scale_users_bulk_inserts_in_order(blog_app):

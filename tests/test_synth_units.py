@@ -10,6 +10,7 @@ from repro.lang import types as T
 from repro.lang.effects import Effect
 from repro.lang.pretty import pretty, pretty_block
 from repro.apps.blog import build_blog_app, seed_blog
+from repro.benchmarks import get_benchmark
 from repro.synth import SynthConfig, SynthesisSession, define, evaluate_spec
 from repro.synth.config import ORDER_FIFO
 from repro.synth.effect_guided import expand_effect_hole, insert_effect_hole, writers_for
@@ -405,6 +406,30 @@ def test_evaluate_spec_runtime_error_is_not_effect_error(blog_problem):
     outcome = evaluate_spec(blog_problem, program, spec)
     assert not outcome.ok
     assert not outcome.has_effect_error
+
+
+@pytest.mark.parametrize(
+    "body, kind",
+    [
+        (A.NIL, "AssertionFailure"),
+        (A.call(A.NIL, "nope"), "NoMethodError"),
+        # A library crash: a SynRuntimeError chained to the TypeError.
+        (A.call(A.StrLit("a"), "+", A.NIL), "SynRuntimeError"),
+    ],
+    ids=["failed-assert", "no-method", "library-crash"],
+)
+def test_failing_outcome_keeps_no_traceback(body, kind):
+    # The memo and the static pruner keep failing outcomes for the whole run;
+    # a traceback would keep every frame of the evaluation alive with them.
+    problem = get_benchmark("S4").build()
+    outcome = evaluate_spec(problem, problem.make_program(body), problem.specs[0])
+    assert not outcome.ok
+    caught = outcome.failure or outcome.error
+    assert type(caught).__name__ == kind
+    link = caught
+    while link is not None:
+        assert link.__traceback__ is None
+        link = link.__cause__ or link.__context__
 
 
 def test_synthesize_reports_timeout_on_impossible_goal():
