@@ -18,11 +18,11 @@ Anything the analysis cannot type (unknown method, unbound variable, nil
 receiver) widens to TOP through the :func:`footprint` wrapper -- callers
 that prune or fast-path on the footprint then simply do neither.
 
-Like ``check_expr``, results are memoized on the (immutable) node in an
-underscore-prefixed entry (``_fp_memo``, which a pickled node never carries),
-keyed by ``ClassTable.generation`` and the types of the node's free
-variables, so filling a hole recomputes only the root-to-hole spine.  Memo
-hits are counted on ``search.footprint_hits``.
+Like ``check_expr``, results are memoized on the (immutable) node, in its
+``_fp_memo`` slot (which a pickled node never carries), keyed by
+``ClassTable.generation`` and the types of the node's free variables, so
+filling a hole recomputes only the root-to-hole spine.  Memo hits are
+counted on ``search.footprint_hits``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from repro.obs.metrics import Counters
 from repro.typesys.class_table import ClassTable, ResolvedSig
 from repro.typesys.typecheck import (
     SynTypeError,
-    _MEMOIZED_NODES,
     _memo_key,
     check_expr,
     receiver_lookup,
@@ -91,12 +90,12 @@ def _pair(
     ct: ClassTable,
     counters: Optional[Counters],
 ) -> EffectPair:
-    if not isinstance(expr, _MEMOIZED_NODES):
+    if not isinstance(expr, A.Compound):
         return _pair_structural(expr, env, ct, counters)
     key = _memo_key(expr, env, ct)
     if key is None:
         return _pair_structural(expr, env, ct, counters)
-    memo = expr.__dict__.get("_fp_memo")
+    memo = getattr(expr, "_fp_memo", None)
     if memo is not None:
         hit = memo.get(key)
         if hit is not None:

@@ -127,7 +127,7 @@ class StaticPruner:
             body = self._normalize(node.body)
             if isinstance(body, A.Var) and body.name == node.var:
                 return value
-            if node.var not in A.free_vars(body):
+            if node.var not in body._fv:
                 # The binding is dead: evaluate the value for its effects,
                 # then the body (or just the body for effect-free literals).
                 if isinstance(value, _LITERALS):

@@ -13,22 +13,30 @@ class-constant references):
        | <> : eps          (effect hole)
    b ::= e | !b | b or b
 
-All nodes are frozen dataclasses with structural equality; the synthesizer
-relies on this to deduplicate candidates.  Every node computes three fields
-once, at construction, from its children's fields:
+All nodes are immutable, slotted objects (no instance ``__dict__``) with
+structural equality; the synthesizer relies on this to deduplicate
+candidates.  Assigning or deleting any attribute raises
+:class:`dataclasses.FrozenInstanceError`, and ``repr`` keeps the dataclass
+form (``Seq(first=..., second=...)``).  Every node computes four facts
+once, at construction, from its children's:
 
 * ``_hash`` -- the structural hash that ``hash(node)`` returns;
 * ``_node_count`` -- the number of nodes (:func:`node_count`);
 * ``_holes`` -- the number of holes in it (:func:`count_holes`,
-  :func:`has_holes`).
+  :func:`has_holes`);
+* ``_fv`` -- its free variables as a sorted tuple: the union of its
+  children's, minus a ``let``'s binder (a :class:`MethodDef`'s params stay
+  free, as in :func:`free_variables`).
 
 So none of them ever walks a tree, and subtrees shared between candidates
-are never measured twice.  ``__reduce__`` rebuilds a node through its
-constructor: pickles and deep copies carry only the dataclass fields, and the
-construction-time fields are recomputed on the far side (the hash is only
-valid under one interpreter's string-hash seed).  Neither do the memos that
-are attached lazily to a node's ``__dict__`` (``_type_memo``, ``_fp_memo``,
-``_free_vars``, ``_fv_tuple``, ``_alpha_memo``, ``_first_hole``) travel.
+are never measured twice.  :class:`Compound` nodes also have three memo
+slots, filled lazily by the analyses that own them: ``_type_memo``
+(:mod:`repro.typesys.typecheck`), ``_fp_memo``
+(:mod:`repro.analysis.footprint`) and ``_alpha_memo``
+(:mod:`repro.lang.resolve`).  ``__reduce__`` rebuilds a node through its
+constructor: pickles and deep copies carry only the fields, the
+construction-time facts are recomputed on the far side (the hash is only
+valid under one interpreter's string-hash seed), and the memos stay behind.
 
 Two utilities matter for synthesis:
 
@@ -48,8 +56,7 @@ Two utilities matter for synthesis:
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.lang.effects import Effect
@@ -59,26 +66,46 @@ from repro.lang.types import Type
 #: each level from the root.
 Path = Tuple[int, ...]
 
+#: Constructors store their fields past the immutability guard of
+#: ``Node.__setattr__``; the construction-time facts go through the slot
+#: setters below, which skip the generic attribute lookup.
+_setattr = object.__setattr__
+
 
 class Node:
     """Base class for all AST nodes.
 
-    A leaf counts one node and contains no hole unless it is one (the hole
-    classes override ``_holes``); its hash is set by the ``__post_init__``
-    below.  Compound nodes set all three construction-time fields in their
-    own ``__init__`` and override :meth:`children` and :meth:`with_child`.
+    A leaf counts one node, contains no hole unless it is one (the hole
+    classes override ``_holes``) and has no free variable unless it is a
+    :class:`Var`; its constructor stores its field and its hash.  Compound
+    nodes derive from :class:`Compound`, store all four construction-time
+    facts in their own constructor, and override :meth:`children` and
+    :meth:`with_child`.
+
+    Every class declares its ``__slots__``: its fields, in constructor order,
+    then any underscore-prefixed fact it stores per instance.
     """
 
+    __slots__ = ("_hash",)
+
+    _hash: int
     _node_count = 1
     _holes = 0
-    _hash: int
-    #: The dataclass field names, in order (set by :func:`_node`).
+    _fv: Tuple[str, ...] = ()
+    #: The field names, in constructor order (set by ``__init_subclass__``).
     _field_names: Tuple[str, ...] = ()
 
-    def __post_init__(self) -> None:
-        # Leaves only: right after the dataclass __init__ the instance dict
-        # holds exactly the node's fields, in declaration order.
-        self.__dict__["_hash"] = hash((type(self).__name__, *self.__dict__.values()))
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._field_names = tuple(
+            name for name in vars(cls)["__slots__"] if not name.startswith("_")
+        )
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def children(self) -> Tuple["Node", ...]:
         """The child nodes in evaluation order (empty for leaves)."""
@@ -91,10 +118,9 @@ class Node:
         raise IndexError(f"{type(self).__name__} has no children")
 
     def _args(self) -> tuple:
-        """The constructor arguments: the dataclass fields, in order."""
+        """The constructor arguments: the fields, in order."""
 
-        fields = self.__dict__
-        return tuple([fields[name] for name in self._field_names])
+        return tuple([getattr(self, name) for name in self._field_names])
 
     def __hash__(self) -> int:
         return self._hash
@@ -109,23 +135,29 @@ class Node:
     def __reduce__(self) -> Tuple[type, tuple]:
         return type(self), self._args()
 
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self._field_names
+        )
+        return f"{type(self).__qualname__}({fields})"
+
     def __str__(self) -> str:
         from repro.lang.pretty import pretty
 
         return pretty(self)
 
 
-def _node(cls):
-    """The dataclass decorator of every node class.
+_set_hash = Node._hash.__set__  # type: ignore[attr-defined]
 
-    ``eq=False`` keeps the ``__eq__`` and the stored ``__hash__`` of
-    :class:`Node` instead of generating field-by-field ones; a class that
-    defines its own ``__init__`` keeps it.
-    """
 
-    cls = dataclass(frozen=True, eq=False)(cls)
-    cls._field_names = tuple(f.name for f in dataclasses.fields(cls))
-    return cls
+def _union(a: Tuple[str, ...], b: Tuple[str, ...]) -> Tuple[str, ...]:
+    """The sorted union of two sorted free-variable tuples."""
+
+    if not b or a == b:
+        return a
+    if not a:
+        return b
+    return tuple(sorted({*a, *b}))
 
 
 # ---------------------------------------------------------------------------
@@ -133,43 +165,66 @@ def _node(cls):
 # ---------------------------------------------------------------------------
 
 
-@_node
 class NilLit(Node):
     """The literal ``nil``."""
 
+    __slots__ = ()
 
-@_node
+    def __init__(self) -> None:
+        _set_hash(self, hash(("NilLit",)))
+
+
 class BoolLit(Node):
-    value: bool
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool) -> None:
+        _setattr(self, "value", value)
+        _set_hash(self, hash(("BoolLit", value)))
 
 
-@_node
 class IntLit(Node):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        _setattr(self, "value", value)
+        _set_hash(self, hash(("IntLit", value)))
 
 
-@_node
 class StrLit(Node):
-    value: str
+    __slots__ = ("value",)
+
+    def __init__(self, value: str) -> None:
+        _setattr(self, "value", value)
+        _set_hash(self, hash(("StrLit", value)))
 
 
-@_node
 class SymLit(Node):
     """A symbol literal ``:name``."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _setattr(self, "name", name)
+        _set_hash(self, hash(("SymLit", name)))
 
 
-@_node
 class ConstRef(Node):
     """A reference to a class constant such as ``Post``."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        _setattr(self, "name", name)
+        _set_hash(self, hash(("ConstRef", name)))
 
 
-@_node
 class Var(Node):
-    name: str
+    __slots__ = ("name", "_fv")
+
+    def __init__(self, name: str) -> None:
+        _setattr(self, "name", name)
+        _set_hash(self, hash(("Var", name)))
+        _setattr(self, "_fv", (name,))
 
 
 # ---------------------------------------------------------------------------
@@ -177,48 +232,65 @@ class Var(Node):
 # ---------------------------------------------------------------------------
 
 
-@_node
 class TypedHole(Node):
     """A typed hole ``[]:tau`` to be filled by an expression of type ``tau``."""
 
-    type: Type
+    __slots__ = ("type",)
 
     _holes = 1
 
+    def __init__(self, type: Type) -> None:
+        _setattr(self, "type", type)
+        _set_hash(self, hash(("TypedHole", type)))
 
-@_node
+
 class EffectHole(Node):
     """An effect hole ``<>:eps`` to be filled by code with write effect ``eps``."""
 
-    effect: Effect
+    __slots__ = ("effect",)
 
     _holes = 1
+
+    def __init__(self, effect: Effect) -> None:
+        _setattr(self, "effect", effect)
+        _set_hash(self, hash(("EffectHole", effect)))
 
 
 # ---------------------------------------------------------------------------
 # Compound expressions
-#
-# Each constructor stores its fields and the three construction-time fields
-# straight into the instance dict: the generated frozen-dataclass __init__
-# (one object.__setattr__ per field plus a __post_init__ call) would double
-# the cost of building a candidate's root-to-hole spine.
 # ---------------------------------------------------------------------------
 
 
-@_node
-class Seq(Node):
+class Compound(Node):
+    """Base class of the nodes with children.
+
+    Each constructor stores its fields and the four construction-time facts.
+    The memo slots start empty: their owners read them with a ``None``
+    default and fill them through ``object.__setattr__``.
+    """
+
+    __slots__ = (
+        "_node_count", "_holes", "_fv", "_type_memo", "_fp_memo", "_alpha_memo"
+    )
+
+
+_set_node_count = Compound._node_count.__set__  # type: ignore[attr-defined]
+_set_holes = Compound._holes.__set__  # type: ignore[attr-defined]
+_set_fv = Compound._fv.__set__  # type: ignore[attr-defined]
+
+
+class Seq(Compound):
     """Sequencing ``first; second``; evaluates to ``second``."""
 
-    first: Node
-    second: Node
+    __slots__ = ("first", "second")
 
     def __init__(self, first: Node, second: Node) -> None:
-        fields = self.__dict__
-        fields["first"] = first
-        fields["second"] = second
-        fields["_hash"] = hash(("Seq", first._hash, second._hash))
-        fields["_node_count"] = 1 + first._node_count + second._node_count
-        fields["_holes"] = first._holes + second._holes
+        _setattr(self, "first", first)
+        _setattr(self, "second", second)
+        _set_hash(self, hash(("Seq", first._hash, second._hash)))
+        _set_node_count(self, 1 + first._node_count + second._node_count)
+        _set_holes(self, first._holes + second._holes)
+        _set_fv(self, _union(first._fv, second._fv))
 
     def children(self) -> Tuple[Node, ...]:
         return (self.first, self.second)
@@ -227,22 +299,22 @@ class Seq(Node):
         return Seq(child, self.second) if index == 0 else Seq(self.first, child)
 
 
-@_node
-class Let(Node):
+class Let(Compound):
     """``let var = value in body``."""
 
-    var: str
-    value: Node
-    body: Node
+    __slots__ = ("var", "value", "body")
 
     def __init__(self, var: str, value: Node, body: Node) -> None:
-        fields = self.__dict__
-        fields["var"] = var
-        fields["value"] = value
-        fields["body"] = body
-        fields["_hash"] = hash(("Let", var, value._hash, body._hash))
-        fields["_node_count"] = 1 + value._node_count + body._node_count
-        fields["_holes"] = value._holes + body._holes
+        _setattr(self, "var", var)
+        _setattr(self, "value", value)
+        _setattr(self, "body", body)
+        _set_hash(self, hash(("Let", var, value._hash, body._hash)))
+        _set_node_count(self, 1 + value._node_count + body._node_count)
+        _set_holes(self, value._holes + body._holes)
+        body_fv = body._fv
+        if var in body_fv:
+            body_fv = tuple([name for name in body_fv if name != var])
+        _set_fv(self, _union(value._fv, body_fv))
 
     def children(self) -> Tuple[Node, ...]:
         return (self.value, self.body)
@@ -253,27 +325,26 @@ class Let(Node):
         return Let(self.var, self.value, child)
 
 
-@_node
-class MethodCall(Node):
+class MethodCall(Compound):
     """A method call ``receiver.name(args...)``."""
 
-    receiver: Node
-    name: str
-    args: Tuple[Node, ...] = ()
+    __slots__ = ("receiver", "name", "args")
 
     def __init__(self, receiver: Node, name: str, args: Tuple[Node, ...] = ()) -> None:
-        fields = self.__dict__
-        fields["receiver"] = receiver
-        fields["name"] = name
-        fields["args"] = args
+        _setattr(self, "receiver", receiver)
+        _setattr(self, "name", name)
+        _setattr(self, "args", args)
         count = 1 + receiver._node_count
         holes = receiver._holes
+        fv = receiver._fv
         for arg in args:
             count += arg._node_count
             holes += arg._holes
-        fields["_hash"] = hash(("MethodCall", receiver._hash, name, args))
-        fields["_node_count"] = count
-        fields["_holes"] = holes
+            fv = _union(fv, arg._fv)
+        _set_hash(self, hash(("MethodCall", receiver._hash, name, args)))
+        _set_node_count(self, count)
+        _set_holes(self, holes)
+        _set_fv(self, fv)
 
     def children(self) -> Tuple[Node, ...]:
         return (self.receiver,) + self.args
@@ -287,23 +358,24 @@ class MethodCall(Node):
         )
 
 
-@_node
-class HashLit(Node):
+class HashLit(Compound):
     """A hash literal ``{key: value, ...}`` with symbol keys."""
 
-    entries: Tuple[Tuple[str, Node], ...] = ()
+    __slots__ = ("entries",)
 
     def __init__(self, entries: Tuple[Tuple[str, Node], ...] = ()) -> None:
-        fields = self.__dict__
-        fields["entries"] = entries
+        _setattr(self, "entries", entries)
         count = 1
         holes = 0
+        fv: Tuple[str, ...] = ()
         for _, value in entries:
             count += value._node_count
             holes += value._holes
-        fields["_hash"] = hash(("HashLit", entries))
-        fields["_node_count"] = count
-        fields["_holes"] = holes
+            fv = _union(fv, value._fv)
+        _set_hash(self, hash(("HashLit", entries)))
+        _set_node_count(self, count)
+        _set_holes(self, holes)
+        _set_fv(self, fv)
 
     def children(self) -> Tuple[Node, ...]:
         return tuple([value for _, value in self.entries])
@@ -314,26 +386,22 @@ class HashLit(Node):
         return HashLit(entries[:index] + (entry,) + entries[index + 1 :])
 
 
-@_node
-class If(Node):
+class If(Compound):
     """``if cond then then_branch else else_branch``."""
 
-    cond: Node
-    then_branch: Node
-    else_branch: Node
+    __slots__ = ("cond", "then_branch", "else_branch")
 
     def __init__(self, cond: Node, then_branch: Node, else_branch: Node) -> None:
-        fields = self.__dict__
-        fields["cond"] = cond
-        fields["then_branch"] = then_branch
-        fields["else_branch"] = else_branch
-        fields["_hash"] = hash(
-            ("If", cond._hash, then_branch._hash, else_branch._hash)
+        _setattr(self, "cond", cond)
+        _setattr(self, "then_branch", then_branch)
+        _setattr(self, "else_branch", else_branch)
+        _set_hash(self, hash(("If", cond._hash, then_branch._hash, else_branch._hash)))
+        _set_node_count(
+            self,
+            1 + cond._node_count + then_branch._node_count + else_branch._node_count,
         )
-        fields["_node_count"] = (
-            1 + cond._node_count + then_branch._node_count + else_branch._node_count
-        )
-        fields["_holes"] = cond._holes + then_branch._holes + else_branch._holes
+        _set_holes(self, cond._holes + then_branch._holes + else_branch._holes)
+        _set_fv(self, _union(_union(cond._fv, then_branch._fv), else_branch._fv))
 
     def children(self) -> Tuple[Node, ...]:
         return (self.cond, self.then_branch, self.else_branch)
@@ -346,18 +414,17 @@ class If(Node):
         return If(self.cond, self.then_branch, child)
 
 
-@_node
-class Not(Node):
+class Not(Compound):
     """Guard negation ``!b``."""
 
-    expr: Node
+    __slots__ = ("expr",)
 
     def __init__(self, expr: Node) -> None:
-        fields = self.__dict__
-        fields["expr"] = expr
-        fields["_hash"] = hash(("Not", expr._hash))
-        fields["_node_count"] = 1 + expr._node_count
-        fields["_holes"] = expr._holes
+        _setattr(self, "expr", expr)
+        _set_hash(self, hash(("Not", expr._hash)))
+        _set_node_count(self, 1 + expr._node_count)
+        _set_holes(self, expr._holes)
+        _set_fv(self, expr._fv)
 
     def children(self) -> Tuple[Node, ...]:
         return (self.expr,)
@@ -366,20 +433,18 @@ class Not(Node):
         return Not(child)
 
 
-@_node
-class Or(Node):
+class Or(Compound):
     """Guard disjunction ``b1 or b2``."""
 
-    left: Node
-    right: Node
+    __slots__ = ("left", "right")
 
     def __init__(self, left: Node, right: Node) -> None:
-        fields = self.__dict__
-        fields["left"] = left
-        fields["right"] = right
-        fields["_hash"] = hash(("Or", left._hash, right._hash))
-        fields["_node_count"] = 1 + left._node_count + right._node_count
-        fields["_holes"] = left._holes + right._holes
+        _setattr(self, "left", left)
+        _setattr(self, "right", right)
+        _set_hash(self, hash(("Or", left._hash, right._hash)))
+        _set_node_count(self, 1 + left._node_count + right._node_count)
+        _set_holes(self, left._holes + right._holes)
+        _set_fv(self, _union(left._fv, right._fv))
 
     def children(self) -> Tuple[Node, ...]:
         return (self.left, self.right)
@@ -388,22 +453,20 @@ class Or(Node):
         return Or(child, self.right) if index == 0 else Or(self.left, child)
 
 
-@_node
-class MethodDef(Node):
+class MethodDef(Compound):
     """A synthesized program ``def name(params...) = body``."""
 
-    name: str
-    params: Tuple[str, ...]
-    body: Node
+    __slots__ = ("name", "params", "body")
 
     def __init__(self, name: str, params: Tuple[str, ...], body: Node) -> None:
-        fields = self.__dict__
-        fields["name"] = name
-        fields["params"] = params
-        fields["body"] = body
-        fields["_hash"] = hash(("MethodDef", name, params, body._hash))
-        fields["_node_count"] = 1 + body._node_count
-        fields["_holes"] = body._holes
+        _setattr(self, "name", name)
+        _setattr(self, "params", params)
+        _setattr(self, "body", body)
+        _set_hash(self, hash(("MethodDef", name, params, body._hash)))
+        _set_node_count(self, 1 + body._node_count)
+        _set_holes(self, body._holes)
+        # The params are bound by ``call_program``, not by the tree.
+        _set_fv(self, body._fv)
 
     def children(self) -> Tuple[Node, ...]:
         return (self.body,)
@@ -461,7 +524,10 @@ def count_paths(node: Node) -> int:
 
 
 def free_variables(node: Node, bound: frozenset[str] = frozenset()) -> frozenset[str]:
-    """The free variables of an expression (used by merge-time sanity checks)."""
+    """The free variables of an expression, found by walking it.
+
+    The reference for the construction-time ``_fv`` of every node.
+    """
 
     if isinstance(node, Var):
         return frozenset() if node.name in bound else frozenset({node.name})
@@ -472,29 +538,6 @@ def free_variables(node: Node, bound: frozenset[str] = frozenset()) -> frozenset
     result: frozenset[str] = frozenset()
     for child in node.children():
         result |= free_variables(child, bound)
-    return result
-
-
-def free_vars(node: Node) -> frozenset[str]:
-    """``free_variables(node)`` memoized per (immutable) node.
-
-    The incremental typechecker keys its per-node memo by the types of the
-    node's free variables, so this is consulted on every cached check; the
-    memo is shared by every candidate containing the subtree.
-    """
-
-    cached = node.__dict__.get("_free_vars")
-    if cached is not None:
-        return cached
-    if isinstance(node, Var):
-        result = frozenset({node.name})
-    elif isinstance(node, Let):
-        result = free_vars(node.value) | (free_vars(node.body) - {node.var})
-    else:
-        result = frozenset()
-        for child in node.children():
-            result |= free_vars(child)
-    node.__dict__["_free_vars"] = result
     return result
 
 
@@ -540,20 +583,30 @@ def _iter_holes(
         yield from _iter_holes(child, path + (index,), inner)
 
 
-_NOT_LOCATED = object()
+_HOLES = (TypedHole, EffectHole)
 
 
 def first_hole(node: Node) -> Optional[HoleSite]:
     """The left-most hole of ``node``, or ``None`` if the node is evaluable.
 
-    Memoized on the (immutable) node in ``_first_hole``.
+    Walks down from the root into the first child that holds a hole (each
+    node knows how many it does), so it finds the same site as
+    ``next(iter_holes(node), None)`` without visiting any other subtree.
     """
 
-    site = node.__dict__.get("_first_hole", _NOT_LOCATED)
-    if site is _NOT_LOCATED:
-        site = next(iter_holes(node), None)
-        node.__dict__["_first_hole"] = site
-    return site
+    if not node._holes:
+        return None
+    path: List[int] = []
+    bindings: Tuple[Tuple[str, Node], ...] = ()
+    while not isinstance(node, _HOLES):
+        for index, child in enumerate(node.children()):
+            if child._holes:
+                break
+        if index == 1 and isinstance(node, Let):
+            bindings += ((node.var, node.value),)
+        path.append(index)
+        node = child
+    return HoleSite(node, tuple(path), bindings)
 
 
 class Splicer:

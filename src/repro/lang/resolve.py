@@ -2,13 +2,14 @@
 
 Candidates share every subtree off their root-to-hole spine
 (:func:`repro.lang.ast.replace_at`), so anything derivable from binding
-structure alone is worth computing once per node and memoizing on the
-instance.  This module is that resolution pass.  Its products:
+structure alone is worth computing once per node.  This module is that
+resolution pass.  Its products:
 
 * :func:`free_var_tuple` -- the node's free variables as a sorted tuple,
   the canonical ordering every env-keyed memo in the engine keys by
   (``typecheck.check_expr``'s incremental memo and, through its shared
   ``_memo_key``, the footprint memo of :mod:`repro.analysis.footprint`).
+  Every node computes it at construction (its ``_fv``).
 * :func:`alpha_key` -- a canonical De Bruijn-style key: two expressions get
   equal keys iff they are alpha-equivalent (identical up to consistent
   renaming of ``let``-bound and parameter names, with free variables still
@@ -17,15 +18,14 @@ instance.  This module is that resolution pass.  Its products:
   :class:`~repro.synth.cache.SynthCache` uses it for in-memory spec-outcome
   keys.
 
-All memos live in underscore-prefixed instance entries (``_fv_tuple``,
-``_alpha_memo``), which a pickled node never carries
-(``repro.lang.ast.Node.__reduce__`` rebuilds it from its dataclass fields):
-resolver products never cross the process boundary in the parallel subsystem
-and are recomputed (deterministically) on the far side.
-
-``alpha_key`` is memoized *per context*: the key of a subtree depends on its
-position only through the De Bruijn distances of its free variables, so the
-memo is a small per-node dict keyed by that distance tuple.
+``alpha_key`` is memoized in the ``_alpha_memo`` slot of each compound node,
+which a pickled node never carries (``repro.lang.ast.Node.__reduce__``
+rebuilds it from its fields): resolver products never cross the process
+boundary in the parallel subsystem and are recomputed (deterministically)
+on the far side.  The memo is *per context*: the key of a subtree depends on
+its position only through the De Bruijn distances of its free variables, so
+it is a small dict keyed by that distance tuple.  Leaves are cheaper to key
+than to look up, and have no memo slot.
 """
 
 from __future__ import annotations
@@ -46,21 +46,15 @@ _ALPHA_MEMO_LIMIT = 64
 
 
 def free_var_tuple(node: A.Node) -> Tuple[str, ...]:
-    """The free variables of ``node``, sorted, as a tuple; memoized per node.
+    """The free variables of ``node``, sorted, as a tuple.
 
-    This is the resolver-canonical ordering of :func:`repro.lang.ast.free_vars`
-    (which stays the set-valued primitive): every memo that keys on "the
-    bindings of the node's free variables" iterates this tuple so keys agree
-    across the typechecker, the footprint analysis and the caches without
-    re-sorting per lookup.
+    Every memo that keys on "the bindings of the node's free variables"
+    iterates this tuple, so keys agree across the typechecker, the footprint
+    analysis and the caches.  The node computes it at construction (its
+    ``_fv``), so this is a field read.
     """
 
-    cached = node.__dict__.get("_fv_tuple") if hasattr(node, "__dict__") else None
-    if cached is not None:
-        return cached
-    result = tuple(sorted(A.free_vars(node)))
-    object.__setattr__(node, "_fv_tuple", result)
-    return result
+    return node._fv
 
 
 # ---------------------------------------------------------------------------
@@ -83,15 +77,15 @@ def alpha_key(node: A.Node, scope: Tuple[str, ...] = ()) -> Hashable:
 
 
 def _alpha(node: A.Node, bound: Tuple[str, ...]) -> Hashable:
-    if not hasattr(node, "__dict__"):
+    if not isinstance(node, A.Compound):
         return _alpha_structural(node, bound)
     # The key depends on ``bound`` only through the De Bruijn distances of
     # the node's free variables (every deeper lookup crosses a statically
     # known number of binders), so that distance tuple is a sound memo
     # context: same distances, same key.
-    fvt = free_var_tuple(node)
-    context = tuple(_debruijn(bound, name) for name in fvt) if fvt else ()
-    memo = node.__dict__.get("_alpha_memo")
+    fvt = node._fv
+    context = tuple([_debruijn(bound, name) for name in fvt]) if fvt else ()
+    memo = getattr(node, "_alpha_memo", None)
     if memo is not None:
         hit = memo.get(context)
         if hit is not None:
@@ -158,8 +152,8 @@ def _alpha_structural(node: A.Node, bound: Tuple[str, ...]) -> Hashable:
         return ("not", _alpha(node.expr, bound))
     if isinstance(node, A.Or):
         return ("or", _alpha(node.left, bound), _alpha(node.right, bound))
-    # Leaves (literals, constants, holes) are frozen dataclasses with
-    # structural equality; the node itself is its own canonical key.
+    # Leaves (literals, constants, holes) are immutable with structural
+    # equality; the node itself is its own canonical key.
     return node
 
 

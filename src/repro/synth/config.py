@@ -95,7 +95,6 @@ class SynthConfig:
     try_negated_guards: bool = True
     narrow_types: bool = True
     exploration_order: str = ORDER_PAPER
-    chain_effect_reads: bool = False
 
     # Evaluation caching (repro.synth.cache).  ``cache_spec_outcomes``
     # memoizes spec/guard outcomes per (program, spec, effect precision);

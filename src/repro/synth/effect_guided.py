@@ -90,12 +90,7 @@ def expand_effect_hole(
     # class-level before ``*``); expansions where that sort changed the
     # declaration order are counted on ``search.writer_reorders``.
     for resolved in writers_for_effect(hole.effect, ct, counters):
-        call = call_template(resolved)
-        replacements.append(call)
-        if config.chain_effect_reads and not resolved.effects.read.is_pure:
-            # Full S-EffApp: the inserted call may itself read state that
-            # needs changing, so precede it with another effect hole.
-            replacements.append(A.Seq(A.EffectHole(resolved.effects.read), call))
+        replacements.append(call_template(resolved))
 
     # S-EffNil removes an unneeded effect hole.
     replacements.append(A.NIL)

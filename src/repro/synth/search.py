@@ -126,8 +126,8 @@ def _expand(
 ) -> List[A.Pending]:
     """One-step expansion of the left-most hole of ``expr``.
 
-    ``first_hole`` descends only into subtrees that contain a hole (each
-    node knows how many it does) and is memoized on the node.
+    ``first_hole`` walks down into the first child that contains a hole
+    (each node knows how many it does).
     """
 
     site = A.first_hole(expr)

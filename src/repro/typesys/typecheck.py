@@ -12,18 +12,18 @@ Expressions may contain holes: a typed hole has its annotated type (T-Hole)
 and an effect hole has type ``Object`` (T-EffObj), the top of the lattice, so
 it can later be replaced by a term of any type.
 
-Since PR 6 ``check_expr`` is *incremental*: the synthesized type of every
-compound subtree is memoized on the (immutable) node, keyed by the
-class table's mutation-aware ``generation`` token and the types its free
-variables have in the current environment.  Filling a hole rebuilds only the
-root-to-hole spine (``replace_at`` shares every off-path subtree), so
-re-checking the narrowed candidate recomputes just that spine while every
-shared subtree answers from its memo -- the whole-tree walk the enumerator
-used to pay per expansion collapses to the hole path.  Ill-typed subtrees
-memoize their rejection too, so repeated narrowing failures are equally
-cheap.  The memo (``_type_memo``) is never pickled with its node, like the
-other per-node memos: ``repro.lang.ast.Node.__reduce__`` carries only the
-dataclass fields.
+``check_expr`` is *incremental*: the synthesized type of every compound
+subtree is memoized on the (immutable) node, keyed by the class table's
+mutation-aware ``generation`` token and the types its free variables (the
+node's construction-time ``_fv``) have in the current environment.  Filling
+a hole rebuilds only the root-to-hole spine (``replace_at`` shares every
+off-path subtree), so re-checking the narrowed candidate recomputes just
+that spine while every shared subtree answers from its memo -- the
+whole-tree walk the enumerator used to pay per expansion collapses to the
+hole path.  Ill-typed subtrees memoize their rejection too, so repeated
+narrowing failures are equally cheap.  The memo lives in the node's
+``_type_memo`` slot and is never pickled with it, like the other per-node
+memos: ``repro.lang.ast.Node.__reduce__`` carries only the fields.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Mapping, Optional, Tuple
 
 from repro.lang import ast as A
 from repro.lang import types as T
-from repro.lang.resolve import free_var_tuple
 from repro.typesys.class_table import ClassTable, ResolvedSig
 
 
@@ -68,19 +67,6 @@ def receiver_lookup(
     return ct.resolve(sig, receiver_type)
 
 
-#: Node classes whose synthesized type is memoized.  Leaves are cheaper to
-#: re-derive than to look up, so only compound nodes carry a memo.
-_MEMOIZED_NODES = (
-    A.Seq,
-    A.Let,
-    A.HashLit,
-    A.MethodCall,
-    A.If,
-    A.Not,
-    A.Or,
-    A.MethodDef,
-)
-
 #: Per-node memos are cleared beyond this many entries (distinct class-table
 #: generations / free-variable typings); real searches stay far below it.
 _TYPE_MEMO_LIMIT = 64
@@ -99,12 +85,13 @@ def check_expr(
     (see the module docstring).
     """
 
-    if not isinstance(expr, _MEMOIZED_NODES):
+    # Leaves are cheaper to re-derive than to look up, and have no memo slot.
+    if not isinstance(expr, A.Compound):
         return _check_structural(expr, env, ct)
     key = _memo_key(expr, env, ct)
     if key is None:
         return _check_structural(expr, env, ct)
-    memo = expr.__dict__.get("_type_memo")
+    memo = getattr(expr, "_type_memo", None)
     if memo is not None:
         hit = memo.get(key)
         if hit is not None:
@@ -127,17 +114,18 @@ def _memo_key(
     """The memo key for checking ``expr`` under ``env`` and ``ct``.
 
     The key is the class-table generation plus the types ``env`` assigns to
-    the node's free variables, in the order of the resolver's
-    :func:`~repro.lang.resolve.free_var_tuple` -- the names themselves are
+    the node's free variables, in the order of its sorted ``_fv`` (see
+    :func:`~repro.lang.resolve.free_var_tuple`) -- the names themselves are
     implied by the (per-node) memo, so only the type tuple is stored.
     ``None`` opts out of caching: a free variable missing from ``env`` will
     raise the usual unbound-variable error on the structural path.
     """
 
-    if not hasattr(expr, "__dict__"):
-        return None
+    names = expr._fv
+    if not names:
+        return (ct.generation, ())
     try:
-        typing = tuple(env[name] for name in free_var_tuple(expr))
+        typing = tuple([env[name] for name in names])
     except KeyError:
         return None
     return (ct.generation, typing)

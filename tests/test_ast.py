@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -182,11 +184,68 @@ def test_walk_visits_all_nodes():
 
 
 # ---------------------------------------------------------------------------
+# Immutability and slots
+# ---------------------------------------------------------------------------
+
+#: One instance of every node class.
+_ONE_OF_EACH = [
+    A.NIL, A.TRUE, A.IntLit(1), A.StrLit("s"), A.SymLit("title"),
+    A.ConstRef("Post"), A.Var("x"), A.TypedHole(T.STRING),
+    A.EffectHole(Effect.of("Post")),
+    A.Seq(A.Var("x"), A.NIL),
+    A.Let("v", A.IntLit(1), A.Var("v")),
+    A.call(A.Var("x"), "m", A.IntLit(2)),
+    A.hash_lit(k=A.Var("y")),
+    A.If(A.TRUE, A.Var("a"), A.Var("b")),
+    A.Not(A.TRUE),
+    A.Or(A.TRUE, A.FALSE),
+    A.MethodDef("m", ("x",), A.Var("x")),
+]
+
+
+def _node_classes():
+    found, todo = set(), [A.Node]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            found.add(sub)
+            todo.append(sub)
+    return found
+
+
+def test_every_node_class_is_sampled():
+    assert {type(node) for node in _ONE_OF_EACH} == _node_classes() - {A.Compound}
+
+
+@pytest.mark.parametrize("node", _ONE_OF_EACH, ids=lambda node: type(node).__name__)
+def test_nodes_have_no_instance_dict(node):
+    assert not hasattr(node, "__dict__")
+
+
+@pytest.mark.parametrize("node", _ONE_OF_EACH, ids=lambda node: type(node).__name__)
+def test_assigning_or_deleting_any_attribute_raises(node):
+    before = (repr(node), node._hash, node._node_count, node._holes, node._fv)
+    names = node._field_names + ("_hash", "_node_count", "_holes", "_fv", "extra")
+    for name in names:
+        with pytest.raises(FrozenInstanceError):
+            setattr(node, name, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(node, name)
+    assert (repr(node), node._hash, node._node_count, node._holes, node._fv) == before
+
+
+def test_repr_keeps_the_dataclass_form():
+    assert repr(A.Seq(A.Var("x"), A.NIL)) == "Seq(first=Var(name='x'), second=NilLit())"
+    assert repr(A.call(A.ConstRef("Post"), "first")) == (
+        "MethodCall(receiver=ConstRef(name='Post'), name='first', args=())"
+    )
+
+
+# ---------------------------------------------------------------------------
 # Property-based tests
 # ---------------------------------------------------------------------------
 
 _leaves = st.sampled_from(
-    [A.NIL, A.TRUE, A.FALSE, A.IntLit(1), A.StrLit("s"), A.Var("x"),
+    [A.NIL, A.TRUE, A.FALSE, A.IntLit(1), A.StrLit("s"), A.Var("x"), A.Var("v"),
      A.TypedHole(T.STRING), A.EffectHole(Effect.of("Post")), A.ConstRef("Post")]
 )
 
@@ -208,6 +267,7 @@ def _exprs(depth=3):
         ),
         sub.map(A.Not),
         st.tuples(sub, sub).map(lambda p: A.Or(*p)),
+        sub.map(lambda body: A.MethodDef("m", ("v",), body)),
     )
 
 
@@ -226,6 +286,8 @@ def _reference_replace(node, path, replacement):
         return A.HashLit(tuple((key, kid) for (key, _), kid in zip(node.entries, kids)))
     if isinstance(node, A.Let):
         return A.Let(node.var, *kids)
+    if isinstance(node, A.MethodDef):
+        return A.MethodDef(node.name, node.params, *kids)
     return type(node)(*kids)  # Seq, If, Not, Or
 
 
@@ -245,6 +307,13 @@ def test_construction_time_fields_agree_with_traversals(expr):
     assert A.count_holes(expr) == _walked_holes(expr)
     assert A.has_holes(expr) == (_walked_holes(expr) > 0)
     assert A.first_hole(expr) == next(A.iter_holes(expr), None)
+
+
+@given(_exprs())
+@settings(max_examples=80, deadline=None)
+def test_fv_agrees_with_the_free_variables_walk(expr):
+    for node in A.walk(expr):
+        assert node._fv == tuple(sorted(A.free_variables(node)))
 
 
 @given(_exprs())

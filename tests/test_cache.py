@@ -95,18 +95,8 @@ FIRST_USER = A.call(A.ConstRef("User"), "first")
 
 
 # ---------------------------------------------------------------------------
-# Work-list dedup and AST metadata memoization
+# Work-list dedup
 # ---------------------------------------------------------------------------
-
-
-def test_first_hole_is_memoized_per_node():
-    expr = A.Seq(A.TypedHole(T.BOOL), A.NIL)
-    first = A.first_hole(expr)
-    assert first is A.first_hole(expr)  # second call hits the memo
-    assert first.hole == A.TypedHole(T.BOOL)
-    hole_free = A.Seq(A.IntLit(1), A.IntLit(2))
-    assert A.first_hole(hole_free) is None
-    assert A.first_hole(hole_free) is None  # memoized None, still None
 
 
 def test_worklist_deduplicates_pushed_candidates():

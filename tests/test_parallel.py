@@ -270,13 +270,13 @@ def test_ast_memo_slots_are_dropped_on_pickle(orm_class_table):
     """Per-node memos must never cross process boundaries.
 
     ASTs cross the process boundary by pickle (a cell's program comes back
-    from its worker); a type, footprint or free-variable memo smuggled
+    from its worker); a type, footprint or alpha-key memo smuggled
     through would at best be stale (keyed by the sender's class table
     generation) and at worst unpicklable, and a transported hash is
     wrong under another string-hash seed.  ``Node.__reduce__`` rebuilds every
-    node through its constructor, so only the dataclass fields travel: the
-    memos are dropped and the construction-time fields are recomputed on the
-    receiving side.
+    node through its constructor, so only the fields travel: the memo slots
+    arrive empty and the construction-time fields (``_fv`` included) are
+    recomputed on the receiving side.
     """
 
     import pickle
@@ -284,36 +284,35 @@ def test_ast_memo_slots_are_dropped_on_pickle(orm_class_table):
     from repro.analysis.footprint import footprint
     from repro.lang import ast as A
     from repro.lang import types as T
-    from repro.lang.resolve import alpha_key, free_var_tuple
+    from repro.lang.resolve import alpha_key
     from repro.typesys.typecheck import check_expr
 
     def build():
         return A.Let("v", A.IntLit(5), A.call(A.Var("v"), "+", A.IntLit(1)))
 
     expr = build()
-    # Populate every per-node memo the engine writes.
+    # Fill every memo slot the engine writes, on every compound node.
     check_expr(expr, {}, orm_class_table)
     footprint(expr, {}, orm_class_table)
-    A.free_vars(expr)
-    free_var_tuple(expr)
     alpha_key(expr)
-    A.first_hole(expr)
-    memos = ("_type_memo", "_fp_memo", "_free_vars", "_fv_tuple", "_alpha_memo",
-             "_first_hole")
-    assert all(memo in expr.__dict__ for memo in memos)
+    memos = ("_type_memo", "_fp_memo", "_alpha_memo")
+    compound = [node for node in A.walk(expr) if isinstance(node, A.Compound)]
+    assert len(compound) == 2
+    for node in compound:
+        assert all(getattr(node, memo, None) for memo in memos)
 
     payload = pickle.dumps(expr)
     revived = pickle.loads(payload)
     for node in A.walk(revived):
-        carried = [memo for memo in memos if memo in node.__dict__]
+        carried = [memo for memo in memos if getattr(node, memo, None) is not None]
         assert carried == [], f"pickled node carries memos: {carried}"
     # Construction-time fields are recomputed, not transported: their names
     # never appear in the payload, and they match a fresh build's.
-    for name in ("_hash", "_node_count", "_holes") + memos:
+    for name in ("_hash", "_node_count", "_holes", "_fv") + memos:
         assert name.encode() not in payload
     fresh = build()
-    assert (revived._hash, revived._node_count, revived._holes) == (
-        fresh._hash, fresh._node_count, fresh._holes
+    assert (revived._hash, revived._node_count, revived._holes, revived._fv) == (
+        fresh._hash, fresh._node_count, fresh._holes, fresh._fv
     )
 
     # The revived tree is fully usable: it evaluates and typechecks.

@@ -30,6 +30,7 @@ from repro.benchmarks.scale import (
     seed_scale_users,
 )
 from repro.synth.config import SynthConfig
+from repro.synth.goal import evaluate_spec
 from repro.synth.session import SynthesisSession
 
 #: Row count for the (fast) scale-tier synthesis tests; crank up with the
@@ -493,22 +494,38 @@ def test_relation_count_is_no_copy(monkeypatch):
 
 
 @pytest.mark.slow
-def test_synthesis_identical_with_indexing_off_and_on():
-    programs = {}
+def _spec_effect_logs(problem, program) -> list:
+    """Each spec's captured read/write effect log when ``program`` runs it."""
+
+    manager = problem.state_manager()
+    logs = []
+    for spec in problem.specs:
+        with effect_capture() as log:
+            evaluate_spec(problem, program, spec, state=manager)
+        logs.append(f"{spec.name}: <read: {log.read}, write: {log.write}>")
+    return logs
+
+
+@pytest.mark.parametrize("benchmark_id", ["S3", "S4", "A8"])
+def test_synthesis_identical_with_indexing_off_and_on(benchmark_id):
+    programs, effect_logs = {}, {}
     previous = default_indexing()
     try:
         for indexing in (False, True):
             set_default_indexing(indexing)
-            benchmark = get_benchmark("S4")
+            benchmark = get_benchmark(benchmark_id)
             problem = benchmark.build()
             config = benchmark.make_config(SynthConfig())
             with SynthesisSession(config) as session:
                 result = session.run(problem)
             assert result.success
             programs[indexing] = result.program
+            effect_logs[indexing] = _spec_effect_logs(problem, result.program)
     finally:
         set_default_indexing(previous)
     assert programs[False] == programs[True]
+    assert effect_logs[False] == effect_logs[True]
+    assert len(effect_logs[True]) == len(problem.specs) > 0
 
 
 @pytest.mark.slow

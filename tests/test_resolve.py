@@ -4,7 +4,7 @@ The resolver's two products -- sorted free-variable tuples and De Bruijn
 alpha keys -- are the keys every env-sensitive memo in the engine shares, so
 their contracts are pinned here directly: ordering and memoization of
 ``free_var_tuple``, alpha-equivalence (and its limits) for ``alpha_key``, and
-the pickle behavior of the underscore memo slots.
+the pickle behavior of the memo slots.
 """
 
 from __future__ import annotations
@@ -42,20 +42,20 @@ def test_free_var_tuple_excludes_bound_names():
 
 def test_free_var_tuple_matches_free_vars_set():
     expr = A.If(A.Var("c"), _let("x", A.Var("a"), A.Var("x")), A.Var("b"))
-    assert free_var_tuple(expr) == tuple(sorted(A.free_vars(expr)))
+    assert free_var_tuple(expr) == tuple(sorted(A.free_variables(expr)))
 
 
 def test_free_var_tuple_is_memoized_per_node():
+    # Computed once, at construction: the tuple is the node's ``_fv``.
     expr = A.call(A.Var("a"), "+", A.Var("b"))
-    first = free_var_tuple(expr)
-    assert expr.__dict__["_fv_tuple"] is first
-    assert free_var_tuple(expr) is first
+    assert free_var_tuple(expr) is expr._fv
+    assert free_var_tuple(expr) is free_var_tuple(expr)
 
 
 def test_method_def_body_free_vars_name_the_params():
-    # ``free_vars`` is an *expression* primitive: a MethodDef's params are
-    # frame bindings supplied by ``call_program``, so they appear free in
-    # the body's tuple -- which is exactly the scope the interpreter runs under.
+    # ``free_var_tuple`` is an *expression* primitive: a MethodDef's params
+    # are bindings supplied by ``call_program``, so they appear free in the
+    # body's tuple (only those the body uses).
     program = A.MethodDef(
         "m", ("arg0", "arg1"), A.call(A.Var("arg0"), "+", A.Var("stray"))
     )
@@ -127,13 +127,15 @@ def test_alpha_key_memo_is_context_keyed():
 
 def test_resolver_memos_dropped_on_pickle():
     expr = _let("v", A.Var("free"), A.call(A.Var("v"), "+", A.Var("free")))
-    free_var_tuple(expr)
+    compound = [node for node in A.walk(expr) if isinstance(node, A.Compound)]
     alpha_key(expr)
-    assert "_fv_tuple" in expr.__dict__
-    assert "_alpha_memo" in expr.__dict__
-    revived = pickle.loads(pickle.dumps(expr))
-    assert "_fv_tuple" not in revived.__dict__
-    assert "_alpha_memo" not in revived.__dict__
+    assert all(node._alpha_memo for node in compound)
+    payload = pickle.dumps(expr)
+    revived = pickle.loads(payload)
+    for node in A.walk(revived):
+        assert getattr(node, "_alpha_memo", None) is None
+    # ``_fv`` is recomputed at construction, not transported.
+    assert b"_fv" not in payload and b"_alpha_memo" not in payload
     # Recomputation on the far side is deterministic.
-    assert free_var_tuple(revived) == free_var_tuple(expr)
+    assert free_var_tuple(revived) == free_var_tuple(expr) == ("free",)
     assert alpha_key(revived) == alpha_key(expr)
