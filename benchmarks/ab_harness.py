@@ -10,11 +10,6 @@ schema validation and the CLI (``--benchmarks``/``--timeout``/``--out``/
 place.  Each gate supplies its ``run`` (one synthesis run, returning its
 counter section plus the ``_program``/``_text`` carriers) and ``diff``
 (the subsystem-specific comparison fields, including ``meets_target``).
-
-``--store PATH`` threads a persistent spec-outcome store
-(:mod:`repro.synth.store`) into the subsystem-on runs of gates that support
-it, and ``--check --min-store-hits N`` gates on the store actually being
-hit -- the CI store-persistence check's second pass.
 """
 
 from __future__ import annotations
@@ -26,17 +21,15 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Entry keys every gate's report shares (the section keys and any
 #: subsystem-specific fields are added per harness).
 _BASE_ENTRY_KEYS = frozenset({"id", "programs_identical", "program", "meets_target"})
 
-#: (benchmark_id, timeout_s, enabled, store_path) -> run section, carrying
-#: the synthesized program under ``_program`` and its text under ``_text``.
-#: ``store_path`` is the persistent spec-outcome store to use (or ``None``);
-#: gates that do not support it simply ignore it.
-RunFn = Callable[[str, float, bool, Optional[str]], Dict[str, object]]
+#: (benchmark_id, timeout_s, enabled) -> run section, carrying the
+#: synthesized program under ``_program`` and its text under ``_text``.
+RunFn = Callable[[str, float, bool], Dict[str, object]]
 
 #: (off_section, on_section, programs_identical) -> extra entry fields,
 #: which must include ``meets_target``.
@@ -85,20 +78,12 @@ class ABHarness:
     # ------------------------------------------------------------------ report
 
     def compare_benchmark(
-        self,
-        benchmark_id: str,
-        timeout_s: float,
-        store_path: Optional[str] = None,
+        self, benchmark_id: str, timeout_s: float
     ) -> Dict[str, object]:
-        """Run one benchmark subsystem-off then -on and diff the counters.
+        """Run one benchmark subsystem-off then -on and diff the counters."""
 
-        ``store_path`` (if the gate supports it) attaches a persistent
-        spec-outcome store to the subsystem-on run only: the off run is the
-        measurement baseline and must execute everything.
-        """
-
-        off = self.run(benchmark_id, timeout_s, False, None)
-        on = self.run(benchmark_id, timeout_s, True, store_path)
+        off = self.run(benchmark_id, timeout_s, False)
+        on = self.run(benchmark_id, timeout_s, True)
         program_off = off.pop("_program")
         text_off = off.pop("_text")
         program_on = on.pop("_program")
@@ -126,30 +111,19 @@ class ABHarness:
         return entry
 
     def build_report(
-        self,
-        benchmark_ids: Sequence[str],
-        timeout_s: float,
-        store_path: Optional[str] = None,
+        self, benchmark_ids: Sequence[str], timeout_s: float
     ) -> Dict[str, object]:
-        entries = [
-            self.compare_benchmark(bid, timeout_s, store_path)
-            for bid in benchmark_ids
-        ]
+        entries = [self.compare_benchmark(bid, timeout_s) for bid in benchmark_ids]
         meeting = sum(1 for e in entries if e["meets_target"])
-        store_hits = sum(
-            int(e[f"{self.section_prefix}_on"].get("store_hits", 0)) for e in entries
-        )
         return {
             "schema_version": SCHEMA_VERSION,
             "generated_by": self.generated_by,
             "timeout_s": timeout_s,
-            "store": store_path,
             "benchmarks": entries,
             "summary": {
                 "benchmarks_run": len(entries),
                 "benchmarks_meeting_target": meeting,
                 "all_programs_identical": all(e["programs_identical"] for e in entries),
-                "store_hits": store_hits,
                 "target": self.target,
             },
         }
@@ -207,19 +181,6 @@ class ABHarness:
             help=f"benchmarks that must meet the {self.ok_noun}",
         )
         parser.add_argument(
-            "--store",
-            help="persistent spec-outcome store path attached to the "
-            "subsystem-on runs (populated on the first run, hit afterwards)",
-        )
-        parser.add_argument(
-            "--min-store-hits",
-            type=int,
-            default=0,
-            help="with --check, require at least this many persistent-store "
-            "hits summed over the subsystem-on runs (the store-persistence "
-            "gate's second pass)",
-        )
-        parser.add_argument(
             "--check",
             action="store_true",
             help="exit non-zero unless the schema validates and the target is met",
@@ -227,7 +188,7 @@ class ABHarness:
         args = parser.parse_args(argv)
 
         try:
-            report = self.build_report(args.benchmarks, args.timeout, args.store)
+            report = self.build_report(args.benchmarks, args.timeout)
         except KeyError as error:
             print(f"error: {error.args[0]}", file=sys.stderr)
             return 2
@@ -254,20 +215,11 @@ class ABHarness:
                     file=sys.stderr,
                 )
                 return 1
-            store_hits = int(report["summary"].get("store_hits", 0))
-            if store_hits < args.min_store_hits:
-                print(
-                    f"FAIL: only {store_hits} persistent-store hits "
-                    f"(need {args.min_store_hits}); is the store populated?",
-                    file=sys.stderr,
-                )
-                return 1
             if errors:
                 return 1
             print(
                 f"OK: {meeting}/{report['summary']['benchmarks_run']} benchmarks met "
-                f"the {self.ok_noun}; programs identical"
-                + (f"; {store_hits} store hits" if args.store else ""),
+                f"the {self.ok_noun}; programs identical",
                 file=sys.stderr,
             )
         return 0

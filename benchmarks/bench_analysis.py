@@ -45,7 +45,6 @@ for _path in (_SRC, _HERE):
 from ab_harness import ABHarness, SCHEMA_VERSION  # noqa: E402,F401
 from repro.benchmarks import get_benchmark, run_benchmark  # noqa: E402
 from repro.synth.config import SynthConfig  # noqa: E402
-from repro.synth.session import SynthesisSession  # noqa: E402
 
 #: Effectful multi-spec cells where both analysis fast-paths fire: S-Eff
 #: wrap fills give the pruner normal-form hits and write-pure candidates
@@ -68,16 +67,10 @@ _RUN_KEYS = frozenset(
 )
 
 
-def _run(
-    benchmark_id: str,
-    timeout_s: float,
-    enabled: bool,
-    store_path: Optional[str] = None,
-) -> Dict[str, object]:
+def _run(benchmark_id: str, timeout_s: float, enabled: bool) -> Dict[str, object]:
     benchmark = get_benchmark(benchmark_id)
     config = SynthConfig.full(timeout_s=timeout_s, static_pruning=enabled)
-    with SynthesisSession(config, store=store_path if enabled else None) as session:
-        result = run_benchmark(benchmark, config, runs=1, session=session)
+    result = run_benchmark(benchmark, config, runs=1)
     # Restores are counted whether or not the purity fast-path elided them
     # (pure_skips is a subset marker), so the restores actually executed are
     # the difference; with the analysis off no skip ever happens.
@@ -136,20 +129,12 @@ HARNESS = ABHarness(
 )
 
 
-def compare_benchmark(
-    benchmark_id: str,
-    timeout_s: float,
-    store_path: Optional[str] = None,
-) -> Dict[str, object]:
-    return HARNESS.compare_benchmark(benchmark_id, timeout_s, store_path)
+def compare_benchmark(benchmark_id: str, timeout_s: float) -> Dict[str, object]:
+    return HARNESS.compare_benchmark(benchmark_id, timeout_s)
 
 
-def build_report(
-    benchmark_ids: Sequence[str],
-    timeout_s: float,
-    store_path: Optional[str] = None,
-) -> Dict[str, object]:
-    return HARNESS.build_report(benchmark_ids, timeout_s, store_path)
+def build_report(benchmark_ids: Sequence[str], timeout_s: float) -> Dict[str, object]:
+    return HARNESS.build_report(benchmark_ids, timeout_s)
 
 
 def validate_report(report: Dict[str, object]) -> List[str]:

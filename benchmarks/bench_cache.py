@@ -22,18 +22,10 @@ is a >= 2x reduction in redundant spec executions on at least
 The report/CLI plumbing shared with ``bench_state.py`` lives in
 :mod:`ab_harness`.
 
-With ``--store PATH`` the cache-on runs additionally carry a persistent
-spec-outcome store (:mod:`repro.synth.store`): the first invocation
-populates it and later invocations answer executions from it across
-processes, reported as ``store_hits``.  ``--check --min-store-hits 1`` is
-the CI store-persistence gate's second pass: against a populated store it
-must see >= 1 store hit while still synthesizing identical programs.
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_cache.py --out cache_report.json
     PYTHONPATH=src python benchmarks/bench_cache.py --check   # CI smoke
-    PYTHONPATH=src python benchmarks/bench_cache.py --store outcomes.sqlite --check
 """
 
 from __future__ import annotations
@@ -51,7 +43,6 @@ for _path in (_SRC, _HERE):
 from ab_harness import ABHarness, SCHEMA_VERSION  # noqa: E402,F401
 from repro.benchmarks import get_benchmark, run_benchmark  # noqa: E402
 from repro.synth.config import SynthConfig  # noqa: E402
-from repro.synth.session import SynthesisSession  # noqa: E402
 
 #: Fast multi-spec registry benchmarks: enough reuse/merge activity to show
 #: redundancy, cheap enough for a CI smoke run.
@@ -65,26 +56,16 @@ _RUN_KEYS = frozenset(
         "executions",
         "redundant_executions",
         "cache_hits",
-        "store_hits",
     }
 )
 
 
-def _run(
-    benchmark_id: str,
-    timeout_s: float,
-    cached: bool,
-    store_path: Optional[str] = None,
-) -> Dict[str, object]:
+def _run(benchmark_id: str, timeout_s: float, cached: bool) -> Dict[str, object]:
     benchmark = get_benchmark(benchmark_id)
     config = SynthConfig.full(timeout_s=timeout_s, cache_spec_outcomes=cached)
-    # Only the cache-on run may consult the persistent store (the off run is
-    # the baseline and must execute everything); the session flushes it.
-    with SynthesisSession(config, store=store_path if cached else None) as session:
-        result = run_benchmark(benchmark, config, runs=1, session=session)
+    result = run_benchmark(benchmark, config, runs=1)
     # A disabled cache executes every lookup (misses AND redundant ones);
-    # an enabled cache executes only the misses (store hits never execute
-    # and are excluded from the miss counter).
+    # an enabled cache executes only the misses.
     c = result.counters
     misses = c["cache.spec_misses"] + c["cache.guard_misses"]
     redundant = c["cache.spec_redundant"] + c["cache.guard_redundant"]
@@ -94,7 +75,6 @@ def _run(
         "executions": misses + (0 if cached else redundant),
         "redundant_executions": redundant if not cached else 0,
         "cache_hits": c["cache.spec_hits"] + c["cache.guard_hits"],
-        "store_hits": c["cache.store_hits"],
         "_program": result.last_result.program,
         "_text": result.program_text,
     }
@@ -140,20 +120,12 @@ HARNESS = ABHarness(
 )
 
 
-def compare_benchmark(
-    benchmark_id: str,
-    timeout_s: float,
-    store_path: Optional[str] = None,
-) -> Dict[str, object]:
-    return HARNESS.compare_benchmark(benchmark_id, timeout_s, store_path)
+def compare_benchmark(benchmark_id: str, timeout_s: float) -> Dict[str, object]:
+    return HARNESS.compare_benchmark(benchmark_id, timeout_s)
 
 
-def build_report(
-    benchmark_ids: Sequence[str],
-    timeout_s: float,
-    store_path: Optional[str] = None,
-) -> Dict[str, object]:
-    return HARNESS.build_report(benchmark_ids, timeout_s, store_path)
+def build_report(benchmark_ids: Sequence[str], timeout_s: float) -> Dict[str, object]:
+    return HARNESS.build_report(benchmark_ids, timeout_s)
 
 
 def validate_report(report: Dict[str, object]) -> List[str]:

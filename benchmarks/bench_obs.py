@@ -25,7 +25,7 @@ Two claims keep the ``repro.obs`` instrumentation honest:
 Both claims fold into ``meets_target``; ``--check`` (used by
 ``scripts/ci.sh``) exits non-zero unless every selected benchmark passes.
 The report/CLI plumbing shared with the other gates lives in
-:mod:`ab_harness`; the persistent-store options are accepted but unused.
+:mod:`ab_harness`.
 
 Usage::
 
@@ -150,12 +150,7 @@ def _validate_trace(benchmark_id: str, config: SynthConfig) -> Dict[str, object]
             os.unlink(path)
 
 
-def _run(
-    benchmark_id: str,
-    timeout_s: float,
-    enabled: bool,
-    store_path: Optional[str] = None,
-) -> Dict[str, object]:
+def _run(benchmark_id: str, timeout_s: float, enabled: bool) -> Dict[str, object]:
     benchmark = get_benchmark(benchmark_id)
     problem = benchmark.build()
     config = benchmark.make_config(SynthConfig(timeout_s=timeout_s))
@@ -289,20 +284,12 @@ HARNESS = ABHarness(
 )
 
 
-def compare_benchmark(
-    benchmark_id: str,
-    timeout_s: float,
-    store_path: Optional[str] = None,
-) -> Dict[str, object]:
-    return HARNESS.compare_benchmark(benchmark_id, timeout_s, store_path)
+def compare_benchmark(benchmark_id: str, timeout_s: float) -> Dict[str, object]:
+    return HARNESS.compare_benchmark(benchmark_id, timeout_s)
 
 
-def build_report(
-    benchmark_ids: Sequence[str],
-    timeout_s: float,
-    store_path: Optional[str] = None,
-) -> Dict[str, object]:
-    return HARNESS.build_report(benchmark_ids, timeout_s, store_path)
+def build_report(benchmark_ids: Sequence[str], timeout_s: float) -> Dict[str, object]:
+    return HARNESS.build_report(benchmark_ids, timeout_s)
 
 
 def validate_report(report: Dict[str, object]) -> List[str]:

@@ -24,8 +24,7 @@ benchmarks with identical results, effects and programs everywhere, plus a
 seeded scale-tier synthesis smoke (``--scale-rows``, default 20000): the
 S3/S4 query shapes must synthesize against a production-sized table with
 ``index_hits > 0``.  The report/CLI plumbing is shared with the other
-gates via :mod:`ab_harness`; the persistent-store options are accepted but
-unused here.
+gates via :mod:`ab_harness`.
 
 Usage::
 
@@ -191,12 +190,7 @@ def _effect_signature(problem, program) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def _run(
-    benchmark_id: str,
-    timeout_s: float,
-    enabled: bool,
-    store_path: Optional[str] = None,
-) -> Dict[str, object]:
+def _run(benchmark_id: str, timeout_s: float, enabled: bool) -> Dict[str, object]:
     previous = default_indexing()
     set_default_indexing(enabled)
     try:
@@ -279,20 +273,12 @@ HARNESS = ABHarness(
 )
 
 
-def compare_benchmark(
-    benchmark_id: str,
-    timeout_s: float,
-    store_path: Optional[str] = None,
-) -> Dict[str, object]:
-    return HARNESS.compare_benchmark(benchmark_id, timeout_s, store_path)
+def compare_benchmark(benchmark_id: str, timeout_s: float) -> Dict[str, object]:
+    return HARNESS.compare_benchmark(benchmark_id, timeout_s)
 
 
-def build_report(
-    benchmark_ids: Sequence[str],
-    timeout_s: float,
-    store_path: Optional[str] = None,
-) -> Dict[str, object]:
-    return HARNESS.build_report(benchmark_ids, timeout_s, store_path)
+def build_report(benchmark_ids: Sequence[str], timeout_s: float) -> Dict[str, object]:
+    return HARNESS.build_report(benchmark_ids, timeout_s)
 
 
 def validate_report(report: Dict[str, object]) -> List[str]:

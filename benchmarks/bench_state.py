@@ -63,15 +63,7 @@ _RUN_KEYS = frozenset(
 )
 
 
-def _run(
-    benchmark_id: str,
-    timeout_s: float,
-    snapshots: bool,
-    store_path: Optional[str] = None,
-) -> Dict[str, object]:
-    # ``store_path`` is ignored: this gate measures state-rebuild work, and
-    # a store would let the on-run skip executions (and their restores)
-    # entirely, measuring the store instead of the snapshot subsystem.
+def _run(benchmark_id: str, timeout_s: float, snapshots: bool) -> Dict[str, object]:
     benchmark = get_benchmark(benchmark_id)
     config = SynthConfig.full(timeout_s=timeout_s, snapshot_state=snapshots)
     result = run_benchmark(benchmark, config, runs=1)
@@ -131,20 +123,12 @@ HARNESS = ABHarness(
 )
 
 
-def compare_benchmark(
-    benchmark_id: str,
-    timeout_s: float,
-    store_path: Optional[str] = None,
-) -> Dict[str, object]:
-    return HARNESS.compare_benchmark(benchmark_id, timeout_s, store_path)
+def compare_benchmark(benchmark_id: str, timeout_s: float) -> Dict[str, object]:
+    return HARNESS.compare_benchmark(benchmark_id, timeout_s)
 
 
-def build_report(
-    benchmark_ids: Sequence[str],
-    timeout_s: float,
-    store_path: Optional[str] = None,
-) -> Dict[str, object]:
-    return HARNESS.build_report(benchmark_ids, timeout_s, store_path)
+def build_report(benchmark_ids: Sequence[str], timeout_s: float) -> Dict[str, object]:
+    return HARNESS.build_report(benchmark_ids, timeout_s)
 
 
 def validate_report(report: Dict[str, object]) -> List[str]:

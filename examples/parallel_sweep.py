@@ -3,9 +3,8 @@
 Every ``(benchmark, variant)`` cell of a sweep is an independent synthesis
 run, so a :class:`~repro.synth.session.SynthesisSession` can own a worker
 pool (:mod:`repro.synth.parallel`) and run whole cells in it without
-changing any result.  Each cell is a serial run inside its worker.  Workers
-share outcomes through a concurrent-safe SQLite spec-outcome store, so a
-later process answers everything from disk.
+changing any result.  Each cell is a serial run inside its worker, so the
+pool synthesizes exactly the programs a serial sweep does.
 
 Run with::
 
@@ -14,22 +13,17 @@ Run with::
 
 from __future__ import annotations
 
-import os
-import tempfile
-
 from repro.synth import SynthConfig, SynthesisSession
 
 BENCHMARKS = ["S1", "S4", "S5"]
 
 
 def main() -> None:
-    store_path = os.path.join(tempfile.mkdtemp(), "outcomes.sqlite")
     config = SynthConfig(timeout_s=60)
 
     # A session with `parallel=2` owns a two-worker pool, and `sweep` runs
-    # whole cells in it.  The synthesized programs are identical to a
-    # serial sweep's.
-    with SynthesisSession(config, store=store_path, parallel=2) as session:
+    # whole cells in it.
+    with SynthesisSession(config, parallel=2) as session:
         entries = session.sweep(BENCHMARKS)
         print(f"{len(entries)} cells across 2 workers:")
         for entry in entries:
@@ -38,14 +32,13 @@ def main() -> None:
         print()
         print(entries[1].result.pretty())
 
-    # The SQLite store outlives the pool: a fresh (serial) session answers
-    # spec evaluations from disk instead of re-executing them.
-    with SynthesisSession(config, store=store_path) as fresh:
-        again = fresh.run("S4")
-    print(
-        f"\nfresh process re-ran S4 with {again.counters['cache.store_hits']} "
-        f"store hits and {again.counters['search.reset_replays']} resets"
-    )
+    # The same sweep, serially in this process.
+    with SynthesisSession(config) as serial:
+        expected = serial.sweep(BENCHMARKS)
+    identical = [e.result.program for e in entries] == [
+        e.result.program for e in expected
+    ]
+    print(f"\nprograms identical to serial: {identical}")
 
 
 if __name__ == "__main__":

@@ -9,8 +9,7 @@ the synthesizer for a ``user_exists`` method::
     end
 
 and runs it through a :class:`~repro.synth.session.SynthesisSession`, the
-engine object that owns the evaluation memo and state snapshots (and, with
-``store=...``, a persistent spec-outcome store).
+engine object that owns the evaluation memo and state snapshots.
 
 Run with::
 

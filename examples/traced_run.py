@@ -2,8 +2,8 @@
 
 Setting ``SynthConfig.trace_path`` (or the ``REPRO_TRACE`` environment
 variable) makes the session write a JSONL trace of the whole pipeline --
-phases, per-spec searches, guard synthesis, spec evaluations, snapshot
-restores and store traffic -- through :mod:`repro.obs.trace`.  Every run
+phases, per-spec searches, guard synthesis, spec evaluations and snapshot
+restores -- through :mod:`repro.obs.trace`.  Every run
 also carries its counters (``result.counters``) and a metrics snapshot
 (:mod:`repro.obs.metrics`) on ``result.metrics``, and :mod:`repro.obs.tool`
 turns the trace into a per-phase profile or a Chrome trace-event file.

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Lightweight CI gate: tier-1 tests, the program- and counter-identity
-# gates, the cache-, state-, store- and parallel-bench smokes, and the
+# gates, the cache-, state- and parallel-bench smokes, and the
 # static-analysis, ORM and observability gates.
 #
 #   scripts/ci.sh            # tier-1 pytest + bench --check gates
@@ -15,11 +15,6 @@
 # unless >= 3 benchmarks meet the subsystem's >= 2x reduction target
 # (redundant spec executions for the cache, reset-closure replays for the
 # state snapshots) with identical synthesized programs.
-#
-# The store-persistence gate then runs bench_cache twice more against one
-# persistent SQLite spec-outcome store (repro.synth.store): the first pass
-# populates it, the second pass -- a separate process -- must answer >= 1
-# spec execution from the store while still synthesizing identical programs.
 #
 # The parallel gates exercise repro.synth.parallel: a --jobs 2 smoke over a
 # small registry subset gated purely on program identity with the serial
@@ -91,26 +86,6 @@ python benchmarks/bench_state.py \
     --min-benchmarks 3 \
     --check
 
-echo "== store persistence gate =="
-STORE_DB="${CI_STORE_DB:-bench_outcome_store.sqlite}"
-STORE_REPORT="${CI_STORE_REPORT:-bench_store_report.json}"
-rm -f "$STORE_DB" "$STORE_DB-wal" "$STORE_DB-shm"
-# Pass 1 populates the store; pass 2 (a fresh process) must hit it.
-python benchmarks/bench_cache.py \
-    --benchmarks S1 S4 \
-    --timeout "${REPRO_BENCH_TIMEOUT:-60}" \
-    --store "$STORE_DB" \
-    --min-benchmarks 2 \
-    --check > /dev/null
-python benchmarks/bench_cache.py \
-    --benchmarks S1 S4 \
-    --timeout "${REPRO_BENCH_TIMEOUT:-60}" \
-    --store "$STORE_DB" \
-    --out "$STORE_REPORT" \
-    --min-benchmarks 2 \
-    --min-store-hits 1 \
-    --check
-
 echo "== parallel identity smoke (--jobs 2) =="
 python benchmarks/bench_parallel.py \
     --benchmarks S1 S4 S5 \
@@ -160,4 +135,4 @@ python benchmarks/bench_obs.py \
     --min-benchmarks 3 \
     --check
 
-echo "== ok: reports at $REPORT, $STATE_REPORT, $STORE_REPORT, $PARALLEL_REPORT, $ANALYSIS_REPORT, $ORM_REPORT and $OBS_REPORT =="
+echo "== ok: reports at $REPORT, $STATE_REPORT, $PARALLEL_REPORT, $ANALYSIS_REPORT, $ORM_REPORT and $OBS_REPORT =="

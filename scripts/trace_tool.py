@@ -6,8 +6,7 @@ Two subcommands:
 ``summarize PATH``
     Per-phase breakdown under the root ``session.run`` span (with the
     coverage fraction the CI gate checks), aggregate span totals, the
-    top-N slowest per-spec searches and the memo/store hit-ratio
-    timeline.  ``--json`` prints the raw summary dict instead of the
+    top-N slowest per-spec searches and the memo hit-ratio timeline.  ``--json`` prints the raw summary dict instead of the
     human-readable rendering.
 
 ``export-chrome PATH``

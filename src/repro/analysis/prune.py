@@ -77,7 +77,7 @@ class StaticPruner:
     def __init__(
         self, problem: "SynthesisProblem", counters: Optional[Counters] = None
     ) -> None:
-        self.env = dict(problem.param_env)
+        self.env = problem.param_env
         self.ct = problem.class_table
         self.counters = counters
         self._outcomes: Dict[Hashable, "SpecOutcome"] = {}

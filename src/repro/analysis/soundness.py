@@ -86,7 +86,7 @@ def check_expr_against_specs(
     from repro.synth.goal import evaluate_spec
 
     static_pair = footprint(
-        expr, dict(problem.param_env), problem.class_table
+        expr, problem.param_env, problem.class_table
     )
     ct = problem.class_table
     violations: List[SoundnessViolation] = []

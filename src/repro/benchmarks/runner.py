@@ -1,11 +1,10 @@
 """Running benchmarks and collecting the metrics Table 1 reports.
 
 Built on :class:`repro.synth.session.SynthesisSession`: a warm
-``run_benchmark`` shares one session (evaluation memo, snapshot recordings
-and, when the caller provides a session with one, the persistent
-spec-outcome store) across its runs, while ``warm_state=False`` gives every
-run a freshly built problem inside a throwaway store-less session for fully
-isolated (cold) timing measurements.  A :class:`BenchmarkResult` sums its
+``run_benchmark`` shares one session (evaluation memo and snapshot
+recordings) across its runs, while ``warm_state=False`` gives every run a
+freshly built problem inside a throwaway session for fully isolated (cold)
+timing measurements.  A :class:`BenchmarkResult` sums its
 runs' counters (``result.counters``, keyed ``layer.name``) with
 :meth:`~repro.obs.metrics.Counters.merge`.
 """
@@ -95,12 +94,11 @@ def run_benchmark(
 
     With ``warm_state`` (the default) the benchmark's problem (app substrate,
     class table, specs) is built once per session and the session's
-    evaluation memo, database snapshot manager and (if any) persistent store
-    are shared across the runs.  Passing an external
-    ``session`` extends that sharing across *calls* -- e.g. one session
-    carrying a populated spec-outcome store.  ``warm_state=False`` rebuilds
-    everything per run inside a throwaway store-less session for fully
-    isolated (cold) measurements; an external session is then ignored.
+    evaluation memo and database snapshot manager are shared across the
+    runs.  Passing an external ``session`` extends that sharing across
+    *calls*.  ``warm_state=False`` rebuilds everything per run inside a
+    throwaway session for fully isolated (cold) measurements; an external
+    session is then ignored.
     Per-benchmark config overrides (e.g. a larger size bound) are applied on
     top of ``config`` either way.
 

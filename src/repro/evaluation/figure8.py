@@ -14,7 +14,7 @@ recordings are shared (spec outcomes are memoized per precision, so no
 outcome crosses precision levels, but the candidate-independent setup
 recordings are replayed instead of rebuilt -- the session's warm precision
 variants).  Pass ``--cold`` (or ``warm=False``) for the legacy fully isolated
-cells, and ``--store`` to persist spec outcomes across sweep processes.
+cells.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ def run_figure8(
 
     With ``warm`` (the default) one session's snapshot recordings are shared
     across a benchmark's precision variants; pass an external ``session`` to
-    extend sharing (e.g. a persistent store) across calls.  ``jobs``
+    extend that sharing across calls.  ``jobs``
     distributes the cells over the session's worker pool (warm cells are
     then warm per worker; see :meth:`SynthesisSession.sweep`).
     """
@@ -101,11 +101,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "one warm session per benchmark",
     )
     parser.add_argument(
-        "--store",
-        help="persist spec outcomes to this SQLite store path "
-        "(e.g. outcomes.sqlite; created if missing)",
-    )
-    parser.add_argument(
         "--jobs",
         type=int,
         default=int(os.environ.get("REPRO_JOBS", 1)),
@@ -116,9 +111,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     benchmarks = all_benchmarks()
     if args.only:
         benchmarks = [b for b in benchmarks if b.id in set(args.only)]
-    with SynthesisSession(
-        SynthConfig.full(timeout_s=args.timeout), store=args.store
-    ) as session:
+    with SynthesisSession(SynthConfig.full(timeout_s=args.timeout)) as session:
         rows = run_figure8(
             benchmarks,
             timeout_s=args.timeout,

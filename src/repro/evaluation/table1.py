@@ -171,11 +171,11 @@ def run_table1(
         row.asserts_min, row.asserts_max = measure_assertions(benchmark)
 
         full_config = SynthConfig.full(timeout_s=timeout_s)
-        # Timing runs stay cold (warm_state=False, throwaway store-less
-        # sessions): sharing the memo and snapshot baseline across runs
-        # would let runs 2..n answer spec evaluations from run 1's warm
-        # state, deflating the median the table compares against the
-        # paper's isolated-run numbers.  Warm sharing still applies within
+        # Timing runs stay cold (warm_state=False, throwaway sessions):
+        # sharing the memo and snapshot baseline across runs would let
+        # runs 2..n answer spec evaluations from run 1's warm state,
+        # deflating the median the table compares against the paper's
+        # isolated-run numbers.  Warm sharing still applies within
         # each run and to the CI gates.
         result = run_benchmark(
             benchmark, full_config, runs=runs, warm_state=False, parallel=jobs

@@ -2,9 +2,9 @@
 
 Every unit of work the engine counts lives in one flat :class:`Counters`
 dict keyed ``layer.name`` -- ``search.expansions``, ``cache.spec_hits``,
-``state.restores``, ``query.index_hits``, ``store.writes``.  Each counter
-has exactly one owner, which declares its keys (at zero) and increments
-them where the work happens:
+``state.restores``, ``query.index_hits``.  Each counter has exactly one
+owner, which declares its keys (at zero) and increments them where the work
+happens:
 
 * ``search.*`` -- the run's search (a fresh ``Counters`` per run), except
   ``search.reset_replays``, which the problem counts;
@@ -12,13 +12,11 @@ them where the work happens:
 * ``state.*`` -- the snapshot manager
   (:class:`~repro.synth.state.StateManager`);
 * ``query.*`` -- the database's query planner
-  (:class:`~repro.activerecord.database.Database`);
-* ``store.*`` -- the persistent store
-  (:class:`~repro.synth.store.SpecOutcomeStore`).
+  (:class:`~repro.activerecord.database.Database`).
 
 ``docs/API.md`` ("Metrics") lists every key with its meaning.  The memo,
-snapshot manager, database, store and problem outlive a run, so a run
-reports their work as a :class:`Baseline` delta.  Counts from several runs
+snapshot manager, database and problem outlive a run, so a run reports their
+work as a :class:`Baseline` delta.  Counts from several runs
 (a benchmark's repetitions, wherever each ran) fold with
 :meth:`Counters.merge`.
 

@@ -122,12 +122,12 @@ def slowest_specs(events: List[dict], top: int = 10) -> List[dict]:
 
 
 def hit_ratio_timeline(events: List[dict], buckets: int = 10) -> List[dict]:
-    """Evaluation-source mix (memo/store/exec) over trace-time buckets.
+    """Evaluation-source mix (memo/exec) over trace-time buckets.
 
     Buckets the ``eval.spec``/``eval.guard`` spans by start time into
     ``buckets`` equal windows and reports, per window, how many
-    evaluations were answered by the in-memory memo, the persistent
-    store, or actually executed -- the cache/store hit ratio over time.
+    evaluations were answered by the memo or actually executed -- the memo
+    hit ratio over time.
     """
 
     evals = [
@@ -139,17 +139,16 @@ def hit_ratio_timeline(events: List[dict], buckets: int = 10) -> List[dict]:
     end = max(s["ts"] for s in evals)
     width = max((end - start) // buckets + 1, 1)
     timeline = [
-        {"bucket": i, "memo": 0, "store": 0, "exec": 0, "hit_ratio": 0.0}
+        {"bucket": i, "memo": 0, "exec": 0, "hit_ratio": 0.0}
         for i in range(buckets)
     ]
     for span in evals:
         index = min((span["ts"] - start) // width, buckets - 1)
-        src = span["attrs"].get("src", "exec")
         entry = timeline[index]
-        entry[src if src in ("memo", "store") else "exec"] += 1
+        entry["memo" if span["attrs"].get("src") == "memo" else "exec"] += 1
     for entry in timeline:
-        total = entry["memo"] + entry["store"] + entry["exec"]
-        entry["hit_ratio"] = (entry["memo"] + entry["store"]) / total if total else 0.0
+        total = entry["memo"] + entry["exec"]
+        entry["hit_ratio"] = entry["memo"] / total if total else 0.0
     return timeline
 
 
@@ -199,10 +198,10 @@ def format_summary(summary: Dict[str, Any]) -> str:
     timeline = summary["hit_ratio_timeline"]
     if timeline:
         lines.append("")
-        lines.append("eval source timeline (memo+store hit ratio per window):")
+        lines.append("eval source timeline (memo hit ratio per window):")
         for entry in timeline:
             lines.append(
-                f"  [{entry['bucket']}] memo={entry['memo']} store={entry['store']} "
+                f"  [{entry['bucket']}] memo={entry['memo']} "
                 f"exec={entry['exec']}  hit={entry['hit_ratio'] * 100:5.1f}%"
             )
     return "\n".join(lines)

@@ -19,8 +19,7 @@ The engine mirrors the three components of the paper's algorithm:
 The public entry point is :class:`~repro.synth.session.SynthesisSession`: a
 context-managed engine owning the evaluation memo
 (:mod:`repro.synth.cache`), the snapshot managers
-(:mod:`repro.synth.state`), the base config and an optional persistent
-spec-outcome store (:mod:`repro.synth.store`).  ``session.run`` synthesizes
+(:mod:`repro.synth.state`) and the base config.  ``session.run`` synthesizes
 one problem and ``session.sweep`` drives the evaluation harnesses; every
 result carries the run's counters (:class:`~repro.obs.metrics.Counters`,
 keyed ``layer.name``).  See ``docs/API.md``.
@@ -33,7 +32,6 @@ from repro.synth.goal import Spec, SpecContext, SynthesisProblem, evaluate_spec
 from repro.synth.parallel import ParallelExecutor
 from repro.synth.session import SweepEntry, SynthesisSession
 from repro.synth.state import NondeterministicSetupError, StateManager
-from repro.synth.store import SpecOutcomeStore
 from repro.synth.synthesizer import SynthesisResult, run_synthesis
 
 __all__ = [
@@ -46,7 +44,6 @@ __all__ = [
     "evaluate_spec",
     "NondeterministicSetupError",
     "StateManager",
-    "SpecOutcomeStore",
     "ParallelExecutor",
     "SweepEntry",
     "SynthesisSession",

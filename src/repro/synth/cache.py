@@ -26,13 +26,6 @@ A *disabled* cache (``SynthConfig(cache_spec_outcomes=False)``) still tracks
 which keys it has seen and counts the lookups that would have hit as
 ``redundant`` executions, which is how ``benchmarks/bench_cache.py`` measures
 the redundancy the memo removes without changing the disabled-path behavior.
-
-An enabled cache may additionally carry a persistent spec-outcome store
-(:mod:`repro.synth.store`, an SQLite file such as ``outcomes.sqlite`` owned
-by a :class:`~repro.synth.session.SynthesisSession`): in-memory misses fall
-back to the store's content-hash-keyed entries, which survive the process,
-and every executed outcome is written through.  Store hits skip the execution
-like memo hits do but are counted separately (``cache.store_hits``).
 """
 
 from __future__ import annotations
@@ -48,7 +41,6 @@ from repro.obs.metrics import Counters
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.synth.config import SynthConfig
     from repro.synth.goal import Spec, SpecOutcome, SynthesisProblem
-    from repro.synth.store import SpecOutcomeStore
 
 #: Default bound on memo entries; beyond it the least-recently-used entry
 #: is evicted (counted on ``cache.evictions``).
@@ -73,8 +65,6 @@ CACHE_COUNTERS = (
     "cache.guard_redundant",
     "cache.evictions",
     "cache.invalidations",
-    "cache.store_hits",
-    "cache.store_misses",
 )
 
 
@@ -92,7 +82,6 @@ class SynthCache:
         enabled: bool = True,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         track_redundancy: bool = True,
-        store: Optional["SpecOutcomeStore"] = None,
     ) -> None:
         self.enabled = enabled
         self.max_entries = max_entries
@@ -101,11 +90,6 @@ class SynthCache:
         #: ``track_redundancy=False`` a disabled cache is a true no-op
         #: baseline apart from incrementing the miss counter.
         self.track_redundancy = track_redundancy
-        #: Optional persistent spec-outcome store (:mod:`repro.synth.store`).
-        #: Consulted only on in-memory misses of an *enabled* cache -- a
-        #: disabled cache is a measurement baseline and must execute -- and
-        #: written through whenever an executed outcome is recorded.
-        self.store = store
         self.counters = Counters.fromkeys(CACHE_COUNTERS, 0)
         self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
 
@@ -162,15 +146,6 @@ class SynthCache:
         key = self._key("spec", problem, program, spec)
         entry = self._get(key)
         if entry is _MISSING:
-            if self.enabled and self.store is not None:
-                outcome = self.store.load_spec(problem, program, spec)
-                if outcome is not None:
-                    self.counters["cache.store_hits"] += 1
-                    self._put(key, outcome)
-                    if trace.TRACER.enabled:
-                        trace.TRACER.annotate(src="store")
-                    return outcome
-                self.counters["cache.store_misses"] += 1
             self.counters["cache.spec_misses"] += 1
             return None
         if not self.enabled:
@@ -188,8 +163,6 @@ class SynthCache:
         spec: "Spec",
         outcome: "SpecOutcome",
     ) -> None:
-        if self.enabled and self.store is not None:
-            self.store.save_spec(problem, program, spec, outcome)
         if not self.enabled and not self.track_redundancy:
             return
         key = self._key("spec", problem, program, spec)
@@ -212,17 +185,6 @@ class SynthCache:
         key = self._key("guard", problem, program, spec)
         entry = self._get(key)
         if entry is _MISSING:
-            if self.enabled and self.store is not None:
-                from repro.synth.store import STORE_MISS
-
-                truth = self.store.load_guard(problem, program, spec)
-                if truth is not STORE_MISS:
-                    self.counters["cache.store_hits"] += 1
-                    self._put(key, truth)
-                    if trace.TRACER.enabled:
-                        trace.TRACER.annotate(src="store")
-                    return truth
-                self.counters["cache.store_misses"] += 1
             self.counters["cache.guard_misses"] += 1
             return _MISSING
         if not self.enabled:
@@ -240,8 +202,6 @@ class SynthCache:
         spec: "Spec",
         truthiness: Optional[bool],
     ) -> None:
-        if self.enabled and self.store is not None:
-            self.store.save_guard(problem, program, spec, truthiness)
         if not self.enabled and not self.track_redundancy:
             return
         key = self._key("guard", problem, program, spec)
@@ -249,28 +209,10 @@ class SynthCache:
 
     # ------------------------------------------------------------------ lifecycle
 
-    def clear_memory(self) -> None:
-        """Drop the in-memory memo but keep the store intact.
-
-        Used by ``SynthesisSession.clear_memory_caches`` to simulate a fresh
-        process: the next lookups miss in memory and fall through to the
-        persistent store.  This is *not* an invalidation -- the persisted
-        outcomes are still valid.
-        """
-
-        self._entries.clear()
-
     def invalidate(self) -> None:
-        """Drop every memoized outcome (the baseline state changed).
-
-        An attached persistent store is wiped too: its content hashes cannot
-        see out-of-band baseline mutations, so stale entries must not
-        survive the flush that the memo does not.
-        """
+        """Drop every memoized outcome (the baseline state changed)."""
 
         self._entries.clear()
-        if self.store is not None:
-            self.store.invalidate()
         self.counters["cache.invalidations"] += 1
 
     def __len__(self) -> int:

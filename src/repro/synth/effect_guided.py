@@ -51,7 +51,7 @@ def insert_effect_hole(
 
     try:
         expr_type, _ = infer(
-            expr, dict(problem.param_env), problem.class_table, counters
+            expr, problem.param_env, problem.class_table, counters
         )
     except SynTypeError:
         if counters is not None:
@@ -105,7 +105,7 @@ def expand_effect_hole(
         entry = A.Pending(splice, replacement)
         if config.use_types and config.narrow_types:
             try:
-                check_expr(entry.build(), dict(problem.param_env), problem.class_table)
+                check_expr(entry.build(), problem.param_env, problem.class_table)
             except SynTypeError:
                 continue
         results.append(entry)

@@ -259,7 +259,7 @@ def expand_typed_hole(
     replacements += hash_candidates(hole, problem, config)
     replacements += table.calls
 
-    param_env = dict(problem.param_env)
+    param_env = problem.param_env
     splice = A.Splicer(expr, site.path)
     results: List[A.Pending] = []
     # Splicing at one path is injective: equal trees come from equal

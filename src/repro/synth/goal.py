@@ -18,7 +18,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.lang import ast as A
 from repro.lang import types as T
@@ -187,6 +198,16 @@ class SynthesisProblem:
     _productions: Dict[Tuple[Any, ...], Any] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: The method's parameter names (``arg0``, ``arg1``, ...) and their
+    #: types, derived from ``arg_types`` at construction (and recomputed by
+    #: ``dataclasses.replace``).  ``param_env`` is read-only: the type
+    #: checker and the footprint only read an env, and copy it for a ``Let``.
+    params: Tuple[str, ...] = field(init=False, repr=False, compare=False)
+    param_env: Mapping[str, T.Type] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.params = tuple(f"arg{i}" for i in range(len(self.arg_types)))
+        self.param_env = MappingProxyType(dict(zip(self.params, self.arg_types)))
 
     @staticmethod
     def from_signature(
@@ -207,16 +228,6 @@ class SynthesisProblem:
             reset=reset,
             database=database,
         )
-
-    # -- derived views -----------------------------------------------------------
-
-    @property
-    def params(self) -> Tuple[str, ...]:
-        return tuple(f"arg{i}" for i in range(len(self.arg_types)))
-
-    @property
-    def param_env(self) -> Dict[str, T.Type]:
-        return dict(zip(self.params, self.arg_types))
 
     def add_spec(self, name: str, setup: SetupFn, postcond: PostcondFn) -> Spec:
         spec = Spec(name, setup, postcond)
@@ -497,8 +508,7 @@ def _without_tracebacks(error: Exception) -> Exception:
 
     The memo and the static pruner keep failing outcomes for the rest of a
     run, and a traceback would keep every frame of the evaluation alive
-    (interpreter, spec context, setup locals).  Nothing reads them: the
-    store keeps only the type and message.
+    (interpreter, spec context, setup locals).  Nothing reads them.
     """
 
     link: Optional[BaseException] = error

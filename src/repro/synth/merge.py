@@ -201,7 +201,7 @@ class Merger:
         negated = negate(first_guard)
         negated_pure = self.config.static_pruning and footprint(
             negated,
-            dict(self.problem.param_env),
+            self.problem.param_env,
             self.problem.class_table,
             self.counters,
         ).write.is_pure
@@ -320,7 +320,7 @@ class Merger:
         # restore between consecutive evaluations of the same spec.
         pure = self.config.static_pruning and footprint(
             program.body,
-            dict(self.problem.param_env),
+            self.problem.param_env,
             self.problem.class_table,
             self.counters,
         ).write.is_pure

@@ -13,14 +13,13 @@ synthesizes the program a serial run does.
 
 Workers are forked from the parent (same interpreter state, same
 string-hash seed), so a worker's search finds exactly the expression the
-serial search would.  Each worker holds one persistent session: warm cells
+serial search would.  Each worker holds one long-lived session: warm cells
 share that worker's memo and snapshot recordings, and cold cells build a
 fresh problem in a throwaway session, exactly as they do serially.
 
-Workers share work across processes through the persistent spec-outcome
-store: each opens the session's SQLite file (``outcomes.sqlite``, say) by
-path -- its upserts are concurrent-safe -- and persists the outcomes it
-executes itself.
+Nothing mutable crosses the process boundary: a cell task carries a
+benchmark id and a config in, and its :class:`CellTaskResult` out.  Workers
+share no memo or state with each other or with the parent.
 
 Problems must be *reconstructable in the worker*, which is true exactly for
 registry benchmarks (workers rebuild them by id).  Ad-hoc
@@ -81,11 +80,11 @@ class CellTaskResult:
 # Worker side
 # ---------------------------------------------------------------------------
 
-#: The worker's persistent session (warm cells run in it).
+#: The worker's long-lived session (warm cells run in it).
 _WORKER: Optional["SynthesisSession"] = None
 
 
-def _worker_init(base_config: SynthConfig, store_path: Optional[str]) -> None:
+def _worker_init(base_config: SynthConfig) -> None:
     from repro.synth.session import SynthesisSession
 
     global _WORKER
@@ -96,15 +95,13 @@ def _worker_init(base_config: SynthConfig, store_path: Optional[str]) -> None:
     # must not re-open ``trace_path`` (the parent owns it), so the path is
     # stripped here.  The *cell* configs keep it -- that is the per-cell
     # "collect events for the parent" flag.
-    _WORKER = SynthesisSession(
-        replace(base_config, trace_path=None), store=store_path
-    )
+    _WORKER = SynthesisSession(replace(base_config, trace_path=None))
 
 
 def _worker_call(
     benchmark_id: str, config: SynthConfig, fresh: bool, runs: int
 ) -> List[CellTaskResult]:
-    """Run one cell task inside the pool; flushes the store afterwards.
+    """Run one cell task inside the pool.
 
     When the cell's config carries a ``trace_path`` the parent is tracing:
     the worker collects the cell's events in memory (tagged with a
@@ -120,8 +117,6 @@ def _worker_call(
     finally:
         if collecting:
             trace.reset_after_fork()
-        if _WORKER is not None and _WORKER.store is not None:
-            _WORKER.store.flush()
 
 
 def _run_cell_task(
@@ -144,7 +139,7 @@ def _run_cell_task(
     for _ in range(max(runs, 1)):
         if fresh:
             # Mirrors ``sweep(warm=False)`` / cold ``run_benchmark``: a
-            # freshly built problem inside a throwaway store-less session.
+            # freshly built problem inside a throwaway session.
             problem = benchmark.build()
             with SynthesisSession(config) as cold:
                 start = time.perf_counter()
@@ -189,16 +184,9 @@ class ParallelExecutor:
     explore in a different order.
     """
 
-    def __init__(
-        self,
-        jobs: int,
-        base_config: Optional[SynthConfig] = None,
-        store_path: Optional[str] = None,
-    ) -> None:
+    def __init__(self, jobs: int, base_config: Optional[SynthConfig] = None) -> None:
         self.jobs = max(int(jobs), 1)
         self.base_config = base_config if base_config is not None else SynthConfig()
-        #: The session's spec-outcome store, opened by every worker.
-        self.store_path = store_path
         self._pool = None
 
     def _get_pool(self):
@@ -221,7 +209,7 @@ class ParallelExecutor:
                 self._pool = context.Pool(
                     processes=self.jobs,
                     initializer=_worker_init,
-                    initargs=(self.base_config, self.store_path),
+                    initargs=(self.base_config,),
                 )
             finally:
                 gc.unfreeze()
@@ -245,11 +233,9 @@ class ParallelExecutor:
     def close(self, wait: bool = False) -> None:
         """Shut the pool down, abandoning unconsumed cells.
 
-        Every consumed future's cell has already run its store flush, so
-        terminating only discards cells nobody is waiting on -- e.g. the
-        rest of a sweep whose caller raised part-way.  ``wait=True`` drains
-        them instead.  (Mid-cell SQLite flushes are transactions; a
-        terminated worker rolls back rather than corrupting the store.)
+        Workers hold nothing that outlives them, so terminating only
+        discards cells nobody is waiting on -- e.g. the rest of a sweep
+        whose caller raised part-way.  ``wait=True`` drains them instead.
         """
 
         if self._pool is not None:

@@ -348,7 +348,7 @@ def _generate_guard_impl(
         # same spec can skip the snapshot restore between them when the
         # static footprint proves the previous guard wrote nothing.
         pure = config.static_pruning and footprint(
-            guard, dict(problem.param_env), problem.class_table, counters
+            guard, problem.param_env, problem.class_table, counters
         ).write.is_pure
         for spec in positive_specs:
             if not evaluate_guard(

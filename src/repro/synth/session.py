@@ -16,16 +16,15 @@ shares:
   recordings (held on the problems, reused by the session across runs *and*
   across effect-precision variants: ``run`` derives coarsened problem copies
   that share the original's manager and cache registration, so a Figure 8
-  sweep replays recordings instead of rebuilding state);
-* optionally a persistent :class:`~repro.synth.store.SpecOutcomeStore`
-  (content-hash keyed, SQLite-backed) so outcomes survive the process --
-  repeated evaluation sweeps skip re-execution entirely.
+  sweep replays recordings instead of rebuilding state).
+
+Everything a session shares lives in its process and dies with it.
 
 Typical use::
 
     from repro.synth import SynthConfig, SynthesisSession
 
-    with SynthesisSession(SynthConfig(timeout_s=30), store="outcomes.sqlite") as s:
+    with SynthesisSession(SynthConfig(timeout_s=30)) as s:
         result = s.run(problem)                       # one warm run
         entries = s.sweep(                            # problems x variants
             ["S1", "S4"],
@@ -34,8 +33,8 @@ Typical use::
 
 ``session.sweep`` is the engine behind the Table 1 / Figure 7 / Figure 8
 harnesses and the CI bench gates.  Every result carries the run's counters
-(``result.counters``, keyed ``layer.name``): the session's memo, snapshot
-managers and store outlive a run, so each result reports only the work that
+(``result.counters``, keyed ``layer.name``): the session's memo and
+snapshot managers outlive a run, so each result reports only the work that
 run added to them.
 """
 
@@ -59,12 +58,9 @@ from repro.obs import trace
 from repro.synth.cache import SynthCache
 from repro.synth.config import SynthConfig
 from repro.synth.goal import SynthesisProblem
-from repro.synth.store import SpecOutcomeStore
 from repro.synth.synthesizer import SynthesisResult, run_synthesis
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import os
-
     from repro.benchmarks.registry import BenchmarkSpec
     from repro.synth.parallel import ParallelExecutor
     from repro.synth.state import StateManager
@@ -108,34 +104,19 @@ class SynthesisSession:
         is built from this config (``cache_spec_outcomes`` etc.), so cache
         behavior follows the *session* config even when individual runs
         override other knobs.
-    store:
-        ``None`` (no persistence), a filesystem path of an SQLite store
-        (created if missing), or an existing :class:`SpecOutcomeStore` to
-        share.  On ``close``/context exit the session closes a store it
-        opened from a path, and only flushes a store passed in as an
-        instance, which stays open for its owner.
     parallel:
         Default worker count for ``sweep`` (which also takes a per-call
         ``parallel=`` override).  With more than one job the session owns a
         lazily-started :class:`~repro.synth.parallel.ParallelExecutor`
-        worker pool that runs whole sweep cells.  Workers share outcomes
-        through the session's store.  ``run`` is always serial.
+        worker pool that runs whole sweep cells.  ``run`` is always serial.
     """
 
     def __init__(
         self,
         config: Optional[SynthConfig] = None,
-        store: "SpecOutcomeStore | str | os.PathLike | None" = None,
         parallel: int = 1,
     ) -> None:
         self.config = config or SynthConfig()
-        #: Whether ``close`` closes the store (the session opened it).  The
-        #: store opens before the tracer: opening a legacy JSON store raises,
-        #: and must not leave behind a tracer that no session will close.
-        self._owns_store = store is not None and not isinstance(
-            store, SpecOutcomeStore
-        )
-        self.store = SpecOutcomeStore.open(store)
         #: Tracer lifecycle: the first session whose config carries a
         #: ``trace_path`` (explicit or via ``REPRO_TRACE``) owns the global
         #: tracer and closes it on ``close``.  If a tracer is already live
@@ -146,7 +127,6 @@ class SynthesisSession:
             trace.enable(self.config.trace_path)
             self._owns_tracer = True
         self.cache = SynthCache.from_config(self.config)
-        self.cache.store = self.store
         self.parallel = max(int(parallel), 1)
         self._closed = False
         #: Lazily-created worker pool (see :meth:`_executor_for`).
@@ -243,17 +223,17 @@ class SynthesisSession:
         ``problems`` is an iterable of problem sources, or ``"registry"`` /
         ``"all"`` / ``None`` for the full benchmark registry.  ``variants``
         default to a single base-config run.  With ``warm`` (the default)
-        all cells share this session's memo, store and snapshot recordings
-        -- a benchmark's variants run back to back, so e.g. a Figure 8
-        precision sweep reuses the recordings its first variant captured.
+        all cells share this session's memo and snapshot recordings -- a
+        benchmark's variants run back to back, so e.g. a Figure 8 precision
+        sweep reuses the recordings its first variant captured.
         ``warm=False`` isolates every cell in a throwaway session with a
-        freshly built problem (and no store): fully cold measurements, as
-        the Figure 7 guidance-mode comparison requires.
+        freshly built problem: fully cold measurements, as the Figure 7
+        guidance-mode comparison requires.
 
         ``parallel`` (defaulting to the session's ``parallel``) distributes
         whole registry cells across the session's worker pool, in
         deterministic problem-major result order.  Warm parallel cells are
-        warm *per worker* (each worker holds a persistent session); cold
+        warm *per worker* (each worker holds a long-lived session); cold
         cells are isolated in the worker exactly as they are serially.
         Cells whose source is an ad-hoc problem object cannot be shipped to
         a worker and run in the parent, interleaved at their position.
@@ -322,8 +302,8 @@ class SynthesisSession:
     ) -> List[SweepEntry]:
         """Distribute sweep cells over the worker pool, order-preserving.
 
-        Cell tasks run wholly inside a worker, which persists their
-        outcomes to the session's store itself.
+        Cell tasks run wholly inside a worker; only their results come
+        back.
         """
 
         executor = self._executor_for(jobs)
@@ -381,12 +361,7 @@ class SynthesisSession:
         return problem
 
     def _executor_for(self, jobs: int) -> "ParallelExecutor":
-        """The session's worker pool, (re)built for ``jobs`` workers.
-
-        Workers open the session's store by path -- its upserts are
-        concurrent-safe -- and the parent's connection is flushed first so
-        workers see everything written so far.
-        """
+        """The session's worker pool, (re)built for ``jobs`` workers."""
 
         from repro.synth.parallel import ParallelExecutor
 
@@ -394,35 +369,13 @@ class SynthesisSession:
             self._executor.close()
             self._executor = None
         if self._executor is None:
-            store_path = None
-            if self.store is not None:
-                self.store.flush()
-                store_path = self.store.path
-            self._executor = ParallelExecutor(
-                jobs, base_config=self.config, store_path=store_path
-            )
+            self._executor = ParallelExecutor(jobs, base_config=self.config)
         return self._executor
-
-    def clear_memory_caches(self) -> None:
-        """Drop in-process memo state but keep the persistent store.
-
-        Simulates a fresh process for store tests and two-pass sweeps: the
-        evaluation memo is cleared (and the store flushed), so
-        subsequent lookups miss in memory and are answered from disk.
-        Snapshot recordings, which a real new process would also rebuild
-        cheaply, are left in place on the problems.
-        """
-
-        self._check_open()
-        self.cache.clear_memory()
-        if self.store is not None:
-            self.store.flush()
 
     # ------------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Stop the worker pool, detach the cache, and close (or, when it
-        was passed in as an instance, flush) the store."""
+        """Stop the worker pool and detach the cache from its problems."""
 
         if self._closed:
             return
@@ -432,10 +385,6 @@ class SynthesisSession:
         if self._executor is not None:
             self._executor.close()
             self._executor = None
-        if self._owns_store:
-            self.store.close()
-        elif self.store is not None:
-            self.store.flush()
         if self._owns_tracer:
             trace.disable()
             self._owns_tracer = False

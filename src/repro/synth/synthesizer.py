@@ -13,8 +13,8 @@
    turn into Table 1 / Figures 7 and 8.
 
 The public entry point is :class:`repro.synth.session.SynthesisSession`,
-which owns the warm resources (evaluation memo, snapshot managers, the
-persistent spec-outcome store) and calls :func:`run_synthesis` with them.
+which owns the warm resources (evaluation memo, snapshot managers) and calls
+:func:`run_synthesis` with them.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class SynthesisResult:
     timed_out: bool = False
     #: This run's counters, keyed ``layer.name`` (``docs/API.md``,
     #: "Metrics"): the search's own plus what the memo, snapshot manager,
-    #: database, store and problem counted during the run.
+    #: database and problem counted during the run.
     counters: Counters = field(default_factory=Counters)
     #: Metrics snapshot (:mod:`repro.obs.metrics`): per-phase wall-time
     #: histograms, and ``counters`` nested per layer under ``stats``.
@@ -188,10 +188,10 @@ class _RunCounters:
     """The counters and phase timings of one run.
 
     ``counters`` starts with the run's fresh search counters; ``finish``
-    adds what the long-lived owners -- the problem, the memo and its store,
-    the snapshot manager and the problem's database -- counted since the
-    run began, so a run sharing a session's warm memo and snapshot manager
-    reports only its own work.
+    adds what the long-lived owners -- the problem, the memo, the snapshot
+    manager and the problem's database -- counted since the run began, so a
+    run sharing a session's warm memo and snapshot manager reports only its
+    own work.
     """
 
     def __init__(
@@ -201,11 +201,10 @@ class _RunCounters:
         state: Optional[StateManager],
     ) -> None:
         self.counters = search_counters()
-        database, store = problem.database, cache.store
+        database = problem.database
         self.baseline = Baseline(
             problem.counters,
             cache.counters,
-            store.counters if store is not None else None,
             state.counters if state is not None else None,
             database.counters if database is not None else None,
         )

@@ -19,7 +19,6 @@ receiver class, which is how a ``Post.exists?`` call inherited from
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -284,34 +283,6 @@ class ClassTable:
         else:
             receiver_type = T.ClassType(cls)
         return self.resolve(sig, receiver_type).effects
-
-    # -- fingerprinting -------------------------------------------------------
-
-    def fingerprint(self) -> str:
-        """A content digest of the table's classes, methods and annotations.
-
-        Used by :mod:`repro.synth.store` as part of its persistent keys: any
-        change to the class hierarchy, a method signature or an effect
-        annotation changes the digest, so outcomes persisted against the old
-        library definitions become unreachable instead of being misread.
-        The effect precision is *not* included (it is a separate store key
-        component, so precision variants of one table share fingerprints);
-        annotations are digested at their declared (precise) level.
-        """
-
-        classes = sorted(
-            f"{info.name}<{info.superclass}" for info in self._classes.values()
-        )
-        methods = sorted(
-            f"{sig.qualified_name}:({', '.join(map(str, sig.arg_types))})"
-            f"->{sig.ret_type} {sig.effects} syn={sig.synthesis}"
-            for sig in self._methods.values()
-        )
-        digest = hashlib.sha256()
-        for part in classes + methods:
-            digest.update(part.encode("utf-8", "backslashreplace"))
-            digest.update(b"\x00")
-        return digest.hexdigest()
 
     # -- variants -------------------------------------------------------------
 

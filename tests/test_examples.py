@@ -24,7 +24,7 @@ def test_parallel_sweep_example(capsys):
     _run(f"{EXAMPLES_DIR}/parallel_sweep.py")
     out = capsys.readouterr().out
     assert "across 2 workers" in out
-    assert "store hits" in out
+    assert "programs identical to serial: True" in out
 
 
 def test_traced_run_example(capsys):

@@ -25,7 +25,6 @@ from repro.synth import SynthConfig, SynthesisSession
 from repro.synth.cache import CACHE_COUNTERS
 from repro.synth.search import SEARCH_COUNTERS
 from repro.synth.state import STATE_COUNTERS
-from repro.synth.store import STORE_COUNTERS
 
 
 @pytest.fixture(autouse=True)
@@ -181,7 +180,6 @@ OWNER_COUNTERS = {
     "query": QUERY_COUNTERS,
     "search": SEARCH_COUNTERS + ("search.reset_replays",),
     "state": STATE_COUNTERS,
-    "store": STORE_COUNTERS,
 }
 
 
@@ -295,6 +293,13 @@ def test_traced_session_run_summary_covers_phases(tmp_path):
     assert summary["slowest_specs"], "search.spec spans missing"
     totals = summary["span_totals"]
     assert totals["eval.spec"]["count"] > 0
+    # Every evaluation is answered by the memo or executed, nothing else.
+    timeline = summary["hit_ratio_timeline"]
+    assert all(set(e) == {"bucket", "memo", "exec", "hit_ratio"} for e in timeline)
+    evals = sum(
+        totals[name]["count"] for name in ("eval.spec", "eval.guard") if name in totals
+    )
+    assert sum(e["memo"] + e["exec"] for e in timeline) == evals
     # The human rendering mentions the phases and coverage line.
     rendered = tool.format_summary(summary)
     assert "session.run" in rendered and "phase coverage" in rendered

@@ -1,9 +1,8 @@
 """Tests for the parallel synthesis subsystem (repro.synth.parallel), which
 runs whole sweep and benchmark cells in worker processes: cells match
 serial runs in programs and counters, a cell's time excludes its problem
-build, ``run`` and ad-hoc cells stay in the parent, the two-process SQLite
-store round-trip, worker trace shipping, cross-run solution hints and
-counter-merge completeness."""
+build, ``run`` and ad-hoc cells stay in the parent, worker trace shipping,
+cross-run solution hints and counter-merge completeness."""
 
 from __future__ import annotations
 
@@ -61,7 +60,7 @@ def test_parallel_run_synthesizes_identical_programs(benchmark_id):
 
 @pytest.mark.parametrize("benchmark_id", ["S1", "S5"])
 def test_parallel_counters_equal_serial_totals(benchmark_id):
-    """A warm cell runs in its worker's persistent session; the first one
+    """A warm cell runs in its worker's long-lived session; the first one
     reports the counters of a serial warm sweep's first cell, snapshot
     state on or off."""
 
@@ -203,35 +202,6 @@ def test_parallel_sweep_interleaves_ad_hoc_problems():
         entries = session.sweep(["S4", problem, "S5"], warm=True)
     assert [entry.label for entry in entries] == ["S4", problem.name, "S5"]
     assert all(entry.success for entry in entries)
-
-
-# ---------------------------------------------------------------------------
-# Store sharing across processes
-# ---------------------------------------------------------------------------
-
-
-def test_two_process_sqlite_store_round_trip(tmp_path):
-    """A worker pool populates the SQLite store; a fresh session hits it."""
-
-    path = str(tmp_path / "outcomes.sqlite")
-    config = SynthConfig(timeout_s=60)
-    with SynthesisSession(config, store=path, parallel=2) as pool_session:
-        entries = pool_session.sweep(FAST, warm=True)
-    assert all(entry.success for entry in entries)
-
-    with SynthesisSession(config, store=path) as fresh:
-        assert fresh.store.loaded > 0
-        results = {bid: fresh.run(bid) for bid in FAST}
-    for bid, result in results.items():
-        assert result.success
-        assert result.counters["cache.store_hits"] >= 1, bid
-        # The cells ran only in workers, yet nothing is re-executed.
-        assert result.counters["search.reset_replays"] == 0, bid
-        serial = SynthesisSession(config)
-        try:
-            assert result.program == serial.run(bid).program
-        finally:
-            serial.close()
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,29 @@ def test_define_parses_signature_and_params(blog_problem):
     assert blog_problem.param_env == {"arg0": T.STRING}
 
 
+def test_params_and_param_env_are_built_once_and_read_only(blog_problem):
+    assert blog_problem.params is blog_problem.params
+    assert blog_problem.param_env is blog_problem.param_env
+    with pytest.raises(TypeError):
+        blog_problem.param_env["arg0"] = T.INT
+    with pytest.raises(TypeError):
+        del blog_problem.param_env["arg0"]
+    assert blog_problem.param_env == {"arg0": T.STRING}
+
+
+def test_replaced_problem_gets_its_own_params(blog_problem):
+    import dataclasses
+
+    same = dataclasses.replace(blog_problem)
+    assert same.params == blog_problem.params
+    assert same.param_env == blog_problem.param_env
+    assert same.param_env is not blog_problem.param_env
+    wider = dataclasses.replace(blog_problem, arg_types=(T.STRING, T.INT))
+    assert wider.params == ("arg0", "arg1")
+    assert wider.param_env == {"arg0": T.STRING, "arg1": T.INT}
+    assert blog_problem.params == ("arg0",)
+
+
 def test_spec_builder_requires_both_blocks(blog_problem):
     builder = blog_problem.spec("incomplete")
     with pytest.raises(ValueError):
