@@ -23,7 +23,7 @@ import pytest
 
 from conftest import MODE_TIMEOUT_S
 from repro.benchmarks import get_benchmark, run_benchmark
-from repro.synth.config import ORDER_FIFO, ORDER_PAPER, ORDER_SIZE, SynthConfig
+from repro.synth.config import ORDER_FIFO, ORDER_SIZE, SynthConfig
 
 ABLATION_BENCHMARKS = ("S6", "A9")
 

@@ -52,7 +52,6 @@ for _path in (_SRC, _HERE):
 
 from ab_harness import ABHarness, SCHEMA_VERSION  # noqa: E402,F401
 from repro.benchmarks import get_benchmark  # noqa: E402
-from repro.lang.pretty import pretty  # noqa: E402
 from repro.obs import tool as trace_tool  # noqa: E402
 from repro.synth.config import SynthConfig  # noqa: E402
 from repro.synth.goal import _evaluate_spec_impl, evaluate_spec  # noqa: E402

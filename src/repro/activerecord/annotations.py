@@ -22,7 +22,7 @@ paper: at a ``Post.exists?`` call the effect resolves to the ``Post`` table.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, Type as PyType
+from typing import Any, Dict, List, Type as PyType
 
 from repro.lang import types as T
 from repro.lang.effects import Effect, EffectPair

@@ -18,7 +18,7 @@ Models can be declared in two ways:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Type as PyType
+from typing import Any, Dict, List, Optional, Type as PyType
 
 from repro.lang import types as T
 from repro.lang.effects import Effect

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from typing import Iterable, List, Optional, Set, Tuple
 
 from repro.lang.effects import (
-    Effect,
     Region,
     SELF_CLASS,
     region_subsumed,

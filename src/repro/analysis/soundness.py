@@ -36,7 +36,7 @@ from typing import Iterable, List, Optional, Sequence
 
 from repro.lang import ast as A
 from repro.lang.effects import EffectPair, subsumed
-from repro.analysis.footprint import TOP_PAIR, footprint
+from repro.analysis.footprint import footprint
 
 __all__ = [
     "SoundnessViolation",

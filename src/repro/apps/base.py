@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Type as PyType
+from typing import Any, Dict, Type as PyType
 
 from repro.activerecord.database import Database
 from repro.activerecord.model import Model

@@ -12,8 +12,6 @@ benchmarks (S1-S7) and the overview benchmark S6 all run against this app.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.lang import types as T
 from repro.activerecord import Database, create_model, register_model
 from repro.apps.base import AppContext

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import contextlib
 from contextvars import ContextVar
-from typing import Iterator, List, Optional
+from typing import Iterator, Optional
 
 from repro.lang.effects import PURE, Effect, EffectPair
 

@@ -14,9 +14,9 @@ resolution pass.  Its products:
   equal keys iff they are alpha-equivalent (identical up to consistent
   renaming of ``let``-bound and parameter names, with free variables still
   compared by name).  The :class:`~repro.analysis.prune.StaticPruner` keys
-  its normal-form outcome memo by it so renamed lets share entries, and
-  :class:`~repro.synth.cache.SynthCache` uses it for in-memory spec-outcome
-  keys.
+  its normal-form outcome memo by it so renamed lets share entries; it is
+  the only user.  (:class:`~repro.synth.cache.SynthCache` keys on the
+  program node itself: none of its hits needs alpha-equivalence.)
 
 ``alpha_key`` is memoized in the ``_alpha_memo`` slot of each compound node,
 which a pickled node never carries (``repro.lang.ast.Node.__reduce__``

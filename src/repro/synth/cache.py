@@ -11,6 +11,12 @@ phase's ordering/validation loops; the memo returns the recorded
 :class:`~repro.synth.goal.SpecOutcome` instead of re-running ``reset() +
 Interpreter() + setup()``.
 
+The ``program`` of a key is the program node itself: a node hashes in O(1)
+from its construction-time hash and compares structurally, so a lookup
+needs no normalization pass and an equal program built anew hits.  A
+let-renamed program is a different key; no hit measured on the end-to-end
+benchmarks needed alpha-equivalence.
+
 Soundness rests on spec evaluation being deterministic: ``evaluate_spec``
 always calls ``problem.reset()`` first, so an outcome depends only on the
 program, the spec and the effect-annotation precision of the class table.
@@ -34,7 +40,6 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 from repro.lang import ast as A
-from repro.lang.resolve import alpha_key
 from repro.obs import trace
 from repro.obs.metrics import Counters
 
@@ -107,11 +112,11 @@ class SynthCache:
     def _key(
         kind: str, problem: "SynthesisProblem", program: A.Node, spec: "Spec"
     ) -> Tuple:
-        # Programs are keyed by their alpha-key (repro.lang.resolve), not
-        # the raw node: bound names are not observable under evaluation, so
-        # candidates differing only in let/parameter naming share one
-        # outcome entry.
-        return (kind, alpha_key(program), spec, problem.class_table.effect_precision)
+        # The program node itself is the key: it hashes in O(1) from its
+        # construction-time ``_hash`` and compares structurally.  Every hit
+        # measured on the end-to-end benchmarks is an exact repeat, so
+        # collapsing let-renamed candidates (``alpha_key``) would buy nothing.
+        return (kind, program, spec, problem.class_table.effect_precision)
 
     # ------------------------------------------------------------------ raw memo
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.lang import ast as A
-from repro.lang import types as T
 from repro.lang.effects import Effect, subsumed
 from repro.analysis.footprint import infer, writers_for_effect
 from repro.obs.metrics import Counters

@@ -18,13 +18,16 @@ With ``use_types=False`` (the "E only"/"TE disabled" modes of Figure 7) the
 same productions fire but the subtype filters are dropped, which degenerates
 into naive term enumeration.
 
-S-Const, S-App and the presence of ``Hash#[]`` depend on the hole's type
-alone, not on where the hole is, so they are computed once per
-``(class-table generation, hole type, use_types)`` (:func:`productions`)
-into a table the :class:`~repro.synth.goal.SynthesisProblem` owns; every
-later hole of that type gets the same candidate list and the same template
-nodes.  Any class-table mutation moves the generation, so a new method is
-offered from the next expansion on, and the table is freed with its problem.
+S-Const, S-App, the hash-literal templates and the presence of ``Hash#[]``
+depend on the hole's type alone, not on where the hole is, so they are
+computed once per ``(class-table generation, hole type, use_types,
+max_hash_keys)`` (:func:`productions`) into a table the
+:class:`~repro.synth.goal.SynthesisProblem` owns; every later hole of that
+type gets the same candidate lists and the same template nodes.  Only S-Var
+and the key lookups ``h[:key]`` read the hole's environment and are built
+per expansion.  Any class-table mutation moves the generation, so a new
+method is offered from the next expansion on, and the table is freed with
+its problem.
 """
 
 from __future__ import annotations
@@ -80,22 +83,26 @@ class Productions:
     constants: Tuple[Candidate, ...]
     #: S-App: one call template per library method whose return type fits.
     calls: Tuple[Candidate, ...]
+    #: Hash-literal templates for a finite hash type (:func:`hash_candidates`).
+    hashes: Tuple[Candidate, ...]
     #: Whether ``Hash#[]`` exists, i.e. whether key lookups are offered.
     hash_lookup: bool
 
 
 def productions(
-    hole_type: T.Type, problem: SynthesisProblem, use_types: bool
+    hole_type: T.Type, problem: SynthesisProblem, config: SynthConfig
 ) -> Productions:
     """The productions of a ``hole_type`` hole, memoized on ``problem``."""
 
     ct = problem.class_table
-    key = (ct.generation, hole_type, use_types)
+    use_types = config.use_types
+    key = (ct.generation, hole_type, use_types, config.max_hash_keys)
     found = problem._productions.get(key)
     if found is None:
         found = Productions(
             tuple(constant_candidates(hole_type, problem, use_types)),
             tuple(call_candidates(hole_type, problem, use_types)),
+            tuple(hash_candidates(hole_type, config.max_hash_keys)),
             ct.lookup("Hash", "[]") is not None,
         )
         problem._productions[key] = found
@@ -194,9 +201,7 @@ def hash_access_candidates(
     return results
 
 
-def hash_candidates(
-    hole: A.TypedHole, problem: SynthesisProblem, config: SynthConfig
-) -> List[Candidate]:
+def hash_candidates(hole_type: T.Type, max_hash_keys: int) -> List[Candidate]:
     """Hash-literal templates for holes of finite hash type.
 
     Enumerates every subset of the optional keys up to ``max_hash_keys``
@@ -205,12 +210,12 @@ def hash_candidates(
     """
 
     results: List[Candidate] = []
-    for member in T.union_members(hole.type):
+    for member in T.union_members(hole_type):
         if not isinstance(member, T.FiniteHashType):
             continue
         required = list(member.required)
         optional = list(member.optional)
-        max_extra = max(config.max_hash_keys - len(required), 0)
+        max_extra = max(max_hash_keys - len(required), 0)
         optional_subsets: List[Tuple[Tuple[str, T.Type], ...]] = []
         limit = min(max_extra, len(optional))
         for k in range(0, limit + 1):
@@ -250,13 +255,13 @@ def expand_typed_hole(
     assert isinstance(site.hole, A.TypedHole)
     hole = site.hole
     env = env_at_hole(expr, site, problem)
-    table = productions(hole.type, problem, config.use_types)
+    table = productions(hole.type, problem, config)
 
     replacements: List[Candidate] = list(table.constants)
     replacements += variable_candidates(hole, env, problem, config)
     if table.hash_lookup:
         replacements += hash_access_candidates(hole, env, problem, config)
-    replacements += hash_candidates(hole, problem, config)
+    replacements += table.hashes
     replacements += table.calls
 
     param_env = problem.param_env

@@ -34,7 +34,7 @@ from typing import (
 from repro.lang import ast as A
 from repro.lang import types as T
 from repro.lang.effects import EffectPair
-from repro.lang.values import truthy, type_of_value
+from repro.lang.values import truthy
 from repro.interp.effect_log import effect_capture
 from repro.interp.errors import AssertionFailure
 from repro.interp.interpreter import Interpreter

@@ -17,7 +17,7 @@ so this solver is comfortably fast while remaining fully self-contained.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple, Union
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 
 class Formula:

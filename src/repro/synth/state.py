@@ -22,6 +22,9 @@ manager *records* it --
 database is restored by cheap copy-on-write table swaps
 (:meth:`~repro.activerecord.database.Database.restore`) and the candidate is
 invoked directly, skipping the reset closure and the seed inserts entirely.
+It gets a fresh copy of the arguments and scratch state, made by a copy
+plan the recording builds once (:func:`copy_plan`) instead of a
+``deepcopy`` per replay.
 The problem baseline (the state the reset closure produces) is itself
 snapshotted once, so even specs that cannot be replayed restore it without
 re-running the closure.
@@ -63,9 +66,13 @@ registered for invalidation: ``SynthesisProblem.invalidate_caches`` and
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional, Set, Tuple
 
+from repro.activerecord.database import _ATOMIC
+from repro.activerecord.model import Model
+from repro.lang.values import HashValue, Symbol
 from repro.obs import trace
 from repro.obs.metrics import Counters
 
@@ -107,17 +114,173 @@ STATE_COUNTERS = (
 )
 
 
+#: One replay's copy of a recorded value, given the replay's memo (``id`` of
+#: a master object -> its copy, as in ``copy.deepcopy``).
+_Step = Callable[[Dict[int, Any]], Any]
+
+#: The ``(index or key, step)`` pairs of a container's parts that need a copy.
+_Subs = Tuple[Tuple[Any, _Step], ...]
+
+#: Exact types a replay shares with the master copy instead of copying
+#: them, as ``copy.deepcopy`` does: the database layer's atoms and the
+#: interned symbols.
+_SHARED = frozenset(_ATOMIC) | {Symbol}
+
+
+class _Cycle(Exception):
+    """Planning reached a value again on its own path (``args[0]``: its id)."""
+
+
+class _Planner:
+    """Builds the copy steps of one recording (see :func:`copy_plan`).
+
+    One step per distinct value, built once and reused wherever the value
+    is reached again.  Every step registers its copy in the replay's memo,
+    a mutable one before filling it, as ``deepcopy`` does, so a value
+    reached twice -- from the plan or from inside a fallback -- is copied
+    once, and a fallback copy that leads back into a planned value finds it.
+    """
+
+    def __init__(self) -> None:
+        self._steps: Dict[int, Optional[_Step]] = {}
+        self._path: Set[int] = set()
+
+    def step(self, value: Any) -> Optional[_Step]:
+        """How a replay copies ``value``; ``None`` shares the master."""
+
+        if type(value) in _SHARED:
+            return None
+        key = id(value)
+        if key in self._steps:
+            return self._steps[key]
+        if key in self._path:
+            raise _Cycle(key)
+        self._path.add(key)
+        try:
+            built = self._build(value, key)
+        except _Cycle as cycle:
+            if cycle.args[0] != key:
+                raise
+            # ``deepcopy`` keeps the cycle; the plan only rebuilds trees.
+            built = functools.partial(copy.deepcopy, value)
+        finally:
+            self._path.discard(key)
+        self._steps[key] = built
+        return built
+
+    def _build(self, value: Any, key: int) -> Optional[_Step]:
+        kind = type(value)
+        if kind is tuple:
+            subs = self._subs(enumerate(value))
+            # A tuple of shared parts is itself shared, as in ``deepcopy``.
+            return _tuple_step(value, subs, key) if subs else None
+        if kind is list:
+            return _container_step(value, self._subs(enumerate(value)), key)
+        if kind is dict and all(type(name) in _SHARED for name in value):
+            return _container_step(value, self._subs(value.items()), key)
+        if kind is HashValue and all(type(name) in _SHARED for name in value):
+            entries = dict(value.items())
+            subs = self._subs(entries.items())
+            return _container_step(entries, subs, key, HashValue.from_owned)
+        if isinstance(value, Model) and vars(value).keys() == {"_attributes"}:
+            attributes = vars(value)["_attributes"]
+            if type(attributes) is dict:
+                return _model_step(kind, self.step(attributes), key)
+        return functools.partial(copy.deepcopy, value)
+
+    def _subs(self, items: Iterable[Tuple[Any, Any]]) -> _Subs:
+        steps = [(index, self.step(part)) for index, part in items]
+        return tuple((index, step) for index, step in steps if step is not None)
+
+
+def _container_step(
+    master: Any, subs: _Subs, key: int, wrap: Optional[Callable[[Any], Any]] = None
+) -> _Step:
+    """Rebuild a dict or list: a shallow copy with its unshared parts copied.
+
+    ``wrap`` turns the new container into the value's copy (a
+    :class:`HashValue` around its new entries); by default it is the copy.
+    """
+
+    def step(memo: Dict[int, Any]) -> Any:
+        new = memo.get(key)
+        if new is None:
+            owned = master.copy()
+            new = memo[key] = owned if wrap is None else wrap(owned)
+            for index, sub in subs:
+                owned[index] = sub(memo)
+        return new
+
+    return step
+
+
+def _tuple_step(master: tuple, subs: _Subs, key: int) -> _Step:
+    def step(memo: Dict[int, Any]) -> Any:
+        new = memo.get(key)
+        if new is None:
+            parts = list(master)
+            for index, sub in subs:
+                parts[index] = sub(memo)
+            # A fallback copy inside may already have copied this tuple.
+            new = memo.setdefault(key, tuple(parts))
+        return new
+
+    return step
+
+
+def _model_step(cls: type, attributes: _Step, key: int) -> _Step:
+    def step(memo: Dict[int, Any]) -> Any:
+        new = memo.get(key)
+        if new is None:
+            new = memo[key] = cls.__new__(cls)
+            object.__setattr__(new, "_attributes", attributes(memo))
+        return new
+
+    return step
+
+
+def copy_plan(
+    state: Dict[str, Any], args: Tuple[Any, ...]
+) -> Callable[[], Tuple[Dict[str, Any], Tuple[Any, ...]]]:
+    """A function returning a fresh deep copy of ``(state, args)`` per call.
+
+    Built once per recording, so a replay pays for the copy only, never for
+    working out what to copy.  The copy equals ``copy.deepcopy((state,
+    args))``:
+
+    * atoms (``bool``, ``int``, ``float``, ``str``, ``bytes``, ``None``),
+      interned symbols and tuples of nothing else are shared;
+    * dicts with atom or symbol keys, lists, :class:`HashValue` objects and
+      models whose only attribute is their ``_attributes`` dict are rebuilt
+      on every call;
+    * anything else -- and any value a reference cycle leads back to -- is
+      copied by ``copy.deepcopy``.
+
+    One memo serves each call, the fallbacks included, so an object reached
+    from both the state and the arguments stays one object.
+    """
+
+    pair = (state, args)
+    step = _Planner().step(pair)
+    if step is None:  # nothing mutable: a state that is not a dict
+        return lambda: pair
+    return lambda: step({})
+
+
 @dataclass(frozen=True)
 class SpecRecording:
     """What one spec's setup does, up to the candidate invocation."""
 
     #: Database state right before ``ctx.invoke`` ran (CoW snapshot).
     snapshot: Dict[str, Any]
-    #: The arguments the setup passed to ``ctx.invoke`` (master copy;
-    #: deep-copied again per replay so candidates cannot poison it).
+    #: The arguments the setup passed to ``ctx.invoke`` (master copy; never
+    #: handed to a candidate).
     args: Tuple[Any, ...]
-    #: ``ctx.state`` as of the invoke (master copy, deep-copied per replay).
+    #: ``ctx.state`` as of the invoke (master copy; never handed out).
     state: Dict[str, Any]
+    #: Returns a fresh copy of ``(state, args)`` per replay, so candidates
+    #: cannot poison the masters (:func:`copy_plan`).
+    plan: Callable[[], Tuple[Dict[str, Any], Tuple[Any, ...]]]
 
 
 class _Recorder:
@@ -312,12 +475,12 @@ class StateManager:
                 self.counters["state.pure_skips"] += 1
             else:
                 self.database.restore(recording.snapshot)
-            # One joint deep copy so objects shared between the scratch
-            # state and the invoke arguments (e.g. a model passed to both)
-            # keep their shared identity, as in a real setup run.  Copied
-            # here, in the infrastructure phase: a failing copy of our own
-            # recording is not a candidate failure.
-            state, args = copy.deepcopy((recording.state, recording.args))
+            # One joint copy so objects shared between the scratch state and
+            # the invoke arguments (e.g. a model passed to both) keep their
+            # shared identity, as in a real setup run.  Copied here, in the
+            # infrastructure phase: a failing copy of our own recording is
+            # not a candidate failure.
+            state, args = recording.plan()
 
             def replay(ctx: "SpecContext") -> None:
                 ctx.state = state
@@ -413,11 +576,16 @@ class StateManager:
             and _safely_equal(ctx.state, recorder.state)
         )
         if replayable:
+            state = recorder.state or {}
+            args = recorder.args or ()
+            try:
+                plan = copy_plan(state, args)
+            except RecursionError:  # nested deeper than planning can walk
+                replayable = False
+        if replayable:
             assert recorder.snapshot is not None  # invokes == 1 guarantees it
             self._recordings[spec] = SpecRecording(
-                snapshot=recorder.snapshot,
-                args=recorder.args or (),
-                state=recorder.state or {},
+                snapshot=recorder.snapshot, args=args, state=state, plan=plan
             )
             self.counters["state.captures"] += 1
         else:

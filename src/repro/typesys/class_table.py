@@ -19,7 +19,7 @@ receiver class, which is how a ``Post.exists?`` call inherited from
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.lang import types as T

@@ -199,6 +199,23 @@ def test_spec_memo_hit_skips_execution(mutable_seed_problem):
     assert cache.counters["cache.spec_hits"] == 1
 
 
+def test_memo_is_keyed_on_the_program_node(mutable_seed_problem):
+    problem, spec, _ = mutable_seed_problem
+    cache = SynthCache()
+
+    def bound_as(name):
+        return problem.make_program(A.Let(name, FIRST_USER, A.Var(name)))
+
+    first = evaluate_spec(problem, bound_as("t0"), spec, cache=cache)
+    # An equal program built anew is the same key ...
+    assert evaluate_spec(problem, bound_as("t0"), spec, cache=cache) is first
+    assert cache.counters["cache.spec_hits"] == 1
+    # ... while renaming the let binder makes another one.
+    assert evaluate_spec(problem, bound_as("t1"), spec, cache=cache) is not first
+    assert cache.counters["cache.spec_hits"] == 1
+    assert cache.counters["cache.spec_misses"] == 2
+
+
 def test_disabled_cache_executes_but_counts_redundancy(mutable_seed_problem):
     problem, spec, _ = mutable_seed_problem
     cache = SynthCache(enabled=False)

@@ -9,7 +9,7 @@ from repro.lang import types as T
 from repro.lang.effects import Effect
 from repro.interp.effect_log import effect_capture
 from repro.interp.errors import SynRuntimeError
-from repro.activerecord import Database, Relation, create_model, register_model
+from repro.activerecord import Database, Relation, create_model
 from repro.activerecord.annotations import columns_hash_type
 from repro.corelib.kvstore import make_kvstore, register_kvstore
 from repro.typesys.class_table import ClassTable

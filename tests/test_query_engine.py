@@ -9,7 +9,6 @@ semantics change.
 
 from __future__ import annotations
 
-import math
 import os
 
 import pytest

@@ -9,6 +9,7 @@ across every registered benchmark app, batched
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -732,6 +733,147 @@ def test_replay_preserves_identity_between_state_and_invoke_args():
     replayed = evaluate_spec(problem, program, spec, state=state)
     assert recorded.ok == replayed.ok
     assert state.counters["state.restores"] == 1
+
+
+@pytest.mark.parametrize("held_in_state", [False, True], ids=["arg", "state-model"])
+def test_mutating_candidate_cannot_poison_the_next_replay(held_in_state):
+    app = build_blog_app()
+    User = app.models["User"]
+    problem = define(
+        "user_name",
+        "(User) -> Str",
+        consts=[User],
+        class_table=app.class_table,
+        reset=app.reset,
+        database=app.database,
+    )
+
+    def setup(ctx):
+        seed_blog(app)
+        user = User.find_by(username="carol")
+        if held_in_state:
+            ctx["user"] = user
+        ctx.invoke(user)
+
+    def postcond(ctx, result):
+        seen = ctx["user"].name if held_in_state else result
+        ctx.assert_(lambda: seen == "Carol")
+
+    problem.add_spec("reads carol's name", setup, postcond)
+    state = problem.state_manager()
+    spec = problem.specs[0]
+    reader = problem.make_program(A.call(A.Var("arg0"), "name"))
+    toucher = problem.make_program(A.call(A.Var("arg0"), "name=", A.StrLit("Touched")))
+
+    assert evaluate_spec(problem, reader, spec, state=state).ok  # records
+    assert not evaluate_spec(problem, toucher, spec, state=state).ok
+    # The toucher renamed its copy of the model, never the recording's.
+    assert evaluate_spec(problem, reader, spec, state=state).ok
+    assert state.counters["state.restores"] == 2
+
+
+@dataclass
+class _Box:
+    """A value the copy plan leaves to ``copy.deepcopy``."""
+
+    items: list
+
+
+@pytest.mark.parametrize(
+    "make_shared", [lambda: _Box([1]), lambda: [1]], ids=["fallback", "list"]
+)
+def test_replay_copies_state_and_args_through_one_memo(make_shared):
+    app = build_blog_app()
+    problem = define(
+        "echo",
+        "(Str) -> Str",
+        class_table=app.class_table,
+        reset=app.reset,
+        database=app.database,
+    )
+
+    def setup(ctx):
+        shared = make_shared()
+        ctx["shared"] = shared
+        ctx.invoke(shared)
+
+    def postcond(ctx, result):
+        ctx.assert_(lambda: result is ctx["shared"])
+
+    problem.add_spec("echoes the stashed object", setup, postcond)
+    state = problem.state_manager()
+    program = problem.make_program(A.Var("arg0"))
+    spec = problem.specs[0]
+
+    assert evaluate_spec(problem, program, spec, state=state).ok
+    assert evaluate_spec(problem, program, spec, state=state).ok
+    assert state.counters["state.restores"] == 1
+    recording = state.recording_for(spec)
+    copied_state, copied_args = recording.plan()
+    assert copied_state["shared"] is copied_args[0]
+    assert copied_args[0] == recording.args[0]
+    assert copied_args[0] is not recording.args[0]
+
+
+def test_replay_of_a_cyclic_recording_keeps_the_cycle():
+    app = build_blog_app()
+    User = app.models["User"]
+    problem = define(
+        "echo_user",
+        "(User) -> User",
+        consts=[User],
+        class_table=app.class_table,
+        reset=app.reset,
+        database=app.database,
+    )
+
+    def setup(ctx):
+        seed_blog(app)
+        user = User.find_by(username="carol")
+        # Models compare by name and id alone, so this recording is
+        # replayable although it holds a cycle.
+        vars(user)["_attributes"]["friends"] = [user]
+        ctx["user"] = user
+        ctx.invoke(user)
+
+    def postcond(ctx, result):
+        user = ctx["user"]
+        ctx.assert_(
+            lambda: result is user and vars(user)["_attributes"]["friends"][0] is user
+        )
+
+    problem.add_spec("echoes a self-referencing user", setup, postcond)
+    state = problem.state_manager()
+    program = problem.make_program(A.Var("arg0"))
+    spec = problem.specs[0]
+
+    assert evaluate_spec(problem, program, spec, state=state).ok
+    assert evaluate_spec(problem, program, spec, state=state).ok
+    assert state.counters["state.restores"] == 1
+    recording = state.recording_for(spec)
+    copied_state, copied_args = recording.plan()
+    user = copied_state["user"]
+    assert user is copied_args[0] and user is not recording.state["user"]
+    assert vars(user)["_attributes"]["friends"][0] is user
+
+
+def test_recording_too_deep_to_plan_is_unreplayable(monkeypatch):
+    import repro.synth.state as state_module
+
+    def too_deep(state, args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(state_module, "copy_plan", too_deep)
+    problem = _blog_problem()
+    state = problem.state_manager()
+    program = _find_user_program(problem)
+    spec = problem.specs[0]
+
+    # Not a candidate failure: the spec just rebuilds from its setup.
+    assert evaluate_spec(problem, program, spec, state=state).ok
+    assert evaluate_spec(problem, program, spec, state=state).ok
+    assert state.counters["state.unreplayable"] == 1
+    assert state.counters["state.restores"] == 0
 
 
 def test_broken_reset_closure_propagates_as_infrastructure_error():

@@ -216,6 +216,25 @@ def test_class_table_mutation_refreshes_the_s_app_productions(blog_problem):
     assert newest in _built(expand_typed_hole(root, site, blog_problem, config))
 
 
+def test_hash_literal_templates_are_tabled_per_type_and_max_hash_keys(blog_problem):
+    hash_type = T.FiniteHashType.make(
+        {"title": T.STRING}, {"author": T.STRING, "slug": T.STRING}
+    )
+
+    def templates(config):
+        root = A.TypedHole(hash_type)  # a new hole of the same type each time
+        site = A.first_hole(root)
+        trees = _built(expand_typed_hole(root, site, blog_problem, config))
+        return [tree for tree in trees if isinstance(tree, A.HashLit)]
+
+    first = templates(SynthConfig())
+    second = templates(SynthConfig())
+    assert len(first) == len(second) == 3  # {title}, plus author or slug
+    assert all(a is b for a, b in zip(first, second))
+    narrow = templates(SynthConfig(max_hash_keys=1))
+    assert narrow == first[:1] and narrow[0] is not first[0]
+
+
 def test_production_table_dies_with_its_problem():
     # The S-Const/S-App table hangs off the problem: nothing may keep a
     # finished problem's constants (its model classes) -- and through them
