@@ -1,10 +1,18 @@
-"""Setuptools shim so ``pip install -e .`` works without the ``wheel`` package.
+"""Setuptools metadata for the ``repro`` package under ``src/``.
 
-All project metadata lives in ``pyproject.toml``; this file only enables
-legacy editable installs (``pip install -e . --no-use-pep517``) in offline
-environments that lack PEP 660 build requirements.
+The package is the RbSyn reproduction (engine, apps, benchmarks and
+evaluation harnesses); it has no third-party runtime dependency.  There is
+no ``pyproject.toml``: this file holds all of the metadata.  Install it with
+``pip install .`` (or ``pip install -e .`` for an editable install); the
+tests and scripts also run without installing, with ``PYTHONPATH=src``.
 """
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+setup(
+    name="rbsyn-repro",
+    version="0.1.0",
+    description="A reproduction of RbSyn: type- and effect-guided program synthesis",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

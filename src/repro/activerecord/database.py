@@ -72,7 +72,6 @@ order exactly.
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import dataclass
 
 from repro.obs import trace
@@ -114,20 +113,15 @@ def _copy_row(row: Dict[str, Any]) -> Dict[str, Any]:
 
 # -- indexing switch -----------------------------------------------------------
 
-_DEFAULT_INDEXING = os.environ.get("REPRO_ORM_INDEXING", "1").strip().lower() not in (
-    "0",
-    "false",
-    "off",
-    "no",
-)
+_DEFAULT_INDEXING = True
 
 
 def default_indexing() -> bool:
     """Whether new :class:`Database` instances build indexes (default on).
 
-    Seeded from the ``REPRO_ORM_INDEXING`` environment variable; flipped at
-    runtime by :func:`set_default_indexing` (the A/B hook used by
-    ``benchmarks/bench_orm.py`` to compare indexed and scan-only runs).
+    Flipped at runtime by :func:`set_default_indexing`, which the tier-1
+    indexed-versus-scan tests and the ``no_index`` arm of
+    ``scripts/arm_identity.py`` use to compare indexed and scan-only runs.
     """
 
     return _DEFAULT_INDEXING

@@ -48,11 +48,10 @@ interpreter pass for an outcome that is already known.
 Because a reused outcome is byte-for-byte the outcome the evaluation would
 have produced, the search's decisions (return, S-Eff wrap, push priority)
 are unchanged: synthesis with pruning on and off yields *identical*
-programs while skipping a measurable share of dynamic evaluations
-(``benchmarks/bench_analysis.py`` gates on >= 15% on the lookup-heavy
-cells).  The pruner is per-search (one spec, one baseline), so outcomes
-never leak across specs or baselines; ``SynthConfig.static_pruning``
-toggles it.
+programs (the ``no_pruning`` arm of ``scripts/arm_identity.py`` checks this
+on every end-to-end benchmark).  The pruner is per-search (one spec, one
+baseline), so outcomes never leak across specs or baselines;
+``SynthConfig.static_pruning`` toggles it.
 """
 
 from __future__ import annotations

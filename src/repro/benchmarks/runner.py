@@ -174,11 +174,11 @@ def _run_cold_parallel(
     result.lib_methods = problem.library_method_count()
     with ParallelExecutor(jobs, base_config=effective) as executor:
         futures = [
-            executor.submit_cell(benchmark.id, effective, fresh=True, runs=1)
+            executor.submit_cell(benchmark.id, effective, fresh=True)
             for _ in range(max(runs, 1))
         ]
         for future in futures:
-            payload = future.get()[0]
+            payload = future.get()
             result.record(payload.to_result(problem), payload.elapsed_s)
             if not payload.success:
                 break

@@ -12,9 +12,9 @@ These entries register with ``tier="scale"`` so ``all_benchmarks()`` (paper
 tier by default) never picks them up in Table 1 sweeps or the replay tests;
 they are reached explicitly by id (``get_benchmark("SC1")``), by
 ``all_benchmarks(tier="scale")``, by the slow-marked tests in
-``tests/test_query_engine.py`` and by ``benchmarks/bench_orm.py``'s scale
-smoke.  SC3 seeds 10^6 rows: one cold run takes 6-7 s and peaks at about
-0.9 GB of RSS (2-vCPU host, ``PYTHONHASHSEED=0``, ``timeout_s=300``, problem
+``tests/test_query_engine.py``, and SC1/SC2 by the end-to-end benchmark's
+``scale-cold`` workload and its identity gates.  SC3 seeds 10^6 rows: one
+cold run takes 6-7 s and peaks at about 0.9 GB of RSS (2-vCPU host, ``PYTHONHASHSEED=0``, ``timeout_s=300``, problem
 build included), so it is meant for explicit slow runs only.
 """
 

@@ -17,7 +17,6 @@ exactly the timing differences the figure exists to show.
 from __future__ import annotations
 
 import argparse
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -82,14 +81,12 @@ def render(series: Sequence[Figure7Series], timeout_s: float) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--timeout", type=float, default=float(os.environ.get("REPRO_TIMEOUT", 20.0))
-    )
+    parser.add_argument("--timeout", type=float, default=20.0)
     parser.add_argument("--only", nargs="*", help="benchmark ids to run")
     parser.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("REPRO_JOBS", 1)),
+        default=1,
         help="worker processes for the (benchmark, mode) cells",
     )
     args = parser.parse_args(argv)

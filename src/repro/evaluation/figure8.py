@@ -20,7 +20,6 @@ cells.
 from __future__ import annotations
 
 import argparse
-import os
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -90,9 +89,7 @@ def run_figure8(
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--timeout", type=float, default=float(os.environ.get("REPRO_TIMEOUT", 20.0))
-    )
+    parser.add_argument("--timeout", type=float, default=20.0)
     parser.add_argument("--only", nargs="*", help="benchmark ids to run")
     parser.add_argument(
         "--cold",
@@ -103,7 +100,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get("REPRO_JOBS", 1)),
+        default=1,
         help="worker processes for the (benchmark, precision) cells",
     )
     args = parser.parse_args(argv)

@@ -28,10 +28,10 @@ every cache registered against the problem.  Replacing the reset function
 through :meth:`~repro.synth.goal.SynthesisProblem.rebind_reset` invalidates
 automatically.
 
-A *disabled* cache (``SynthConfig(cache_spec_outcomes=False)``) still tracks
-which keys it has seen and counts the lookups that would have hit as
-``redundant`` executions, which is how ``benchmarks/bench_cache.py`` measures
-the redundancy the memo removes without changing the disabled-path behavior.
+A *disabled* cache (``SynthConfig(cache_spec_outcomes=False)``) keeps no
+entry: every lookup misses, so every evaluation executes.  It is the
+``no_memo`` arm of ``scripts/arm_identity.py``, which checks that the memo
+never changes a synthesized program.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: is evicted (counted on ``cache.evictions``).
 DEFAULT_MAX_ENTRIES = 100_000
 
-#: Sentinel stored for keys tracked by a *disabled* cache (key presence is
-#: recorded so redundant executions can be counted, but no outcome is kept).
-_TRACKED = object()
-
 #: Sentinel distinguishing "no entry" from a memoized ``None`` guard value.
 _MISSING = object()
 
@@ -64,10 +60,8 @@ _MISSING = object()
 CACHE_COUNTERS = (
     "cache.spec_hits",
     "cache.spec_misses",
-    "cache.spec_redundant",
     "cache.guard_hits",
     "cache.guard_misses",
-    "cache.guard_redundant",
     "cache.evictions",
     "cache.invalidations",
 )
@@ -86,15 +80,9 @@ class SynthCache:
         self,
         enabled: bool = True,
         max_entries: int = DEFAULT_MAX_ENTRIES,
-        track_redundancy: bool = True,
     ) -> None:
         self.enabled = enabled
         self.max_entries = max_entries
-        #: When the cache is disabled, key tracking (and its bookkeeping
-        #: cost) is only paid if redundancy counting was asked for; with
-        #: ``track_redundancy=False`` a disabled cache is a true no-op
-        #: baseline apart from incrementing the miss counter.
-        self.track_redundancy = track_redundancy
         self.counters = Counters.fromkeys(CACHE_COUNTERS, 0)
         self._entries: "OrderedDict[Tuple, Any]" = OrderedDict()
 
@@ -103,7 +91,6 @@ class SynthCache:
         return SynthCache(
             enabled=getattr(config, "cache_spec_outcomes", True),
             max_entries=getattr(config, "spec_cache_max_entries", DEFAULT_MAX_ENTRIES),
-            track_redundancy=getattr(config, "cache_track_redundancy", True),
         )
 
     # ------------------------------------------------------------------ keys
@@ -141,20 +128,16 @@ class SynthCache:
     ) -> Optional["SpecOutcome"]:
         """The memoized outcome of ``(program, spec)``, or ``None`` on a miss.
 
-        On a disabled cache this always returns ``None`` but still counts
-        previously-seen keys as redundant executions.
+        A disabled cache always misses.
         """
 
-        if not self.enabled and not self.track_redundancy:
+        if not self.enabled:
             self.counters["cache.spec_misses"] += 1
             return None
         key = self._key("spec", problem, program, spec)
         entry = self._get(key)
         if entry is _MISSING:
             self.counters["cache.spec_misses"] += 1
-            return None
-        if not self.enabled:
-            self.counters["cache.spec_redundant"] += 1
             return None
         self.counters["cache.spec_hits"] += 1
         if trace.TRACER.enabled:
@@ -168,10 +151,8 @@ class SynthCache:
         spec: "Spec",
         outcome: "SpecOutcome",
     ) -> None:
-        if not self.enabled and not self.track_redundancy:
-            return
-        key = self._key("spec", problem, program, spec)
-        self._put(key, outcome if self.enabled else _TRACKED)
+        if self.enabled:
+            self._put(self._key("spec", problem, program, spec), outcome)
 
     # ------------------------------------------------------------------ guard memo
 
@@ -181,19 +162,17 @@ class SynthCache:
         """The memoized truthiness of a guard program under ``spec``.
 
         Returns the stored value (``True``/``False``, or ``None`` for a
-        crashing guard) or the module sentinel ``MISSING`` on a miss.
+        crashing guard) or the module sentinel ``MISSING`` on a miss.  A
+        disabled cache always misses.
         """
 
-        if not self.enabled and not self.track_redundancy:
+        if not self.enabled:
             self.counters["cache.guard_misses"] += 1
             return _MISSING
         key = self._key("guard", problem, program, spec)
         entry = self._get(key)
         if entry is _MISSING:
             self.counters["cache.guard_misses"] += 1
-            return _MISSING
-        if not self.enabled:
-            self.counters["cache.guard_redundant"] += 1
             return _MISSING
         self.counters["cache.guard_hits"] += 1
         if trace.TRACER.enabled:
@@ -207,10 +186,8 @@ class SynthCache:
         spec: "Spec",
         truthiness: Optional[bool],
     ) -> None:
-        if not self.enabled and not self.track_redundancy:
-            return
-        key = self._key("guard", problem, program, spec)
-        self._put(key, truthiness if self.enabled else _TRACKED)
+        if self.enabled:
+            self._put(self._key("guard", problem, program, spec), truthiness)
 
     # ------------------------------------------------------------------ lifecycle
 

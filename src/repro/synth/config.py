@@ -12,23 +12,25 @@ The configuration exposes every knob the paper's evaluation turns:
   evaluation memo of :mod:`repro.synth.cache`: when enabled (the default),
   identical ``(program, spec)`` executions across solution reuse, guard
   search and merge validation are answered from the memo; disabling it
-  restores the execute-every-time behavior while still *counting* the
-  redundant executions, which ``benchmarks/bench_cache.py`` reports;
+  restores the execute-every-time behavior;
 * ``snapshot_state`` controls the copy-on-write database snapshot manager
   of :mod:`repro.synth.state`: when enabled (the default) and the problem
   carries its database, the reset closure and each spec's seed inserts are
   replayed once and restored by cheap table swaps afterwards; disabling it
-  restores the reset-every-time behavior (the ``no_snapshot`` ablation and
-  ``benchmarks/bench_state.py``'s baseline), and ``verify_recordings`` is an
+  restores the reset-every-time behavior, and ``verify_recordings`` is an
   opt-in debug mode that periodically re-records a replayed spec's setup and
   raises on nondeterminism;
 * ``static_pruning`` controls the static effect analyses of
   :mod:`repro.analysis`: pre-evaluation pruning through the normal-form
-  outcome memo and the write-pure restore fast-path (disabling them is the
-  baseline ``benchmarks/bench_analysis.py`` measures against);
+  outcome memo and the write-pure restore fast-path;
 * the remaining limits bound the enumerative search and expose the
   optimizations of Section 4 (solution/guard reuse, negated-guard reuse,
   type narrowing, exploration order) for the ablation benchmarks.
+
+Turning the memo, the snapshots or the static analyses off must never
+change a synthesized program: ``scripts/arm_identity.py`` synthesizes
+every end-to-end benchmark with each of them off and compares the
+programs with ``perfbench/golden.json``.
 """
 
 from __future__ import annotations
@@ -38,20 +40,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.lang.effects import PRECISION_PRECISE
-
-
-def default_static_pruning() -> bool:
-    """The process-default for ``SynthConfig.static_pruning``.
-
-    Honors the ``REPRO_STATIC_PRUNING`` environment variable (CI's ablation
-    hook): unset or truthy enables the static analyses,
-    ``0``/``false``/``no``/``off`` disables them.
-    """
-
-    value = os.environ.get("REPRO_STATIC_PRUNING")
-    if value is None:
-        return True
-    return value.strip().lower() not in ("0", "false", "no", "off", "")
 
 
 def default_trace_path() -> Optional[str]:
@@ -99,12 +87,8 @@ class SynthConfig:
     # Evaluation caching (repro.synth.cache).  ``cache_spec_outcomes``
     # memoizes spec/guard outcomes per (program, spec, effect precision);
     # ``spec_cache_max_entries`` bounds the memo (LRU eviction beyond it).
-    # With the memo disabled, ``cache_track_redundancy`` keeps counting the
-    # re-executions the memo would have removed (used by bench_cache.py);
-    # turn it off too for a bookkeeping-free baseline (the ablation bench).
     cache_spec_outcomes: bool = True
     spec_cache_max_entries: int = 100_000
-    cache_track_redundancy: bool = True
 
     # State management (repro.synth.state).  ``snapshot_state`` restores the
     # database from copy-on-write snapshots instead of replaying the reset
@@ -118,9 +102,8 @@ class SynthConfig:
     # them (repro.analysis.prune -- sound by construction, so synthesized
     # programs are byte-identical with the knob off), and (2) fast-paths
     # statically write-pure candidates past the snapshot restore that would
-    # otherwise precede the next evaluation of the same spec.  The process
-    # default honors the REPRO_STATIC_PRUNING environment variable.
-    static_pruning: bool = field(default_factory=default_static_pruning)
+    # otherwise precede the next evaluation of the same spec.
+    static_pruning: bool = True
 
     # Opt-in debug mode for the snapshot subsystem's determinism contract:
     # when > 0, every Nth replay of a recorded spec re-runs the full

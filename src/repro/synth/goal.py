@@ -40,7 +40,7 @@ from repro.interp.errors import AssertionFailure
 from repro.interp.interpreter import Interpreter
 from repro.obs import trace
 from repro.obs.metrics import Counters
-from repro.synth.state import NondeterministicSetupError
+from repro.synth.state import InfrastructureError
 from repro.typesys.class_table import ClassTable
 from repro.typesys.sigparser import parse_method_sig
 
@@ -446,8 +446,10 @@ def _evaluate_spec_impl(
     """The untraced body of :func:`evaluate_spec`.
 
     Kept separate so the tracing-disabled path costs exactly one attribute
-    check, and so ``benchmarks/bench_obs.py`` can time this pre-obs
-    baseline directly against the wrapper.
+    check.  A failure of the snapshot machinery (a broken reset closure, a
+    corrupt snapshot, a recording that cannot be finalized, a
+    ``verify_recordings`` mismatch) propagates to the caller; only the
+    candidate's own crashes and assertion failures become its outcome.
     """
 
     if cache is not None and not capture_invoke:
@@ -472,9 +474,10 @@ def _evaluate_spec_impl(
         result = ctx.result
         spec.postcond(ctx, result)
         outcome = SpecOutcome(ok=True, passed_asserts=ctx.passed_asserts, value=result)
-    except NondeterministicSetupError:
-        # The verify_recordings debug mode caught a broken determinism
-        # contract: infrastructure, not a candidate failure -- never memoize.
+    except InfrastructureError:
+        # The snapshot machinery failed (a recording could not be finalized,
+        # or verify_recordings caught a broken determinism contract): not a
+        # candidate failure -- never memoize.
         raise
     except AssertionFailure as failure:
         outcome = SpecOutcome(
@@ -635,7 +638,7 @@ def _evaluate_guard_impl(
     try:
         run_setup(ctx)
         truthiness = truthy(ctx.result)
-    except NondeterministicSetupError:
+    except InfrastructureError:
         raise
     except Exception:  # noqa: BLE001 - a crashing guard is simply rejected
         truthiness = None

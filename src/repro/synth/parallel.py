@@ -9,7 +9,8 @@ the **cell**: a whole ``(problem, variant)`` run of
 :func:`~repro.benchmarks.runner.run_benchmark`.  Each cell is a serial
 :meth:`SynthesisSession.run` inside a worker, so it keeps every serial
 contract: its own ``timeout_s`` budget bounds it end to end, and it
-synthesizes the program a serial run does.
+synthesizes the program a serial run does (the ``parallel`` arm of
+``scripts/arm_identity.py`` checks this on every end-to-end benchmark).
 
 Workers are forked from the parent (same interpreter state, same
 string-hash seed), so a worker's search finds exactly the expression the
@@ -99,13 +100,13 @@ def _worker_init(base_config: SynthConfig) -> None:
 
 
 def _worker_call(
-    benchmark_id: str, config: SynthConfig, fresh: bool, runs: int
-) -> List[CellTaskResult]:
+    benchmark_id: str, config: SynthConfig, fresh: bool
+) -> CellTaskResult:
     """Run one cell task inside the pool.
 
     When the cell's config carries a ``trace_path`` the parent is tracing:
     the worker collects the cell's events in memory (tagged with a
-    per-process worker id) and ships them back on the cell results for the
+    per-process worker id) and ships them back on the cell result for the
     parent to absorb into its trace.
     """
 
@@ -113,21 +114,16 @@ def _worker_call(
     if collecting:
         trace.start_collecting(worker=f"w{os.getpid()}")
     try:
-        return _run_cell_task(benchmark_id, config, fresh, runs)
+        return _run_cell_task(benchmark_id, config, fresh)
     finally:
         if collecting:
             trace.reset_after_fork()
 
 
-def _run_cell_task(
-    benchmark_id: str, config: SynthConfig, fresh: bool, runs: int = 1
-) -> List[CellTaskResult]:
-    """Run one benchmark cell ``runs`` times in this worker.
+def _run_cell_task(benchmark_id: str, config: SynthConfig, fresh: bool) -> CellTaskResult:
+    """Run one benchmark cell in this worker.
 
-    A multi-run batch is the parallel unit of ``bench_parallel``: keeping
-    one benchmark's repeats on one worker lets them share that worker's
-    warm session instead of duplicating the cold work across the pool.
-    Like the serial paths, each run's time covers only its ``run`` call,
+    Like the serial paths, the cell's time covers only its ``run`` call,
     not the problem build.
     """
 
@@ -135,38 +131,28 @@ def _run_cell_task(
     from repro.synth.session import SynthesisSession
 
     benchmark = get_benchmark(benchmark_id)
-    payloads: List[CellTaskResult] = []
-    for _ in range(max(runs, 1)):
-        if fresh:
-            # Mirrors ``sweep(warm=False)`` / cold ``run_benchmark``: a
-            # freshly built problem inside a throwaway session.
-            problem = benchmark.build()
-            with SynthesisSession(config) as cold:
-                start = time.perf_counter()
-                result = cold.run(problem)
-                elapsed = time.perf_counter() - start
-        else:
-            problem = _WORKER.problem_for(benchmark)
+    if fresh:
+        # Mirrors ``sweep(warm=False)`` / cold ``run_benchmark``: a freshly
+        # built problem inside a throwaway session.
+        problem = benchmark.build()
+        with SynthesisSession(config) as cold:
             start = time.perf_counter()
-            result = _WORKER.run(problem, config=config)
+            result = cold.run(problem)
             elapsed = time.perf_counter() - start
-        payloads.append(
-            CellTaskResult(
-                success=result.success,
-                timed_out=result.timed_out,
-                program=result.program,
-                elapsed_s=elapsed,
-                counters=result.counters,
-                metrics=result.metrics,
-                # Drained per run, so every payload carries its own events.
-                trace_events=(
-                    trace.TRACER.export() if trace.TRACER.enabled else []
-                ),
-            )
-        )
-        if not result.success:
-            break
-    return payloads
+    else:
+        problem = _WORKER.problem_for(benchmark)
+        start = time.perf_counter()
+        result = _WORKER.run(problem, config=config)
+        elapsed = time.perf_counter() - start
+    return CellTaskResult(
+        success=result.success,
+        timed_out=result.timed_out,
+        program=result.program,
+        elapsed_s=elapsed,
+        counters=result.counters,
+        metrics=result.metrics,
+        trace_events=trace.TRACER.export() if trace.TRACER.enabled else [],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -215,18 +201,11 @@ class ParallelExecutor:
                 gc.unfreeze()
         return self._pool
 
-    def submit_cell(
-        self, benchmark_id: str, config: SynthConfig, fresh: bool, runs: int = 1
-    ):
-        """One benchmark cell, run ``runs`` times in the same worker.
+    def submit_cell(self, benchmark_id: str, config: SynthConfig, fresh: bool):
+        """One benchmark cell; the future resolves to its
+        :class:`CellTaskResult`."""
 
-        The future resolves to a *list* of :class:`CellTaskResult` (one per
-        run, truncated at the first failure like the serial runner).
-        """
-
-        return self._get_pool().apply_async(
-            _worker_call, (benchmark_id, config, fresh, runs)
-        )
+        return self._get_pool().apply_async(_worker_call, (benchmark_id, config, fresh))
 
     # ------------------------------------------------------------------ lifecycle
 

@@ -32,7 +32,7 @@ Typical use::
         )
 
 ``session.sweep`` is the engine behind the Table 1 / Figure 7 / Figure 8
-harnesses and the CI bench gates.  Every result carries the run's counters
+harnesses and of the ``parallel`` arm of ``scripts/arm_identity.py``.  Every result carries the run's counters
 (``result.counters``, keyed ``layer.name``): the session's memo and
 snapshot managers outlive a run, so each result reports only the work that
 run added to them.
@@ -329,7 +329,7 @@ class SynthesisSession:
             with trace.TRACER.span(
                 "sweep.cell", label=benchmark.id, variant=name, warm=warm
             ):
-                payload = future.get()[0]
+                payload = future.get()
                 if payload.trace_events:
                     trace.TRACER.absorb(payload.trace_events)
             problem = self._resolve_problem(source)

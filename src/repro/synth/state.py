@@ -44,15 +44,21 @@ of setup is inherently undetectable: pure control flow on the candidate's
 result after the invoke (``x = ctx.invoke(a); if x is None: raise``) leaves
 no observable trace during the recording pass, so such specs must not rely
 on replay -- this is part of the determinism contract the ``database``
-opt-in asserts, and the reason ``bench_state.py --check`` exists.  The
-opt-in ``SynthConfig.verify_recordings`` debug mode audits that contract at
-runtime: every Nth replay of a recorded spec re-runs the full reset+setup
-under a fresh recorder and diffs what it captured against the recording,
-raising :class:`NondeterministicSetupError` on divergence.  Restores and
+opt-in asserts.  The opt-in ``SynthConfig.verify_recordings`` debug mode
+audits that contract at runtime: every Nth replay of a recorded spec re-runs
+the full reset+setup under a fresh recorder and diffs what it captured
+against the recording, raising :class:`NondeterministicSetupError` on
+divergence.  Restores and
 rebuilds surface as ``state.restores``/``state.rebuilds`` in every run's
-counters and Table 1, and ``benchmarks/bench_state.py
---check`` gates on snapshot-on and snapshot-off runs synthesizing identical
-programs.
+counters and Table 1, and the ``no_snapshot`` arm of
+``scripts/arm_identity.py`` checks that snapshot-off runs synthesize the
+same programs on every end-to-end benchmark.
+
+A failure of this machinery is never the candidate's: restore failures
+propagate from :meth:`StateManager.begin`, and a failure to finalize a
+recording is raised as an :class:`InfrastructureError` (its ``__cause__``
+the original error), which spec and guard evaluation re-raise instead of
+memoizing, as they do its subclass :class:`NondeterministicSetupError`.
 
 Enabling the manager requires the problem to carry its ``database`` (see
 ``SynthesisProblem.database`` / ``define(..., database=...)``): handing the
@@ -90,7 +96,16 @@ def _safely_equal(left: Any, right: Any) -> bool:
         return False
 
 
-class NondeterministicSetupError(RuntimeError):
+class InfrastructureError(RuntimeError):
+    """A failure of the snapshot machinery, never of the candidate.
+
+    Spec and guard evaluation re-raise it instead of recording it as the
+    candidate's outcome, so it is never memoized and never rejects an
+    innocent candidate.
+    """
+
+
+class NondeterministicSetupError(InfrastructureError):
     """A ``verify_recordings`` pass caught a setup violating determinism.
 
     Raised when re-recording a spec's setup produced a different pre-invoke
@@ -503,7 +518,15 @@ class StateManager:
                 spec.setup(ctx)
             finally:
                 ctx._recorder = None
-            self._finalize(spec, ctx, recorder)
+            # This runs under the evaluation's candidate-crash handler, so a
+            # failure of our own must say it is not the candidate's.  The
+            # spec stays neither recorded nor unreplayable.
+            try:
+                self._finalize(spec, ctx, recorder)
+            except Exception as error:
+                raise InfrastructureError(
+                    f"spec {spec.name!r}: finalizing its recording failed"
+                ) from error
 
         return record
 

@@ -25,7 +25,6 @@ from repro.analysis.soundness import check_benchmark, check_expr_against_specs, 
 from repro.interp.effect_log import log_effect
 from repro.obs.metrics import Counters
 from repro.synth import SynthConfig, SynthesisSession, define
-from repro.synth.config import default_static_pruning
 from repro.synth.effect_guided import insert_effect_hole
 from repro.typesys.class_table import ClassTable, MethodSig
 from repro.typesys.typecheck import SynTypeError
@@ -255,17 +254,6 @@ def test_static_pruning_is_transparent_and_cheaper():
     assert on.counters["state.pure_skips"] > 0
     assert off.counters["state.pure_skips"] == 0
     assert off.counters["search.static_prunes"] == 0
-
-
-def test_static_pruning_env_override(monkeypatch):
-    monkeypatch.delenv("REPRO_STATIC_PRUNING", raising=False)
-    assert default_static_pruning()
-    assert SynthConfig().static_pruning
-    monkeypatch.setenv("REPRO_STATIC_PRUNING", "0")
-    assert not default_static_pruning()
-    assert not SynthConfig().static_pruning
-    monkeypatch.setenv("REPRO_STATIC_PRUNING", "yes")
-    assert SynthConfig().static_pruning
 
 
 def test_insert_effect_hole_counts_type_fallbacks(blog_problem):

@@ -287,12 +287,15 @@ def test_traced_session_run_summary_covers_phases(tmp_path):
     assert breakdown["root"]["name"] == "session.run"
     assert breakdown["root"]["attrs"]["problem"] == result.problem.name
     assert breakdown["root"]["attrs"]["success"] is True
-    assert set(breakdown["phases"]) >= {"phase.setup", "phase.specs"}
+    assert set(breakdown["phases"]) >= {"phase.setup", "phase.specs", "phase.merge"}
     assert breakdown["coverage"] >= 0.95
     assert summary["events"] > 0
     assert summary["slowest_specs"], "search.spec spans missing"
     totals = summary["span_totals"]
     assert totals["eval.spec"]["count"] > 0
+    # S4's merge phase searches guards and evaluates them.
+    assert totals["search.guard"]["count"] > 0
+    assert totals["eval.guard"]["count"] > 0
     # Every evaluation is answered by the memo or executed, nothing else.
     timeline = summary["hit_ratio_timeline"]
     assert all(set(e) == {"bucket", "memo", "exec", "hit_ratio"} for e in timeline)

@@ -590,8 +590,8 @@ def _scale_battery(rows: int) -> list:
 
 
 def test_scale_battery_indexed_equals_scan():
-    # The indexed-vs-scan battery of benchmarks/bench_orm.py at 2,000 rows,
-    # plus a repeated column, compared call for call.
+    # A planner battery over the scale tier's users at 2,000 rows, plus a
+    # repeated column, compared call for call between indexes and scans.
     rows = 2000
     indexed, scan = Database(indexing=True), Database(indexing=False)
     for db in (indexed, scan):

@@ -25,7 +25,7 @@ from repro.benchmarks import all_benchmarks, get_benchmark, run_benchmark
 from repro.lang import ast as A
 from repro.lang.values import HashValue, Symbol
 from repro.synth import SynthConfig, SynthesisSession, define
-from repro.synth.goal import evaluate_all_specs, evaluate_spec
+from repro.synth.goal import evaluate_all_specs, evaluate_guard, evaluate_spec
 from repro.synth.state import StateManager
 
 
@@ -892,6 +892,34 @@ def test_broken_reset_closure_propagates_as_infrastructure_error():
     # State path: the baseline capture replays the reset closure.
     with pytest.raises(RuntimeError, match="infrastructure down"):
         evaluate_spec(problem, program, spec, state=problem.state_manager())
+
+
+@pytest.mark.parametrize("kind", ["spec", "guard"])
+def test_failing_finalize_propagates_and_is_not_memoized(monkeypatch, kind):
+    from repro.synth.cache import SynthCache
+
+    def broken_finalize(self, spec, ctx, recorder):
+        raise RuntimeError("finalize infrastructure down")
+
+    monkeypatch.setattr(StateManager, "_finalize", broken_finalize)
+    problem = get_benchmark("S4").build()
+    state = problem.state_manager()
+    cache = SynthCache()
+    spec = problem.specs[0]
+
+    # The recording pass runs under the candidate-crash handler; a failure
+    # of the state manager's own must still reach the caller.
+    with pytest.raises(RuntimeError) as raised:
+        if kind == "spec":
+            evaluate_spec(problem, problem.make_program(A.Var("arg0")), spec,
+                          cache=cache, state=state)
+        else:
+            evaluate_guard(problem, A.BoolLit(True), spec, expect=True,
+                           cache=cache, state=state)
+    assert "finalize infrastructure down" in str(raised.value.__cause__)
+    assert len(cache) == 0
+    assert state.recording_for(spec) is None
+    assert not state.is_unreplayable(spec)
 
 
 def test_crashing_setup_leaves_no_recording():
