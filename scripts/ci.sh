@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Lightweight CI gate: tier-1 tests, then the identity and correctness gates.
+# Lightweight CI gate: tier-1 tests, then the identity and correctness gates,
+# then one traced benchmark pass per workload.
 #
 #   scripts/ci.sh                   # tier-1 pytest + every gate below
 #   CI_SKIP_TESTS=1 scripts/ci.sh   # the gates only
@@ -23,6 +24,14 @@
 # must stay finding-free over every registered benchmark, and the soundness
 # sweep must observe zero dynamic effects the static footprint fails to
 # subsume.
+#
+# The traced benchmark gate runs perfbench/run.py --trace 1 once per
+# workload (~8 s paper-cold, ~5 s scale-cold).  A traced run wraps each
+# call site that perfbench/rationale.json lists, at the name its caller
+# looks it up by; a site that no longer resolves, or that the engine no
+# longer reaches through that name (say, a call-time import hoisted to
+# module level), makes the run's last line report "correct": false, and
+# the gate fails on it.
 
 set -euo pipefail
 
@@ -63,5 +72,20 @@ python scripts/soundness_sweep.py \
     --check \
     --samples "${CI_SOUNDNESS_SAMPLES:-10}" \
     --search-limit "${CI_SOUNDNESS_SEARCH_LIMIT:-40}"
+
+echo "== traced benchmark gate (perfbench --trace 1, both workloads) =="
+TRACED_OUT="$(mktemp)"
+for workload in paper-cold scale-cold; do
+    python perfbench/run.py --workload "$workload" --seed 1 --seconds 1 --trace 1 \
+        > "$TRACED_OUT"
+    grep "^LOST-SPAN" "$TRACED_OUT" || true
+    tail -n 1 "$TRACED_OUT" | python -c '
+import json, sys
+correct = json.loads(sys.stdin.read())["correct"] is True
+print(sys.argv[1], "traced run correct" if correct else "traced run NOT correct")
+sys.exit(0 if correct else 1)
+' "$workload"
+done
+rm -f "$TRACED_OUT"
 
 echo "== ok =="

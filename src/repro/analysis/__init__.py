@@ -13,10 +13,13 @@ Three passes, all purely static (no interpreter, no database):
   mismatches between signatures and their Python impls, and specs whose
   assertions read regions no library method can write.
 
-The search integration (``SynthConfig.static_pruning``) lives in
-:mod:`repro.analysis.prune`: a per-search memo over effect-normalized
-candidates that answers spec evaluations statically when a semantically
-equivalent candidate has already been executed.
+The search integration lives in :mod:`repro.analysis.prune`, the only
+layer ``SynthConfig.static_pruning`` gates: a per-search memo over
+effect-normalized candidates that answers spec evaluations statically when
+a semantically equivalent candidate has already been executed.  The search
+also uses the footprint pass for the S-EffApp writer pre-filter
+(:func:`writers_for_effect`) and to type the trailing hole of an S-Eff
+wrap (:func:`infer`).
 """
 
 from repro.analysis.footprint import TOP_PAIR, footprint, infer, writers_for_effect

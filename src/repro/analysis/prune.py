@@ -51,7 +51,7 @@ are unchanged: synthesis with pruning on and off yields *identical*
 programs (the ``no_pruning`` arm of ``scripts/arm_identity.py`` checks this
 on every end-to-end benchmark).  The pruner is per-search (one spec, one
 baseline), so outcomes never leak across specs or baselines;
-``SynthConfig.static_pruning`` toggles it.
+``SynthConfig.static_pruning`` toggles it, and nothing else.
 """
 
 from __future__ import annotations
@@ -96,11 +96,6 @@ class StaticPruner:
 
     def record(self, key: Hashable, outcome: "SpecOutcome") -> None:
         self._outcomes[key] = outcome
-
-    def write_pure(self, candidate: A.Node) -> bool:
-        """Whether the candidate's static write footprint is provably pure."""
-
-        return footprint(candidate, self.env, self.ct, self.counters).write.is_pure
 
     # ------------------------------------------------------------------ normalize
 

@@ -4,8 +4,8 @@ The footprint pass (:mod:`repro.analysis.footprint`) claims to compute a
 *sound over-approximation* of every expression's runtime effects: whatever
 regions an evaluation actually reads or writes must be subsumed by the
 static footprint.  Everything built on top of the pass -- the pre-evaluation
-pruner's witnessed prefix strips, the snapshot manager's restore fast-path
--- leans on exactly that claim, so this module checks it *differentially*:
+pruner's witnessed prefix strips, the S-EffApp writer pre-filter -- leans
+on exactly that claim, so this module checks it *differentially*:
 
 1. run a candidate expression against a spec with ``capture_invoke=True``,
    which wraps every ``ctx.invoke`` in an effect capture and returns the

@@ -30,6 +30,7 @@ from __future__ import annotations
 from typing import Any, List, Mapping, Optional
 
 from repro.lang import ast as A
+from repro.lang import types as T
 from repro.lang import values as V
 from repro.lang.values import ClassValue, HashValue, Symbol, truthy
 from repro.interp.effect_log import log_effect
@@ -198,8 +199,6 @@ class Interpreter:
 
 
 def _receiver_type(receiver: Any, cls_name: str, singleton: bool):
-    from repro.lang import types as T
-
     if singleton:
         return T.SingletonClassType(cls_name)
     if isinstance(receiver, HashValue):

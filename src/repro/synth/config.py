@@ -20,14 +20,14 @@ The configuration exposes every knob the paper's evaluation turns:
   restores the reset-every-time behavior, and ``verify_recordings`` is an
   opt-in debug mode that periodically re-records a replayed spec's setup and
   raises on nondeterminism;
-* ``static_pruning`` controls the static effect analyses of
-  :mod:`repro.analysis`: pre-evaluation pruning through the normal-form
-  outcome memo and the write-pure restore fast-path;
+* ``static_pruning`` controls pre-evaluation pruning
+  (:mod:`repro.analysis.prune`): a per-search memo that answers a
+  candidate whose effect-normal form already ran with that run's outcome;
 * the remaining limits bound the enumerative search and expose the
   optimizations of Section 4 (solution/guard reuse, negated-guard reuse,
   type narrowing, exploration order) for the ablation benchmarks.
 
-Turning the memo, the snapshots or the static analyses off must never
+Turning the memo, the snapshots or the pruning off must never
 change a synthesized program: ``scripts/arm_identity.py`` synthesizes
 every end-to-end benchmark with each of them off and compares the
 programs with ``perfbench/golden.json``.
@@ -96,13 +96,11 @@ class SynthConfig:
     # effect for problems that carry their database.
     snapshot_state: bool = True
 
-    # Static effect analysis (repro.analysis).  When enabled (the default),
-    # the search (1) answers evaluations of candidates whose effect-normal
-    # form it has already executed from a static memo instead of running
-    # them (repro.analysis.prune -- sound by construction, so synthesized
-    # programs are byte-identical with the knob off), and (2) fast-paths
-    # statically write-pure candidates past the snapshot restore that would
-    # otherwise precede the next evaluation of the same spec.
+    # Pre-evaluation pruning (repro.analysis.prune).  When enabled (the
+    # default), spec search answers candidates whose effect-normal form it
+    # has already executed from a static memo instead of running them --
+    # sound by construction, so synthesized programs are byte-identical
+    # with the knob off.  It gates nothing else.
     static_pruning: bool = True
 
     # Opt-in debug mode for the snapshot subsystem's determinism contract:

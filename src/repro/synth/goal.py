@@ -40,6 +40,7 @@ from repro.interp.errors import AssertionFailure
 from repro.interp.interpreter import Interpreter
 from repro.obs import trace
 from repro.obs.metrics import Counters
+from repro.synth.cache import MISSING
 from repro.synth.state import InfrastructureError
 from repro.typesys.class_table import ClassTable
 from repro.typesys.sigparser import parse_method_sig
@@ -84,12 +85,11 @@ class SpecContext:
         #: Observer attached by :mod:`repro.synth.state` during a recording
         #: pass; ``None`` everywhere else.
         self._recorder: Any = None
-        #: When set (by ``evaluate_spec``), every ``invoke`` runs inside an
-        #: effect capture and appends the observed pair here -- the dynamic
-        #: side of the static/dynamic soundness gate, and the purity witness
-        #: the snapshot manager's restore fast-path consumes.  A crashing
-        #: invoke still appends its partial log (a prefix of the full
-        #: effects, so subsumption checks remain sound).
+        #: When set (by ``evaluate_spec(..., capture_invoke=True)``), every
+        #: ``invoke`` runs inside an effect capture and appends the observed
+        #: pair here -- the dynamic side of the static/dynamic soundness
+        #: gate.  A crashing invoke still appends its partial log (a prefix
+        #: of the full effects, so subsumption checks remain sound).
         self._capture_invoke = False
         self.invoke_pairs: List["EffectPair"] = []
         #: The read/write pair captured around each ``assert_`` condition,
@@ -111,8 +111,7 @@ class SpecContext:
                 finally:
                     # Appended even when the candidate crashes: the partial
                     # log is a prefix of the run's effects, which is exactly
-                    # what soundness subsumption and the purity fast-path
-                    # need (a pure partial log means nothing was written).
+                    # what soundness subsumption needs.
                     self.invoke_pairs.append(log.pair)
         else:
             self.result = self.interpreter.call_program(self.program, *args)
@@ -253,11 +252,6 @@ class SynthesisProblem:
 
         self.reset()
         self.counters["search.reset_replays"] += 1
-        if self._state_manager is not None:
-            # A direct reset mutated the database behind the manager's back;
-            # its restore fast-path marker (see StateManager.note_eval) must
-            # not survive it.
-            self._state_manager.note_external_mutation()
 
     @property
     def reset_replays(self) -> int:
@@ -371,7 +365,6 @@ def evaluate_spec(
     state: Optional["StateManager"] = None,
     interpreter: Optional[Interpreter] = None,
     backend: Optional[str] = None,
-    static_write_pure: bool = False,
     capture_invoke: bool = False,
 ) -> SpecOutcome:
     """Reset global state, run the spec's setup, then its postcondition.
@@ -383,25 +376,19 @@ def evaluate_spec(
 
     With a ``state`` manager, the reset closure and the setup's seed work
     are replaced by copy-on-write snapshot restores once the spec has been
-    recorded (:mod:`repro.synth.state`).  ``interpreter`` lets callers batch
-    several evaluations in one interpreter session (``evaluate_all_specs``).
+    recorded (:mod:`repro.synth.state`); every replay restores the spec's
+    snapshot, so nothing the previous evaluation wrote -- in its invoke or
+    in its postcondition -- is visible to this one.  ``interpreter`` lets
+    callers batch several evaluations in one interpreter session
+    (``evaluate_all_specs``).
     ``backend`` accepts only ``None`` or ``"tree"`` (the tree walker is the
     one evaluator) and is kept for callers that still name it; anything else
     raises ``ValueError``.
 
-    ``static_write_pure`` tells the evaluation that the candidate's *static*
-    write footprint is pure (:mod:`repro.analysis.footprint`).  The invoke
-    then runs inside an effect capture, and when the dynamic log confirms
-    the purity, the state manager is told the database still equals the
-    spec's pre-invoke snapshot -- letting the *next* replay of the same
-    spec skip its restore entirely (``state.pure_skips``).  The
-    dynamic confirmation makes the fast-path robust against annotation
-    bugs: a lying "pure" annotation costs the skip, never correctness.
-
-    ``capture_invoke`` additionally bypasses the memo (both lookup and
-    store) and returns the dynamically observed effect pair on
-    ``SpecOutcome.invoke_pair`` -- the soundness checker's probe, which
-    must observe a real execution.
+    ``capture_invoke`` runs every ``ctx.invoke`` inside an effect capture,
+    bypasses the memo (both lookup and store) and returns the dynamically
+    observed effect pair on ``SpecOutcome.invoke_pair`` -- the soundness
+    checker's probe, which must observe a real execution.
     """
 
     if backend is not None and backend != "tree":
@@ -415,7 +402,6 @@ def evaluate_spec(
             cache,
             state,
             interpreter,
-            static_write_pure,
             capture_invoke,
         )
     with tracer.span("eval.spec", spec=spec.name):
@@ -426,7 +412,6 @@ def evaluate_spec(
             cache,
             state,
             interpreter,
-            static_write_pure,
             capture_invoke,
         )
         tracer.annotate(ok=outcome.ok, passed=outcome.passed_asserts)
@@ -440,7 +425,6 @@ def _evaluate_spec_impl(
     cache: Optional["SynthCache"] = None,
     state: Optional["StateManager"] = None,
     interpreter: Optional[Interpreter] = None,
-    static_write_pure: bool = False,
     capture_invoke: bool = False,
 ) -> SpecOutcome:
     """The untraced body of :func:`evaluate_spec`.
@@ -459,8 +443,7 @@ def _evaluate_spec_impl(
     if interpreter is None:
         interpreter = Interpreter(problem.class_table)
     ctx = SpecContext(problem, program, interpreter)
-    capture = capture_invoke or (static_write_pure and state is not None)
-    ctx._capture_invoke = capture
+    ctx._capture_invoke = capture_invoke
     # The state-restore phase is infrastructure: a crashing reset closure or
     # corrupt snapshot must propagate, not be misread (and memoized) as a
     # candidate-induced spec failure.
@@ -493,14 +476,6 @@ def _evaluate_spec_impl(
         )
     if capture_invoke:
         outcome.invoke_pair = _union_pairs(ctx.invoke_pairs)
-    if state is not None:
-        # A pure partial log also counts: nothing was written before a crash.
-        clean = (
-            static_write_pure
-            and capture
-            and all(pair.write.is_pure for pair in ctx.invoke_pairs)
-        )
-        state.note_eval(spec, clean)
     if cache is not None and not capture_invoke:
         cache.store_spec(problem, program, spec, outcome)
     return outcome
@@ -537,7 +512,6 @@ def evaluate_all_specs(
     cache: Optional["SynthCache"] = None,
     budget: Optional["Budget"] = None,
     state: Optional["StateManager"] = None,
-    static_write_pure: bool = False,
 ) -> bool:
     """Whether ``program`` passes every spec (used by merge validation).
 
@@ -562,7 +536,6 @@ def evaluate_all_specs(
             cache=cache,
             state=state,
             interpreter=interpreter,
-            static_write_pure=static_write_pure,
         )
         if not outcome.ok:
             return False
@@ -576,7 +549,6 @@ def evaluate_guard(
     expect: bool,
     cache: Optional["SynthCache"] = None,
     state: Optional["StateManager"] = None,
-    static_write_pure: bool = False,
 ) -> bool:
     """Whether ``guard`` (as the whole method body) evaluates to ``expect``.
 
@@ -591,13 +563,9 @@ def evaluate_guard(
 
     tracer = trace.TRACER
     if not tracer.enabled:
-        return _evaluate_guard_impl(
-            problem, guard, spec, expect, cache, state, static_write_pure
-        )
+        return _evaluate_guard_impl(problem, guard, spec, expect, cache, state)
     with tracer.span("eval.guard", spec=spec.name, expect=expect):
-        accepted = _evaluate_guard_impl(
-            problem, guard, spec, expect, cache, state, static_write_pure
-        )
+        accepted = _evaluate_guard_impl(problem, guard, spec, expect, cache, state)
         tracer.annotate(accepted=accepted)
         return accepted
 
@@ -609,24 +577,17 @@ def _evaluate_guard_impl(
     expect: bool,
     cache: Optional["SynthCache"] = None,
     state: Optional["StateManager"] = None,
-    static_write_pure: bool = False,
 ) -> bool:
     """The untraced body of :func:`evaluate_guard` (see
     :func:`_evaluate_spec_impl` for why the split exists)."""
 
     program = problem.make_program(guard)
     if cache is not None:
-        from repro.synth.cache import MISSING
-
         memoized = cache.lookup_guard(problem, program, spec)
         if memoized is not MISSING:
             return memoized is not None and memoized == expect
     interpreter = Interpreter(problem.class_table)
     ctx = SpecContext(problem, program, interpreter)
-    # Guards are overwhelmingly read-only, so the static purity fast-path
-    # (see evaluate_spec) pays off most in guard search: consecutive guard
-    # trials against the same spec skip the restore between them.
-    ctx._capture_invoke = static_write_pure and state is not None
     # As in evaluate_spec, restore failures are infrastructure errors and
     # propagate; only the guard's own execution can reject it.
     if state is not None:
@@ -642,13 +603,6 @@ def _evaluate_guard_impl(
         raise
     except Exception:  # noqa: BLE001 - a crashing guard is simply rejected
         truthiness = None
-    if state is not None:
-        clean = (
-            static_write_pure
-            and ctx._capture_invoke
-            and all(pair.write.is_pure for pair in ctx.invoke_pairs)
-        )
-        state.note_eval(spec, clean)
     if cache is not None:
         cache.store_guard(problem, program, spec, truthiness)
     return truthiness is not None and truthiness == expect

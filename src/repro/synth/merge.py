@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.lang import ast as A
-from repro.analysis.footprint import footprint
 from repro.synth.cache import SynthCache
 from repro.synth.config import SynthConfig
 from repro.synth.goal import (
@@ -199,24 +198,16 @@ class Merger:
         # rules 6 and 7) before synthesizing the second guard from scratch.
         second_guard: Optional[A.Node] = None
         negated = negate(first_guard)
-        negated_pure = self.config.static_pruning and footprint(
-            negated,
-            self.problem.param_env,
-            self.problem.class_table,
-            self.counters,
-        ).write.is_pure
         if all(
             _guard_holds(
                 self.problem, negated, spec, expect=True,
                 cache=self.cache, state=self.state,
-                static_write_pure=negated_pure,
             )
             for spec in second.specs
         ) and all(
             _guard_holds(
                 self.problem, negated, spec, expect=False,
                 cache=self.cache, state=self.state,
-                static_write_pure=negated_pure,
             )
             for spec in first.specs
         ):
@@ -315,22 +306,12 @@ class Merger:
     def _passes_all_specs(self, program: A.MethodDef) -> bool:
         """Budget-checked, memoized validation of one candidate program."""
 
-        # Merged programs are often pure dispatchers over lookups; proving
-        # the body write-pure lets the batched validation skip the snapshot
-        # restore between consecutive evaluations of the same spec.
-        pure = self.config.static_pruning and footprint(
-            program.body,
-            self.problem.param_env,
-            self.problem.class_table,
-            self.counters,
-        ).write.is_pure
         return evaluate_all_specs(
             self.problem,
             program,
             cache=self.cache,
             budget=self.budget,
             state=self.state,
-            static_write_pure=pure,
         )
 
     def _strengthen_all(
@@ -371,14 +352,11 @@ def _guard_holds(
     expect: bool,
     cache: Optional[SynthCache] = None,
     state: Optional[StateManager] = None,
-    static_write_pure: bool = False,
 ) -> bool:
+    # Call-time import: the only path to perfbench's goal.evaluate_guard wrap.
     from repro.synth.goal import evaluate_guard
 
-    return evaluate_guard(
-        problem, guard, spec, expect, cache=cache, state=state,
-        static_write_pure=static_write_pure,
-    )
+    return evaluate_guard(problem, guard, spec, expect, cache=cache, state=state)
 
 
 def _orderings(solutions: List[SpecSolution]) -> List[Tuple[SpecSolution, ...]]:

@@ -21,7 +21,9 @@ kept for the ablation benchmarks.
 
 The candidate budget (``SynthConfig.max_candidates``) is checked before
 every evaluation, so at most that many candidates are run (or, in spec
-search, answered by the static pruner).
+search, answered by the static pruner).  The time budget is checked at
+every pop and before every evaluation: queuing a refinement is cheap, so
+it is not checked per push.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.lang import ast as A
 from repro.lang import types as T
-from repro.analysis.footprint import footprint
 from repro.analysis.prune import StaticPruner
 from repro.obs import trace
 from repro.obs.metrics import Counters
@@ -208,8 +209,6 @@ def _generate_for_spec_impl(
                 queue=len(worklist),
             )
         for entry in _expand(expr, problem, config, counters):
-            if budget.expired():
-                raise SynthesisTimeout(f"timeout while solving {spec.name!r}")
             if entry.holes:
                 if entry.size <= config.max_size:
                     worklist.push(entry, passed)
@@ -217,6 +216,10 @@ def _generate_for_spec_impl(
                 else:
                     counters["search.pruned_size"] += 1
                 continue
+            # One expansion can yield many hole-free candidates; the budget
+            # binds before each of them runs, not only at the next pop.
+            if budget.expired():
+                raise SynthesisTimeout(f"timeout while solving {spec.name!r}")
             # Pruned candidates count against the budget exactly like
             # evaluated ones: with pruning on, every prune replaces one
             # evaluation the pruning-off search performs, so both exhaust
@@ -229,28 +232,16 @@ def _generate_for_spec_impl(
                 return None
 
             candidate = entry.build()
-            key = None
+            outcome = None
             if pruner is not None:
                 key = pruner.key_for(candidate)
-                reused = pruner.outcome_for(key)
-                if reused is not None:
-                    # A semantically equivalent candidate already ran; its
-                    # outcome carries the same ok/passed_asserts/failure
-                    # fields, so every decision below is byte-identical to
-                    # what the evaluation would have produced.
-                    counters["search.static_prunes"] += 1
-                    outcome = reused
-                else:
-                    counters["search.evaluated"] += 1
-                    outcome = evaluate_spec(
-                        problem,
-                        problem.make_program(candidate),
-                        spec,
-                        cache=cache,
-                        state=state,
-                        static_write_pure=pruner.write_pure(candidate),
-                    )
-                    pruner.record(key, outcome)
+                outcome = pruner.outcome_for(key)
+            if outcome is not None:
+                # A semantically equivalent candidate already ran; its
+                # outcome carries the same ok/passed_asserts/failure
+                # fields, so every decision below is byte-identical to
+                # what the evaluation would have produced.
+                counters["search.static_prunes"] += 1
             else:
                 counters["search.evaluated"] += 1
                 outcome = evaluate_spec(
@@ -260,6 +251,8 @@ def _generate_for_spec_impl(
                     cache=cache,
                     state=state,
                 )
+                if pruner is not None:
+                    pruner.record(key, outcome)
             if outcome.ok:
                 return candidate
             if config.use_effects and outcome.has_effect_error:
@@ -344,32 +337,14 @@ def _generate_guard_impl(
 
     def accepted(guard: A.Node) -> bool:
         counters["search.evaluated"] += 1
-        # Guards are mostly pure reads, so consecutive trials against the
-        # same spec can skip the snapshot restore between them when the
-        # static footprint proves the previous guard wrote nothing.
-        pure = config.static_pruning and footprint(
-            guard, problem.param_env, problem.class_table, counters
-        ).write.is_pure
         for spec in positive_specs:
             if not evaluate_guard(
-                problem,
-                guard,
-                spec,
-                expect=True,
-                cache=cache,
-                state=state,
-                static_write_pure=pure,
+                problem, guard, spec, expect=True, cache=cache, state=state
             ):
                 return False
         for spec in negative_specs:
             if not evaluate_guard(
-                problem,
-                guard,
-                spec,
-                expect=False,
-                cache=cache,
-                state=state,
-                static_write_pure=pure,
+                problem, guard, spec, expect=False, cache=cache, state=state
             ):
                 return False
         return True
@@ -397,12 +372,6 @@ def _generate_guard_impl(
         _, expr = popped
         counters["search.expansions"] += 1
         for entry in _expand(expr, problem, config, counters):
-            # One expansion can yield many hole-free candidates, each of
-            # which runs every positive and negative spec; without this
-            # per-candidate guard (mirroring generate_for_spec) a single
-            # expansion could evaluate far past the timeout.
-            if budget.expired():
-                raise SynthesisTimeout("timeout while synthesizing a guard")
             if entry.holes:
                 if entry.size <= config.guard_max_size:
                     worklist.push(entry, 0)
@@ -410,6 +379,12 @@ def _generate_guard_impl(
                 else:
                     counters["search.pruned_size"] += 1
                 continue
+            # One expansion can yield many hole-free candidates, each of
+            # which runs every positive and negative spec; without this
+            # per-candidate guard (mirroring generate_for_spec) a single
+            # expansion could evaluate far past the timeout.
+            if budget.expired():
+                raise SynthesisTimeout("timeout while synthesizing a guard")
             if exhausted():
                 return None
             candidate = entry.build()

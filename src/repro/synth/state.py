@@ -22,9 +22,11 @@ manager *records* it --
 database is restored by cheap copy-on-write table swaps
 (:meth:`~repro.activerecord.database.Database.restore`) and the candidate is
 invoked directly, skipping the reset closure and the seed inserts entirely.
-It gets a fresh copy of the arguments and scratch state, made by a copy
-plan the recording builds once (:func:`copy_plan`) instead of a
-``deepcopy`` per replay.
+Every replay restores, whatever the previous evaluation did: a restore is
+O(tables) and copies no row, and the postcondition, not only the
+candidate, may have written.  The candidate gets a fresh copy of the
+arguments and scratch state, made by a copy plan the recording builds once
+(:func:`copy_plan`) instead of a ``deepcopy`` per replay.
 The problem baseline (the state the reset closure produces) is itself
 snapshotted once, so even specs that cannot be replayed restore it without
 re-running the closure.
@@ -120,7 +122,6 @@ class NondeterministicSetupError(InfrastructureError):
 #: (meanings: ``docs/API.md``, "Metrics").
 STATE_COUNTERS = (
     "state.restores",
-    "state.pure_skips",
     "state.rebuilds",
     "state.captures",
     "state.unreplayable",
@@ -371,11 +372,6 @@ class StateManager:
         self._recordings: Dict["Spec", SpecRecording] = {}
         self._unreplayable: Set["Spec"] = set()
         self._replay_counts: Dict["Spec", int] = {}
-        #: Restore fast-path markers (see ``note_eval``): the spec whose
-        #: just-finished replay provably left the database at its pre-invoke
-        #: snapshot, and the spec whose replay is currently in flight.
-        self._clean_spec: Optional["Spec"] = None
-        self._replay_spec: Optional["Spec"] = None
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -386,39 +382,7 @@ class StateManager:
         self._recordings.clear()
         self._unreplayable.clear()
         self._replay_counts.clear()
-        self._clean_spec = None
-        self._replay_spec = None
         self.counters["state.invalidations"] += 1
-
-    def note_external_mutation(self) -> None:
-        """The database was mutated outside ``begin`` (e.g. a direct reset).
-
-        Drops the restore fast-path marker: the database no longer matches
-        the marked spec's pre-invoke snapshot, so the next replay must
-        restore.  Recordings themselves stay valid -- they are snapshots,
-        not live state.
-        """
-
-        self._clean_spec = None
-        self._replay_spec = None
-
-    def note_eval(self, spec: "Spec", clean: bool) -> None:
-        """Record how the evaluation that ``begin`` prepared left the database.
-
-        ``clean`` means the candidate's static write footprint was pure
-        *and* the dynamically captured invoke log confirmed no writes, so
-        the database still equals ``spec``'s pre-invoke snapshot.  The
-        marker is only trusted for replayed evaluations (``begin`` ran the
-        restore path; recording passes and rebuilds leave the database past
-        the snapshot by design) and is consumed by the next ``begin`` of
-        the same spec, which can then skip its table swap.
-        """
-
-        if clean and self._replay_spec is spec:
-            self._clean_spec = spec
-        else:
-            self._clean_spec = None
-        self._replay_spec = None
 
     def recording_for(self, spec: "Spec") -> Optional[SpecRecording]:
         return self._recordings.get(spec)
@@ -454,13 +418,9 @@ class StateManager:
         failure and must propagate to the caller, so ``evaluate_spec`` runs
         it outside its candidate-crash handling.  Returns the setup step
         (replay, fallback or recording pass) to run against the context.
+        A replay always restores the spec's snapshot: the previous
+        evaluation's invoke and postcondition may both have written.
         """
-
-        # Consume the restore fast-path marker: it vouches for the database
-        # state *right now*, before anything below touches it.
-        clean = self._clean_spec
-        self._clean_spec = None
-        self._replay_spec = None
 
         recording = self._recordings.get(spec)
         if recording is not None:
@@ -475,21 +435,8 @@ class StateManager:
                     return self._verification_pass(problem, spec, recording)
             self.counters["state.restores"] += 1
             if trace.TRACER.enabled:
-                trace.TRACER.event(
-                    "state.restore",
-                    kind="pure_skip" if clean is spec else "replay",
-                    spec=spec.name,
-                )
-            if clean is spec:
-                # The previous evaluation of this very spec replayed from
-                # the same snapshot and provably wrote nothing (static
-                # footprint pure, dynamic log pure): the database already
-                # *is* the snapshot, so the table swap is a no-op.  Counted
-                # inside ``restores`` so snapshot-subsystem totals are
-                # unchanged by the fast-path.
-                self.counters["state.pure_skips"] += 1
-            else:
-                self.database.restore(recording.snapshot)
+                trace.TRACER.event("state.restore", kind="replay", spec=spec.name)
+            self.database.restore(recording.snapshot)
             # One joint copy so objects shared between the scratch state and
             # the invoke arguments (e.g. a model passed to both) keep their
             # shared identity, as in a real setup run.  Copied here, in the
@@ -501,7 +448,6 @@ class StateManager:
                 ctx.state = state
                 ctx.invoke(*args)
 
-            self._replay_spec = spec
             return replay
 
         self.counters["state.rebuilds"] += 1

@@ -22,6 +22,7 @@ from repro.analysis import (
     writers_for_effect,
 )
 from repro.analysis.soundness import check_benchmark, check_expr_against_specs, search_candidates
+from repro.benchmarks import get_benchmark
 from repro.interp.effect_log import log_effect
 from repro.obs.metrics import Counters
 from repro.synth import SynthConfig, SynthesisSession, define
@@ -126,6 +127,14 @@ def test_footprint_holes_are_top(blog_problem):
     assert footprint(A.Seq(A.NIL, A.TypedHole(T.STRING)), {}, ct).read.is_star
 
 
+def test_footprint_write_purity(blog_problem):
+    env, ct = blog_problem.param_env, blog_problem.class_table
+    assert footprint(_first_user(), env, ct).write.is_pure
+    assert not footprint(_rename_user(A.Var("arg0")), env, ct).write.is_pure
+    # Untypeable expressions widen to TOP, which is never write-pure.
+    assert not footprint(A.Var("ghost"), env, ct).write.is_pure
+
+
 def test_footprint_memo_hits_and_generation_invalidation(blog_problem):
     ct = blog_problem.class_table
     expr = A.Seq(_first_user(), _first_user())
@@ -224,35 +233,28 @@ def test_pruner_never_strips_crashing_or_writing_prefixes(blog_problem):
     assert pruner.key_for(A.Seq(writing, suffix)) != pruner.key_for(suffix)
 
 
-def test_pruner_write_pure_uses_footprint(blog_problem):
-    pruner = StaticPruner(blog_problem)
-    assert pruner.write_pure(_first_user())
-    assert not pruner.write_pure(_rename_user(A.Var("arg0")))
-    # Untypeable expressions widen to TOP, which is never write-pure.
-    assert not pruner.write_pure(A.Var("ghost"))
-
-
 # ---------------------------------------------------------------------------
 # Search integration
 # ---------------------------------------------------------------------------
 
 
 def test_static_pruning_is_transparent_and_cheaper():
+    # S3 has a static prune; the blog problem above has none.
     results = {}
     for enabled in (False, True):
-        problem = _make_blog_problem(build_blog_app())
-        config = SynthConfig(timeout_s=30, static_pruning=enabled)
+        bench = get_benchmark("S3")
+        config = bench.make_config(SynthConfig(timeout_s=30, static_pruning=enabled))
         with SynthesisSession(config) as session:
-            results[enabled] = session.run(problem)
+            results[enabled] = session.run(bench.build())
     off, on = results[False], results[True]
     assert off.success and on.success
     assert off.program == on.program  # byte-identical synthesis
-    def dynamic_ops(c):
-        return c["search.evaluated"] + c["state.restores"] - c["state.pure_skips"]
-
-    assert dynamic_ops(on.counters) < dynamic_ops(off.counters)
-    assert on.counters["state.pure_skips"] > 0
-    assert off.counters["state.pure_skips"] == 0
+    for key in ("search.expansions", "search.pushed"):
+        assert off.counters[key] == on.counters[key]
+    # Every prune replaces exactly one evaluation.
+    prunes = on.counters["search.static_prunes"]
+    assert prunes >= 1
+    assert off.counters["search.evaluated"] == on.counters["search.evaluated"] + prunes
     assert off.counters["search.static_prunes"] == 0
 
 

@@ -488,6 +488,23 @@ class _FlippingBudget:
         return 0.0
 
 
+def test_generate_for_spec_checks_budget_per_candidate(blog_problem):
+    spec = blog_problem.specs[0]
+    counters = search_counters()
+    with pytest.raises(SynthesisTimeout):
+        generate_for_spec(
+            blog_problem,
+            spec,
+            SynthConfig(),
+            budget=_FlippingBudget(),
+            counters=counters,
+        )
+    # The root hole's expansion yields hole-free candidates, and the budget
+    # expired after the first pop: none of them may run.
+    assert counters["search.expansions"] == 1
+    assert counters["search.evaluated"] == 0
+
+
 def test_generate_guard_checks_budget_per_candidate(blog_problem):
     spec = blog_problem.specs[0]
     counters = search_counters()

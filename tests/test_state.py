@@ -574,6 +574,44 @@ def test_replay_restores_database_between_failing_candidates():
     assert app.models["User"].count(username="carol") == 1
 
 
+def test_postcondition_writes_never_reach_the_next_evaluation():
+    """Every replay restores the spec's snapshot, so a write made by one
+    evaluation's postcondition is invisible to the next evaluation of the
+    same spec, whatever the candidate's static footprint."""
+
+    def counts_seen(**overrides):
+        app = build_blog_app()
+        User = app.models["User"]
+        problem = define(
+            "find_user",
+            "(Str) -> User",
+            consts=[True, False, User],
+            class_table=app.class_table,
+            reset=app.reset,
+            database=app.database,
+        )
+        counts = []
+
+        def setup(ctx):
+            seed_blog(app)
+            ctx.invoke("carol")
+
+        def postcond(ctx, result):
+            counts.append(app.database.count("users"))
+            User.create(name="Extra", username="extra")
+            ctx.assert_(lambda: result.username == "carol")
+
+        problem.add_spec("finds carol", setup, postcond)
+        with SynthesisSession(SynthConfig(timeout_s=30, **overrides)) as session:
+            assert session.run(problem).success
+        return counts
+
+    rebuilt = counts_seen(snapshot_state=False)
+    assert len(rebuilt) > 2 and len(set(rebuilt)) > 1
+    assert counts_seen(static_pruning=False) == rebuilt
+    assert counts_seen() == rebuilt
+
+
 @pytest.mark.parametrize("bench_spec", all_benchmarks(), ids=lambda b: b.id)
 def test_registry_spec_replay_equivalence(bench_spec):
     """Recording, replay and legacy evaluation agree on every registry spec.
