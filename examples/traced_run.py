@@ -1,12 +1,16 @@
 """Observability: trace a synthesis run and profile where its time went.
 
 Setting ``SynthConfig.trace_path`` (or the ``REPRO_TRACE`` environment
-variable) makes the session write a JSONL trace of the whole pipeline --
-phases, per-spec searches, guard synthesis, spec evaluations and snapshot
-restores -- through :mod:`repro.obs.trace`.  Every run
-also carries its counters (``result.counters``) and a metrics snapshot
-(:mod:`repro.obs.metrics`) on ``result.metrics``, and :mod:`repro.obs.tool`
-turns the trace into a per-phase profile or a Chrome trace-event file.
+variable) makes the session trace its runs through :mod:`repro.obs.trace`:
+while the session is open, the engine's wrap sites are wrapped, and the
+JSONL trace gets one span per run, spec or guard search and merge.  Each
+span holds the self time and call count of every layer beneath it
+(enumeration, type checking, spec evaluation, the interpreter, snapshot
+restores, queries, static pruning).  Every run also carries its counters
+(``result.counters``, and ``result.metrics["stats"]``), and
+:mod:`repro.obs.tool` turns the trace into a per-layer profile with one
+efficacy line per layer that answers work without doing it, or into a
+Chrome trace-event file.
 
 Run with::
 
@@ -24,7 +28,7 @@ import json
 import os
 import tempfile
 
-from repro.obs.tool import format_summary, summarize, to_chrome
+from repro.obs.tool import format_efficacy, summarize, to_chrome
 from repro.synth import SynthConfig, SynthesisSession
 
 
@@ -32,28 +36,27 @@ def main() -> None:
     trace_path = os.path.join(tempfile.mkdtemp(), "run.trace.jsonl")
     config = SynthConfig(timeout_s=60, trace_path=trace_path)
 
-    # The session owns the tracer: it is installed on entry and closed
-    # (restoring the zero-overhead disabled default) on exit.  A parallel
-    # sweep merges its cells' worker-side spans into the same file.
+    # The session owns the tracer: the wrap sites are wrapped on entry and
+    # unwrapped on exit, so untraced runs execute no tracing code.  A
+    # parallel sweep merges its cells' worker-side spans into the same file.
     with SynthesisSession(config) as session:
         result = session.run("A1")
     print(f"synthesized {result.problem.name}:")
     print(result.pretty())
     print()
 
-    # Every run exports a metrics snapshot -- its counters, nested per
-    # layer, plus per-phase wall-time histograms -- whether or not tracing
-    # is on.
-    phases = result.metrics["phases"]
-    print("phase wall time (from result.metrics):")
-    for name in sorted(phases, key=lambda n: -phases[n]["total_s"]):
-        print(f"  {name:<12} {phases[name]['total_s']:.3f}s x{phases[name]['count']}")
+    summary = summarize(trace_path)
+    print(f"{summary['spans']} spans; per-layer self time (from the trace):")
+    for layer, entry in summary["layers"].items():
+        print(f"  {layer:<13} {entry['self_s']:.3f}s x{entry['calls']}")
     print()
 
-    # The trace file breaks the same run down span by span.
-    print(format_summary(summarize(trace_path)))
+    # Did each layer earn its cost? Hits against misses, from the run's
+    # counters recorded on its span.
+    for line in summary["efficacy"]:
+        print(format_efficacy(line))
 
-    # And exports to Chrome trace-event JSON for chrome://tracing/Perfetto.
+    # And export to Chrome trace-event JSON for chrome://tracing/Perfetto.
     chrome_path = trace_path.replace(".jsonl", ".chrome.json")
     with open(chrome_path, "w") as fh:
         json.dump(to_chrome(trace_path), fh)

@@ -9,10 +9,13 @@ freshly built problem in a fresh ``SynthesisSession`` with
 ``SynthConfig(timeout_s=120)`` plus the benchmark's own overrides (the
 configuration of ``perfbench/child.py --golden``), and then the arm's own
 change.  Every program text is compared byte for byte with
-``perfbench/golden.json``.
+``perfbench/golden.json``.  Tracing must not change engine work either: the
+``traced`` arm's nonzero counters of every run are also compared with
+``scripts/counter_golden.json``.
 
-The script prints one line per arm and exits 1 if any program differs,
-naming each (arm, benchmark) pair.  CI runs it under two hash seeds::
+The script prints one line per arm, and one for the traced counters, and
+exits 1 if any program or traced counter set differs, naming each (arm,
+benchmark) pair.  CI runs it under two hash seeds::
 
     PYTHONHASHSEED=0 PYTHONPATH=src python3 scripts/arm_identity.py
 """
@@ -26,7 +29,7 @@ import sys
 import tempfile
 import traceback
 from dataclasses import replace
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _ROOT = os.path.dirname(_HERE)
@@ -39,30 +42,38 @@ from repro.benchmarks import get_benchmark  # noqa: E402
 from repro.synth import SynthConfig, SynthesisSession  # noqa: E402
 
 GOLDEN = os.path.join(_ROOT, "perfbench", "golden.json")
+COUNTER_GOLDEN = os.path.join(_HERE, "counter_golden.json")
 
 BASE_CONFIG = SynthConfig(timeout_s=120)
 
 #: Benchmark ids -> program text, as one arm synthesized them.
 Programs = Dict[str, str]
+#: Benchmark ids -> the nonzero ``layer.name`` counters of that run.
+Counts = Dict[str, Dict[str, int]]
 
 
-def serial(ids: List[str], **overrides: object) -> Programs:
+def nonzero(counters: Dict[str, int]) -> Dict[str, int]:
+    return {key: value for key, value in counters.items() if value}
+
+
+def serial(ids: List[str], **overrides: object) -> Tuple[Programs, Counts]:
     """One cold run per benchmark, with ``overrides`` on its config."""
 
-    texts = {}
+    texts, counts = {}, {}
     for bid in ids:
         bench = get_benchmark(bid)
         config = replace(bench.make_config(BASE_CONFIG), **overrides)
         try:
             with SynthesisSession(config) as session:
-                texts[bid] = session.run(bench.build()).pretty()
+                result = session.run(bench.build())
+            texts[bid], counts[bid] = result.pretty(), nonzero(result.counters)
         except Exception as error:  # a raising run differs from its golden
             traceback.print_exc()
             texts[bid] = f"<raised {error!r}>"
-    return texts
+    return texts, counts
 
 
-def no_index(ids: List[str]) -> Programs:
+def no_index(ids: List[str]) -> Tuple[Programs, Counts]:
     previous = set_default_indexing(False)
     try:
         return serial(ids)
@@ -70,18 +81,21 @@ def no_index(ids: List[str]) -> Programs:
         set_default_indexing(previous)
 
 
-def traced(ids: List[str]) -> Programs:
+def traced(ids: List[str]) -> Tuple[Programs, Counts]:
     with tempfile.TemporaryDirectory() as tmp:
         return serial(ids, trace_path=os.path.join(tmp, "arm.trace.jsonl"))
 
 
-def parallel(ids: List[str]) -> Programs:
+def parallel(ids: List[str]) -> Tuple[Programs, Counts]:
     with SynthesisSession(BASE_CONFIG) as session:
         entries = session.sweep(ids, warm=False, parallel=2)
-    return {entry.label: entry.result.pretty() for entry in entries}
+    return (
+        {entry.label: entry.result.pretty() for entry in entries},
+        {entry.label: nonzero(entry.result.counters) for entry in entries},
+    )
 
 
-ARMS: Dict[str, Callable[[List[str]], Programs]] = {
+ARMS: Dict[str, Callable[[List[str]], Tuple[Programs, Counts]]] = {
     "no_memo": functools.partial(serial, cache_spec_outcomes=False),
     "no_snapshot": functools.partial(serial, snapshot_state=False),
     "no_pruning": functools.partial(serial, static_pruning=False),
@@ -91,18 +105,30 @@ ARMS: Dict[str, Callable[[List[str]], Programs]] = {
 }
 
 
+def report(label: str, ids: List[str], differ: List[str]) -> bool:
+    """Print one arm's line and its DIFF lines; whether any differ."""
+
+    print(f"{label}: {len(ids) - len(differ)}/{len(ids)} identical")
+    for bid in differ:
+        print(f"DIFF {label} {bid}", file=sys.stderr)
+    return bool(differ)
+
+
 def main() -> int:
     with open(GOLDEN) as fh:
         golden: Programs = json.load(fh)
+    with open(COUNTER_GOLDEN) as fh:
+        counter_golden: Counts = json.load(fh)
     ids = sorted(golden)
     failed = False
     for arm, run in ARMS.items():
-        texts = run(ids)
-        differ = [bid for bid in ids if texts.get(bid) != golden[bid]]
-        print(f"{arm}: {len(ids) - len(differ)}/{len(ids)} identical")
-        for bid in differ:
-            print(f"DIFF {arm} {bid}", file=sys.stderr)
-        failed = failed or bool(differ)
+        texts, counts = run(ids)
+        failed |= report(arm, ids, [bid for bid in ids if texts.get(bid) != golden[bid]])
+        if arm == "traced":  # tracing must not change engine work either
+            failed |= report(
+                f"{arm}-counters", ids,
+                [bid for bid in ids if counts.get(bid) != counter_golden[bid]],
+            )
     return 1 if failed else 0
 
 

@@ -18,7 +18,10 @@
 # benchmarks once per arm -- memo off, snapshots off, static pruning off,
 # ORM indexes off, tracing on, and cold cells over two worker processes --
 # under the same two hash seeds, and fails naming every (arm, benchmark)
-# whose program differs from perfbench/golden.json.
+# whose program differs from perfbench/golden.json.  Tracing must not change
+# engine work either: the traced arm's nonzero counters of every run are
+# also compared with scripts/counter_golden.json ("traced-counters"), and
+# the gate fails naming each benchmark whose counters differ.
 #
 # The static analysis gates exercise repro.analysis: the annotation linter
 # must stay finding-free over every registered benchmark, and the soundness
@@ -59,7 +62,7 @@ for seed in 0 12345; do
 done
 rm -f "$COUNTERS_OUT"
 
-echo "== arm identity gate (six arms, two hash seeds) =="
+echo "== arm identity gate (six arms and the traced counters, two hash seeds) =="
 for seed in 0 12345; do
     PYTHONHASHSEED="$seed" python scripts/arm_identity.py
 done

@@ -4,10 +4,13 @@
 Two subcommands:
 
 ``summarize PATH``
-    Per-phase breakdown under the root ``session.run`` span (with the
-    coverage fraction the CI gate checks), aggregate span totals, the
-    top-N slowest per-spec searches and the memo hit-ratio timeline.  ``--json`` prints the raw summary dict instead of the
-    human-readable rendering.
+    Per-layer self time and call count, summed over every span of the
+    trace (they add up to the root spans' time); the top-N slowest spec and
+    guard searches; and one efficacy line per layer that answers work
+    without doing it -- memo, indexes, snapshots, static pruning -- as hits
+    against misses over the runs' counters, flagged ``ZERO-HIT`` when the
+    layer does work but never hits.  ``--json`` prints the raw summary dict
+    instead of the human-readable rendering.
 
 ``export-chrome PATH``
     Convert the JSONL trace to Chrome trace-event JSON (load in
@@ -66,11 +69,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     commands = parser.add_subparsers(dest="command", required=True)
 
     summarize_cmd = commands.add_parser(
-        "summarize", help="per-phase breakdown, slowest specs, hit-ratio timeline"
+        "summarize", help="per-layer self time, slowest searches, efficacy lines"
     )
     summarize_cmd.add_argument("path", help="JSONL trace file (repro.obs.trace)")
     summarize_cmd.add_argument(
-        "--top", type=int, default=10, help="slowest per-spec searches to list"
+        "--top", type=int, default=10, help="slowest searches to list"
     )
     summarize_cmd.add_argument(
         "--json", action="store_true", help="print the raw summary dict"

@@ -74,7 +74,6 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass
 
-from repro.obs import trace
 from repro.obs.metrics import Counters
 from typing import (
     Any,
@@ -207,25 +206,6 @@ def _count_plan(counters: Counters, plan: QueryPlan) -> None:
     else:
         counters["query.index_hits"] += 1
     counters["query.rows_examined"] += plan.rows_examined
-    if trace.TRACER.enabled:
-        # Every 64th plan (queries are the hottest events in the whole
-        # engine): a sampled plan-kind timeline with the cumulative
-        # counters, enough to reconstruct hit ratios over time without
-        # an event per query.
-        index_hits = counters["query.index_hits"]
-        scans = counters["query.scans"]
-        shortcuts = counters["query.shortcuts"]
-        if (index_hits + scans + shortcuts) % 64 == 0:
-            trace.TRACER.event(
-                "orm.query",
-                kind=plan.kind,
-                table=plan.table,
-                index_column=plan.index_column,
-                index_hits=index_hits,
-                scans=scans,
-                shortcuts=shortcuts,
-                rows_examined=counters["query.rows_examined"],
-            )
 
 
 # -- snapshots -----------------------------------------------------------------

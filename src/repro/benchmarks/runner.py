@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.benchmarks.registry import BenchmarkSpec
-from repro.obs.metrics import Counters, merge_snapshots
+from repro.obs.metrics import Counters
 from repro.synth.config import SynthConfig
 from repro.synth.session import SynthesisSession
 from repro.synth.synthesizer import SynthesisResult
@@ -40,8 +40,6 @@ class BenchmarkResult:
     last_result: Optional[SynthesisResult] = None
     #: The runs' counters summed (``SynthesisResult.counters``).
     counters: Counters = field(default_factory=Counters)
-    #: The runs' metrics snapshots folded with ``merge_snapshots``.
-    metrics: Optional[dict] = None
 
     @property
     def median_s(self) -> Optional[float]:
@@ -69,12 +67,6 @@ class BenchmarkResult:
         self.timed_out = outcome.timed_out
         self.success = outcome.success
         self.counters.merge(outcome.counters)
-        if outcome.metrics is not None:
-            self.metrics = (
-                outcome.metrics
-                if self.metrics is None
-                else merge_snapshots(self.metrics, outcome.metrics)
-            )
         if outcome.success:
             self.times_s.append(elapsed)
             self.meth_size = outcome.method_size

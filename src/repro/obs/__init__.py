@@ -1,18 +1,17 @@
-"""Observability layer: structured tracing, unified metrics, profiling.
+"""Observability layer: wrap-site tracing, the counter namespace, profiling.
 
-``repro.obs`` is the zero-dependency cross-cutting layer the synthesis
-engine reports itself through:
+``repro.obs`` is the zero-dependency layer the synthesis engine is observed
+through; the engine itself holds no tracing code:
 
-- :mod:`repro.obs.trace` -- a span-based tracer (monotonic timestamps,
-  span/parent ids, JSONL sink) instrumented through the whole pipeline.
-  Default-off: every instrumentation site guards on a single attribute
-  check against a no-op tracer, so the disabled path costs one branch.
+- :mod:`repro.obs.trace` -- one table of wrap sites per engine layer.  A
+  live tracer wraps them and writes one span per run, search and merge,
+  each holding the self time and call count of every layer beneath it;
+  while tracing is off nothing is wrapped, so it costs nothing.
 - :mod:`repro.obs.metrics` -- the engine's one counter namespace
-  (:class:`~repro.obs.metrics.Counters`, keyed ``layer.name``) and the
-  per-phase wall-time histograms, behind one ``snapshot()`` export path.
-- :mod:`repro.obs.tool` -- trace analysis (per-phase breakdowns, slowest
-  specs, hit-ratio timelines) and Chrome trace-event export, fronted by
-  ``scripts/trace_tool.py``.
+  (:class:`~repro.obs.metrics.Counters`, keyed ``layer.name``).
+- :mod:`repro.obs.tool` -- trace analysis (per-layer self time, slowest
+  searches, per-layer efficacy lines) and Chrome trace-event export,
+  fronted by ``scripts/trace_tool.py``.
 """
 
 from repro.obs import metrics, tool, trace

@@ -40,7 +40,6 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Optional, Tuple
 
 from repro.lang import ast as A
-from repro.obs import trace
 from repro.obs.metrics import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -140,8 +139,6 @@ class SynthCache:
             self.counters["cache.spec_misses"] += 1
             return None
         self.counters["cache.spec_hits"] += 1
-        if trace.TRACER.enabled:
-            trace.TRACER.annotate(src="memo")
         return entry
 
     def store_spec(
@@ -175,8 +172,6 @@ class SynthCache:
             self.counters["cache.guard_misses"] += 1
             return _MISSING
         self.counters["cache.guard_hits"] += 1
-        if trace.TRACER.enabled:
-            trace.TRACER.annotate(src="memo")
         return entry
 
     def store_guard(

@@ -115,11 +115,12 @@ class SynthConfig:
 
     # Structured tracing (repro.obs.trace).  When set, a SynthesisSession
     # built from this config installs a JSONL tracer writing to this path
-    # for its lifetime (closed by session.close()); a parallel sweep's
-    # workers ship each cell's events back to the parent, tagged by worker
-    # id.  ``None`` (the default) keeps the no-op tracer: every
-    # instrumentation site then costs a single attribute check.  The
-    # process default honors the ``REPRO_TRACE`` environment variable.
+    # for its lifetime (closed by session.close()): the tracer wraps the
+    # engine's wrap sites while it is live and unwraps them when it closes.
+    # A parallel sweep's workers ship each cell's spans back to the parent,
+    # tagged by worker id.  ``None`` (the default) wraps nothing, so an
+    # untraced run executes no tracing code at all.  The process default
+    # honors the ``REPRO_TRACE`` environment variable.
     trace_path: Optional[str] = field(default_factory=default_trace_path)
 
     # ------------------------------------------------------------------ modes

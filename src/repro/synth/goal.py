@@ -38,7 +38,6 @@ from repro.lang.values import truthy
 from repro.interp.effect_log import effect_capture
 from repro.interp.errors import AssertionFailure
 from repro.interp.interpreter import Interpreter
-from repro.obs import trace
 from repro.obs.metrics import Counters
 from repro.synth.cache import MISSING
 from repro.synth.state import InfrastructureError
@@ -389,53 +388,15 @@ def evaluate_spec(
     bypasses the memo (both lookup and store) and returns the dynamically
     observed effect pair on ``SpecOutcome.invoke_pair`` -- the soundness
     checker's probe, which must observe a real execution.
+
+    A failure of the snapshot machinery (a broken reset closure, a corrupt
+    snapshot, a recording that cannot be finalized, a ``verify_recordings``
+    mismatch) propagates to the caller; only the candidate's own crashes
+    and assertion failures become its outcome.
     """
 
     if backend is not None and backend != "tree":
         raise ValueError(f"unknown eval backend {backend!r}; only 'tree' exists")
-    tracer = trace.TRACER
-    if not tracer.enabled:
-        return _evaluate_spec_impl(
-            problem,
-            program,
-            spec,
-            cache,
-            state,
-            interpreter,
-            capture_invoke,
-        )
-    with tracer.span("eval.spec", spec=spec.name):
-        outcome = _evaluate_spec_impl(
-            problem,
-            program,
-            spec,
-            cache,
-            state,
-            interpreter,
-            capture_invoke,
-        )
-        tracer.annotate(ok=outcome.ok, passed=outcome.passed_asserts)
-        return outcome
-
-
-def _evaluate_spec_impl(
-    problem: SynthesisProblem,
-    program: A.MethodDef,
-    spec: Spec,
-    cache: Optional["SynthCache"] = None,
-    state: Optional["StateManager"] = None,
-    interpreter: Optional[Interpreter] = None,
-    capture_invoke: bool = False,
-) -> SpecOutcome:
-    """The untraced body of :func:`evaluate_spec`.
-
-    Kept separate so the tracing-disabled path costs exactly one attribute
-    check.  A failure of the snapshot machinery (a broken reset closure, a
-    corrupt snapshot, a recording that cannot be finalized, a
-    ``verify_recordings`` mismatch) propagates to the caller; only the
-    candidate's own crashes and assertion failures become its outcome.
-    """
-
     if cache is not None and not capture_invoke:
         memoized = cache.lookup_spec(problem, program, spec)
         if memoized is not None:
@@ -560,26 +521,6 @@ def evaluate_guard(
     crashing guard) independent of ``expect``, so one execution answers
     both the positive and the negated question.
     """
-
-    tracer = trace.TRACER
-    if not tracer.enabled:
-        return _evaluate_guard_impl(problem, guard, spec, expect, cache, state)
-    with tracer.span("eval.guard", spec=spec.name, expect=expect):
-        accepted = _evaluate_guard_impl(problem, guard, spec, expect, cache, state)
-        tracer.annotate(accepted=accepted)
-        return accepted
-
-
-def _evaluate_guard_impl(
-    problem: SynthesisProblem,
-    guard: A.Node,
-    spec: Spec,
-    expect: bool,
-    cache: Optional["SynthCache"] = None,
-    state: Optional["StateManager"] = None,
-) -> bool:
-    """The untraced body of :func:`evaluate_guard` (see
-    :func:`_evaluate_spec_impl` for why the split exists)."""
 
     program = problem.make_program(guard)
     if cache is not None:

@@ -23,7 +23,6 @@ of :mod:`repro.synth.implication`; any imprecision is caught by step 4.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
@@ -36,7 +35,7 @@ from repro.synth.goal import (
     SynthesisProblem,
     evaluate_all_specs,
 )
-from repro.obs.metrics import Counters, MetricsRegistry
+from repro.obs.metrics import Counters
 from repro.synth.implication import GuardEncoder, negate
 from repro.synth.search import generate_guard, search_counters
 from repro.synth.state import StateManager
@@ -68,7 +67,6 @@ class Merger:
         counters: Optional[Counters] = None,
         cache: Optional[SynthCache] = None,
         state: Optional[StateManager] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.problem = problem
         self.config = config
@@ -81,9 +79,6 @@ class Merger:
         self.cache = cache if cache is not None else SynthCache.from_config(config)
         #: Snapshot manager shared with the searches (None disables replay).
         self.state = state
-        #: Optional phase-time sink; the merger reports every guard
-        #: synthesis under ``guard_search``.
-        self.metrics = metrics
         self.encoder = GuardEncoder()
         #: Guards synthesized so far, reused across tuples (Section 4).
         self.known_guards: List[A.Node] = []
@@ -112,7 +107,6 @@ class Merger:
         positive: Sequence[Spec],
         negative: Sequence[Spec] = (),
     ) -> Optional[A.Node]:
-        started = time.perf_counter()
         guard = generate_guard(
             self.problem,
             positive,
@@ -124,8 +118,6 @@ class Merger:
             cache=self.cache,
             state=self.state,
         )
-        if self.metrics is not None:
-            self.metrics.observe_phase("guard_search", time.perf_counter() - started)
         if guard is not None:
             self.remember_guard(guard)
         return guard

@@ -22,6 +22,13 @@ Nothing mutable crosses the process boundary: a cell task carries a
 benchmark id and a config in, and its :class:`CellTaskResult` out.  Workers
 share no memo or state with each other or with the parent.
 
+Tracing crosses the boundary as data.  A forked worker first puts back the
+original functions its parent's tracer had wrapped
+(:func:`repro.obs.trace.reset_after_fork`), so an untraced cell runs them
+unwrapped and writes nothing.  A traced cell (its config carries a
+``trace_path``) installs the same wrappers around a collecting tracer and
+ships its spans back on its result.
+
 Problems must be *reconstructable in the worker*, which is true exactly for
 registry benchmarks (workers rebuild them by id).  Ad-hoc
 :class:`~repro.synth.goal.SynthesisProblem` objects carry arbitrary
@@ -58,9 +65,7 @@ class CellTaskResult:
     #: Wall time of the cell's ``run`` call (problem build excluded).
     elapsed_s: float
     counters: Counters
-    #: The cell run's metrics snapshot (``SynthesisResult.metrics``).
-    metrics: Optional[dict] = None
-    #: Trace events collected in the worker (empty unless tracing is on).
+    #: Spans collected in the worker (empty unless the cell is traced).
     trace_events: List[dict] = field(default_factory=list)
 
     def to_result(self, problem: "SynthesisProblem") -> SynthesisResult:
@@ -73,7 +78,6 @@ class CellTaskResult:
             elapsed_s=self.elapsed_s,
             timed_out=self.timed_out,
             counters=self.counters,
-            metrics=self.metrics,
         )
 
 
@@ -89,8 +93,9 @@ def _worker_init(base_config: SynthConfig) -> None:
     from repro.synth.session import SynthesisSession
 
     global _WORKER
-    # A forked worker inherits the parent's live tracer object, including
-    # its open file handle; drop it (without closing the parent's file).
+    # A forked worker inherits the parent's live tracer, with its open file
+    # handle and its wrappers around every site: put the original functions
+    # back and drop the tracer (without closing the parent's file).
     trace.reset_after_fork()
     # Workers never write the parent's trace file themselves: their session
     # must not re-open ``trace_path`` (the parent owns it), so the path is
@@ -105,9 +110,10 @@ def _worker_call(
     """Run one cell task inside the pool.
 
     When the cell's config carries a ``trace_path`` the parent is tracing:
-    the worker collects the cell's events in memory (tagged with a
-    per-process worker id) and ships them back on the cell result for the
-    parent to absorb into its trace.
+    the worker installs the same wrappers around a collecting tracer, keeps
+    the cell's spans in memory (tagged with a per-process worker id) and
+    ships them back on the cell result for the parent to absorb into its
+    trace.  The wrappers come off again when the cell ends.
     """
 
     collecting = config.trace_path is not None
@@ -117,7 +123,7 @@ def _worker_call(
         return _run_cell_task(benchmark_id, config, fresh)
     finally:
         if collecting:
-            trace.reset_after_fork()
+            trace.disable()
 
 
 def _run_cell_task(benchmark_id: str, config: SynthConfig, fresh: bool) -> CellTaskResult:
@@ -150,8 +156,7 @@ def _run_cell_task(benchmark_id: str, config: SynthConfig, fresh: bool) -> CellT
         program=result.program,
         elapsed_s=elapsed,
         counters=result.counters,
-        metrics=result.metrics,
-        trace_events=trace.TRACER.export() if trace.TRACER.enabled else [],
+        trace_events=trace.TRACER.export() if trace.TRACER is not None else [],
     )
 
 

@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 from repro.lang import ast as A
 from repro.lang import types as T
 from repro.analysis.prune import StaticPruner
-from repro.obs import trace
 from repro.obs.metrics import Counters
 from repro.synth.cache import SynthCache
 from repro.synth.config import ORDER_FIFO, ORDER_PAPER, ORDER_SIZE, SynthConfig
@@ -156,29 +155,6 @@ def generate_for_spec(
     budget expires.
     """
 
-    tracer = trace.TRACER
-    if not tracer.enabled:
-        return _generate_for_spec_impl(
-            problem, spec, config, budget, counters, root, cache, state
-        )
-    with tracer.span("search.spec", spec=spec.name) as span:
-        result = _generate_for_spec_impl(
-            problem, spec, config, budget, counters, root, cache, state
-        )
-        span.annotate(found=result is not None)
-        return result
-
-
-def _generate_for_spec_impl(
-    problem: SynthesisProblem,
-    spec: Spec,
-    config: SynthConfig,
-    budget: Optional[Budget] = None,
-    counters: Optional[Counters] = None,
-    root: Optional[A.Node] = None,
-    cache: Optional[SynthCache] = None,
-    state: Optional["StateManager"] = None,
-) -> Optional[A.Node]:
     budget = budget or Budget(config.timeout_s)
     counters = counters if counters is not None else search_counters()
     cache = cache if cache is not None else SynthCache.from_config(config)
@@ -198,16 +174,6 @@ def _generate_for_spec_impl(
             return None
         passed, expr = popped
         counters["search.expansions"] += 1
-        if trace.TRACER.enabled and counters["search.expansions"] % 64 == 0:
-            # Cumulative counters every 64 expansions: a cheap progress
-            # timeline of the enumeration without a span per pop.
-            trace.TRACER.event(
-                "search.batch",
-                expansions=counters["search.expansions"],
-                evaluated=counters["search.evaluated"],
-                pushed=counters["search.pushed"],
-                queue=len(worklist),
-            )
         for entry in _expand(expr, problem, config, counters):
             if entry.holes:
                 if entry.size <= config.max_size:
@@ -289,48 +255,6 @@ def generate_guard(
     the reuse optimizations of Section 4.
     """
 
-    tracer = trace.TRACER
-    if not tracer.enabled:
-        return _generate_guard_impl(
-            problem,
-            positive_specs,
-            negative_specs,
-            config,
-            budget,
-            counters,
-            initial_candidates,
-            cache,
-            state,
-        )
-    with tracer.span(
-        "search.guard", positive=len(positive_specs), negative=len(negative_specs)
-    ) as span:
-        result = _generate_guard_impl(
-            problem,
-            positive_specs,
-            negative_specs,
-            config,
-            budget,
-            counters,
-            initial_candidates,
-            cache,
-            state,
-        )
-        span.annotate(found=result is not None)
-        return result
-
-
-def _generate_guard_impl(
-    problem: SynthesisProblem,
-    positive_specs: Sequence[Spec],
-    negative_specs: Sequence[Spec],
-    config: SynthConfig,
-    budget: Optional[Budget] = None,
-    counters: Optional[Counters] = None,
-    initial_candidates: Sequence[A.Node] = (),
-    cache: Optional[SynthCache] = None,
-    state: Optional["StateManager"] = None,
-) -> Optional[A.Node]:
     budget = budget or Budget(config.timeout_s)
     counters = counters if counters is not None else search_counters()
     cache = cache if cache is not None else SynthCache.from_config(config)

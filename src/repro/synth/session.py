@@ -36,6 +36,11 @@ harnesses and of the ``parallel`` arm of ``scripts/arm_identity.py``.  Every res
 (``result.counters``, keyed ``layer.name``): the session's memo and
 snapshot managers outlive a run, so each result reports only the work that
 run added to them.
+
+Tracing is the session's only other duty: a session whose config carries a
+``trace_path`` enables :mod:`repro.obs.trace` for its lifetime, which wraps
+``SynthesisSession.run`` and the engine's other wrap sites, and disables it
+on ``close``.  A parallel sweep absorbs the spans its workers collected.
 """
 
 from __future__ import annotations
@@ -123,7 +128,7 @@ class SynthesisSession:
         #: (an outer session, or a worker's collecting tracer) this session
         #: nests inside it instead of clobbering its sink.
         self._owns_tracer = False
-        if self.config.trace_path and not trace.TRACER.enabled:
+        if self.config.trace_path and trace.TRACER is None:
             trace.enable(self.config.trace_path)
             self._owns_tracer = True
         self.cache = SynthCache.from_config(self.config)
@@ -175,38 +180,21 @@ class SynthesisSession:
         """
 
         self._check_open()
-        tracer = trace.TRACER
-        if not tracer.enabled:
-            return self._run_impl(problem, config, fresh_state, overrides)
-        with tracer.span("session.run") as span:
-            result = self._run_impl(problem, config, fresh_state, overrides)
-            span.annotate(problem=result.problem.name, success=result.success)
-            return result
-
-    def _run_impl(
-        self,
-        problem: ProblemSource,
-        config: Optional[SynthConfig],
-        fresh_state: bool,
-        overrides: Mapping[str, Any],
-    ) -> SynthesisResult:
         base = config if config is not None else self.config
         effective = replace(base, **overrides) if overrides else base
-        with trace.TRACER.span("phase.setup"):
-            benchmark = self._as_benchmark(problem)
-            if benchmark is not None:
-                effective = benchmark.make_config(effective)
-            resolved = self._resolve_problem(problem)
-            runner = self._at_precision(resolved, effective.effect_precision)
-            state = self._state_for(runner, effective, fresh_state)
-            self._register(runner)
-            hints = self._hints_for(runner, effective)
+        benchmark = self._as_benchmark(problem)
+        if benchmark is not None:
+            effective = benchmark.make_config(effective)
+        resolved = self._resolve_problem(problem)
+        runner = self._at_precision(resolved, effective.effect_precision)
+        state = self._state_for(runner, effective, fresh_state)
+        self._register(runner)
         result = run_synthesis(
             runner,
             effective,
             cache=self.cache,
             state=state,
-            solution_hints=hints,
+            solution_hints=self._hints_for(runner, effective),
         )
         self._remember_solutions(runner, effective, result)
         return result
@@ -243,23 +231,17 @@ class SynthesisSession:
         sources = self._resolve_sources(problems)
         named_variants = self._normalize_variants(variants)
         jobs = self.parallel if parallel is None else max(int(parallel), 1)
-        with trace.TRACER.span(
-            "session.sweep",
-            problems=len(sources),
-            variants=len(named_variants),
-            warm=warm,
-        ):
-            if jobs > 1:
-                return self._sweep_parallel(sources, named_variants, warm, jobs)
-            entries: List[SweepEntry] = []
-            for source in sources:
-                benchmark = self._as_benchmark(source)
-                for name, spec in named_variants:
-                    variant_config = self._variant_config(spec, benchmark)
-                    entries.append(
-                        self._run_cell(source, benchmark, name, variant_config, warm)
-                    )
-            return entries
+        if jobs > 1:
+            return self._sweep_parallel(sources, named_variants, warm, jobs)
+        entries: List[SweepEntry] = []
+        for source in sources:
+            benchmark = self._as_benchmark(source)
+            for name, spec in named_variants:
+                variant_config = self._variant_config(spec, benchmark)
+                entries.append(
+                    self._run_cell(source, benchmark, name, variant_config, warm)
+                )
+        return entries
 
     def _run_cell(
         self,
@@ -272,19 +254,13 @@ class SynthesisSession:
         """One sweep cell run in this process (every cell of a serial
         sweep, and the ad-hoc cells of a parallel one)."""
 
-        with trace.TRACER.span(
-            "sweep.cell",
-            label=benchmark.id if benchmark is not None else "<ad-hoc>",
-            variant=variant,
-            warm=warm,
-        ):
-            if warm:
-                problem = self._resolve_problem(source)
-                result = self.run(problem, config=variant_config)
-            else:
-                problem = benchmark.build() if benchmark is not None else source
-                with SynthesisSession(variant_config) as cold:
-                    result = cold.run(problem, fresh_state=benchmark is None)
+        if warm:
+            problem = self._resolve_problem(source)
+            result = self.run(problem, config=variant_config)
+        else:
+            problem = benchmark.build() if benchmark is not None else source
+            with SynthesisSession(variant_config) as cold:
+                result = cold.run(problem, fresh_state=benchmark is None)
         return SweepEntry(
             label=benchmark.id if benchmark is not None else problem.name,
             variant=variant,
@@ -326,12 +302,9 @@ class SynthesisSession:
                     self._run_cell(source, benchmark, name, variant_config, warm)
                 )
                 continue
-            with trace.TRACER.span(
-                "sweep.cell", label=benchmark.id, variant=name, warm=warm
-            ):
-                payload = future.get()
-                if payload.trace_events:
-                    trace.TRACER.absorb(payload.trace_events)
+            payload = future.get()
+            if payload.trace_events and trace.TRACER is not None:
+                trace.TRACER.absorb(payload.trace_events)
             problem = self._resolve_problem(source)
             result = payload.to_result(problem)
             entries.append(
@@ -501,10 +474,11 @@ class SynthesisSession:
     def _hint_key(
         self, problem: SynthesisProblem, config: SynthConfig
     ) -> Tuple[int, SynthConfig]:
-        # The timeout does not influence *which* expression a (finishing)
-        # search returns, so hints survive timeout changes; every other
-        # config field can steer the search and keys the hint space.
-        return (id(problem), replace(config, timeout_s=None))
+        # Neither the timeout nor the trace file influences *which*
+        # expression a (finishing) search returns, so hints survive changes
+        # to them; every other config field can steer the search and keys
+        # the hint space.
+        return (id(problem), replace(config, timeout_s=None, trace_path=None))
 
     def _hints_for(
         self, problem: SynthesisProblem, config: SynthConfig

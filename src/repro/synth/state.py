@@ -81,7 +81,6 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, Optional, Set, 
 from repro.activerecord.database import _ATOMIC
 from repro.activerecord.model import Model
 from repro.lang.values import HashValue, Symbol
-from repro.obs import trace
 from repro.obs.metrics import Counters
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -428,14 +427,8 @@ class StateManager:
                 count = self._replay_counts.get(spec, 0) + 1
                 self._replay_counts[spec] = count
                 if count % self.verify_every == 0:
-                    if trace.TRACER.enabled:
-                        trace.TRACER.event(
-                            "state.restore", kind="verify", spec=spec.name
-                        )
                     return self._verification_pass(problem, spec, recording)
             self.counters["state.restores"] += 1
-            if trace.TRACER.enabled:
-                trace.TRACER.event("state.restore", kind="replay", spec=spec.name)
             self.database.restore(recording.snapshot)
             # One joint copy so objects shared between the scratch state and
             # the invoke arguments (e.g. a model passed to both) keep their
@@ -451,8 +444,6 @@ class StateManager:
             return replay
 
         self.counters["state.rebuilds"] += 1
-        if trace.TRACER.enabled:
-            trace.TRACER.event("state.restore", kind="rebuild", spec=spec.name)
         self.restore_baseline(problem)
         if spec in self._unreplayable:
             return spec.setup

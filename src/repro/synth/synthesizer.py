@@ -8,24 +8,24 @@
    the number of tests);
 2. merge the per-spec solutions into a single branching method
    (Algorithm 1), synthesizing and reusing branch conditions as needed;
-3. report the result together with timing and the run's counters
+3. report the result together with its wall time and the run's counters
    (:class:`~repro.obs.metrics.Counters`), which the evaluation harnesses
    turn into Table 1 / Figures 7 and 8.
 
 The public entry point is :class:`repro.synth.session.SynthesisSession`,
 which owns the warm resources (evaluation memo, snapshot managers) and calls
-:func:`run_synthesis` with them.
+:func:`run_synthesis` with them.  Nothing here times itself: a traced run is
+timed per layer from outside, by the wrap sites of :mod:`repro.obs.trace`
+(``generate_for_spec`` and ``evaluate_spec`` are looked up here by name).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import List, Mapping, Optional
 
 from repro.lang import ast as A
-from repro.obs import trace
-from repro.obs.metrics import Baseline, Counters, MetricsRegistry
+from repro.obs.metrics import METRICS_SCHEMA_VERSION, Baseline, Counters
 from repro.synth.cache import SynthCache
 from repro.synth.config import SynthConfig
 from repro.synth.goal import (
@@ -54,9 +54,15 @@ class SynthesisResult:
     #: "Metrics"): the search's own plus what the memo, snapshot manager,
     #: database and problem counted during the run.
     counters: Counters = field(default_factory=Counters)
-    #: Metrics snapshot (:mod:`repro.obs.metrics`): per-phase wall-time
-    #: histograms, and ``counters`` nested per layer under ``stats``.
-    metrics: Optional[dict] = None
+
+    @property
+    def metrics(self) -> dict:
+        """``counters`` nested per layer under ``stats``, schema-versioned."""
+
+        return {
+            "schema_version": METRICS_SCHEMA_VERSION,
+            "stats": self.counters.as_dict(),
+        }
 
     @property
     def method_size(self) -> Optional[int]:
@@ -115,53 +121,41 @@ def run_synthesis(
     solutions: List[SpecSolution] = []
 
     try:
-        specs_started = time.perf_counter()
-        with trace.TRACER.span("phase.specs", specs=len(problem.specs)):
-            for spec in problem.specs:
-                if _reuse_solution(
-                    problem, spec, solutions, config, budget, cache, state
-                ):
-                    continue
-                hint = _adopt_hint(
-                    problem, spec, solution_hints, budget, counters, cache, state,
-                )
-                if hint is not None:
-                    solutions.append(SpecSolution(expr=hint, specs=(spec,)))
-                    continue
-                spec_started = time.perf_counter()
-                expr = generate_for_spec(
-                    problem, spec, config, budget=budget, counters=counters,
-                    cache=cache, state=state,
-                )
-                run.phases.observe_phase(
-                    "spec_search", time.perf_counter() - spec_started
-                )
-                if expr is None:
-                    return run.finish(
-                        SynthesisResult(
-                            problem,
-                            success=False,
-                            solutions=solutions,
-                            elapsed_s=budget.elapsed(),
-                        )
-                    )
-                simplified = simplify(expr)
-                if not evaluate_spec(
-                    problem, problem.make_program(simplified), spec, cache=cache,
-                    state=state,
-                ).ok:
-                    simplified = expr
-                solutions.append(SpecSolution(expr=simplified, specs=(spec,)))
-        run.phases.observe_phase("specs", time.perf_counter() - specs_started)
-
-        merge_started = time.perf_counter()
-        with trace.TRACER.span("phase.merge", solutions=len(solutions)):
-            merger = Merger(
-                problem, config, budget=budget, counters=counters, cache=cache,
-                state=state, metrics=run.phases,
+        for spec in problem.specs:
+            if _reuse_solution(problem, spec, solutions, config, budget, cache, state):
+                continue
+            hint = _adopt_hint(
+                problem, spec, solution_hints, budget, counters, cache, state,
             )
-            program = merger.merge(solutions)
-        run.phases.observe_phase("merge", time.perf_counter() - merge_started)
+            if hint is not None:
+                solutions.append(SpecSolution(expr=hint, specs=(spec,)))
+                continue
+            expr = generate_for_spec(
+                problem, spec, config, budget=budget, counters=counters,
+                cache=cache, state=state,
+            )
+            if expr is None:
+                return run.finish(
+                    SynthesisResult(
+                        problem,
+                        success=False,
+                        solutions=solutions,
+                        elapsed_s=budget.elapsed(),
+                    )
+                )
+            simplified = simplify(expr)
+            if not evaluate_spec(
+                problem, problem.make_program(simplified), spec, cache=cache,
+                state=state,
+            ).ok:
+                simplified = expr
+            solutions.append(SpecSolution(expr=simplified, specs=(spec,)))
+
+        merger = Merger(
+            problem, config, budget=budget, counters=counters, cache=cache,
+            state=state,
+        )
+        program = merger.merge(solutions)
     except SynthesisTimeout:
         return run.finish(
             SynthesisResult(
@@ -185,7 +179,7 @@ def run_synthesis(
 
 
 class _RunCounters:
-    """The counters and phase timings of one run.
+    """The counters of one run.
 
     ``counters`` starts with the run's fresh search counters; ``finish``
     adds what the long-lived owners -- the problem, the memo, the snapshot
@@ -208,17 +202,12 @@ class _RunCounters:
             state.counters if state is not None else None,
             database.counters if database is not None else None,
         )
-        #: Per-phase wall-time histograms, observed by the run loop and the
-        #: merger.
-        self.phases = MetricsRegistry()
 
     def finish(self, result: SynthesisResult) -> SynthesisResult:
-        """Fold the owners' deltas in and attach counters and metrics."""
+        """Fold the owners' deltas in and attach the counters."""
 
         self.counters.merge(self.baseline.delta())
         result.counters = self.counters
-        self.phases.observe_phase("run", result.elapsed_s)
-        result.metrics = self.phases.snapshot(self.counters)
         return result
 
 

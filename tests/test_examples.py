@@ -29,8 +29,11 @@ def test_parallel_sweep_example(capsys):
 def test_traced_run_example(capsys):
     _run(f"{EXAMPLES_DIR}/traced_run.py")
     out = capsys.readouterr().out
-    assert "phase wall time" in out
-    assert "phase coverage" in out
+    assert "per-layer self time (from the trace):" in out
+    for layer in ("session", "search", "enumerate", "goal", "merge"):
+        assert f"\n  {layer} " in out, layer
+    assert "efficacy memo = " in out
+    assert "efficacy snapshots = " in out
     assert "chrome trace written to" in out
 
 

@@ -8,6 +8,10 @@ TYPE_CHECKING:`` block) is used when its bound name appears as a ``Name``
 node anywhere in the module, as a name inside a string annotation, or in
 ``__all__``.  Imports in ``__init__.py`` files are re-exports and exempt, as
 is any import statement carrying a ``# noqa: F401`` mark.
+
+A second check keeps tracing in one place: within ``src/repro`` only the
+tracing layer (``repro/obs``), the session lifecycle and the worker's cell
+collection may import ``repro.obs.trace``.
 """
 
 from __future__ import annotations
@@ -124,3 +128,45 @@ def test_no_module_imports_a_name_it_never_uses():
         for line, name in unused_imports(path.read_text(encoding="utf-8"))
     ]
     assert not offenders, "unused imports:\n" + "\n".join(offenders)
+
+
+#: The only modules of ``src/repro`` that may import the tracer: the tracing
+#: layer itself, the session lifecycle and the worker's collection.
+TRACING_MODULES = ("src/repro/obs/", "src/repro/synth/session.py", "src/repro/synth/parallel.py")
+
+
+def imports_trace(source: str) -> bool:
+    """Whether any import statement, at any depth, imports ``repro.obs.trace``."""
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(alias.name.startswith("repro.obs.trace") for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "repro.obs.trace":
+                return True
+            if node.module == "repro.obs" and any(a.name == "trace" for a in node.names):
+                return True
+    return False
+
+
+def test_trace_guard_sees_every_import_form():
+    assert imports_trace("from repro.obs import trace")
+    assert imports_trace("def f():\n    from repro.obs.trace import TRACER")
+    assert imports_trace("import repro.obs.trace as t")
+    assert not imports_trace("from repro.obs import metrics, tool")
+    assert not imports_trace("from repro.obs.metrics import Counters")
+
+
+def test_only_the_tracing_layer_imports_the_tracer():
+    """The engine holds no tracing code: it is traced from the wrap-site
+    table of ``repro.obs.trace``, which only the session lifecycle and the
+    worker's cell collection switch on and off."""
+
+    offenders = [
+        str(path.relative_to(ROOT))
+        for path in sorted((ROOT / "src/repro").rglob("*.py"))
+        if not str(path.relative_to(ROOT)).startswith(TRACING_MODULES)
+        and imports_trace(path.read_text(encoding="utf-8"))
+    ]
+    assert not offenders, "modules importing repro.obs.trace:\n" + "\n".join(offenders)

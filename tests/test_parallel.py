@@ -7,6 +7,7 @@ cross-run solution hints and counter-merge completeness."""
 from __future__ import annotations
 
 import dataclasses
+import json
 import time
 
 import pytest
@@ -350,19 +351,21 @@ def test_search_stats_as_dict_covers_every_counter():
 
 
 def _span_multiset(path):
-    """Spans as a (name, attrs) multiset: ids, worker tags, parent links and
+    """Spans as a multiset of their names and deterministic attrs -- every
+    attr but the layer self times; ids, worker tags, parent links and
     timings aside -- exactly what serial/parallel runs must agree on."""
 
     import collections
 
     from repro.obs.tool import load_trace
 
-    _, events = load_trace(path)
-    return collections.Counter(
-        (e["name"], tuple(sorted(e["attrs"].items())))
-        for e in events
-        if e["kind"] == "span"
-    )
+    def deterministic(attrs):
+        fixed = {k: v for k, v in attrs.items() if k != "layers"}
+        fixed["calls"] = {layer: t["calls"] for layer, t in attrs["layers"].items()}
+        return json.dumps(fixed, sort_keys=True)
+
+    _, spans = load_trace(path)
+    return collections.Counter((s["name"], deterministic(s["attrs"])) for s in spans)
 
 
 def test_parallel_trace_merge_matches_serial_span_set(tmp_path):
@@ -381,12 +384,52 @@ def test_parallel_trace_merge_matches_serial_span_set(tmp_path):
         assert all(entry.success for entry in entries)
         programs[jobs] = [entry.result.program for entry in entries]
     assert programs[2] == programs[1]
-    assert _span_multiset(paths[2]) == _span_multiset(paths[1])
+    serial = _span_multiset(paths[1])
+    assert sum(n for (name, _), n in serial.items() if name == "session") == 2
+    assert _span_multiset(paths[2]) == serial
 
     # Worker spans really crossed the process boundary: the merged trace
-    # carries more than one worker tag.
-    _, events = load_trace(paths[2])
-    assert len({e["worker"] for e in events}) > 1
+    # carries more than one worker tag, and none from the parent.
+    _, spans = load_trace(paths[2])
+    workers = {s["worker"] for s in spans}
+    assert len(workers) > 1 and "0" not in workers
+
+
+def _wrapped_sites():
+    """The wrap sites that hold a tracing wrapper in this process."""
+
+    from repro.obs import trace
+
+    wrapped = []
+    for sites in trace.SITES.values():
+        for site in sites:
+            owner, attr = trace.resolve(site)
+            if hasattr(vars(owner)[attr], "__wrapped__"):
+                wrapped.append(site)
+    return trace.TRACER is None, wrapped
+
+
+def test_untraced_cell_in_a_worker_forked_from_a_tracing_parent(tmp_path):
+    """Workers forked while the parent traces inherit its wrappers; they put
+    the original functions back, so an untraced cell writes nothing and
+    runs them unwrapped."""
+
+    from repro.obs.tool import load_trace
+
+    path = str(tmp_path / "parent.jsonl")
+    with SynthesisSession(SynthConfig(timeout_s=60, trace_path=path)) as session:
+        parent_tracing, parent_wrapped = _wrapped_sites()
+        assert not parent_tracing and parent_wrapped
+        entries = session.sweep(
+            ["S4", "S5"], variants=[("untraced", {"trace_path": None})],
+            warm=False, parallel=2,
+        )
+        assert all(entry.success for entry in entries)
+        pool = session._executor._get_pool()
+        probes = [pool.apply(_wrapped_sites) for _ in range(4)]
+    assert probes == [(True, [])] * 4
+    _, spans = load_trace(path)
+    assert spans == []
 
 
 # ---------------------------------------------------------------------------

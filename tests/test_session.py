@@ -64,6 +64,26 @@ def test_precision_override_stays_warm():
     assert coarse.counters["state.restores"] > 0
 
 
+def test_trace_path_override_keeps_solution_hints(tmp_path):
+    """Naming a trace file does not steer the search, so a repeat run with
+    a ``trace_path`` override reuses the first run's solutions exactly as
+    an untraced repeat does, and does the same work."""
+
+    repeats = {}
+    for label, overrides in (
+        ("untraced", {}),
+        ("traced", {"trace_path": str(tmp_path / "repeat.jsonl")}),
+    ):
+        with SynthesisSession(SynthConfig(timeout_s=60)) as session:
+            session.run("S4")
+            repeats[label] = session.run("S4", **overrides)
+    untraced, traced = repeats["untraced"], repeats["traced"]
+    assert untraced.counters["search.hint_reuses"] == 2
+    assert untraced.counters["search.evaluated"] == 11
+    assert traced.program == untraced.program
+    assert dict(traced.counters) == dict(untraced.counters)
+
+
 def test_session_close_unregisters_cache_and_rejects_runs():
     session = SynthesisSession(SynthConfig(timeout_s=60))
     result = session.run("S1")
