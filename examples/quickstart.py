@@ -9,7 +9,7 @@ the synthesizer for a ``user_exists`` method::
     end
 
 and runs it through a :class:`~repro.synth.session.SynthesisSession`, the
-engine object that owns the evaluation memo and state snapshots.
+engine object that owns the state snapshots and solution hints.
 
 Run with::
 

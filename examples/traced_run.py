@@ -1,9 +1,10 @@
 """Observability: trace a synthesis run and profile where its time went.
 
-Setting ``SynthConfig.trace_path`` (or the ``REPRO_TRACE`` environment
-variable) makes the session trace its runs through :mod:`repro.obs.trace`:
-while the session is open, the engine's wrap sites are wrapped, and the
-JSONL trace gets one span per run, spec or guard search and merge.  Each
+Building the session with a ``trace_path`` (or setting the ``REPRO_TRACE``
+environment variable) makes it trace its runs through
+:mod:`repro.obs.trace`: while the session is open, the engine's wrap sites
+are wrapped, and the JSONL trace gets one span per run, spec or guard
+search and merge.  Each
 span holds the self time and call count of every layer beneath it
 (enumeration, type checking, spec evaluation, the interpreter, snapshot
 restores, queries, static pruning).  Every run also carries its counters
@@ -34,12 +35,11 @@ from repro.synth import SynthConfig, SynthesisSession
 
 def main() -> None:
     trace_path = os.path.join(tempfile.mkdtemp(), "run.trace.jsonl")
-    config = SynthConfig(timeout_s=60, trace_path=trace_path)
 
     # The session owns the tracer: the wrap sites are wrapped on entry and
     # unwrapped on exit, so untraced runs execute no tracing code.  A
     # parallel sweep merges its cells' worker-side spans into the same file.
-    with SynthesisSession(config) as session:
+    with SynthesisSession(SynthConfig(timeout_s=60), trace_path=trace_path) as session:
         result = session.run("A1")
     print(f"synthesized {result.problem.name}:")
     print(result.pretty())

@@ -29,7 +29,7 @@ import sys
 import tempfile
 import traceback
 from dataclasses import replace
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 _ROOT = os.path.dirname(_HERE)
@@ -56,15 +56,18 @@ def nonzero(counters: Dict[str, int]) -> Dict[str, int]:
     return {key: value for key, value in counters.items() if value}
 
 
-def serial(ids: List[str], **overrides: object) -> Tuple[Programs, Counts]:
-    """One cold run per benchmark, with ``overrides`` on its config."""
+def serial(
+    ids: List[str], trace_path: Optional[str] = None, **overrides: object
+) -> Tuple[Programs, Counts]:
+    """One cold run per benchmark, with ``overrides`` on its config, each
+    in a session tracing to ``trace_path`` when one is given."""
 
     texts, counts = {}, {}
     for bid in ids:
         bench = get_benchmark(bid)
         config = replace(bench.make_config(BASE_CONFIG), **overrides)
         try:
-            with SynthesisSession(config) as session:
+            with SynthesisSession(config, trace_path=trace_path) as session:
                 result = session.run(bench.build())
             texts[bid], counts[bid] = result.pretty(), nonzero(result.counters)
         except Exception as error:  # a raising run differs from its golden
@@ -96,7 +99,6 @@ def parallel(ids: List[str]) -> Tuple[Programs, Counts]:
 
 
 ARMS: Dict[str, Callable[[List[str]], Tuple[Programs, Counts]]] = {
-    "no_memo": functools.partial(serial, cache_spec_outcomes=False),
     "no_snapshot": functools.partial(serial, snapshot_state=False),
     "no_pruning": functools.partial(serial, static_pruning=False),
     "no_index": no_index,

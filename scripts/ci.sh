@@ -11,12 +11,12 @@
 # change to the engine nor a change of hash seed may alter a program.  The
 # counter-identity gate does the same for the engine counters of those runs
 # (scripts/counter_golden.py against scripts/counter_golden.json): the same
-# programs must also cost the same search, memo, snapshot and query work.
+# programs must also cost the same search, snapshot and query work.
 # Regenerate that golden only for a change meant to alter engine work.
 #
 # The arm-identity gate (scripts/arm_identity.py) synthesizes the same 21
-# benchmarks once per arm -- memo off, snapshots off, static pruning off,
-# ORM indexes off, tracing on, and cold cells over two worker processes --
+# benchmarks once per arm -- snapshots off, static pruning off, ORM indexes
+# off, tracing on, and cold cells over two worker processes --
 # under the same two hash seeds, and fails naming every (arm, benchmark)
 # whose program differs from perfbench/golden.json.  Tracing must not change
 # engine work either: the traced arm's nonzero counters of every run are
@@ -62,7 +62,7 @@ for seed in 0 12345; do
 done
 rm -f "$COUNTERS_OUT"
 
-echo "== arm identity gate (six arms and the traced counters, two hash seeds) =="
+echo "== arm identity gate (five arms and the traced counters, two hash seeds) =="
 for seed in 0 12345; do
     PYTHONHASHSEED="$seed" python scripts/arm_identity.py
 done

@@ -1,8 +1,8 @@
 """Running benchmarks and collecting the metrics Table 1 reports.
 
 Built on :class:`repro.synth.session.SynthesisSession`: a warm
-``run_benchmark`` shares one session (evaluation memo and snapshot
-recordings) across its runs, while ``warm_state=False`` gives every run a
+``run_benchmark`` shares one session (snapshot recordings and solution
+hints) across its runs, while ``warm_state=False`` gives every run a
 freshly built problem inside a throwaway session for fully isolated (cold)
 timing measurements.  A :class:`BenchmarkResult` sums its
 runs' counters (``result.counters``, keyed ``layer.name``) with
@@ -86,7 +86,7 @@ def run_benchmark(
 
     With ``warm_state`` (the default) the benchmark's problem (app substrate,
     class table, specs) is built once per session and the session's
-    evaluation memo and database snapshot manager are shared across the
+    database snapshot manager and solution hints are shared across the
     runs.  Passing an external ``session`` extends that sharing across
     *calls*.  ``warm_state=False`` rebuilds everything per run inside a
     throwaway session for fully isolated (cold) measurements; an external

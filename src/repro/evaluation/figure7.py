@@ -9,8 +9,8 @@ with type-only ahead of effect-only on the synthetic (pure) benchmarks.
 
 The sweep runs through :meth:`SynthesisSession.sweep` with ``warm=False``:
 every (benchmark, mode) cell gets a freshly built problem in a throwaway
-session, because sharing the evaluation memo across guidance modes would let
-a later mode answer spec executions recorded by an earlier one and flatten
+session, because sharing snapshot recordings across guidance modes would
+let a later mode skip the setup work an earlier one paid for and flatten
 exactly the timing differences the figure exists to show.
 """
 

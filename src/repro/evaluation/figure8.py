@@ -10,11 +10,10 @@ for every failed assertion.
 
 The sweep runs through one :class:`SynthesisSession`: a benchmark's three
 precision variants run back to back against *one* problem whose snapshot
-recordings are shared (spec outcomes are memoized per precision, so no
-outcome crosses precision levels, but the candidate-independent setup
-recordings are replayed instead of rebuilt -- the session's warm precision
-variants).  Pass ``--cold`` (or ``warm=False``) for the legacy fully isolated
-cells.
+recordings are shared (every variant searches and executes its own
+candidates, but the candidate-independent setup recordings are replayed
+instead of rebuilt -- the session's warm precision variants).  Pass
+``--cold`` (or ``warm=False``) for the legacy fully isolated cells.
 """
 
 from __future__ import annotations

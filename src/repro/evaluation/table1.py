@@ -4,11 +4,9 @@ For every benchmark the harness reports the columns of the paper's Table 1:
 number of specs, min/max assertions, number of library methods, the median ±
 SIQR synthesis time with full type-and-effect guidance, the median times with
 only type guidance, only effect guidance and neither, and the synthesized
-method's size (AST nodes) and path count.  Two columns read the
-full-guidance runs' counters: ``cache`` (spec and guard memo hits/misses,
-``cache.*``) reports how much work the evaluation memo of
-:mod:`repro.synth.cache` absorbed, and ``state`` (``state.restores`` /
-``state.rebuilds``) how many reset+setup replays the snapshot manager of
+method's size (AST nodes) and path count.  The ``state`` column reads the
+full-guidance runs' counters (``state.restores`` / ``state.rebuilds``):
+how many reset+setup replays the snapshot manager of
 :mod:`repro.synth.state` turned into copy-on-write database restores.
 
 The paper uses 11 runs and a 300 s timeout on a 2016 MacBook Pro; the
@@ -60,8 +58,6 @@ class Table1Row:
 
     def as_dict(self) -> Dict[str, object]:
         c = self.counters
-        hits = c["cache.spec_hits"] + c["cache.guard_hits"]
-        misses = c["cache.spec_misses"] + c["cache.guard_misses"]
         row: Dict[str, object] = {
             "id": self.benchmark.id,
             "name": self.benchmark.name,
@@ -71,7 +67,6 @@ class Table1Row:
             "time": format_time(self.median_s, self.siqr_s, self.success),
             "size": self.meth_size if self.meth_size is not None else "-",
             "paths": self.syn_paths if self.syn_paths is not None else "-",
-            "cache": f"{hits}/{misses}",
             "state": f"{c['state.restores']}/{c['state.rebuilds']}",
             "paper_time": f"{self.benchmark.paper.time_s:.2f}",
             "paper_size": self.benchmark.paper.meth_size,
@@ -171,8 +166,8 @@ def run_table1(
 
         full_config = SynthConfig.full(timeout_s=timeout_s)
         # Timing runs stay cold (warm_state=False, throwaway sessions):
-        # sharing the memo and snapshot baseline across runs would let
-        # runs 2..n answer spec evaluations from run 1's warm state,
+        # sharing the snapshot baseline and solution hints across runs
+        # would let runs 2..n skip the searches and replays run 1 paid for,
         # deflating the median the table compares against the paper's
         # isolated-run numbers.  Warm sharing still applies within
         # each run and to the CI gates.
@@ -242,7 +237,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
 
     columns = ["id", "name", "specs", "asserts", "lib_meth", "time", "size", "paths",
-               "cache", "state", "paper_time", "paper_size", "paper_paths"]
+               "state", "paper_time", "paper_size", "paper_paths"]
     if args.all_modes:
         columns[6:6] = ["types_only", "effects_only", "unguided"]
     print(format_table([row.as_dict() for row in rows], columns))

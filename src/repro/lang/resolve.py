@@ -15,8 +15,7 @@ resolution pass.  Its products:
   renaming of ``let``-bound and parameter names, with free variables still
   compared by name).  The :class:`~repro.analysis.prune.StaticPruner` keys
   its normal-form outcome memo by it so renamed lets share entries; it is
-  the only user.  (:class:`~repro.synth.cache.SynthCache` keys on the
-  program node itself: none of its hits needs alpha-equivalence.)
+  the only user.
 
 ``alpha_key`` is memoized in the ``_alpha_memo`` slot of each compound node,
 which a pickled node never carries (``repro.lang.ast.Node.__reduce__``

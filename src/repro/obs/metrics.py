@@ -1,22 +1,20 @@
 """The engine's one counter namespace.
 
 Every unit of work the engine counts lives in one flat :class:`Counters`
-dict keyed ``layer.name`` -- ``search.expansions``, ``cache.spec_hits``,
-``state.restores``, ``query.index_hits``.  Each counter has exactly one
-owner, which declares its keys (at zero) and increments them where the work
-happens:
+dict keyed ``layer.name`` -- ``search.expansions``, ``state.restores``,
+``query.index_hits``.  Each counter has exactly one owner, which declares
+its keys (at zero) and increments them where the work happens:
 
 * ``search.*`` -- the run's search (a fresh ``Counters`` per run), except
   ``search.reset_replays``, which the problem counts;
-* ``cache.*`` -- the evaluation memo (:class:`~repro.synth.cache.SynthCache`);
 * ``state.*`` -- the snapshot manager
   (:class:`~repro.synth.state.StateManager`);
 * ``query.*`` -- the database's query planner
   (:class:`~repro.activerecord.database.Database`).
 
-``docs/API.md`` ("Metrics") lists every key with its meaning.  The memo,
-snapshot manager, database and problem outlive a run, so a run reports their
-work as a :class:`Baseline` delta.  Counts from several runs
+``docs/API.md`` ("Metrics") lists every key with its meaning.  The
+snapshot manager, database and problem outlive a run, so a run reports
+their work as a :class:`Baseline` delta.  Counts from several runs
 (a benchmark's repetitions, wherever each ran) fold with
 :meth:`Counters.merge`.
 

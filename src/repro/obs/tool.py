@@ -20,8 +20,6 @@ class TraceError(ValueError):
 #: One efficacy line per layer that answers work without doing it:
 #: (name, hit counters, miss counters), summed over the runs' counters.
 EFFICACY: Tuple[Tuple[str, Tuple[str, ...], Tuple[str, ...]], ...] = (
-    ("memo", ("cache.spec_hits", "cache.guard_hits"),
-     ("cache.spec_misses", "cache.guard_misses")),
     ("indexes", ("query.index_hits",), ("query.scans",)),
     ("snapshots", ("state.restores",), ("state.rebuilds",)),
     ("static pruning", ("search.static_prunes",), ("search.evaluated",)),

@@ -17,15 +17,16 @@ The engine mirrors the three components of the paper's algorithm:
 :func:`~repro.synth.synthesizer.run_synthesis`.
 
 The public entry point is :class:`~repro.synth.session.SynthesisSession`: a
-context-managed engine owning the evaluation memo
-(:mod:`repro.synth.cache`), the snapshot managers
-(:mod:`repro.synth.state`) and the base config.  ``session.run`` synthesizes
-one problem and ``session.sweep`` drives the evaluation harnesses; every
-result carries the run's counters (:class:`~repro.obs.metrics.Counters`,
-keyed ``layer.name``).  See ``docs/API.md``.
+context-managed engine owning the snapshot managers
+(:mod:`repro.synth.state`), the solution hints and the base config.
+``session.run`` synthesizes one problem and ``session.sweep`` drives the
+evaluation harnesses; every result carries the run's counters
+(:class:`~repro.obs.metrics.Counters`, keyed ``layer.name``).  Every spec
+and guard evaluation executes: the Section 4 observation that unique
+paths, not tests, should be the bottleneck is served by solution and guard
+reuse.  See ``docs/API.md``.
 """
 
-from repro.synth.cache import SynthCache
 from repro.synth.config import SynthConfig
 from repro.synth.dsl import define
 from repro.synth.goal import Spec, SpecContext, SynthesisProblem, evaluate_spec
@@ -35,7 +36,6 @@ from repro.synth.state import NondeterministicSetupError, StateManager
 from repro.synth.synthesizer import SynthesisResult, run_synthesis
 
 __all__ = [
-    "SynthCache",
     "SynthConfig",
     "define",
     "Spec",

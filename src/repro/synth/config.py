@@ -8,11 +8,6 @@ The configuration exposes every knob the paper's evaluation turns:
   levels of Figure 8 (applied to the benchmark's class table);
 * ``timeout_s`` is the per-benchmark timeout (300 s in the paper; the
   benchmark harness defaults to a smaller value so a full sweep stays cheap);
-* ``cache_spec_outcomes`` / ``spec_cache_max_entries`` control the
-  evaluation memo of :mod:`repro.synth.cache`: when enabled (the default),
-  identical ``(program, spec)`` executions across solution reuse, guard
-  search and merge validation are answered from the memo; disabling it
-  restores the execute-every-time behavior;
 * ``snapshot_state`` controls the copy-on-write database snapshot manager
   of :mod:`repro.synth.state`: when enabled (the default) and the problem
   carries its database, the reset closure and each spec's seed inserts are
@@ -23,40 +18,24 @@ The configuration exposes every knob the paper's evaluation turns:
 * ``static_pruning`` controls pre-evaluation pruning
   (:mod:`repro.analysis.prune`): a per-search memo that answers a
   candidate whose effect-normal form already ran with that run's outcome;
-* the remaining limits bound the enumerative search and expose the
-  optimizations of Section 4 (solution/guard reuse, negated-guard reuse,
-  type narrowing, exploration order) for the ablation benchmarks.
+* the remaining limits bound the enumerative search.
 
-Turning the memo, the snapshots or the pruning off must never
-change a synthesized program: ``scripts/arm_identity.py`` synthesizes
-every end-to-end benchmark with each of them off and compares the
-programs with ``perfbench/golden.json``.
+The optimizations of Section 4 have no knob: solution and guard reuse and
+negated guards always run, type narrowing runs whenever ``use_types`` is
+on, and the work list always orders by passed assertions, then size.
+
+Turning the snapshots or the pruning off must never change a synthesized
+program: ``scripts/arm_identity.py`` synthesizes every end-to-end benchmark
+with each of them off and compares the programs with
+``perfbench/golden.json``.
 """
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.lang.effects import PRECISION_PRECISE
-
-
-def default_trace_path() -> Optional[str]:
-    """The process-default for ``SynthConfig.trace_path``.
-
-    Honors the ``REPRO_TRACE`` environment variable: unset or empty leaves
-    tracing off, any other value is the JSONL trace file sessions write (see
-    repro.obs.trace).
-    """
-
-    return os.environ.get("REPRO_TRACE") or None
-
-
-#: Exploration orders for the work list (Section 4, "Program Exploration Order").
-ORDER_PAPER = "paper"  # passed assertions desc, then size asc
-ORDER_SIZE = "size"  # size asc only
-ORDER_FIFO = "fifo"  # breadth-first insertion order
 
 
 @dataclass(frozen=True)
@@ -77,18 +56,6 @@ class SynthConfig:
     max_hash_keys: int = 2
     max_candidates: int = 400_000
     timeout_s: Optional[float] = None
-
-    # Section 4 optimizations / design choices (ablation targets).
-    reuse_solutions: bool = True
-    try_negated_guards: bool = True
-    narrow_types: bool = True
-    exploration_order: str = ORDER_PAPER
-
-    # Evaluation caching (repro.synth.cache).  ``cache_spec_outcomes``
-    # memoizes spec/guard outcomes per (program, spec, effect precision);
-    # ``spec_cache_max_entries`` bounds the memo (LRU eviction beyond it).
-    cache_spec_outcomes: bool = True
-    spec_cache_max_entries: int = 100_000
 
     # State management (repro.synth.state).  ``snapshot_state`` restores the
     # database from copy-on-write snapshots instead of replaying the reset
@@ -112,16 +79,6 @@ class SynthConfig:
     # the ``define(..., database=...)`` determinism opt-in, at the cost of a
     # periodic full rebuild.
     verify_recordings: int = 0
-
-    # Structured tracing (repro.obs.trace).  When set, a SynthesisSession
-    # built from this config installs a JSONL tracer writing to this path
-    # for its lifetime (closed by session.close()): the tracer wraps the
-    # engine's wrap sites while it is live and unwraps them when it closes.
-    # A parallel sweep's workers ship each cell's spans back to the parent,
-    # tagged by worker id.  ``None`` (the default) wraps nothing, so an
-    # untraced run executes no tracing code at all.  The process default
-    # honors the ``REPRO_TRACE`` environment variable.
-    trace_path: Optional[str] = field(default_factory=default_trace_path)
 
     # ------------------------------------------------------------------ modes
 
@@ -165,9 +122,5 @@ class SynthConfig:
         return "TE Disabled"
 
     def __post_init__(self) -> None:
-        if self.exploration_order not in (ORDER_PAPER, ORDER_SIZE, ORDER_FIFO):
-            raise ValueError(f"unknown exploration order {self.exploration_order!r}")
-        if self.spec_cache_max_entries <= 0:
-            raise ValueError("spec_cache_max_entries must be positive")
         if self.verify_recordings < 0:
             raise ValueError("verify_recordings must be >= 0 (0 disables)")

@@ -102,7 +102,7 @@ def expand_effect_hole(
             continue
         seen.add(replacement)
         entry = A.Pending(splice, replacement)
-        if config.use_types and config.narrow_types:
+        if config.use_types:
             try:
                 check_expr(entry.build(), problem.param_env, problem.class_table)
             except SynTypeError:

@@ -277,7 +277,6 @@ def expand_typed_hole(
         entry = A.Pending(splice, replacement)
         if (
             config.use_types
-            and config.narrow_types
             and replacement_type is not None
             and replacement_type != hole.type
         ):

@@ -39,14 +39,12 @@ from repro.interp.effect_log import effect_capture
 from repro.interp.errors import AssertionFailure
 from repro.interp.interpreter import Interpreter
 from repro.obs.metrics import Counters
-from repro.synth.cache import MISSING
 from repro.synth.state import InfrastructureError
 from repro.typesys.class_table import ClassTable
 from repro.typesys.sigparser import parse_method_sig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.activerecord.database import Database
-    from repro.synth.cache import SynthCache
     from repro.synth.state import StateManager
 
 SetupFn = Callable[["SpecContext"], None]
@@ -171,11 +169,6 @@ class SynthesisProblem:
     #: (:mod:`repro.synth.state`) and asserts that ``reset`` and the spec
     #: setups touch only this database, deterministically.
     database: Optional["Database"] = None
-    #: Evaluation caches registered against this problem; flushed whenever
-    #: the baseline state ``reset`` restores changes (see ``rebind_reset``).
-    _caches: List["SynthCache"] = field(
-        default_factory=list, init=False, repr=False, compare=False
-    )
     #: Lazily-created snapshot manager (see :meth:`state_manager`).
     _state_manager: Optional["StateManager"] = field(
         default=None, init=False, repr=False, compare=False
@@ -274,36 +267,20 @@ class SynthesisProblem:
             self._state_manager = StateManager(self.database)
         return self._state_manager
 
-    # -- cache lifecycle ---------------------------------------------------------
-
-    def register_cache(self, cache: "SynthCache") -> None:
-        """Attach an evaluation cache so baseline changes can flush it."""
-
-        if cache not in self._caches:
-            self._caches.append(cache)
-
-    def unregister_cache(self, cache: "SynthCache") -> None:
-        """Detach a cache (a finished run releases its per-run cache)."""
-
-        if cache in self._caches:
-            self._caches.remove(cache)
-
     def invalidate_caches(self) -> None:
-        """Flush every registered cache.
+        """Flush the snapshot manager's baseline and recordings.
 
         Call this whenever the state ``reset`` restores has changed out of
         band (for example, after mutating the seed rows a reset closure
-        re-applies): memoized spec outcomes recorded against the old
-        baseline would otherwise go stale.
+        re-applies): snapshots captured against the old baseline would
+        otherwise replay stale state.  The next evaluation re-records.
         """
 
-        for cache in self._caches:
-            cache.invalidate()
         if self._state_manager is not None:
             self._state_manager.invalidate()
 
     def rebind_reset(self, reset: Callable[[], None]) -> None:
-        """Replace the reset function and invalidate dependent caches."""
+        """Replace the reset function and flush the snapshot manager."""
 
         self.reset = reset
         self.invalidate_caches()
@@ -360,7 +337,6 @@ def evaluate_spec(
     problem: SynthesisProblem,
     program: A.MethodDef,
     spec: Spec,
-    cache: Optional["SynthCache"] = None,
     state: Optional["StateManager"] = None,
     interpreter: Optional[Interpreter] = None,
     backend: Optional[str] = None,
@@ -368,26 +344,20 @@ def evaluate_spec(
 ) -> SpecOutcome:
     """Reset global state, run the spec's setup, then its postcondition.
 
-    With a ``cache``, identical ``(program, spec)`` pairs (at the same
-    effect-annotation precision) return the memoized outcome without
-    re-running ``reset``/setup -- the memo of the Section 4 observation
-    that unique paths, not tests, should be the bottleneck.
-
-    With a ``state`` manager, the reset closure and the setup's seed work
-    are replaced by copy-on-write snapshot restores once the spec has been
-    recorded (:mod:`repro.synth.state`); every replay restores the spec's
-    snapshot, so nothing the previous evaluation wrote -- in its invoke or
-    in its postcondition -- is visible to this one.  ``interpreter`` lets
-    callers batch several evaluations in one interpreter session
-    (``evaluate_all_specs``).
+    Every call executes.  With a ``state`` manager, the reset closure and
+    the setup's seed work are replaced by copy-on-write snapshot restores
+    once the spec has been recorded (:mod:`repro.synth.state`); every
+    replay restores the spec's snapshot, so nothing the previous evaluation
+    wrote -- in its invoke or in its postcondition -- is visible to this
+    one.  ``interpreter`` lets callers batch several evaluations in one
+    interpreter session (``evaluate_all_specs``).
     ``backend`` accepts only ``None`` or ``"tree"`` (the tree walker is the
     one evaluator) and is kept for callers that still name it; anything else
     raises ``ValueError``.
 
-    ``capture_invoke`` runs every ``ctx.invoke`` inside an effect capture,
-    bypasses the memo (both lookup and store) and returns the dynamically
-    observed effect pair on ``SpecOutcome.invoke_pair`` -- the soundness
-    checker's probe, which must observe a real execution.
+    ``capture_invoke`` runs every ``ctx.invoke`` inside an effect capture
+    and returns the dynamically observed effect pair on
+    ``SpecOutcome.invoke_pair`` -- the soundness checker's probe.
 
     A failure of the snapshot machinery (a broken reset closure, a corrupt
     snapshot, a recording that cannot be finalized, a ``verify_recordings``
@@ -397,17 +367,13 @@ def evaluate_spec(
 
     if backend is not None and backend != "tree":
         raise ValueError(f"unknown eval backend {backend!r}; only 'tree' exists")
-    if cache is not None and not capture_invoke:
-        memoized = cache.lookup_spec(problem, program, spec)
-        if memoized is not None:
-            return memoized
     if interpreter is None:
         interpreter = Interpreter(problem.class_table)
     ctx = SpecContext(problem, program, interpreter)
     ctx._capture_invoke = capture_invoke
     # The state-restore phase is infrastructure: a crashing reset closure or
-    # corrupt snapshot must propagate, not be misread (and memoized) as a
-    # candidate-induced spec failure.
+    # corrupt snapshot must propagate, not be misread as a candidate-induced
+    # spec failure.
     if state is not None:
         run_setup = state.begin(problem, spec)
     else:
@@ -421,7 +387,7 @@ def evaluate_spec(
     except InfrastructureError:
         # The snapshot machinery failed (a recording could not be finalized,
         # or verify_recordings caught a broken determinism contract): not a
-        # candidate failure -- never memoize.
+        # candidate failure.
         raise
     except AssertionFailure as failure:
         outcome = SpecOutcome(
@@ -437,16 +403,14 @@ def evaluate_spec(
         )
     if capture_invoke:
         outcome.invoke_pair = _union_pairs(ctx.invoke_pairs)
-    if cache is not None and not capture_invoke:
-        cache.store_spec(problem, program, spec, outcome)
     return outcome
 
 
 def _without_tracebacks(error: Exception) -> Exception:
     """``error`` with the tracebacks of it and its chained causes cleared.
 
-    The memo and the static pruner keep failing outcomes for the rest of a
-    run, and a traceback would keep every frame of the evaluation alive
+    The static pruner keeps failing outcomes for the rest of a search, and
+    a traceback would keep every frame of the evaluation alive
     (interpreter, spec context, setup locals).  Nothing reads them.
     """
 
@@ -470,7 +434,6 @@ def evaluate_all_specs(
     problem: SynthesisProblem,
     program: A.MethodDef,
     specs: Optional[Sequence[Spec]] = None,
-    cache: Optional["SynthCache"] = None,
     budget: Optional["Budget"] = None,
     state: Optional["StateManager"] = None,
 ) -> bool:
@@ -491,12 +454,7 @@ def evaluate_all_specs(
                 f"timeout while validating {program.name!r} against specs"
             )
         outcome = evaluate_spec(
-            problem,
-            program,
-            spec,
-            cache=cache,
-            state=state,
-            interpreter=interpreter,
+            problem, program, spec, state=state, interpreter=interpreter
         )
         if not outcome.ok:
             return False
@@ -508,25 +466,17 @@ def evaluate_guard(
     guard: A.Node,
     spec: Spec,
     expect: bool,
-    cache: Optional["SynthCache"] = None,
     state: Optional["StateManager"] = None,
 ) -> bool:
     """Whether ``guard`` (as the whole method body) evaluates to ``expect``.
 
     This is the check of Section 3.3: under the setup of the spec, a method
     whose body is the guard must return a truthy (``expect=True``) or falsy
-    (``expect=False``) value.  Runtime errors simply reject the guard.
-
-    The memo stores the guard's truthiness under the spec (``None`` for a
-    crashing guard) independent of ``expect``, so one execution answers
-    both the positive and the negated question.
+    (``expect=False``) value.  Runtime errors simply reject the guard,
+    under either polarity.
     """
 
     program = problem.make_program(guard)
-    if cache is not None:
-        memoized = cache.lookup_guard(problem, program, spec)
-        if memoized is not MISSING:
-            return memoized is not None and memoized == expect
     interpreter = Interpreter(problem.class_table)
     ctx = SpecContext(problem, program, interpreter)
     # As in evaluate_spec, restore failures are infrastructure errors and
@@ -536,17 +486,13 @@ def evaluate_guard(
     else:
         problem.run_reset()
         run_setup = spec.setup
-    truthiness: Optional[bool]
     try:
         run_setup(ctx)
-        truthiness = truthy(ctx.result)
     except InfrastructureError:
         raise
     except Exception:  # noqa: BLE001 - a crashing guard is simply rejected
-        truthiness = None
-    if cache is not None:
-        cache.store_guard(problem, program, spec, truthiness)
-    return truthiness is not None and truthiness == expect
+        return False
+    return truthy(ctx.result) == expect
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.lang import ast as A
-from repro.synth.cache import SynthCache
 from repro.synth.config import SynthConfig
 from repro.synth.goal import (
     Budget,
@@ -65,7 +64,6 @@ class Merger:
         config: SynthConfig,
         budget: Optional[Budget] = None,
         counters: Optional[Counters] = None,
-        cache: Optional[SynthCache] = None,
         state: Optional[StateManager] = None,
     ) -> None:
         self.problem = problem
@@ -73,10 +71,6 @@ class Merger:
         self.budget = budget or Budget(config.timeout_s)
         #: The run's counters: guard searches count into them.
         self.counters = counters if counters is not None else search_counters()
-        #: Evaluation memo shared with the per-spec searches; the merge
-        #: phase's ordering/validation loops re-run many identical
-        #: (program, spec) pairs, which the memo answers without executing.
-        self.cache = cache if cache is not None else SynthCache.from_config(config)
         #: Snapshot manager shared with the searches (None disables replay).
         self.state = state
         self.encoder = GuardEncoder()
@@ -92,10 +86,9 @@ class Merger:
         for guard in self.known_guards:
             if guard not in candidates:
                 candidates.append(guard)
-            if self.config.try_negated_guards:
-                negated = negate(guard)
-                if negated not in candidates:
-                    candidates.append(negated)
+            negated = negate(guard)
+            if negated not in candidates:
+                candidates.append(negated)
         return candidates
 
     def remember_guard(self, guard: A.Node) -> None:
@@ -115,7 +108,6 @@ class Merger:
             budget=self.budget,
             counters=self.counters,
             initial_candidates=self.guard_candidates(),
-            cache=self.cache,
             state=self.state,
         )
         if guard is not None:
@@ -192,14 +184,12 @@ class Merger:
         negated = negate(first_guard)
         if all(
             _guard_holds(
-                self.problem, negated, spec, expect=True,
-                cache=self.cache, state=self.state,
+                self.problem, negated, spec, expect=True, state=self.state
             )
             for spec in second.specs
         ) and all(
             _guard_holds(
-                self.problem, negated, spec, expect=False,
-                cache=self.cache, state=self.state,
+                self.problem, negated, spec, expect=False, state=self.state
             )
             for spec in first.specs
         ):
@@ -296,14 +286,10 @@ class Merger:
         return min(valid, key=A.node_count)
 
     def _passes_all_specs(self, program: A.MethodDef) -> bool:
-        """Budget-checked, memoized validation of one candidate program."""
+        """Budget-checked validation of one candidate program."""
 
         return evaluate_all_specs(
-            self.problem,
-            program,
-            cache=self.cache,
-            budget=self.budget,
-            state=self.state,
+            self.problem, program, budget=self.budget, state=self.state
         )
 
     def _strengthen_all(
@@ -342,13 +328,12 @@ def _guard_holds(
     guard: A.Node,
     spec: Spec,
     expect: bool,
-    cache: Optional[SynthCache] = None,
     state: Optional[StateManager] = None,
 ) -> bool:
     # Call-time import: the only path to perfbench's goal.evaluate_guard wrap.
     from repro.synth.goal import evaluate_guard
 
-    return evaluate_guard(problem, guard, spec, expect, cache=cache, state=state)
+    return evaluate_guard(problem, guard, spec, expect, state=state)
 
 
 def _orderings(solutions: List[SpecSolution]) -> List[Tuple[SpecSolution, ...]]:

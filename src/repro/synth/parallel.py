@@ -15,19 +15,20 @@ synthesizes the program a serial run does (the ``parallel`` arm of
 Workers are forked from the parent (same interpreter state, same
 string-hash seed), so a worker's search finds exactly the expression the
 serial search would.  Each worker holds one long-lived session: warm cells
-share that worker's memo and snapshot recordings, and cold cells build a
-fresh problem in a throwaway session, exactly as they do serially.
+share that worker's snapshot recordings and solution hints, and cold cells
+build a fresh problem in a throwaway session, exactly as they do serially.
 
 Nothing mutable crosses the process boundary: a cell task carries a
 benchmark id and a config in, and its :class:`CellTaskResult` out.  Workers
-share no memo or state with each other or with the parent.
+share no state with each other or with the parent.
 
 Tracing crosses the boundary as data.  A forked worker first puts back the
 original functions its parent's tracer had wrapped
-(:func:`repro.obs.trace.reset_after_fork`), so an untraced cell runs them
-unwrapped and writes nothing.  A traced cell (its config carries a
-``trace_path``) installs the same wrappers around a collecting tracer and
-ships its spans back on its result.
+(:func:`repro.obs.trace.reset_after_fork`) and drops ``REPRO_TRACE`` from
+its environment, so no worker session opens a trace file and an untraced
+cell runs the functions unwrapped.  A cell submitted while the parent
+traces installs the same wrappers around a collecting tracer and ships its
+spans back on its result.
 
 Problems must be *reconstructable in the worker*, which is true exactly for
 registry benchmarks (workers rebuild them by id).  Ad-hoc
@@ -41,7 +42,7 @@ import gc
 import multiprocessing
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.lang import ast as A
@@ -65,7 +66,7 @@ class CellTaskResult:
     #: Wall time of the cell's ``run`` call (problem build excluded).
     elapsed_s: float
     counters: Counters
-    #: Spans collected in the worker (empty unless the cell is traced).
+    #: Spans collected in the worker (empty unless the parent traces).
     trace_events: List[dict] = field(default_factory=list)
 
     def to_result(self, problem: "SynthesisProblem") -> SynthesisResult:
@@ -97,32 +98,31 @@ def _worker_init(base_config: SynthConfig) -> None:
     # handle and its wrappers around every site: put the original functions
     # back and drop the tracer (without closing the parent's file).
     trace.reset_after_fork()
-    # Workers never write the parent's trace file themselves: their session
-    # must not re-open ``trace_path`` (the parent owns it), so the path is
-    # stripped here.  The *cell* configs keep it -- that is the per-cell
-    # "collect events for the parent" flag.
-    _WORKER = SynthesisSession(replace(base_config, trace_path=None))
+    # Workers never write a trace file themselves (``trace.enable`` would
+    # truncate the parent's): no session in this process may pick the file
+    # up from the inherited environment.
+    os.environ.pop("REPRO_TRACE", None)
+    _WORKER = SynthesisSession(base_config)
 
 
 def _worker_call(
-    benchmark_id: str, config: SynthConfig, fresh: bool
+    benchmark_id: str, config: SynthConfig, fresh: bool, collect: bool
 ) -> CellTaskResult:
     """Run one cell task inside the pool.
 
-    When the cell's config carries a ``trace_path`` the parent is tracing:
-    the worker installs the same wrappers around a collecting tracer, keeps
-    the cell's spans in memory (tagged with a per-process worker id) and
-    ships them back on the cell result for the parent to absorb into its
-    trace.  The wrappers come off again when the cell ends.
+    ``collect`` says the parent traced when it submitted the cell: the
+    worker installs the same wrappers around a collecting tracer, keeps the
+    cell's spans in memory (tagged with a per-process worker id) and ships
+    them back on the cell result for the parent to absorb into its trace.
+    The wrappers come off again when the cell ends.
     """
 
-    collecting = config.trace_path is not None
-    if collecting:
+    if collect:
         trace.start_collecting(worker=f"w{os.getpid()}")
     try:
         return _run_cell_task(benchmark_id, config, fresh)
     finally:
-        if collecting:
+        if collect:
             trace.disable()
 
 
@@ -208,9 +208,13 @@ class ParallelExecutor:
 
     def submit_cell(self, benchmark_id: str, config: SynthConfig, fresh: bool):
         """One benchmark cell; the future resolves to its
-        :class:`CellTaskResult`."""
+        :class:`CellTaskResult`.  The cell collects spans when this process
+        has a live tracer now."""
 
-        return self._get_pool().apply_async(_worker_call, (benchmark_id, config, fresh))
+        collect = trace.TRACER is not None
+        return self._get_pool().apply_async(
+            _worker_call, (benchmark_id, config, fresh, collect)
+        )
 
     # ------------------------------------------------------------------ lifecycle
 

@@ -16,8 +16,7 @@ narrowing re-check of the expansion needs it.  Duplicates are dropped at pop
 time: a tree derived twice is queued twice but expanded once.
 
 The queue is ordered as in Section 4: by number of passed assertions
-(descending), then program size (ascending).  The alternative orderings are
-kept for the ablation benchmarks.
+(descending), then program size (ascending), then push order.
 
 The candidate budget (``SynthConfig.max_candidates``) is checked before
 every evaluation, so at most that many candidates are run (or, in spec
@@ -36,8 +35,7 @@ from repro.lang import ast as A
 from repro.lang import types as T
 from repro.analysis.prune import StaticPruner
 from repro.obs.metrics import Counters
-from repro.synth.cache import SynthCache
-from repro.synth.config import ORDER_FIFO, ORDER_PAPER, ORDER_SIZE, SynthConfig
+from repro.synth.config import SynthConfig
 from repro.synth.effect_guided import expand_effect_hole, insert_effect_hole
 from repro.synth.enumerate import expand_typed_hole
 from repro.synth.goal import (
@@ -77,7 +75,8 @@ def search_counters() -> Counters:
 
 
 class _WorkList:
-    """A priority queue of ``(passed_asserts, entry)`` pairs.
+    """A priority queue of ``(passed_asserts, entry)`` pairs: most passed
+    assertions first, then smallest, then first pushed.
 
     An entry's tree is built when it is popped.  A tree equal to one popped
     before is skipped: equal trees tie on priority (their size and
@@ -85,33 +84,25 @@ class _WorkList:
     is the one expanded.
     """
 
-    def __init__(self, order: str) -> None:
-        self.order = order
-        self._heap: List[Tuple[Tuple, int, int, A.Pending]] = []
+    def __init__(self) -> None:
+        self._heap: List[Tuple[int, int, int, A.Pending]] = []
         self._counter = itertools.count()
         self._popped: set[A.Node] = set()
 
     def push(self, entry: A.Pending, passed: int) -> None:
-        count = next(self._counter)
-        if self.order == ORDER_PAPER:
-            priority: Tuple = (-passed, entry.size, count)
-        elif self.order == ORDER_SIZE:
-            priority = (entry.size, count)
-        elif self.order == ORDER_FIFO:
-            priority = (count,)
-        else:  # pragma: no cover - validated by SynthConfig
-            raise ValueError(self.order)
-        heapq.heappush(self._heap, (priority, count, passed, entry))
+        heapq.heappush(
+            self._heap, (-passed, entry.size, next(self._counter), entry)
+        )
 
     def pop(self) -> Optional[Tuple[int, A.Node]]:
         """The best queued tree not popped before, or ``None`` if none is left."""
 
         while self._heap:
-            _, _, passed, entry = heapq.heappop(self._heap)
+            negated, _, _, entry = heapq.heappop(self._heap)
             expr = entry.build()
             if expr not in self._popped:
                 self._popped.add(expr)
-                return passed, expr
+                return -negated, expr
         return None
 
     def __len__(self) -> int:
@@ -145,7 +136,6 @@ def generate_for_spec(
     budget: Optional[Budget] = None,
     counters: Optional[Counters] = None,
     root: Optional[A.Node] = None,
-    cache: Optional[SynthCache] = None,
     state: Optional["StateManager"] = None,
 ) -> Optional[A.Node]:
     """Search for an expression that makes ``spec`` pass (Algorithm 2).
@@ -157,8 +147,7 @@ def generate_for_spec(
 
     budget = budget or Budget(config.timeout_s)
     counters = counters if counters is not None else search_counters()
-    cache = cache if cache is not None else SynthCache.from_config(config)
-    worklist = _WorkList(config.exploration_order)
+    worklist = _WorkList()
     worklist.push(
         A.Pending.of(root if root is not None else A.TypedHole(problem.ret_type)), 0
     )
@@ -211,11 +200,7 @@ def generate_for_spec(
             else:
                 counters["search.evaluated"] += 1
                 outcome = evaluate_spec(
-                    problem,
-                    problem.make_program(candidate),
-                    spec,
-                    cache=cache,
-                    state=state,
+                    problem, problem.make_program(candidate), spec, state=state
                 )
                 if pruner is not None:
                     pruner.record(key, outcome)
@@ -244,7 +229,6 @@ def generate_guard(
     budget: Optional[Budget] = None,
     counters: Optional[Counters] = None,
     initial_candidates: Sequence[A.Node] = (),
-    cache: Optional[SynthCache] = None,
     state: Optional["StateManager"] = None,
 ) -> Optional[A.Node]:
     """Synthesize a branch condition (Section 3.3).
@@ -257,19 +241,14 @@ def generate_guard(
 
     budget = budget or Budget(config.timeout_s)
     counters = counters if counters is not None else search_counters()
-    cache = cache if cache is not None else SynthCache.from_config(config)
 
     def accepted(guard: A.Node) -> bool:
         counters["search.evaluated"] += 1
         for spec in positive_specs:
-            if not evaluate_guard(
-                problem, guard, spec, expect=True, cache=cache, state=state
-            ):
+            if not evaluate_guard(problem, guard, spec, expect=True, state=state):
                 return False
         for spec in negative_specs:
-            if not evaluate_guard(
-                problem, guard, spec, expect=False, cache=cache, state=state
-            ):
+            if not evaluate_guard(problem, guard, spec, expect=False, state=state):
                 return False
         return True
 
@@ -284,7 +263,7 @@ def generate_guard(
         if accepted(guard):
             return guard
 
-    worklist = _WorkList(config.exploration_order)
+    worklist = _WorkList()
     worklist.push(A.Pending.of(A.TypedHole(T.BOOL)), 0)
 
     while True:

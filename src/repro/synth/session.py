@@ -10,15 +10,17 @@ shares:
 
 * the base :class:`~repro.synth.config.SynthConfig` (per-run overrides are
   applied on top);
-* one :class:`~repro.synth.cache.SynthCache` -- the spec/guard evaluation
-  memo -- shared by every run of the session;
 * the per-problem :class:`~repro.synth.state.StateManager` snapshot
   recordings (held on the problems, reused by the session across runs *and*
   across effect-precision variants: ``run`` derives coarsened problem copies
-  that share the original's manager and cache registration, so a Figure 8
-  sweep replays recordings instead of rebuilding state).
+  that share the original's manager, so a Figure 8 sweep replays recordings
+  instead of rebuilding state);
+* the solution hints: each successful run's per-spec solutions, which a
+  repeat of the same problem and config re-validates instead of searching.
 
-Everything a session shares lives in its process and dies with it.
+Every spec and guard evaluation executes; nothing memoizes outcomes across
+evaluations.  Everything a session shares lives in its process and dies
+with it.
 
 Typical use::
 
@@ -33,18 +35,22 @@ Typical use::
 
 ``session.sweep`` is the engine behind the Table 1 / Figure 7 / Figure 8
 harnesses and of the ``parallel`` arm of ``scripts/arm_identity.py``.  Every result carries the run's counters
-(``result.counters``, keyed ``layer.name``): the session's memo and
-snapshot managers outlive a run, so each result reports only the work that
-run added to them.
+(``result.counters``, keyed ``layer.name``): the session's snapshot
+managers outlive a run, so each result reports only the work that run
+added to them.
 
-Tracing is the session's only other duty: a session whose config carries a
-``trace_path`` enables :mod:`repro.obs.trace` for its lifetime, which wraps
+Tracing is the session's only other duty: a session built with a
+``trace_path`` (or, by default, the ``REPRO_TRACE`` environment variable)
+enables :mod:`repro.obs.trace` for its lifetime, which wraps
 ``SynthesisSession.run`` and the engine's other wrap sites, and disables it
-on ``close``.  A parallel sweep absorbs the spans its workers collected.
+on ``close``.  Tracing belongs to the session, not to a config, so it
+covers every run and every sweep cell, serial or parallel: a parallel
+sweep absorbs the spans its workers collected.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
@@ -60,7 +66,6 @@ from typing import (
 )
 
 from repro.obs import trace
-from repro.synth.cache import SynthCache
 from repro.synth.config import SynthConfig
 from repro.synth.goal import SynthesisProblem
 from repro.synth.synthesizer import SynthesisResult, run_synthesis
@@ -105,54 +110,55 @@ class SynthesisSession:
     ----------
     config:
         The base configuration; ``run``/``sweep`` overrides are applied on
-        top with :func:`dataclasses.replace`.  The session's evaluation memo
-        is built from this config (``cache_spec_outcomes`` etc.), so cache
-        behavior follows the *session* config even when individual runs
-        override other knobs.
+        top with :func:`dataclasses.replace`.
     parallel:
         Default worker count for ``sweep`` (which also takes a per-call
         ``parallel=`` override).  With more than one job the session owns a
         lazily-started :class:`~repro.synth.parallel.ParallelExecutor`
         worker pool that runs whole sweep cells.  ``run`` is always serial.
+    trace_path:
+        The JSONL file this session traces every run and sweep cell to
+        (:mod:`repro.obs.trace`); ``None`` means the ``REPRO_TRACE``
+        environment variable if it is set, and no tracing otherwise.
     """
 
     def __init__(
         self,
         config: Optional[SynthConfig] = None,
         parallel: int = 1,
+        trace_path: Optional[str] = None,
     ) -> None:
         self.config = config or SynthConfig()
-        #: Tracer lifecycle: the first session whose config carries a
-        #: ``trace_path`` (explicit or via ``REPRO_TRACE``) owns the global
+        #: Tracer lifecycle: a session with a trace file owns the global
         #: tracer and closes it on ``close``.  If a tracer is already live
         #: (an outer session, or a worker's collecting tracer) this session
         #: nests inside it instead of clobbering its sink.
+        trace_path = trace_path or os.environ.get("REPRO_TRACE") or None
         self._owns_tracer = False
-        if self.config.trace_path and trace.TRACER is None:
-            trace.enable(self.config.trace_path)
+        if trace_path and trace.TRACER is None:
+            trace.enable(trace_path)
             self._owns_tracer = True
-        self.cache = SynthCache.from_config(self.config)
         self.parallel = max(int(parallel), 1)
         self._closed = False
         #: Lazily-created worker pool (see :meth:`_executor_for`).
         self._executor: Optional["ParallelExecutor"] = None
-        #: Problems this session's cache is registered on (for close()).
-        self._registered: List[SynthesisProblem] = []
         #: Benchmark-id -> built problem, so repeated ``run("S1")`` /
         #: ``sweep`` calls reuse one warm problem per benchmark.
         self._built: Dict[str, SynthesisProblem] = {}
         #: (id(problem), precision) -> (problem, derived copy) for the
         #: warm precision variants (strong ref keeps ids stable).
         self._derived: Dict[Tuple[int, str], Tuple[SynthesisProblem, SynthesisProblem]] = {}
-        #: (id(problem), timeout-less config) -> {spec: solution expr} from
-        #: the last successful run: the Section 4 solution-reuse
-        #: optimization extended across a session's repeated runs.  Hints
-        #: only skip a search after re-validating against the spec, and the
-        #: search's determinism makes the adopted expression equal to what a
-        #: fresh search would find, so hinted repeats synthesize identical
-        #: programs.  (``_registered`` holds strong problem refs, keeping
-        #: the ids stable.)
-        self._solution_hints: Dict[Tuple[int, SynthConfig], Dict[Any, Any]] = {}
+        #: (id(problem), timeout-less config) -> (problem, {spec: solution
+        #: expr}) from the last successful run: the Section 4
+        #: solution-reuse optimization extended across a session's repeated
+        #: runs.  Hints only skip a search after re-validating against the
+        #: spec, and the search's determinism makes the adopted expression
+        #: equal to what a fresh search would find, so hinted repeats
+        #: synthesize identical programs.  (The strong problem ref keeps
+        #: the id stable.)
+        self._solution_hints: Dict[
+            Tuple[int, SynthConfig], Tuple[SynthesisProblem, Dict[Any, Any]]
+        ] = {}
 
     # ------------------------------------------------------------------ running
 
@@ -172,11 +178,11 @@ class SynthesisSession:
         ``SynthConfig`` field overrides applied on top of whichever base is
         in effect.  When the effective ``effect_precision`` differs from the
         problem's class table, the run uses a derived problem copy that
-        *shares* the original's snapshot manager and cache registration, so
-        precision sweeps stay warm.  ``fresh_state=True`` gives this run a
-        brand-new snapshot manager (cold state) instead of the problem's
-        long-lived one.  The run is serial, whatever the session's
-        ``parallel``: the worker pool runs only whole ``sweep`` cells.
+        *shares* the original's snapshot manager, so precision sweeps stay
+        warm.  ``fresh_state=True`` gives this run a brand-new snapshot
+        manager (cold state) instead of the problem's long-lived one.  The
+        run is serial, whatever the session's ``parallel``: the worker pool
+        runs only whole ``sweep`` cells.
         """
 
         self._check_open()
@@ -188,11 +194,9 @@ class SynthesisSession:
         resolved = self._resolve_problem(problem)
         runner = self._at_precision(resolved, effective.effect_precision)
         state = self._state_for(runner, effective, fresh_state)
-        self._register(runner)
         result = run_synthesis(
             runner,
             effective,
-            cache=self.cache,
             state=state,
             solution_hints=self._hints_for(runner, effective),
         )
@@ -211,9 +215,9 @@ class SynthesisSession:
         ``problems`` is an iterable of problem sources, or ``"registry"`` /
         ``"all"`` / ``None`` for the full benchmark registry.  ``variants``
         default to a single base-config run.  With ``warm`` (the default)
-        all cells share this session's memo and snapshot recordings -- a
-        benchmark's variants run back to back, so e.g. a Figure 8 precision
-        sweep reuses the recordings its first variant captured.
+        all cells share this session's snapshot recordings and solution
+        hints -- a benchmark's variants run back to back, so e.g. a Figure 8
+        precision sweep reuses the recordings its first variant captured.
         ``warm=False`` isolates every cell in a throwaway session with a
         freshly built problem: fully cold measurements, as the Figure 7
         guidance-mode comparison requires.
@@ -279,7 +283,7 @@ class SynthesisSession:
         """Distribute sweep cells over the worker pool, order-preserving.
 
         Cell tasks run wholly inside a worker; only their results come
-        back.
+        back, with the spans a traced session's cells collected.
         """
 
         executor = self._executor_for(jobs)
@@ -348,13 +352,10 @@ class SynthesisSession:
     # ------------------------------------------------------------------ lifecycle
 
     def close(self) -> None:
-        """Stop the worker pool and detach the cache from its problems."""
+        """Stop the worker pool and close the session's tracer, if any."""
 
         if self._closed:
             return
-        for problem in self._registered:
-            problem.unregister_cache(self.cache)
-        self._registered.clear()
         if self._executor is not None:
             self._executor.close()
             self._executor = None
@@ -450,11 +451,9 @@ class SynthesisSession:
         """The problem itself, or a warm derived copy at ``precision``.
 
         The derived copy coarsens the class table but *shares* the
-        original's spec list, database, snapshot manager and cache
-        registration list, so outcomes memoized per precision coexist and
-        the snapshot recordings (which are precision-independent: they
-        capture candidate-free pre-invoke state) are replayed instead of
-        rebuilt.
+        original's spec list, database and snapshot manager, so the snapshot
+        recordings (which are precision-independent: they capture
+        candidate-free pre-invoke state) are replayed instead of rebuilt.
         """
 
         if problem.class_table.effect_precision == precision:
@@ -466,7 +465,6 @@ class SynthesisSession:
         derived = replace(
             problem, class_table=problem.class_table.coarsened(precision)
         )
-        derived._caches = problem._caches
         derived._state_manager = problem.state_manager()
         self._derived[key] = (problem, derived)
         return derived
@@ -474,16 +472,16 @@ class SynthesisSession:
     def _hint_key(
         self, problem: SynthesisProblem, config: SynthConfig
     ) -> Tuple[int, SynthConfig]:
-        # Neither the timeout nor the trace file influences *which*
-        # expression a (finishing) search returns, so hints survive changes
-        # to them; every other config field can steer the search and keys
-        # the hint space.
-        return (id(problem), replace(config, timeout_s=None, trace_path=None))
+        # The timeout does not influence *which* expression a (finishing)
+        # search returns, so hints survive changes to it; every other config
+        # field can steer the search and keys the hint space.
+        return (id(problem), replace(config, timeout_s=None))
 
     def _hints_for(
         self, problem: SynthesisProblem, config: SynthConfig
     ) -> Optional[Dict[Any, Any]]:
-        return self._solution_hints.get(self._hint_key(problem, config))
+        entry = self._solution_hints.get(self._hint_key(problem, config))
+        return entry[1] if entry is not None else None
 
     def _remember_solutions(
         self, problem: SynthesisProblem, config: SynthConfig, result: SynthesisResult
@@ -498,8 +496,8 @@ class SynthesisSession:
 
         if not result.success:
             return
-        hints = self._solution_hints.setdefault(
-            self._hint_key(problem, config), {}
+        _, hints = self._solution_hints.setdefault(
+            self._hint_key(problem, config), (problem, {})
         )
         for solution in result.solutions:
             if solution.specs:
@@ -517,8 +515,3 @@ class SynthesisSession:
 
             return StateManager(problem.database)
         return problem.state_manager()
-
-    def _register(self, problem: SynthesisProblem) -> None:
-        if all(problem is not seen for seen in self._registered):
-            problem.register_cache(self.cache)
-            self._registered.append(problem)

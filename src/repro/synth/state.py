@@ -1,11 +1,10 @@
 """Copy-on-write database snapshots for spec evaluation.
 
-PR 1's memo removed *repeated* ``(program, spec)`` executions; this module
-removes the state-rebuilding cost of the executions that remain.  Without it
-every spec evaluation replays the problem's reset closure and the setup
-block's seed inserts before the candidate program even runs -- exactly the
-work the Section 4 observation says should *not* be the bottleneck (unique
-program paths should be).
+This module removes the state-rebuilding cost of spec and guard
+evaluation.  Without it every spec evaluation replays the problem's reset
+closure and the setup block's seed inserts before the candidate program
+even runs -- exactly the work the Section 4 observation says should *not*
+be the bottleneck (unique program paths should be).
 
 The :class:`StateManager` exploits that a spec's setup is deterministic up to
 the ``ctx.invoke(...)`` call: everything before the invoke depends only on
@@ -60,15 +59,16 @@ A failure of this machinery is never the candidate's: restore failures
 propagate from :meth:`StateManager.begin`, and a failure to finalize a
 recording is raised as an :class:`InfrastructureError` (its ``__cause__``
 the original error), which spec and guard evaluation re-raise instead of
-memoizing, as they do its subclass :class:`NondeterministicSetupError`.
+turning into the candidate's outcome, as they do its subclass
+:class:`NondeterministicSetupError`.
 
 Enabling the manager requires the problem to carry its ``database`` (see
 ``SynthesisProblem.database`` / ``define(..., database=...)``): handing the
 database over asserts that the reset closure touches *only* that database
 and that setups are deterministic.  Problems without a database keep the
-legacy reset-every-time behavior.  Like the evaluation memo, the manager is
-registered for invalidation: ``SynthesisProblem.invalidate_caches`` and
-``rebind_reset`` drop the baseline and every recording.
+legacy reset-every-time behavior.  The problem holds the manager, so
+``SynthesisProblem.invalidate_caches`` and ``rebind_reset`` drop the
+baseline and every recording.
 """
 
 from __future__ import annotations

@@ -13,7 +13,7 @@
    turn into Table 1 / Figures 7 and 8.
 
 The public entry point is :class:`repro.synth.session.SynthesisSession`,
-which owns the warm resources (evaluation memo, snapshot managers) and calls
+which owns the warm resources (snapshot managers, solution hints) and calls
 :func:`run_synthesis` with them.  Nothing here times itself: a traced run is
 timed per layer from outside, by the wrap sites of :mod:`repro.obs.trace`
 (``generate_for_spec`` and ``evaluate_spec`` are looked up here by name).
@@ -26,7 +26,6 @@ from typing import List, Mapping, Optional
 
 from repro.lang import ast as A
 from repro.obs.metrics import METRICS_SCHEMA_VERSION, Baseline, Counters
-from repro.synth.cache import SynthCache
 from repro.synth.config import SynthConfig
 from repro.synth.goal import (
     Budget,
@@ -51,7 +50,7 @@ class SynthesisResult:
     elapsed_s: float = 0.0
     timed_out: bool = False
     #: This run's counters, keyed ``layer.name`` (``docs/API.md``,
-    #: "Metrics"): the search's own plus what the memo, snapshot manager,
+    #: "Metrics"): the search's own plus what the snapshot manager,
     #: database and problem counted during the run.
     counters: Counters = field(default_factory=Counters)
 
@@ -91,7 +90,6 @@ class SynthesisResult:
 def run_synthesis(
     problem: SynthesisProblem,
     config: SynthConfig,
-    cache: SynthCache,
     state: Optional[StateManager] = None,
     solution_hints: Optional[Mapping] = None,
 ) -> SynthesisResult:
@@ -99,9 +97,9 @@ def run_synthesis(
 
     The engine core: assumes ``problem``'s class table is already at
     ``config.effect_precision`` (the session derives precision variants so
-    warm resources survive; see ``SynthesisSession.run``).  ``cache`` and
-    ``state`` are the session's warm resources; the result reports only
-    the counts this run added to them.
+    warm resources survive; see ``SynthesisSession.run``).  ``state`` is
+    the session's warm snapshot manager; the result reports only the
+    counts this run added to it.
 
     ``solution_hints`` maps specs to the expression a *previous* run of the
     same (problem, config) synthesized for them -- the Section 4 reuse
@@ -113,26 +111,25 @@ def run_synthesis(
     """
 
     budget = Budget(config.timeout_s)
-    problem.register_cache(cache)
     if state is not None:
         state.verify_every = config.verify_recordings
-    run = _RunCounters(problem, cache, state)
+    run = _RunCounters(problem, state)
     counters = run.counters
     solutions: List[SpecSolution] = []
 
     try:
         for spec in problem.specs:
-            if _reuse_solution(problem, spec, solutions, config, budget, cache, state):
+            if _reuse_solution(problem, spec, solutions, budget, state):
                 continue
             hint = _adopt_hint(
-                problem, spec, solution_hints, budget, counters, cache, state,
+                problem, spec, solution_hints, budget, counters, state
             )
             if hint is not None:
                 solutions.append(SpecSolution(expr=hint, specs=(spec,)))
                 continue
             expr = generate_for_spec(
                 problem, spec, config, budget=budget, counters=counters,
-                cache=cache, state=state,
+                state=state,
             )
             if expr is None:
                 return run.finish(
@@ -145,15 +142,13 @@ def run_synthesis(
                 )
             simplified = simplify(expr)
             if not evaluate_spec(
-                problem, problem.make_program(simplified), spec, cache=cache,
-                state=state,
+                problem, problem.make_program(simplified), spec, state=state
             ).ok:
                 simplified = expr
             solutions.append(SpecSolution(expr=simplified, specs=(spec,)))
 
         merger = Merger(
-            problem, config, budget=budget, counters=counters, cache=cache,
-            state=state,
+            problem, config, budget=budget, counters=counters, state=state
         )
         program = merger.merge(solutions)
     except SynthesisTimeout:
@@ -182,23 +177,18 @@ class _RunCounters:
     """The counters of one run.
 
     ``counters`` starts with the run's fresh search counters; ``finish``
-    adds what the long-lived owners -- the problem, the memo, the snapshot
-    manager and the problem's database -- counted since the run began, so a
-    run sharing a session's warm memo and snapshot manager reports only its
-    own work.
+    adds what the long-lived owners -- the problem, the snapshot manager
+    and the problem's database -- counted since the run began, so a run
+    sharing a session's warm snapshot manager reports only its own work.
     """
 
     def __init__(
-        self,
-        problem: SynthesisProblem,
-        cache: SynthCache,
-        state: Optional[StateManager],
+        self, problem: SynthesisProblem, state: Optional[StateManager]
     ) -> None:
         self.counters = search_counters()
         database = problem.database
         self.baseline = Baseline(
             problem.counters,
-            cache.counters,
             state.counters if state is not None else None,
             database.counters if database is not None else None,
         )
@@ -217,7 +207,6 @@ def _adopt_hint(
     solution_hints: Optional[Mapping],
     budget: Budget,
     counters: Counters,
-    cache: Optional[SynthCache] = None,
     state: Optional[StateManager] = None,
 ):
     """The previous run's re-validated solution for ``spec``, or ``None``.
@@ -234,9 +223,7 @@ def _adopt_hint(
         return None
     if budget.expired():
         raise SynthesisTimeout(f"timeout while re-validating {spec.name!r}")
-    outcome = evaluate_spec(
-        problem, problem.make_program(hint), spec, cache=cache, state=state
-    )
+    outcome = evaluate_spec(problem, problem.make_program(hint), spec, state=state)
     if not outcome.ok:
         return None
     counters["search.hint_reuses"] += 1
@@ -247,9 +234,7 @@ def _reuse_solution(
     problem: SynthesisProblem,
     spec,
     solutions: List[SpecSolution],
-    config: SynthConfig,
     budget: Budget,
-    cache: Optional[SynthCache] = None,
     state: Optional[StateManager] = None,
 ) -> bool:
     """Try expressions that solved earlier specs before searching from scratch.
@@ -259,15 +244,13 @@ def _reuse_solution(
     past ``timeout_s`` without ever raising :class:`SynthesisTimeout`.
     """
 
-    if not config.reuse_solutions:
-        return False
     for i, solution in enumerate(solutions):
         if budget.expired():
             raise SynthesisTimeout(
                 f"timeout while reusing solutions for {spec.name!r}"
             )
         outcome = evaluate_spec(
-            problem, problem.make_program(solution.expr), spec, cache=cache, state=state
+            problem, problem.make_program(solution.expr), spec, state=state
         )
         if outcome.ok:
             solutions[i] = solution.covering(spec)

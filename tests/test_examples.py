@@ -32,7 +32,7 @@ def test_traced_run_example(capsys):
     assert "per-layer self time (from the trace):" in out
     for layer in ("session", "search", "enumerate", "goal", "merge"):
         assert f"\n  {layer} " in out, layer
-    assert "efficacy memo = " in out
+    assert "efficacy static pruning = " in out
     assert "efficacy snapshots = " in out
     assert "chrome trace written to" in out
 

@@ -19,7 +19,6 @@ from repro.obs import tool
 from repro.obs.metrics import METRICS_SCHEMA_VERSION, Baseline, Counters
 from repro.activerecord.database import QUERY_COUNTERS
 from repro.synth import SynthConfig, SynthesisSession
-from repro.synth.cache import CACHE_COUNTERS
 from repro.synth.search import SEARCH_COUNTERS
 from repro.synth.state import STATE_COUNTERS, InfrastructureError, StateManager
 from repro.synth.synthesizer import SynthesisResult
@@ -209,7 +208,7 @@ def test_counters_since_merge_and_per_layer_nesting():
     reads 0, ``since``/``merge`` are per-key arithmetic over every key, and
     ``as_dict`` nests per layer (the shape of ``metrics["stats"]``)."""
 
-    counters = Counters.fromkeys(("search.expansions", "cache.spec_hits"), 0)
+    counters = Counters.fromkeys(("search.expansions", "query.index_hits"), 0)
     assert counters["search.never_counted"] == 0
     assert "search.never_counted" not in counters  # reading adds no key
 
@@ -219,35 +218,33 @@ def test_counters_since_merge_and_per_layer_nesting():
     assert before["search.expansions"] == 0  # the copy is independent
     delta = counters.since(before)
     assert isinstance(delta, Counters)
-    assert delta == {"search.expansions": 5, "cache.spec_hits": 0, "state.restores": 2}
+    assert delta == {"search.expansions": 5, "query.index_hits": 0, "state.restores": 2}
 
     total = Counters({"search.expansions": 1, "query.scans": 4})
     total.merge(delta)
     assert total == {
         "search.expansions": 6,
         "query.scans": 4,
-        "cache.spec_hits": 0,
+        "query.index_hits": 0,
         "state.restores": 2,
     }
     assert total.as_dict() == {
-        "cache": {"spec_hits": 0},
-        "query": {"scans": 4},
+        "query": {"index_hits": 0, "scans": 4},
         "search": {"expansions": 6},
         "state": {"restores": 2},
     }
 
     # A baseline over several owners sums each owner's delta.
-    cache, state = Counters({"cache.spec_hits": 3}), Counters({"state.restores": 1})
-    baseline = Baseline(cache, None, state)
-    cache["cache.spec_hits"] += 2
+    query, state = Counters({"query.scans": 3}), Counters({"state.restores": 1})
+    baseline = Baseline(query, None, state)
+    query["query.scans"] += 2
     state["state.restores"] += 4
-    assert baseline.delta() == {"cache.spec_hits": 2, "state.restores": 4}
+    assert baseline.delta() == {"query.scans": 2, "state.restores": 4}
 
 
 #: Every key each counter owner declares, by layer (the search layer also
 #: holds the problem's ``search.reset_replays``).
 OWNER_COUNTERS = {
-    "cache": CACHE_COUNTERS,
     "query": QUERY_COUNTERS,
     "search": SEARCH_COUNTERS + ("search.reset_replays",),
     "state": STATE_COUNTERS,
@@ -318,8 +315,7 @@ def test_load_trace_rejects_headerless_and_wrong_schema(tmp_path):
 
 def _traced_run(tmp_path, benchmark_id="S4"):
     path = str(tmp_path / "run.jsonl")
-    config = SynthConfig(timeout_s=60, trace_path=path)
-    with SynthesisSession(config) as session:
+    with SynthesisSession(SynthConfig(timeout_s=60), trace_path=path) as session:
         result = session.run(benchmark_id)
     assert trace.TRACER is None  # the session owned + closed it
     assert result.success
@@ -360,13 +356,13 @@ def test_traced_session_run_summary_covers_phases(tmp_path):
         s["dur"] for s in by_name["search"]
     ) / 1e9
     efficacy = {line["name"]: line for line in summary["efficacy"]}
-    assert list(efficacy) == ["memo", "indexes", "snapshots", "static pruning"]
+    assert list(efficacy) == ["indexes", "snapshots", "static pruning"]
     counters = result.counters
     assert efficacy["snapshots"]["hits"] == counters["state.restores"]
     assert efficacy["snapshots"]["misses"] == counters["state.rebuilds"]
     rendered = tool.format_summary(summary)
     assert "layer self time:" in rendered and "slowest searches:" in rendered
-    assert "efficacy memo = " in rendered
+    assert "efficacy static pruning = " in rendered
 
 
 def test_efficacy_lines_flag_a_layer_that_never_hits():
@@ -378,13 +374,13 @@ def test_efficacy_lines_flag_a_layer_that_never_hits():
         "efficacy indexes = 0 / (0 + 12) = 0.0000  ZERO-HIT: layer does work but never hits"
     )
     assert lines["snapshots"] == "efficacy snapshots = 3 / (3 + 1) = 0.7500"
-    assert lines["memo"].endswith("(unused: no lookups)")
+    assert lines["static pruning"].endswith("(unused: no lookups)")
 
 
 def test_session_close_restores_every_site_even_when_run_raises(tmp_path, monkeypatch):
     originals = _site_functions()
     path = str(tmp_path / "run.jsonl")
-    with SynthesisSession(SynthConfig(timeout_s=60, trace_path=path)) as session:
+    with SynthesisSession(SynthConfig(timeout_s=60), trace_path=path) as session:
         assert all(_site_functions()[site] is not fn for site, fn in originals.items())
         assert session.run("S4").success
     assert all(_site_functions()[site] is fn for site, fn in originals.items())
@@ -394,7 +390,7 @@ def test_session_close_restores_every_site_even_when_run_raises(tmp_path, monkey
 
     monkeypatch.setattr(StateManager, "_finalize", broken_finalize)
     with pytest.raises(InfrastructureError):
-        with SynthesisSession(SynthConfig(timeout_s=60, trace_path=path)) as session:
+        with SynthesisSession(SynthConfig(timeout_s=60), trace_path=path) as session:
             session.run("S4")
     assert trace.TRACER is None
     assert all(_site_functions()[site] is fn for site, fn in originals.items())
@@ -476,10 +472,10 @@ def test_trace_tool_cli_summarize_and_export(tmp_path, capsys):
 def test_repro_trace_env_enables_tracing(tmp_path, monkeypatch):
     path = str(tmp_path / "env.jsonl")
     monkeypatch.setenv("REPRO_TRACE", path)
-    config = SynthConfig(timeout_s=60)  # trace_path defaults from the env
-    assert config.trace_path == path
-    with SynthesisSession(config) as session:
+    with SynthesisSession(SynthConfig(timeout_s=60)) as session:  # no trace_path
+        assert trace.TRACER is not None and trace.TRACER.path == path
         assert session.run("S1").success
+    assert trace.TRACER is None
     header, spans = tool.load_trace(path)
     assert header["schema"] == trace.TRACE_SCHEMA_VERSION
     assert any(s["name"] == "session" for s in spans)
@@ -497,7 +493,8 @@ def test_run_result_carries_metrics_snapshot():
     metrics = result.metrics
     assert metrics["schema_version"] == METRICS_SCHEMA_VERSION == 3
     assert set(metrics) == {"schema_version", "stats"}
-    assert set(metrics["stats"]) >= {"search", "cache", "state"}
+    assert set(metrics["stats"]) >= {"search", "state"}
+    assert "cache" not in metrics["stats"]  # no memo, no cache.* counters
     assert metrics["stats"] == result.counters.as_dict()
     assert metrics["stats"]["search"]["evaluated"] > 0
     json.dumps(metrics)  # JSON-able end to end
@@ -547,8 +544,14 @@ def test_metrics_stats_hold_every_counter_perfbench_reads(benchmark_id, parallel
     stats = result.metrics["stats"]
     for layer, names in _perfbench_counters().items():
         for name in names:
-            if (layer, name) in {("cache", "intern_hits"), ("cache", "intern_misses")}:
-                continue  # the deleted AST interner's pair, always 0
+            if (layer, name) in {
+                # The deleted AST interner's pair, always 0.
+                ("cache", "intern_hits"), ("cache", "intern_misses"),
+                # The deleted spec/guard memo's counters, always 0.
+                ("cache", "spec_hits"), ("cache", "spec_misses"),
+                ("cache", "guard_hits"), ("cache", "guard_misses"),
+            }:
+                continue
             assert name in stats.get(layer, {}), f"{layer}.{name}"
     live = [("search", "expansions"), ("search", "pushed"), ("search", "evaluated"),
             ("state", "restores")]

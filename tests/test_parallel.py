@@ -6,7 +6,6 @@ cross-run solution hints and counter-merge completeness."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 
@@ -16,8 +15,8 @@ from repro.activerecord import Database
 from repro.benchmarks import get_benchmark, run_benchmark
 from repro.interp import Interpreter
 from repro.obs.metrics import Counters
+from repro.obs import trace
 from repro.synth import SynthConfig, SynthesisSession
-from repro.synth.cache import SynthCache
 from repro.synth.search import SEARCH_COUNTERS, search_counters
 from repro.synth.state import StateManager
 
@@ -210,7 +209,7 @@ def test_parallel_sweep_interleaves_ad_hoc_problems():
 # ---------------------------------------------------------------------------
 
 
-def test_session_repeats_reuse_solutions_without_searching():
+def test_session_repeats_adopt_solution_hints_without_searching():
     config = SynthConfig(timeout_s=60)
     with SynthesisSession(config) as session:
         first = session.run("S4")
@@ -319,25 +318,8 @@ def test_search_stats_merge_covers_every_counter():
     _completeness(search_counters())
 
 
-def test_cache_stats_merge_covers_every_counter():
-    _completeness(SynthCache().counters)
-
-
 def test_state_stats_merge_covers_every_counter():
     _completeness(StateManager(Database()).counters)
-
-
-def test_cache_stats_as_dict_and_since_cover_every_counter():
-    """`as_dict`/`since` round-trip every cache counter (bench report plumbing)."""
-
-    fresh = SynthCache().counters
-    keys = sorted(fresh)
-    counters = Counters({key: i + 1 for i, key in enumerate(keys)})
-    assert counters.as_dict() == {
-        "cache": {key.partition(".")[2]: counters[key] for key in keys}
-    }
-    delta = counters.since(fresh)
-    assert delta.as_dict() == counters.as_dict()
 
 
 def test_search_stats_as_dict_covers_every_counter():
@@ -378,8 +360,7 @@ def test_parallel_trace_merge_matches_serial_span_set(tmp_path):
     paths, programs = {}, {}
     for jobs in (1, 2):
         paths[jobs] = str(tmp_path / f"jobs{jobs}.jsonl")
-        traced = dataclasses.replace(config, trace_path=paths[jobs])
-        with SynthesisSession(traced) as session:
+        with SynthesisSession(config, trace_path=paths[jobs]) as session:
             entries = session.sweep(["S5", "S4"], warm=False, parallel=jobs)
         assert all(entry.success for entry in entries)
         programs[jobs] = [entry.result.program for entry in entries]
@@ -393,6 +374,23 @@ def test_parallel_trace_merge_matches_serial_span_set(tmp_path):
     _, spans = load_trace(paths[2])
     workers = {s["worker"] for s in spans}
     assert len(workers) > 1 and "0" not in workers
+
+
+def test_repro_trace_parallel_sweep_matches_serial_span_set(tmp_path, monkeypatch):
+    """With ``REPRO_TRACE`` set, a session traces every cell of a sweep:
+    the ``parallel=2`` cold sweep's file holds the serial sweep's span
+    multiset, and no worker session reopens (and truncates) the file."""
+
+    paths = {}
+    for jobs in (1, 2):
+        paths[jobs] = str(tmp_path / f"env{jobs}.jsonl")
+        monkeypatch.setenv("REPRO_TRACE", paths[jobs])
+        with SynthesisSession(SynthConfig(timeout_s=60)) as session:
+            entries = session.sweep(["S5", "S4"], warm=False, parallel=jobs)
+        assert all(entry.success for entry in entries)
+    serial = _span_multiset(paths[1])
+    assert sum(n for (name, _), n in serial.items() if name == "session") == 2
+    assert _span_multiset(paths[2]) == serial
 
 
 def _wrapped_sites():
@@ -411,22 +409,24 @@ def _wrapped_sites():
 
 def test_untraced_cell_in_a_worker_forked_from_a_tracing_parent(tmp_path):
     """Workers forked while the parent traces inherit its wrappers; they put
-    the original functions back, so an untraced cell writes nothing and
-    runs them unwrapped."""
+    the original functions back, so a cell submitted once the parent has
+    stopped tracing writes nothing and runs them unwrapped."""
 
     from repro.obs.tool import load_trace
 
     path = str(tmp_path / "parent.jsonl")
-    with SynthesisSession(SynthConfig(timeout_s=60, trace_path=path)) as session:
-        parent_tracing, parent_wrapped = _wrapped_sites()
-        assert not parent_tracing and parent_wrapped
-        entries = session.sweep(
-            ["S4", "S5"], variants=[("untraced", {"trace_path": None})],
-            warm=False, parallel=2,
-        )
-        assert all(entry.success for entry in entries)
-        pool = session._executor._get_pool()
-        probes = [pool.apply(_wrapped_sites) for _ in range(4)]
+    trace.enable(path)
+    try:
+        with SynthesisSession(SynthConfig(timeout_s=60), parallel=2) as session:
+            parent_tracing, parent_wrapped = _wrapped_sites()
+            assert not parent_tracing and parent_wrapped
+            pool = session._executor_for(2)._get_pool()  # forked while tracing
+            trace.disable()
+            entries = session.sweep(["S4", "S5"], warm=False)
+            assert all(entry.success for entry in entries)
+            probes = [pool.apply(_wrapped_sites) for _ in range(4)]
+    finally:
+        trace.disable()
     assert probes == [(True, [])] * 4
     _, spans = load_trace(path)
     assert spans == []

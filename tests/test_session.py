@@ -1,8 +1,10 @@
 """Tests for the SynthesisSession engine API (repro.synth.session):
-shared-vs-cold run equivalence, warm precision sweeps, sweep normalization
-and the session lifecycle."""
+shared-vs-cold run equivalence, warm precision sweeps, sweep normalization,
+session-owned tracing and the session lifecycle."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -31,8 +33,8 @@ def test_shared_vs_cold_run_equivalence(benchmark_id):
     assert cold.success and first.success and second.success
     assert first.program == second.program
     assert first.pretty() == cold.program_text
-    # The second warm run answers everything from the shared memo and
-    # snapshot baseline: no reset-closure replays at all.
+    # The second warm run replays the shared snapshot baseline and
+    # recordings: no reset-closure replays at all.
     assert second.counters["search.reset_replays"] == 0
 
 
@@ -64,19 +66,19 @@ def test_precision_override_stays_warm():
     assert coarse.counters["state.restores"] > 0
 
 
-def test_trace_path_override_keeps_solution_hints(tmp_path):
-    """Naming a trace file does not steer the search, so a repeat run with
-    a ``trace_path`` override reuses the first run's solutions exactly as
-    an untraced repeat does, and does the same work."""
+def test_traced_session_keeps_solution_hints(tmp_path):
+    """Tracing does not steer the search, so a traced session's repeat run
+    reuses the first run's solutions exactly as an untraced session's
+    repeat does, and does the same work."""
 
     repeats = {}
-    for label, overrides in (
-        ("untraced", {}),
-        ("traced", {"trace_path": str(tmp_path / "repeat.jsonl")}),
+    for label, trace_path in (
+        ("untraced", None),
+        ("traced", str(tmp_path / "repeat.jsonl")),
     ):
-        with SynthesisSession(SynthConfig(timeout_s=60)) as session:
+        with SynthesisSession(SynthConfig(timeout_s=60), trace_path=trace_path) as session:
             session.run("S4")
-            repeats[label] = session.run("S4", **overrides)
+            repeats[label] = session.run("S4")
     untraced, traced = repeats["untraced"], repeats["traced"]
     assert untraced.counters["search.hint_reuses"] == 2
     assert untraced.counters["search.evaluated"] == 11
@@ -84,16 +86,50 @@ def test_trace_path_override_keeps_solution_hints(tmp_path):
     assert dict(traced.counters) == dict(untraced.counters)
 
 
-def test_session_close_unregisters_cache_and_rejects_runs():
+def test_trace_path_is_not_a_config_override(tmp_path):
+    """Tracing belongs to the session: naming a trace file per run or per
+    sweep variant fails at once instead of being silently mishandled."""
+
+    path = tmp_path / "override.jsonl"
+    with SynthesisSession(SynthConfig(timeout_s=60)) as session:
+        with pytest.raises(TypeError):
+            session.run("S4", trace_path=str(path))
+        for parallel in (1, 2):
+            with pytest.raises(TypeError):
+                session.sweep(
+                    ["S4"], variants=[("traced", {"trace_path": str(path)})],
+                    warm=False, parallel=parallel,
+                )
+    assert not path.exists()
+
+
+def test_synth_config_fields():
+    """The knobs ``SynthConfig`` has; a new one must change this on purpose."""
+
+    assert [f.name for f in dataclasses.fields(SynthConfig)] == [
+        "use_types",
+        "use_effects",
+        "effect_precision",
+        "max_size",
+        "guard_max_size",
+        "max_hash_keys",
+        "max_candidates",
+        "timeout_s",
+        "snapshot_state",
+        "static_pruning",
+        "verify_recordings",
+    ]
+
+
+def test_session_close_rejects_runs():
     session = SynthesisSession(SynthConfig(timeout_s=60))
-    result = session.run("S1")
-    assert result.success
-    problem = session.problem_for("S1")
-    assert session.cache in problem._caches
+    assert session.run("S1").success
     session.close()
-    assert session.cache not in problem._caches
+    assert session.closed
     with pytest.raises(RuntimeError):
         session.run("S1")
+    with pytest.raises(RuntimeError):
+        session.sweep(["S1"])
 
 
 def test_session_has_no_store_keyword(tmp_path):

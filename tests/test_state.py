@@ -924,7 +924,7 @@ def test_broken_reset_closure_propagates_as_infrastructure_error():
 
     problem.rebind_reset(broken_reset)
     # Legacy path: the reset crash must reach the caller, not become a
-    # memoized candidate failure.
+    # candidate failure.
     with pytest.raises(RuntimeError, match="infrastructure down"):
         evaluate_spec(problem, program, spec)
     # State path: the baseline capture replays the reset closure.
@@ -934,28 +934,29 @@ def test_broken_reset_closure_propagates_as_infrastructure_error():
 
 @pytest.mark.parametrize("kind", ["spec", "guard"])
 def test_failing_finalize_propagates_and_is_not_memoized(monkeypatch, kind):
-    from repro.synth.cache import SynthCache
-
     def broken_finalize(self, spec, ctx, recorder):
         raise RuntimeError("finalize infrastructure down")
 
     monkeypatch.setattr(StateManager, "_finalize", broken_finalize)
     problem = get_benchmark("S4").build()
     state = problem.state_manager()
-    cache = SynthCache()
     spec = problem.specs[0]
 
-    # The recording pass runs under the candidate-crash handler; a failure
-    # of the state manager's own must still reach the caller.
-    with pytest.raises(RuntimeError) as raised:
+    def evaluate():
         if kind == "spec":
             evaluate_spec(problem, problem.make_program(A.Var("arg0")), spec,
-                          cache=cache, state=state)
+                          state=state)
         else:
             evaluate_guard(problem, A.BoolLit(True), spec, expect=True,
-                           cache=cache, state=state)
-    assert "finalize infrastructure down" in str(raised.value.__cause__)
-    assert len(cache) == 0
+                           state=state)
+
+    # The recording pass runs under the candidate-crash handler; a failure
+    # of the state manager's own must still reach the caller, and nothing
+    # keeps it: the next evaluation records again and fails again.
+    for _ in range(2):
+        with pytest.raises(RuntimeError) as raised:
+            evaluate()
+        assert "finalize infrastructure down" in str(raised.value.__cause__)
     assert state.recording_for(spec) is None
     assert not state.is_unreplayable(spec)
 
@@ -1047,8 +1048,8 @@ def test_warm_runner_shares_state_across_runs():
     config = SynthConfig.full(timeout_s=60.0)
     warm = run_benchmark(benchmark, config, runs=2)
     assert warm.success
-    # Run 2 answers everything from the shared memo and snapshot baseline:
-    # the reset closure ran only for run 1's baseline capture.
+    # Run 2 replays the shared snapshot baseline and recordings: the reset
+    # closure ran only for run 1's baseline capture.
     assert warm.counters["search.reset_replays"] == 1
     cold = run_benchmark(benchmark, config, runs=2, warm_state=False)
     assert cold.success

@@ -12,7 +12,6 @@ from repro.lang.pretty import pretty, pretty_block
 from repro.apps.blog import build_blog_app, seed_blog
 from repro.benchmarks import get_benchmark
 from repro.synth import SynthConfig, SynthesisSession, define, evaluate_spec
-from repro.synth.config import ORDER_FIFO
 from repro.synth.effect_guided import expand_effect_hole, insert_effect_hole, writers_for
 from repro.synth.enumerate import expand_typed_hole
 from repro.synth.goal import Budget, evaluate_guard
@@ -335,12 +334,6 @@ def test_generate_guard_with_positive_and_negative_specs():
     assert guard != A.TRUE
 
 
-def test_exploration_order_fifo_still_solves(blog_problem):
-    config = SynthConfig(timeout_s=20, exploration_order=ORDER_FIFO)
-    expr = generate_for_spec(blog_problem, blog_problem.specs[0], config)
-    assert expr is not None
-
-
 # ---------------------------------------------------------------------------
 # Merging
 # ---------------------------------------------------------------------------
@@ -461,8 +454,8 @@ def test_evaluate_spec_runtime_error_is_not_effect_error(blog_problem):
     ids=["failed-assert", "no-method", "library-crash"],
 )
 def test_failing_outcome_keeps_no_traceback(body, kind):
-    # The memo and the static pruner keep failing outcomes for the whole run;
-    # a traceback would keep every frame of the evaluation alive with them.
+    # The static pruner keeps failing outcomes for a whole search; a
+    # traceback would keep every frame of the evaluation alive with them.
     problem = get_benchmark("S4").build()
     outcome = evaluate_spec(problem, problem.make_program(body), problem.specs[0])
     assert not outcome.ok
