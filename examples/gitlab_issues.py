@@ -32,8 +32,8 @@ def main() -> None:
 
         # Execute the synthesized A7 method against its app to show it is a
         # runnable artifact, not just a string.  Re-running A7 through the
-        # warm session re-validates each spec's earlier solution instead of
-        # searching again.
+        # warm session reuses its built problem and snapshot recordings; the
+        # search runs again and finds the same program.
         benchmark = get_benchmark("A7")
         problem = session.problem_for(benchmark)
         result = session.run(benchmark)

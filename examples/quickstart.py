@@ -9,7 +9,7 @@ the synthesizer for a ``user_exists`` method::
     end
 
 and runs it through a :class:`~repro.synth.session.SynthesisSession`, the
-engine object that owns the state snapshots and solution hints.
+engine object that owns the problem's state snapshots across runs.
 
 Run with::
 

@@ -165,12 +165,12 @@ def run_table1(
         row.asserts_min, row.asserts_max = measure_assertions(benchmark)
 
         full_config = SynthConfig.full(timeout_s=timeout_s)
-        # Timing runs stay cold (warm_state=False, throwaway sessions):
-        # sharing the snapshot baseline and solution hints across runs
-        # would let runs 2..n skip the searches and replays run 1 paid for,
-        # deflating the median the table compares against the paper's
-        # isolated-run numbers.  Warm sharing still applies within
-        # each run and to the CI gates.
+        # Timing runs stay cold (warm_state=False: each one a cold sweep
+        # cell in a throwaway session): sharing the built problem and its
+        # snapshot recordings across runs would let runs 2..n skip the
+        # problem build and the setup replays run 1 paid for, deflating the
+        # median the table compares against the paper's isolated-run
+        # numbers.  Warm sharing still applies within each run.
         result = run_benchmark(
             benchmark, full_config, runs=runs, warm_state=False, parallel=jobs
         )

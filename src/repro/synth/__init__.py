@@ -17,10 +17,11 @@ The engine mirrors the three components of the paper's algorithm:
 :func:`~repro.synth.synthesizer.run_synthesis`.
 
 The public entry point is :class:`~repro.synth.session.SynthesisSession`: a
-context-managed engine owning the snapshot managers
-(:mod:`repro.synth.state`), the solution hints and the base config.
-``session.run`` synthesizes one problem and ``session.sweep`` drives the
-evaluation harnesses; every result carries the run's counters
+context-managed engine owning the base config, the built problems, their
+snapshot managers (:mod:`repro.synth.state`) and, for parallel sweeps, a
+worker pool (:mod:`repro.synth.parallel`, loaded only when a pool starts).
+``session.run`` synthesizes one problem and ``session.sweep`` runs every
+cell of the evaluation harnesses; every result carries the run's counters
 (:class:`~repro.obs.metrics.Counters`, keyed ``layer.name``).  Every spec
 and guard evaluation executes: the Section 4 observation that unique
 paths, not tests, should be the bottleneck is served by solution and guard
@@ -30,7 +31,6 @@ reuse.  See ``docs/API.md``.
 from repro.synth.config import SynthConfig
 from repro.synth.dsl import define
 from repro.synth.goal import Spec, SpecContext, SynthesisProblem, evaluate_spec
-from repro.synth.parallel import ParallelExecutor
 from repro.synth.session import SweepEntry, SynthesisSession
 from repro.synth.state import NondeterministicSetupError, StateManager
 from repro.synth.synthesizer import SynthesisResult, run_synthesis
@@ -44,7 +44,6 @@ __all__ = [
     "evaluate_spec",
     "NondeterministicSetupError",
     "StateManager",
-    "ParallelExecutor",
     "SweepEntry",
     "SynthesisSession",
     "SynthesisResult",

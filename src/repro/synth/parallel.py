@@ -1,21 +1,21 @@
-"""The multi-process synthesis execution layer.
+"""The worker pool of :class:`~repro.synth.session.SynthesisSession`.
 
 Table 1 medians, the Figure 7 guidance-mode sweep and the Figure 8
-precision sweep are many independent synthesis runs.  This module spreads
-those runs over a worker pool owned by
-:class:`~repro.synth.session.SynthesisSession`.  There is one task shape,
-the **cell**: a whole ``(problem, variant)`` run of
-:meth:`SynthesisSession.sweep`, or one cold repetition of
-:func:`~repro.benchmarks.runner.run_benchmark`.  Each cell is a serial
-:meth:`SynthesisSession.run` inside a worker, so it keeps every serial
-contract: its own ``timeout_s`` budget bounds it end to end, and it
-synthesizes the program a serial run does (the ``parallel`` arm of
+precision sweep are many independent synthesis runs.  A session with more
+than one job spreads them over the :class:`multiprocessing.pool.Pool` that
+:func:`start_pool` creates.  There is one task shape, the **cell**: a whole
+``(problem, variant)`` run of :meth:`SynthesisSession.sweep` (a cold
+repetition of :func:`~repro.benchmarks.runner.run_benchmark` is one such
+cell).  Each cell is a one-cell serial sweep inside a worker, so it keeps
+every serial contract: its own ``timeout_s`` budget bounds it end to end,
+its time is the run's ``SynthesisResult.elapsed_s``, and it synthesizes the
+program a serial run does (the ``parallel`` arm of
 ``scripts/arm_identity.py`` checks this on every end-to-end benchmark).
 
 Workers are forked from the parent (same interpreter state, same
 string-hash seed), so a worker's search finds exactly the expression the
 serial search would.  Each worker holds one long-lived session: warm cells
-share that worker's snapshot recordings and solution hints, and cold cells
+share that worker's built problems and snapshot recordings, and cold cells
 build a fresh problem in a throwaway session, exactly as they do serially.
 
 Nothing mutable crosses the process boundary: a cell task carries a
@@ -34,6 +34,12 @@ Problems must be *reconstructable in the worker*, which is true exactly for
 registry benchmarks (workers rebuild them by id).  Ad-hoc
 :class:`~repro.synth.goal.SynthesisProblem` objects carry arbitrary
 closures; a sweep runs their cells in the parent.
+
+The pool is a ``multiprocessing`` pool rather than a
+``concurrent.futures.ProcessPoolExecutor`` because a session that closes
+part-way through a sweep (its caller raised) must stop the cells still
+running: ``Pool.terminate`` does, and the executor has no way to before
+Python 3.14.
 """
 
 from __future__ import annotations
@@ -41,8 +47,8 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import os
-import time
 from dataclasses import dataclass, field
+from multiprocessing.pool import Pool
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.lang import ast as A
@@ -58,12 +64,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 @dataclass
 class CellTaskResult:
-    """A worker's answer to one sweep/benchmark cell."""
+    """A worker's answer to one sweep cell."""
 
     success: bool
     timed_out: bool
     program: Optional[A.MethodDef]
-    #: Wall time of the cell's ``run`` call (problem build excluded).
+    #: The run's ``SynthesisResult.elapsed_s`` (problem build excluded).
     elapsed_s: float
     counters: Counters
     #: Spans collected in the worker (empty unless the parent traces).
@@ -82,11 +88,40 @@ class CellTaskResult:
         )
 
 
+def start_pool(jobs: int, base_config: SynthConfig) -> Pool:
+    """A pool of ``jobs`` workers, each holding a session on ``base_config``.
+
+    Forked workers inherit the parent's interpreter state (and hash seed, on
+    which candidate-enumeration order depends), which is what makes worker
+    searches bit-identical to serial ones; where ``fork`` is unavailable the
+    pool falls back to ``spawn``, which keeps results *valid* but may
+    explore in a different order.
+    """
+
+    methods = multiprocessing.get_all_start_methods()
+    context = multiprocessing.get_context("fork" if "fork" in methods else "spawn")
+    # Freeze the parent heap across the fork so workers inherit it in the
+    # GC's permanent generation: a worker's first full collection then skips
+    # every pre-fork object (interned types, the benchmark registry, the
+    # parent's built problems) instead of traversing -- and, under
+    # copy-on-write, physically copying -- all of those pages, a pause that
+    # can dwarf the cells the worker runs.  The parent unfreezes right after
+    # the fork, restoring its own collection behavior.
+    gc.collect()
+    gc.freeze()
+    try:
+        return context.Pool(
+            processes=jobs, initializer=_worker_init, initargs=(base_config,)
+        )
+    finally:
+        gc.unfreeze()
+
+
 # ---------------------------------------------------------------------------
 # Worker side
 # ---------------------------------------------------------------------------
 
-#: The worker's long-lived session (warm cells run in it).
+#: The worker's long-lived session (every cell runs in it).
 _WORKER: Optional["SynthesisSession"] = None
 
 
@@ -105,10 +140,11 @@ def _worker_init(base_config: SynthConfig) -> None:
     _WORKER = SynthesisSession(base_config)
 
 
-def _worker_call(
-    benchmark_id: str, config: SynthConfig, fresh: bool, collect: bool
+def run_cell(
+    benchmark_id: str, config: SynthConfig, warm: bool, collect: bool
 ) -> CellTaskResult:
-    """Run one cell task inside the pool.
+    """Run one cell inside the pool, as a one-cell sweep of the worker's
+    session.
 
     ``collect`` says the parent traced when it submitted the cell: the
     worker installs the same wrappers around a collecting tracer, keeps the
@@ -120,122 +156,15 @@ def _worker_call(
     if collect:
         trace.start_collecting(worker=f"w{os.getpid()}")
     try:
-        return _run_cell_task(benchmark_id, config, fresh)
+        result = _WORKER.sweep([benchmark_id], [config], warm=warm)[0].result
+        return CellTaskResult(
+            success=result.success,
+            timed_out=result.timed_out,
+            program=result.program,
+            elapsed_s=result.elapsed_s,
+            counters=result.counters,
+            trace_events=trace.TRACER.export() if trace.TRACER is not None else [],
+        )
     finally:
         if collect:
             trace.disable()
-
-
-def _run_cell_task(benchmark_id: str, config: SynthConfig, fresh: bool) -> CellTaskResult:
-    """Run one benchmark cell in this worker.
-
-    Like the serial paths, the cell's time covers only its ``run`` call,
-    not the problem build.
-    """
-
-    from repro.benchmarks import get_benchmark
-    from repro.synth.session import SynthesisSession
-
-    benchmark = get_benchmark(benchmark_id)
-    if fresh:
-        # Mirrors ``sweep(warm=False)`` / cold ``run_benchmark``: a freshly
-        # built problem inside a throwaway session.
-        problem = benchmark.build()
-        with SynthesisSession(config) as cold:
-            start = time.perf_counter()
-            result = cold.run(problem)
-            elapsed = time.perf_counter() - start
-    else:
-        problem = _WORKER.problem_for(benchmark)
-        start = time.perf_counter()
-        result = _WORKER.run(problem, config=config)
-        elapsed = time.perf_counter() - start
-    return CellTaskResult(
-        success=result.success,
-        timed_out=result.timed_out,
-        program=result.program,
-        elapsed_s=elapsed,
-        counters=result.counters,
-        trace_events=trace.TRACER.export() if trace.TRACER is not None else [],
-    )
-
-
-# ---------------------------------------------------------------------------
-# Parent side: the executor
-# ---------------------------------------------------------------------------
-
-
-class ParallelExecutor:
-    """A lazily-started worker pool bound to one session's resources.
-
-    Forked workers inherit the parent's interpreter state (and hash seed, on
-    which candidate-enumeration order depends), which is what makes worker
-    searches bit-identical to serial ones; where ``fork`` is unavailable the
-    pool falls back to ``spawn``, which keeps results *valid* but may
-    explore in a different order.
-    """
-
-    def __init__(self, jobs: int, base_config: Optional[SynthConfig] = None) -> None:
-        self.jobs = max(int(jobs), 1)
-        self.base_config = base_config if base_config is not None else SynthConfig()
-        self._pool = None
-
-    def _get_pool(self):
-        if self._pool is None:
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else "spawn"
-            )
-            # Freeze the parent heap across the fork so workers inherit it
-            # in the GC's permanent generation: a worker's first full
-            # collection then skips every pre-fork object (interned types,
-            # the benchmark registry, memos of earlier synthesis runs)
-            # instead of traversing -- and, under copy-on-write, physically
-            # copying -- all of those pages, a pause that can dwarf the
-            # cells the worker runs.  The parent unfreezes right after the
-            # fork, restoring its own collection behavior.
-            gc.collect()
-            gc.freeze()
-            try:
-                self._pool = context.Pool(
-                    processes=self.jobs,
-                    initializer=_worker_init,
-                    initargs=(self.base_config,),
-                )
-            finally:
-                gc.unfreeze()
-        return self._pool
-
-    def submit_cell(self, benchmark_id: str, config: SynthConfig, fresh: bool):
-        """One benchmark cell; the future resolves to its
-        :class:`CellTaskResult`.  The cell collects spans when this process
-        has a live tracer now."""
-
-        collect = trace.TRACER is not None
-        return self._get_pool().apply_async(
-            _worker_call, (benchmark_id, config, fresh, collect)
-        )
-
-    # ------------------------------------------------------------------ lifecycle
-
-    def close(self, wait: bool = False) -> None:
-        """Shut the pool down, abandoning unconsumed cells.
-
-        Workers hold nothing that outlives them, so terminating only
-        discards cells nobody is waiting on -- e.g. the rest of a sweep
-        whose caller raised part-way.  ``wait=True`` drains them instead.
-        """
-
-        if self._pool is not None:
-            if wait:
-                self._pool.close()
-            else:
-                self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def __enter__(self) -> "ParallelExecutor":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -60,7 +60,6 @@ SEARCH_COUNTERS = (
     "search.pushed",
     "search.effect_wraps",
     "search.pruned_size",
-    "search.hint_reuses",
     "search.static_prunes",
     "search.footprint_hits",
     "search.effect_type_fallbacks",

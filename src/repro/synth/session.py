@@ -10,17 +10,17 @@ shares:
 
 * the base :class:`~repro.synth.config.SynthConfig` (per-run overrides are
   applied on top);
+* the built problems of the benchmarks it runs by id;
 * the per-problem :class:`~repro.synth.state.StateManager` snapshot
   recordings (held on the problems, reused by the session across runs *and*
   across effect-precision variants: ``run`` derives coarsened problem copies
   that share the original's manager, so a Figure 8 sweep replays recordings
   instead of rebuilding state);
-* the solution hints: each successful run's per-spec solutions, which a
-  repeat of the same problem and config re-validates instead of searching.
+* the worker pool of a parallel sweep (:func:`repro.synth.parallel.start_pool`).
 
-Every spec and guard evaluation executes; nothing memoizes outcomes across
-evaluations.  Everything a session shares lives in its process and dies
-with it.
+Nothing else outlives a run: every run searches every spec, and every spec
+and guard evaluation executes.  Everything a session shares lives in its
+process (or its workers) and dies with it.
 
 Typical use::
 
@@ -33,8 +33,11 @@ Typical use::
             variants=[("precise", {}), ("class", {"effect_precision": "class"})],
         )
 
-``session.sweep`` is the engine behind the Table 1 / Figure 7 / Figure 8
-harnesses and of the ``parallel`` arm of ``scripts/arm_identity.py``.  Every result carries the run's counters
+``session.sweep`` runs every cell of the Table 1 / Figure 7 / Figure 8
+harnesses, of :func:`~repro.benchmarks.runner.run_benchmark`'s cold
+repetitions and of the ``parallel`` arm of ``scripts/arm_identity.py``; a
+cell's time is its run's ``SynthesisResult.elapsed_s``, which excludes the
+problem build.  Every result carries the run's counters
 (``result.counters``, keyed ``layer.name``): the session's snapshot
 managers outlive a run, so each result reports only the work that run
 added to them.
@@ -71,8 +74,9 @@ from repro.synth.goal import SynthesisProblem
 from repro.synth.synthesizer import SynthesisResult, run_synthesis
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from multiprocessing.pool import Pool
+
     from repro.benchmarks.registry import BenchmarkSpec
-    from repro.synth.parallel import ParallelExecutor
     from repro.synth.state import StateManager
 
 #: What ``run``/``sweep`` accept as a problem source: a built problem, a
@@ -114,8 +118,8 @@ class SynthesisSession:
     parallel:
         Default worker count for ``sweep`` (which also takes a per-call
         ``parallel=`` override).  With more than one job the session owns a
-        lazily-started :class:`~repro.synth.parallel.ParallelExecutor`
-        worker pool that runs whole sweep cells.  ``run`` is always serial.
+        lazily-started worker pool (:func:`repro.synth.parallel.start_pool`)
+        that runs whole sweep cells.  ``run`` is always serial.
     trace_path:
         The JSONL file this session traces every run and sweep cell to
         (:mod:`repro.obs.trace`); ``None`` means the ``REPRO_TRACE``
@@ -140,25 +144,15 @@ class SynthesisSession:
             self._owns_tracer = True
         self.parallel = max(int(parallel), 1)
         self._closed = False
-        #: Lazily-created worker pool (see :meth:`_executor_for`).
-        self._executor: Optional["ParallelExecutor"] = None
+        #: Lazily-started worker pool and its size (see :meth:`_pool_for`).
+        self._pool: Optional["Pool"] = None
+        self._pool_jobs = 0
         #: Benchmark-id -> built problem, so repeated ``run("S1")`` /
         #: ``sweep`` calls reuse one warm problem per benchmark.
         self._built: Dict[str, SynthesisProblem] = {}
         #: (id(problem), precision) -> (problem, derived copy) for the
         #: warm precision variants (strong ref keeps ids stable).
         self._derived: Dict[Tuple[int, str], Tuple[SynthesisProblem, SynthesisProblem]] = {}
-        #: (id(problem), timeout-less config) -> (problem, {spec: solution
-        #: expr}) from the last successful run: the Section 4
-        #: solution-reuse optimization extended across a session's repeated
-        #: runs.  Hints only skip a search after re-validating against the
-        #: spec, and the search's determinism makes the adopted expression
-        #: equal to what a fresh search would find, so hinted repeats
-        #: synthesize identical programs.  (The strong problem ref keeps
-        #: the id stable.)
-        self._solution_hints: Dict[
-            Tuple[int, SynthConfig], Tuple[SynthesisProblem, Dict[Any, Any]]
-        ] = {}
 
     # ------------------------------------------------------------------ running
 
@@ -193,15 +187,9 @@ class SynthesisSession:
             effective = benchmark.make_config(effective)
         resolved = self._resolve_problem(problem)
         runner = self._at_precision(resolved, effective.effect_precision)
-        state = self._state_for(runner, effective, fresh_state)
-        result = run_synthesis(
-            runner,
-            effective,
-            state=state,
-            solution_hints=self._hints_for(runner, effective),
+        return run_synthesis(
+            runner, effective, state=self._state_for(runner, effective, fresh_state)
         )
-        self._remember_solutions(runner, effective, result)
-        return result
 
     def sweep(
         self,
@@ -215,9 +203,10 @@ class SynthesisSession:
         ``problems`` is an iterable of problem sources, or ``"registry"`` /
         ``"all"`` / ``None`` for the full benchmark registry.  ``variants``
         default to a single base-config run.  With ``warm`` (the default)
-        all cells share this session's snapshot recordings and solution
-        hints -- a benchmark's variants run back to back, so e.g. a Figure 8
-        precision sweep reuses the recordings its first variant captured.
+        all cells share this session's built problems and snapshot
+        recordings -- a benchmark's variants run back to back, so e.g. a
+        Figure 8 precision sweep reuses the recordings its first variant
+        captured.
         ``warm=False`` isolates every cell in a throwaway session with a
         freshly built problem: fully cold measurements, as the Figure 7
         guidance-mode comparison requires.
@@ -283,17 +272,23 @@ class SynthesisSession:
         """Distribute sweep cells over the worker pool, order-preserving.
 
         Cell tasks run wholly inside a worker; only their results come
-        back, with the spans a traced session's cells collected.
+        back, with the spans a traced session's cells collected.  The pool
+        starts with the first registry cell.
         """
 
-        executor = self._executor_for(jobs)
+        from repro.synth.parallel import run_cell
+
+        # A cell collects spans when this process traces as it is submitted.
+        collect = trace.TRACER is not None
         cells: List[Tuple[ProblemSource, Optional["BenchmarkSpec"], str, SynthConfig, Any]] = []
         for source in sources:
             benchmark = self._as_benchmark(source)
             for name, spec in named_variants:
                 variant_config = self._variant_config(spec, benchmark)
                 future = (
-                    executor.submit_cell(benchmark.id, variant_config, fresh=not warm)
+                    self._pool_for(jobs).apply_async(
+                        run_cell, (benchmark.id, variant_config, warm, collect)
+                    )
                     if benchmark is not None
                     else None
                 )
@@ -337,17 +332,27 @@ class SynthesisSession:
             self._built[benchmark.id] = problem
         return problem
 
-    def _executor_for(self, jobs: int) -> "ParallelExecutor":
-        """The session's worker pool, (re)built for ``jobs`` workers."""
+    def _pool_for(self, jobs: int) -> "Pool":
+        """The session's worker pool, (re)started for ``jobs`` workers."""
 
-        from repro.synth.parallel import ParallelExecutor
+        if self._pool_jobs != jobs:
+            self._stop_pool()
+        if self._pool is None:
+            from repro.synth.parallel import start_pool
 
-        if self._executor is not None and self._executor.jobs != jobs:
-            self._executor.close()
-            self._executor = None
-        if self._executor is None:
-            self._executor = ParallelExecutor(jobs, base_config=self.config)
-        return self._executor
+            self._pool = start_pool(jobs, self.config)
+            self._pool_jobs = jobs
+        return self._pool
+
+    def _stop_pool(self) -> None:
+        """Terminate the workers, abandoning unconsumed cells (the rest of
+        a sweep whose caller raised part-way): workers hold nothing that
+        outlives them."""
+
+        if self._pool is not None:
+            self._pool.terminate()
+            self._pool.join()
+            self._pool, self._pool_jobs = None, 0
 
     # ------------------------------------------------------------------ lifecycle
 
@@ -356,9 +361,7 @@ class SynthesisSession:
 
         if self._closed:
             return
-        if self._executor is not None:
-            self._executor.close()
-            self._executor = None
+        self._stop_pool()
         if self._owns_tracer:
             trace.disable()
             self._owns_tracer = False
@@ -468,40 +471,6 @@ class SynthesisSession:
         derived._state_manager = problem.state_manager()
         self._derived[key] = (problem, derived)
         return derived
-
-    def _hint_key(
-        self, problem: SynthesisProblem, config: SynthConfig
-    ) -> Tuple[int, SynthConfig]:
-        # The timeout does not influence *which* expression a (finishing)
-        # search returns, so hints survive changes to it; every other config
-        # field can steer the search and keys the hint space.
-        return (id(problem), replace(config, timeout_s=None))
-
-    def _hints_for(
-        self, problem: SynthesisProblem, config: SynthConfig
-    ) -> Optional[Dict[Any, Any]]:
-        entry = self._solution_hints.get(self._hint_key(problem, config))
-        return entry[1] if entry is not None else None
-
-    def _remember_solutions(
-        self, problem: SynthesisProblem, config: SynthConfig, result: SynthesisResult
-    ) -> None:
-        """Store a successful run's per-spec solutions as future hints.
-
-        Only the spec that triggered each solution's search (the first of
-        the tuple: later specs were added by reuse coverage) gets a hint,
-        so a hinted repeat replays exactly the cold run's reuse-vs-search
-        resolution.
-        """
-
-        if not result.success:
-            return
-        _, hints = self._solution_hints.setdefault(
-            self._hint_key(problem, config), (problem, {})
-        )
-        for solution in result.solutions:
-            if solution.specs:
-                hints[solution.specs[0]] = solution.expr
 
     def _state_for(
         self, problem: SynthesisProblem, config: SynthConfig, fresh: bool

@@ -13,16 +13,18 @@
    turn into Table 1 / Figures 7 and 8.
 
 The public entry point is :class:`repro.synth.session.SynthesisSession`,
-which owns the warm resources (snapshot managers, solution hints) and calls
-:func:`run_synthesis` with them.  Nothing here times itself: a traced run is
-timed per layer from outside, by the wrap sites of :mod:`repro.obs.trace`
-(``generate_for_spec`` and ``evaluate_spec`` are looked up here by name).
+which owns the warm resources (built problems, snapshot managers) and calls
+:func:`run_synthesis` with them; nothing else carries over between runs,
+so every run searches every spec.  Nothing here times itself: a traced run
+is timed per layer from outside, by the wrap sites of
+:mod:`repro.obs.trace` (``generate_for_spec`` and ``evaluate_spec`` are
+looked up here by name).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional
+from typing import List, Optional
 
 from repro.lang import ast as A
 from repro.obs.metrics import METRICS_SCHEMA_VERSION, Baseline, Counters
@@ -91,7 +93,6 @@ def run_synthesis(
     problem: SynthesisProblem,
     config: SynthConfig,
     state: Optional[StateManager] = None,
-    solution_hints: Optional[Mapping] = None,
 ) -> SynthesisResult:
     """Synthesize a method satisfying every spec of ``problem``.
 
@@ -99,15 +100,8 @@ def run_synthesis(
     ``config.effect_precision`` (the session derives precision variants so
     warm resources survive; see ``SynthesisSession.run``).  ``state`` is
     the session's warm snapshot manager; the result reports only the
-    counts this run added to it.
-
-    ``solution_hints`` maps specs to the expression a *previous* run of the
-    same (problem, config) synthesized for them -- the Section 4 reuse
-    optimization extended across runs.  A hint is only adopted after it
-    re-validates against the spec (a stale hint is simply searched past),
-    and because the search is deterministic the adopted expression is
-    exactly what a fresh search would re-find, so hinted runs synthesize
-    identical programs.  The session maintains these per (problem, config).
+    counts this run added to it.  ``elapsed_s`` is the run's budget clock,
+    which starts here, after the problem build.
     """
 
     budget = Budget(config.timeout_s)
@@ -120,12 +114,6 @@ def run_synthesis(
     try:
         for spec in problem.specs:
             if _reuse_solution(problem, spec, solutions, budget, state):
-                continue
-            hint = _adopt_hint(
-                problem, spec, solution_hints, budget, counters, state
-            )
-            if hint is not None:
-                solutions.append(SpecSolution(expr=hint, specs=(spec,)))
                 continue
             expr = generate_for_spec(
                 problem, spec, config, budget=budget, counters=counters,
@@ -199,35 +187,6 @@ class _RunCounters:
         self.counters.merge(self.baseline.delta())
         result.counters = self.counters
         return result
-
-
-def _adopt_hint(
-    problem: SynthesisProblem,
-    spec,
-    solution_hints: Optional[Mapping],
-    budget: Budget,
-    counters: Counters,
-    state: Optional[StateManager] = None,
-):
-    """The previous run's re-validated solution for ``spec``, or ``None``.
-
-    Hints are stored post-simplify, so adopting one reproduces the exact
-    solution tuple a fresh search-plus-simplify would append; the
-    evaluation is budget-checked like every reuse trial.
-    """
-
-    if not solution_hints:
-        return None
-    hint = solution_hints.get(spec)
-    if hint is None:
-        return None
-    if budget.expired():
-        raise SynthesisTimeout(f"timeout while re-validating {spec.name!r}")
-    outcome = evaluate_spec(problem, problem.make_program(hint), spec, state=state)
-    if not outcome.ok:
-        return None
-    counters["search.hint_reuses"] += 1
-    return hint
 
 
 def _reuse_solution(

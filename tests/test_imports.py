@@ -11,13 +11,17 @@ is any import statement carrying a ``# noqa: F401`` mark.
 
 A second check keeps tracing in one place: within ``src/repro`` only the
 tracing layer (``repro/obs``), the session lifecycle and the worker's cell
-collection may import ``repro.obs.trace``.
+collection may import ``repro.obs.trace``.  A third keeps the worker pool
+out of every import: ``repro.synth.parallel`` and ``multiprocessing`` load
+only when a session starts a pool.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 from typing import Iterator, List, Set, Tuple
 
@@ -170,3 +174,19 @@ def test_only_the_tracing_layer_imports_the_tracer():
         and imports_trace(path.read_text(encoding="utf-8"))
     ]
     assert not offenders, "modules importing repro.obs.trace:\n" + "\n".join(offenders)
+
+
+def test_importing_the_packages_loads_no_worker_pool():
+    """Importing the engine, the benchmarks and the evaluation harnesses
+    loads neither the pool module nor ``multiprocessing``."""
+
+    code = (
+        "import sys, repro.synth, repro.benchmarks, repro.evaluation\n"
+        "print(sorted(m for m in ('repro.synth.parallel', 'multiprocessing')"
+        " if m in sys.modules))\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(ROOT / "src")},
+    )
+    assert ast.literal_eval(done.stdout) == []

@@ -1,8 +1,10 @@
-"""Tests for the parallel synthesis subsystem (repro.synth.parallel), which
-runs whole sweep and benchmark cells in worker processes: cells match
-serial runs in programs and counters, a cell's time excludes its problem
-build, ``run`` and ad-hoc cells stay in the parent, worker trace shipping,
-cross-run solution hints and counter-merge completeness."""
+"""Tests for the parallel synthesis subsystem (repro.synth.parallel), the
+worker pool a session starts to run whole sweep cells (cold
+``run_benchmark`` repetitions among them): cells match serial runs in
+programs and counters, a cell's time is its run's ``elapsed_s`` and
+excludes its problem build, ``run`` and ad-hoc cells stay in the parent,
+worker trace shipping, stopping a sweep part-way, fork hygiene and
+counter-merge completeness."""
 
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ FAST = ["S4", "S5"]
 
 
 def _pool_started(session):
-    return session._executor is not None and session._executor._pool is not None
+    return session._pool is not None
 
 
 def _cell(benchmark_id, config, warm, parallel):
@@ -202,33 +204,6 @@ def test_parallel_sweep_interleaves_ad_hoc_problems():
         entries = session.sweep(["S4", problem, "S5"], warm=True)
     assert [entry.label for entry in entries] == ["S4", problem.name, "S5"]
     assert all(entry.success for entry in entries)
-
-
-# ---------------------------------------------------------------------------
-# Cross-run solution hints
-# ---------------------------------------------------------------------------
-
-
-def test_session_repeats_adopt_solution_hints_without_searching():
-    config = SynthConfig(timeout_s=60)
-    with SynthesisSession(config) as session:
-        first = session.run("S4")
-        second = session.run("S4")
-    assert second.program == first.program
-    assert second.counters["search.hint_reuses"] > 0
-    # Hints replace the per-spec searches (the merge phase's guard
-    # syntheses still expand), so the repeat does strictly less work.
-    assert second.counters["search.expansions"] < first.counters["search.expansions"]
-    assert second.counters["search.evaluated"] < first.counters["search.evaluated"]
-
-
-def test_hints_do_not_cross_configs():
-    with SynthesisSession(SynthConfig(timeout_s=60)) as session:
-        session.run("S4")
-        coarse = session.run("S4", effect_precision="class")
-    # The precision variant runs on a derived problem with its own hint
-    # space, so its first run must have searched.
-    assert coarse.counters["search.hint_reuses"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +395,7 @@ def test_untraced_cell_in_a_worker_forked_from_a_tracing_parent(tmp_path):
         with SynthesisSession(SynthConfig(timeout_s=60), parallel=2) as session:
             parent_tracing, parent_wrapped = _wrapped_sites()
             assert not parent_tracing and parent_wrapped
-            pool = session._executor_for(2)._get_pool()  # forked while tracing
+            pool = session._pool_for(2)  # forked while tracing
             trace.disable()
             entries = session.sweep(["S4", "S5"], warm=False)
             assert all(entry.success for entry in entries)
@@ -430,6 +405,32 @@ def test_untraced_cell_in_a_worker_forked_from_a_tracing_parent(tmp_path):
     assert probes == [(True, [])] * 4
     _, spans = load_trace(path)
     assert spans == []
+
+
+# ---------------------------------------------------------------------------
+# Stopping
+# ---------------------------------------------------------------------------
+
+
+def test_closing_mid_sweep_terminates_running_cells():
+    """A caller that raises part-way through a sweep does not wait for the
+    cells still running: closing the session terminates its workers."""
+
+    import dataclasses
+    import multiprocessing
+
+    def broken_reset():
+        raise RuntimeError("broken reset")
+
+    # The ad-hoc cell raises in the parent after the two unguided A10 cells
+    # went to the workers, where each would run to its 60 s timeout.
+    broken = dataclasses.replace(get_benchmark("S1").build(), reset=broken_reset)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="broken reset"):
+        with SynthesisSession(SynthConfig.unguided(timeout_s=60), parallel=2) as session:
+            session.sweep([broken, "A10", "A10"])
+    assert time.perf_counter() - start < 30
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -447,18 +448,10 @@ def test_pool_creation_freezes_across_fork_and_unfreezes_parent():
 
     import gc
 
-    from repro.synth.parallel import ParallelExecutor
-
     assert gc.get_freeze_count() == 0
-    executor = ParallelExecutor(2, base_config=SynthConfig(timeout_s=60))
-    with executor:
-        executor._get_pool()
+    with SynthesisSession(SynthConfig(timeout_s=60), parallel=2) as session:
+        session._pool_for(2)
         assert gc.get_freeze_count() == 0
         # The pool still works after the freeze/unfreeze dance.
-        future = executor.submit_cell(
-            "S4",
-            get_benchmark("S4").make_config(SynthConfig(timeout_s=60)),
-            fresh=False,
-        )
-        payload = future.get()
-    assert payload.success
+        entry = session.sweep(["S4"], warm=True)[0]
+    assert entry.success

@@ -66,22 +66,23 @@ def test_precision_override_stays_warm():
     assert coarse.counters["state.restores"] > 0
 
 
-def test_traced_session_keeps_solution_hints(tmp_path):
-    """Tracing does not steer the search, so a traced session's repeat run
-    reuses the first run's solutions exactly as an untraced session's
-    repeat does, and does the same work."""
+def test_traced_warm_repeat_does_the_untraced_repeats_work(tmp_path):
+    """Tracing does not steer the search, so a traced session's warm repeat
+    synthesizes the untraced repeat's program with exactly its counters.
+    A repeat keeps only the built problem and its snapshot recordings from
+    the first run, so it searches exactly as much as that run did."""
 
-    repeats = {}
+    runs = {}
     for label, trace_path in (
         ("untraced", None),
         ("traced", str(tmp_path / "repeat.jsonl")),
     ):
         with SynthesisSession(SynthConfig(timeout_s=60), trace_path=trace_path) as session:
-            session.run("S4")
-            repeats[label] = session.run("S4")
-    untraced, traced = repeats["untraced"], repeats["traced"]
-    assert untraced.counters["search.hint_reuses"] == 2
-    assert untraced.counters["search.evaluated"] == 11
+            runs[label] = (session.run("S4"), session.run("S4"))
+    (first, untraced), (_, traced) = runs["untraced"], runs["traced"]
+    for key, value in (("search.expansions", 22), ("search.evaluated", 14)):
+        assert untraced.counters[key] == first.counters[key] == value
+    assert untraced.counters["state.rebuilds"] == 0
     assert traced.program == untraced.program
     assert dict(traced.counters) == dict(untraced.counters)
 
@@ -213,3 +214,69 @@ def test_two_pass_figure8_sweep_matches_cold_and_replays_fewer_resets():
     # Pass 1 pays the one baseline capture; pass 2 replays recordings
     # without a single reset; cold pays one per cell.
     assert resets(pass2) < resets(pass1) < resets(cold)
+
+
+# ---------------------------------------------------------------------------
+# run_benchmark: every repetition runs through one session
+# ---------------------------------------------------------------------------
+
+
+def _session_spans(path):
+    from repro.obs.tool import load_trace
+
+    _, spans = load_trace(str(path))
+    return sum(span["name"] == "session" for span in spans)
+
+
+def test_repro_trace_keeps_every_cold_repetition(tmp_path, monkeypatch):
+    """With ``REPRO_TRACE`` set, the runner's one session owns the tracer and
+    each cold repetition is a cell of it, so the file keeps a ``session``
+    span per repetition instead of only the last one's."""
+
+    path = tmp_path / "cold.jsonl"
+    monkeypatch.setenv("REPRO_TRACE", str(path))
+    result = run_benchmark(
+        get_benchmark("S4"), SynthConfig(timeout_s=60), runs=3, warm_state=False
+    )
+    assert result.success and len(result.times_s) == 3
+    assert _session_spans(path) == 3
+
+
+def test_traced_session_keeps_parallel_cold_repetitions(tmp_path):
+    """Cold repetitions spread over workers inside a traced session ship
+    their spans back, and the runner's session absorbs them."""
+
+    path = tmp_path / "parallel.jsonl"
+    with SynthesisSession(SynthConfig(timeout_s=60), trace_path=str(path)):
+        result = run_benchmark(
+            get_benchmark("S4"), SynthConfig(timeout_s=60),
+            runs=2, warm_state=False, parallel=2,
+        )
+    assert result.success and len(result.times_s) == 2
+    assert _session_spans(path) == 2
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_cold_run_benchmark_stops_at_the_first_failed_repetition(monkeypatch, jobs):
+    """A failed cold repetition ends the loop, serially or over workers: the
+    result folds exactly one failed run's counters, and serially no later
+    repetition builds its problem."""
+
+    benchmark = get_benchmark("S4")
+    config = SynthConfig(timeout_s=60, max_candidates=1)
+    one = run_benchmark(benchmark, config, runs=1, warm_state=False)
+    assert not one.success and not one.timed_out
+
+    build = benchmark.build
+    builds = []
+
+    def counted_build():
+        builds.append(benchmark.id)
+        return build()
+
+    monkeypatch.setattr(benchmark, "build", counted_build)
+    result = run_benchmark(benchmark, config, runs=3, warm_state=False, parallel=jobs)
+    assert not result.success and result.times_s == []
+    assert dict(result.counters) == dict(one.counters)
+    if jobs == 1:
+        assert builds == ["S4"]
